@@ -170,10 +170,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg, out_dir, auto_cptp=args.auto_cptp, workers=args.workers
     )
     for entry in result.manifest["runs"]:
+        margins = entry["invariant_margins"]
         print(
             f"wrote {os.path.join(out_dir, entry['file'])} "
             f"(N={entry['n_sites']}, {entry['channel']}, {entry['topology']}, "
-            f"converged={entry['converged']}, {entry['wall_time_s']}s)"
+            f"converged={entry['converged']}, {entry['wall_time_s']}s, "
+            f"max |trace-1|={margins['max_trace_drift']:.1e}, "
+            f"max herm drift={margins['max_herm_drift']:.1e}, "
+            f"min eig={margins['min_eigenvalue']:.1e})"
         )
     print(f"manifest: {result.manifest_path}")
     return EXIT_OK

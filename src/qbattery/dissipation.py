@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .closed_forms import gamma_nn_eigenvalues
 from .models import EffectiveCoupling, ring_bonds
 from .operators import embed, pauli
 
@@ -162,16 +163,6 @@ def build_gamma(spec: NoiseSpec, n_sites: int) -> GammaMatrix:
     )
 
 
-def _nn_closed_form_eigenvalues(
-    gamma: float, gamma12: complex, n: int
-) -> np.ndarray:
-    """Spectrum of the periodic nearest-neighbor rate matrix, ascending."""
-    mod = abs(gamma12)
-    phi = np.angle(gamma12) if mod > 0 else 0.0
-    m = np.arange(n)
-    return np.sort(gamma + 2.0 * mod * np.cos(2.0 * np.pi * m / n + phi))
-
-
 def validate_cptp(gamma: GammaMatrix) -> CptpReport:
     """Check positive semidefiniteness and the topology's analytic bound.
 
@@ -199,7 +190,7 @@ def validate_cptp(gamma: GammaMatrix) -> CptpReport:
             f"gamma >= 2|gamma_offdiag| ({gamma.gamma:g} vs {2.0 * mod:g})"
         )
         if gamma.periodic:
-            reference = _nn_closed_form_eigenvalues(
+            reference = gamma_nn_eigenvalues(
                 gamma.gamma, gamma.gamma_offdiag, n
             )
             if np.max(np.abs(np.sort(eigenvalues) - reference)) > 1e-10:

@@ -38,7 +38,9 @@ the dense generic path always runs the loop.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -444,19 +446,44 @@ def liouvillian_matrix(
     return lmat
 
 
-def check_state(rho: np.ndarray, t: float) -> None:
-    """Raise StateInvariantError unless rho is a valid density matrix."""
-    trace_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(
-        np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
-    )
+class StateCheck(NamedTuple):
+    """What check_state measured on one state.
+
+    populations is the ascending spectrum of the Hermitian part of rho, so
+    populations[0] is its minimum eigenvalue and the whole array is what
+    the spectral ergotropy formula needs (observables.ergotropy takes it as
+    `populations`).  trace_drift is |Tr rho - 1| (real and imaginary parts
+    summed) and herm_drift the largest entry of |rho - rho^dag|.
+    """
+
+    populations: np.ndarray
+    trace_drift: float
+    herm_drift: float
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.populations[0])
+
+
+def check_state(rho: np.ndarray, t: float) -> StateCheck:
+    """Raise StateInvariantError unless rho is a valid density matrix.
+
+    Returns the check's measurements, including the spectrum it computed,
+    so a caller needs no second eigendecomposition of the same state.
+    """
+    trace = np.trace(rho)
+    trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
+    adjoint = rho.conj().T
+    herm_drift = float(np.max(np.abs(rho - adjoint)))
+    populations = np.linalg.eigvalsh(0.5 * (rho + adjoint))
+    min_eig = float(populations[0])
     if (
         trace_drift >= TRACE_TOL
         or herm_drift >= HERMITICITY_TOL
         or min_eig < MIN_EIGENVALUE_TOL
     ):
         raise StateInvariantError(t, trace_drift, herm_drift, min_eig)
+    return StateCheck(populations, trace_drift, herm_drift)
 
 
 def resolve_time_grid(cfg: EvolutionConfig, spec: NoiseSpec) -> tuple[int, int]:
@@ -492,6 +519,11 @@ def evolve_stream(
     info["propagation"] before the first sample after t = 0 is yielded:
     "rk4_sample_map" (precomputed per-sample RK4 map), "rk4_substep_loop"
     (explicit RK4 substeps) or "expm" (the liouvillian_expm integrator).
+    Before each sample is yielded, its check_state record is stored under
+    info["check"] (its populations feed observables.ergotropy without a
+    second eigendecomposition), and info["invariant_margins"] holds the
+    worst margins of the samples so far: the largest trace and
+    hermiticity drifts and the smallest minimum eigenvalue.
     """
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -507,7 +539,30 @@ def evolve_stream(
         raise ValueError("evolve expects a Hermitian H_eff")
     gamma = build_gamma(spec, n_sites)
     require_cptp(gamma)
-    check_state(rho, 0.0)
+    margins = {
+        "max_trace_drift": 0.0,
+        "max_herm_drift": 0.0,
+        "min_eigenvalue": math.inf,
+    }
+    if info is not None:
+        info["invariant_margins"] = margins
+
+    def checked(rho: np.ndarray, t: float) -> None:
+        check = check_state(rho, t)
+        if info is None:
+            return
+        info["check"] = check
+        margins["max_trace_drift"] = max(
+            margins["max_trace_drift"], check.trace_drift
+        )
+        margins["max_herm_drift"] = max(
+            margins["max_herm_drift"], check.herm_drift
+        )
+        margins["min_eigenvalue"] = min(
+            margins["min_eigenvalue"], check.min_eig
+        )
+
+    checked(rho, 0.0)
     n_samples, n_sub = resolve_time_grid(cfg, spec)
     yield 0.0, rho.copy()
     if cfg.integrator == "liouvillian_expm":
@@ -524,7 +579,7 @@ def evolve_stream(
             vec = propagator @ vec
             t = k * cfg.dt_sample
             rho = vec.reshape(dim, dim)
-            check_state(rho, t)
+            checked(rho, t)
             yield t, rho.copy()
         return
     rhs = make_rhs(h_eff, gamma, spec.channel)
@@ -539,7 +594,7 @@ def evolve_stream(
     for k in range(1, n_samples + 1):
         rho = step(rho)
         t = k * cfg.dt_sample
-        check_state(rho, t)
+        checked(rho, t)
         yield t, rho.copy()
 
 

@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.stats
 
 from .operators import expectation
 
@@ -47,6 +45,7 @@ def ergotropy(
     rho: np.ndarray,
     h_b: np.ndarray,
     h_energies: np.ndarray | None = None,
+    populations: np.ndarray | None = None,
 ) -> ErgotropyReport:
     """Spectral-formula ergotropy of state rho under Hamiltonian h_b.
 
@@ -56,6 +55,9 @@ def ergotropy(
 
     h_energies optionally carries the precomputed ascending spectrum of
     h_b, so time-series loops diagonalize the (fixed) Hamiltonian once.
+    populations optionally carries the ascending spectrum of this same
+    rho, as evolution.check_state returns it (StateCheck.populations), so
+    a sampled state is diagonalized once for its check and its ergotropy.
     """
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
@@ -64,7 +66,8 @@ def ergotropy(
             f"dimension mismatch: state {rho.shape} vs Hamiltonian {h_b.shape}"
         )
     w = expectation(rho, h_b)
-    populations = np.linalg.eigvalsh(rho)          # ascending
+    if populations is None:
+        populations = np.linalg.eigvalsh(rho)      # ascending
     if h_energies is None:
         h_energies = np.linalg.eigvalsh(h_b)
     energies = np.asarray(h_energies)[::-1]        # descending
@@ -86,6 +89,11 @@ def ergotropy_bruteforce_oracle(
     n_random_unitaries Haar-random unitaries, then returns
     Tr[h_b rho] - min.  Test-scale only.
     """
+    # Imported here, their only use: they would add ~0.6 s to every
+    # import of the package.
+    import scipy.optimize
+    import scipy.stats
+
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
     dim = rho.shape[0]

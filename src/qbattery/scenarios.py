@@ -741,7 +741,9 @@ def _execute_run(payload: tuple) -> dict:
     w0: float | None = None
     evolution_info: dict = {}
     for t, rho in evolve_stream(rho0, h_eff, spec, evo, info=evolution_info):
-        report = ergotropy(rho, h_b, h_energies)
+        report = ergotropy(
+            rho, h_b, h_energies, evolution_info["check"].populations
+        )
         if w0 is None:
             w0 = report.w
         stored = report.w - w0
@@ -779,6 +781,7 @@ def _execute_run(payload: tuple) -> dict:
         "applied_gamma_offdiag_modulus": modulus,
         "steady_window": window,
         "converged": steady.converged,
+        "invariant_margins": evolution_info["invariant_margins"],
         "wall_time_s": round(time.perf_counter() - start, 3),
         "sha256": hashlib.sha256(payload_bytes).hexdigest(),
     }
@@ -799,7 +802,9 @@ def run_scenario(
     full config echo, library version, per-run integrator step and
     propagation path (precomputed per-sample map or explicit substep loop,
     see qbattery.evolution), applied cross-site rate (after any --auto-cptp
-    scaling), convergence flag, wall time, and a sha256 hash of each CSV.
+    scaling), convergence flag, worst invariant margins over the sampled
+    states (largest |trace - 1| and hermiticity drift, smallest minimum
+    eigenvalue), wall time, and a sha256 hash of each CSV.
 
     Args:
         cfg: validated scenario declaration.

@@ -23,6 +23,8 @@ from qbattery import (
 from qbattery import evolution
 from qbattery.evolution import (
     EXPM_MAX_SITES,
+    HERMITICITY_TOL,
+    StateCheck,
     _AmplitudeDampingRHS,
     _ElementwiseDephasingRHS,
     _GenericRHS,
@@ -387,6 +389,83 @@ class TestCheckState:
         with pytest.raises(StateInvariantError) as err:
             check_state(rho, 2.0)
         assert err.value.min_eig < -1e-8
+
+    def test_returns_spectrum_of_hermitian_part_and_drifts(self):
+        rng = np.random.default_rng(5)
+        rho = random_density_matrix(rng, 8)
+        # a skew part inside the hermiticity tolerance
+        skew = 1j * np.diag(np.full(7, 1.0), k=1) * 0.1 * HERMITICITY_TOL
+        rho = rho + skew
+        record = check_state(rho, 0.3)
+        assert isinstance(record, StateCheck)
+        hermitian_part = 0.5 * (rho + rho.conj().T)
+        np.testing.assert_array_equal(
+            record.populations, np.linalg.eigvalsh(hermitian_part)
+        )
+        assert np.all(np.diff(record.populations) >= 0)
+        assert record.min_eig == record.populations[0]
+        trace = np.trace(rho)
+        assert record.trace_drift == abs(trace.real - 1.0) + abs(trace.imag)
+        assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
+        assert 0 < record.herm_drift < HERMITICITY_TOL
+
+    def test_stream_records_each_samples_check_and_worst_margins(self):
+        info = {}
+        cfg = EvolutionConfig(t_max=0.5, dt_sample=0.1)
+        records = []
+        for t, rho in evolve_stream(
+            product_minus_state(3), _ising_heff(3), _spec(), cfg, info=info
+        ):
+            record = info["check"]
+            np.testing.assert_array_equal(
+                record.populations, check_state(rho, t).populations
+            )
+            records.append(record)
+        assert len(records) == 6
+        assert info["invariant_margins"] == {
+            "max_trace_drift": max(r.trace_drift for r in records),
+            "max_herm_drift": max(r.herm_drift for r in records),
+            "min_eigenvalue": min(r.min_eig for r in records),
+        }
+
+    def test_stream_raises_at_first_nonphysical_sample(self, monkeypatch):
+        # The third propagated sample is replaced by a trace-one Hermitian
+        # matrix with a negative eigenvalue: the samples before it are
+        # yielded, it is not, and the error names its time.
+        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        real_make_rhs = evolution.make_rhs
+
+        def make_faulty_rhs(*args):
+            rhs = real_make_rhs(*args)
+            real_map = rhs.sample_map
+
+            def sample_map(dt, n_sub):
+                step = real_map(dt, n_sub)
+                calls = []
+
+                def faulty(rho):
+                    calls.append(None)
+                    return bad.copy() if len(calls) == 3 else step(rho)
+
+                return faulty
+
+            rhs.sample_map = sample_map
+            return rhs
+
+        monkeypatch.setattr(evolution, "make_rhs", make_faulty_rhs)
+        seen = []
+        with pytest.raises(StateInvariantError) as err:
+            for t, _ in evolve_stream(
+                product_minus_state(2),
+                _ising_heff(2),
+                _spec(),
+                EvolutionConfig(t_max=1.0, dt_sample=0.1),
+                info={},
+            ):
+                seen.append(t)
+        assert seen == pytest.approx([0.0, 0.1, 0.2])
+        assert err.value.t == pytest.approx(0.3)
+        assert err.value.min_eig == pytest.approx(-0.5)
 
 
 class TestEvolve:

@@ -1,10 +1,15 @@
 """Unit tests for energy, ergotropy, coherence, and the extraction ratio."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbattery
 from qbattery import (
     BatteryModel,
     battery_hamiltonian,
@@ -16,6 +21,7 @@ from qbattery import (
     field_product_eigenbasis,
     product_minus_state,
 )
+from qbattery.evolution import check_state
 from qbattery.observables import STORED_ENERGY_FLOOR
 from qbattery.operators import embed, pauli
 
@@ -83,6 +89,25 @@ class TestErgotropySpectral:
         assert fresh.ergotropy == cached.ergotropy
         assert fresh.passive_energy == cached.passive_energy
 
+    def test_given_populations_path_matches(self):
+        rng = np.random.default_rng(7)
+        for dim in (2, 4, 8, 16):
+            rho = random_density_matrix(rng, dim)
+            h = random_hermitian(rng, dim)
+            fresh = ergotropy(rho, h)
+            for populations in (
+                np.linalg.eigvalsh(rho),
+                check_state(rho, 0.0).populations,
+            ):
+                given_pops = ergotropy(rho, h, populations=populations)
+                assert given_pops.ergotropy == pytest.approx(
+                    fresh.ergotropy, abs=1e-14
+                )
+                assert given_pops.passive_energy == pytest.approx(
+                    fresh.passive_energy, abs=1e-14
+                )
+                assert given_pops.w == fresh.w
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             ergotropy(np.eye(2) / 2, np.eye(4))
@@ -94,6 +119,29 @@ class TestErgotropySpectral:
             report = ergotropy(product_minus_state(n), h_b)
             assert report.w == pytest.approx(-n / 2.0, abs=1e-13)
             assert report.ergotropy == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_import_leaves_out_oracle_only_scipy_modules():
+    # scipy.optimize and scipy.stats serve only the brute-force oracle;
+    # loading them costs every `qbattery run` more than its own import.
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, qbattery.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestErgotropyBruteforce:

@@ -25,6 +25,11 @@ from qbattery import (
     run_scenario,
     validate_config,
 )
+from qbattery.evolution import (
+    HERMITICITY_TOL,
+    MIN_EIGENVALUE_TOL,
+    TRACE_TOL,
+)
 from qbattery.scenarios import (
     CSV_COLUMNS,
     applied_offdiag_modulus,
@@ -271,6 +276,47 @@ class TestRunArtifacts:
         assert entry["applied_gamma_offdiag_modulus"] == pytest.approx(0.01)
         sha = hashlib.sha256(open(result.csv_paths[0], "rb").read()).hexdigest()
         assert entry["sha256"] == sha
+        margins = entry["invariant_margins"]
+        assert set(margins) == {
+            "max_trace_drift",
+            "max_herm_drift",
+            "min_eigenvalue",
+        }
+        assert 0.0 <= margins["max_trace_drift"] < TRACE_TOL
+        assert 0.0 <= margins["max_herm_drift"] < HERMITICITY_TOL
+        assert MIN_EIGENVALUE_TOL <= margins["min_eigenvalue"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "preset", ["fig2_dephasing_product", "fig5_ad_product"]
+    )
+    def test_one_eigendecomposition_per_row(self, preset, tmp_path, monkeypatch):
+        # The check's spectrum feeds the ergotropy: one eigvalsh call per
+        # CSV row.  Two horizons cancel the fixed set-up calls (rate-matrix
+        # admission, battery spectrum), which are counted as well.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        counts = {}
+        for t_max in (0.1, 0.3):
+            cfg = dataclasses.replace(
+                get_preset(preset),
+                topologies=("nearest_neighbor",),
+                n_sites_list=(2,),
+                t_max=t_max,
+            )
+            calls.clear()
+            result = run_scenario(cfg, str(tmp_path / str(t_max)))
+            (entry,) = result.manifest["runs"]
+            counts[entry["n_samples"]] = len(calls)
+        (rows_a, calls_a), (rows_b, calls_b) = sorted(counts.items())
+        assert rows_b - rows_a == 20
+        assert calls_b - calls_a == rows_b - rows_a
+        assert calls_a - rows_a == 3
 
     def test_reruns_are_byte_identical(self, tiny_result, tmp_path):
         cfg, result = tiny_result
