@@ -27,9 +27,16 @@ once per run and apply it once per sample (the same RK4 polynomial, not
 the exponential): the elementwise path as an elementwise power of its
 factor, the sparse path as dense blocks over the weakly connected
 components of the CSR's sparsity graph, on which L is block diagonal
-(blocks of equal size stacked, one batched matmul per size).  The sparse
-path keeps the explicit substep loop when its map would do more
-multiply-adds per sample than the loop or store more than
+(blocks of equal size stacked, one batched matmul per size).  These
+components are the weak-symmetry sectors of the generator (Buca & Prosen,
+NJP 14, 073007, 2012), and since every GKSL generator satisfies
+L(rho^dag) = L(rho)^dag, the transpose vec(i, j) -> vec(j, i) maps each
+sector onto its conjugate partner, with the complex-conjugate block.  The
+sparse path therefore propagates one sector of each pair plus every
+self-conjugate one, and fills the others of the Hermitian state as
+rho[j, i] = conj(rho[i, j]).  It keeps the explicit substep loop, on the
+CSR restricted to those kept sectors, when the map would do more
+multiply-adds per sample than that loop or store more than
 SAMPLE_MAP_MAX_BYTES (amplitude damping with cross-cell rates or hopping
 from N = 7 on, local amplitude damping without hopping from N = 9 on);
 the dense generic path always runs the loop.
@@ -63,9 +70,10 @@ STEADY_STATE_TOL = 1e-6
 EXPM_MAX_SITES = 5
 MAX_SAMPLES = 10**6
 # Bytes the precomputed per-sample map of the sparse path may store, 16 per
-# dense complex entry summed over all blocks: amplitude damping with
-# cross-cell rates or hopping needs ~43 MB at N = 6 and ~640 MB at N = 7,
-# local amplitude damping (6^N entries) ~27 MB at N = 8 and ~160 MB at
+# dense complex entry summed over the kept blocks (one of each conjugate
+# pair plus the self-conjugate ones): amplitude damping with cross-cell
+# rates or hopping needs ~28 MB at N = 6 and ~415 MB at N = 7, local
+# amplitude damping ((6^N + 4^N) / 2 entries) ~14 MB at N = 8 and ~83 MB at
 # N = 9.  Above the bound the run uses the explicit substep loop.
 SAMPLE_MAP_MAX_BYTES = 64 * 2**20
 
@@ -188,6 +196,11 @@ def _substep_loop_work(nnz: int, size: int, n_sub: int) -> int:
     return n_sub * (4 * nnz + 14 * size)
 
 
+def _transpose_index(k: np.ndarray, dim: int) -> np.ndarray:
+    """Row-major vec index of rho[j, i] for each vec index k of rho[i, j]."""
+    return (k % dim) * dim + k // dim
+
+
 def _rk4_substeps(rhs, dt: float, n_sub: int, rho: np.ndarray) -> np.ndarray:
     """n_sub explicit classical RK4 steps of size dt."""
     sixth = dt / 6.0
@@ -299,6 +312,21 @@ class _AmplitudeDampingRHS:
         them, so it is block diagonal over them (the weak-symmetry sectors;
         for excitation-conserving H_eff, one per ket-minus-bra excitation
         difference)."""
+        return self.conjugate_sectors()[0]
+
+    def conjugate_sectors(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """(blocks, partner): the blocks as blocks() returns them, and
+        partner[c] the block onto which the transpose vec(i, j) -> vec(j, i)
+        maps block c.
+
+        Every GKSL generator satisfies L(rho^dag) = L(rho)^dag, that is
+        lmat[T a, T b] = conj(lmat[a, b]) for the transpose T, so T maps each
+        block onto a block whose generator, and so whose RK4 map, is the
+        complex conjugate.  The partner is read from the label of one
+        transposed index per block; partner[c] == c marks a self-conjugate
+        block (for excitation-conserving H_eff, the one with zero
+        ket-minus-bra excitation difference).
+        """
         pattern = scipy.sparse.csr_matrix(
             (np.ones(self.lmat.nnz), self.lmat.indices, self.lmat.indptr),
             shape=self.lmat.shape,
@@ -308,24 +336,42 @@ class _AmplitudeDampingRHS:
         )
         order = np.argsort(labels, kind="stable")
         bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
-        return np.split(order, bounds)
+        firsts = order[np.concatenate(([0], bounds))]
+        return np.split(order, bounds), labels[_transpose_index(firsts, self.dim)]
+
+    def _kept_sectors(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """(kept blocks, kept, fill): the blocks propagated for a Hermitian
+        state, one of each conjugate pair (the lower label) and every
+        self-conjugate one; the sorted indices they cover; and the sorted
+        indices of the other blocks, whose entries are the conjugates of
+        their transposes, out[fill] = conj(out[T fill])."""
+        blocks, partner = self.conjugate_sectors()
+        kept_blocks = [
+            idx for c, idx in enumerate(blocks) if partner[c] >= c
+        ]
+        in_kept = np.zeros(self.lmat.shape[0], dtype=bool)
+        in_kept[np.concatenate(kept_blocks)] = True
+        return kept_blocks, np.flatnonzero(in_kept), np.flatnonzero(~in_kept)
 
     def sample_map(self, dt: float, n_sub: int):
-        """One sample (n_sub RK4 steps of size dt) as dense block matvecs.
+        """One sample (n_sub RK4 steps of size dt) as dense block matvecs
+        on the kept sectors (_kept_sectors), the other entries filled as
+        conjugates; exact for Hermitian rho.
 
         Blocks of equal size are stacked, so a sample costs one batched
         matmul per distinct block size.  Returns None, and the caller runs
-        the substep loop, when the blocks hold at least as many entries as
-        the loop does multiply-adds per sample (_substep_loop_work) or take
-        more than SAMPLE_MAP_MAX_BYTES.
+        substep_loop, when the kept blocks hold at least as many entries as
+        that loop does multiply-adds per sample (_substep_loop_work on the
+        kept rows) or take more than SAMPLE_MAP_MAX_BYTES.
         """
-        blocks = self.blocks()
-        entries = sum(len(idx) ** 2 for idx in blocks)
-        loop_work = _substep_loop_work(self.lmat.nnz, self.lmat.shape[0], n_sub)
+        kept_blocks, kept, fill = self._kept_sectors()
+        entries = sum(len(idx) ** 2 for idx in kept_blocks)
+        kept_nnz = int(np.diff(self.lmat.indptr)[kept].sum())
+        loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
             return None
         by_size: dict[int, list[np.ndarray]] = {}
-        for idx in blocks:
+        for idx in kept_blocks:
             by_size.setdefault(len(idx), []).append(idx)
         groups = []
         for size, same in by_size.items():
@@ -336,12 +382,33 @@ class _AmplitudeDampingRHS:
                     _rk4_polynomial(sub, False), n_sub
                 )
             groups.append((np.stack(same), maps))
+        source = _transpose_index(fill, self.dim)
 
         def step(rho: np.ndarray) -> np.ndarray:
             flat = rho.reshape(-1)
             out = np.empty_like(flat)
             for idx, maps in groups:
                 out[idx] = np.matmul(maps, flat[idx][..., None])[..., 0]
+            out[fill] = np.conj(out[source])
+            return out.reshape(rho.shape)
+
+        return step
+
+    def substep_loop(self, dt: float, n_sub: int):
+        """One sample as n_sub explicit RK4 steps of size dt on the kept
+        sectors, the other entries filled as in sample_map; exact for
+        Hermitian rho.  The step holds lmat restricted to the kept indices,
+        not lmat itself, so the full generator can be freed once it is
+        built."""
+        _, kept, fill = self._kept_sectors()
+        lmat_kept = self.lmat[kept][:, kept]
+        source = _transpose_index(fill, self.dim)
+
+        def step(rho: np.ndarray) -> np.ndarray:
+            flat = rho.reshape(-1)
+            out = np.empty_like(flat)
+            out[kept] = _rk4_substeps(lmat_kept.dot, dt, n_sub, flat[kept])
+            out[fill] = np.conj(out[source])
             return out.reshape(rho.shape)
 
         return step
@@ -385,6 +452,10 @@ class _GenericRHS:
         """None: this path is valid on Hermitian inputs only, so it has no
         superoperator to precompute and always runs the substep loop."""
         return None
+
+    def substep_loop(self, dt: float, n_sub: int):
+        """One sample as n_sub explicit RK4 steps of size dt."""
+        return functools.partial(_rk4_substeps, self, dt, n_sub)
 
 
 def make_rhs(h_eff: np.ndarray, gamma: GammaMatrix, channel: str):
@@ -584,13 +655,13 @@ def evolve_stream(
         return
     rhs = make_rhs(h_eff, gamma, spec.channel)
     dt = cfg.dt_sample / n_sub
-    step = rhs.sample_map(dt, n_sub)
-    if info is not None:
-        info["propagation"] = (
-            "rk4_substep_loop" if step is None else "rk4_sample_map"
-        )
+    step, path = rhs.sample_map(dt, n_sub), "rk4_sample_map"
     if step is None:
-        step = functools.partial(_rk4_substeps, rhs, dt, n_sub)
+        step, path = rhs.substep_loop(dt, n_sub), "rk4_substep_loop"
+    # the step holds what it applies; the damping generator need not outlive it
+    del rhs
+    if info is not None:
+        info["propagation"] = path
     for k in range(1, n_samples + 1):
         rho = step(rho)
         t = k * cfg.dt_sample

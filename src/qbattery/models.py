@@ -152,6 +152,10 @@ def effective_hamiltonian(
 
     Always Hermitian.  Returns the zero matrix when all strengths vanish
     (in particular for purely local reservoirs).
+
+    Each bond's term is written entry by entry from the bits of the basis
+    states (site i is bit N-1-i, 0 = spin up), summed in bond order, so the
+    matrix equals the sum of embedded two-site operator products exactly.
     """
     if coupling.interaction_range == "nearest_neighbor":
         bonds = ring_bonds(n_sites, periodic)
@@ -159,23 +163,28 @@ def effective_hamiltonian(
         bonds = all_pair_bonds(n_sites)
     dim = 2**n_sites
     h_eff = np.zeros((dim, dim), dtype=complex)
+    states = np.arange(dim)
+    bits = [(states >> (n_sites - 1 - i)) & 1 for i in range(n_sites)]
     if coupling.kind == "ising_z":
         if coupling.j_z == 0.0:
             return h_eff
-        sz = pauli("z")
+        signs = [1.0 - 2.0 * b for b in bits]
+        diagonal = np.zeros(dim, dtype=complex)
         for j, k in bonds:
-            h_eff += coupling.j_z * (embed(sz, j, n_sites) @ embed(sz, k, n_sites))
+            diagonal += coupling.j_z * (signs[j] * signs[k])
+        np.fill_diagonal(h_eff, diagonal)
         return h_eff
     # xx_dm: J sigma_j^+ sigma_k^- + conj(J) sigma_j^- sigma_k^+ per bond,
-    # J = j_xx + i d_dm.
+    # J = j_xx + i d_dm.  sigma_j^+ sigma_k^- takes a state with site j
+    # down and site k up to the state with both flipped.
     if coupling.j_xx == 0.0 and coupling.d_dm == 0.0:
         return h_eff
     j_complex = coupling.j_xx + 1j * coupling.d_dm
-    sp = pauli("plus")
-    sm = pauli("minus")
     for j, k in bonds:
-        hop = embed(sp, j, n_sites) @ embed(sm, k, n_sites)
-        h_eff += j_complex * hop + np.conj(j_complex) * hop.conj().T
+        col = np.flatnonzero((bits[j] == 1) & (bits[k] == 0))
+        row = col ^ ((1 << (n_sites - 1 - j)) | (1 << (n_sites - 1 - k)))
+        h_eff[row, col] += j_complex
+        h_eff[col, row] += np.conj(j_complex)
     return h_eff
 
 

@@ -334,6 +334,90 @@ class TestSampleMap:
         assert sum(sizes) == 4096
 
 
+def _transposed(idx, dim):
+    """vec(rho) indices of rho[j, i] for the indices of rho[i, j]."""
+    return (idx % dim) * dim + idx // dim
+
+
+def _damping_rhs(topology, n):
+    spec = _spec(channel="amplitude_damping", topology=topology)
+    rhs = make_rhs(
+        _channel_heff("amplitude_damping", topology, n),
+        build_gamma(spec, n),
+        "amplitude_damping",
+    )
+    return spec, rhs
+
+
+class TestConjugateSectors:
+    """One sector of each Hermitian-conjugate pair is propagated."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "topology", ["local", "nearest_neighbor", "all_to_all"]
+    )
+    def test_pairing_is_an_involution(self, topology, n):
+        _, rhs = _damping_rhs(topology, n)
+        blocks, partner = rhs.conjugate_sectors()
+        dim = 2**n
+        np.testing.assert_array_equal(partner[partner], np.arange(len(blocks)))
+        for c, idx in enumerate(blocks):
+            # the transpose maps the whole block onto its partner, so a
+            # self-paired block is closed under it
+            np.testing.assert_array_equal(
+                np.sort(_transposed(idx, dim)), blocks[partner[c]]
+            )
+        assert np.any(partner == np.arange(len(blocks)))
+        assert np.any(partner != np.arange(len(blocks)))
+
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
+    @pytest.mark.parametrize(
+        "path", ["rk4_sample_map", "rk4_substep_loop"]
+    )
+    def test_kept_sectors_match_full_substeps(self, path, topology, monkeypatch):
+        if path == "rk4_substep_loop":
+            monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
+        n = 4
+        spec, rhs = _damping_rhs(topology, n)
+        h_eff = _channel_heff("amplitude_damping", topology, n)
+        cfg = EvolutionConfig(t_max=3.0, dt_sample=0.05)
+        info = {}
+        series = list(
+            evolve_stream(product_minus_state(n), h_eff, spec, cfg, info=info)
+        )
+        assert info["propagation"] == path
+        n_samples, n_sub = resolve_time_grid(cfg, spec)
+        assert len(series) == n_samples + 1 == 61
+        rho = product_minus_state(n).astype(complex)
+        for t, got in series:
+            np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
+            rho = _rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
+
+    @pytest.mark.parametrize(
+        "path", ["rk4_sample_map", "rk4_substep_loop"]
+    )
+    def test_filled_entries_are_exact_conjugates(self, path, monkeypatch):
+        if path == "rk4_substep_loop":
+            monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
+        n = 4
+        spec, rhs = _damping_rhs("all_to_all", n)
+        blocks, partner = rhs.conjugate_sectors()
+        paired = np.concatenate(
+            [idx for c, idx in enumerate(blocks) if partner[c] != c]
+        )
+        rows, cols = np.divmod(paired, 2**n)
+        info = {}
+        for _, rho in evolve_stream(
+            product_minus_state(n),
+            _channel_heff("amplitude_damping", "all_to_all", n),
+            spec,
+            EvolutionConfig(t_max=1.0, dt_sample=0.05),
+            info=info,
+        ):
+            assert np.array_equal(rho[rows, cols], np.conj(rho[cols, rows]))
+        assert info["propagation"] == path
+
+
 class TestTimeGrid:
     def test_explicit_step_snaps_to_subdivision(self):
         cfg = EvolutionConfig(t_max=1.0, dt_sample=0.01, dt_internal=0.003)

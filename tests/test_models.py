@@ -148,6 +148,49 @@ class TestEffectiveHamiltonian:
             h_eff = effective_hamiltonian(EffectiveCoupling(kind=kind), 3)
             np.testing.assert_array_equal(h_eff, np.zeros((8, 8)))
 
+    @pytest.mark.parametrize(
+        "interaction_range, periodic",
+        [
+            ("nearest_neighbor", True),
+            ("nearest_neighbor", False),
+            ("all_to_all", True),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["ising_z", "xx_dm"])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+    def test_equals_embedded_operator_products(
+        self, n_sites, kind, interaction_range, periodic
+    ):
+        # The embedded two-site products summed bond by bond in the same
+        # order, so every entry sees the same additions.
+        if kind == "ising_z":
+            coupling = EffectiveCoupling(
+                kind=kind, j_z=0.7, interaction_range=interaction_range
+            )
+        else:
+            coupling = EffectiveCoupling(
+                kind=kind, j_xx=1.2, d_dm=0.2, interaction_range=interaction_range
+            )
+        bonds = (
+            ring_bonds(n_sites, periodic)
+            if interaction_range == "nearest_neighbor"
+            else all_pair_bonds(n_sites)
+        )
+        dim = 2**n_sites
+        expected = np.zeros((dim, dim), dtype=complex)
+        j_complex = coupling.j_xx + 1j * coupling.d_dm
+        for j, k in bonds:
+            if kind == "ising_z":
+                sz = pauli("z")
+                expected += coupling.j_z * (
+                    embed(sz, j, n_sites) @ embed(sz, k, n_sites)
+                )
+            else:
+                hop = embed(SP, j, n_sites) @ embed(SM, k, n_sites)
+                expected += j_complex * hop + np.conj(j_complex) * hop.conj().T
+        got = effective_hamiltonian(coupling, n_sites, periodic=periodic)
+        assert np.array_equal(got, expected)
+
     def test_kind_guards(self):
         with pytest.raises(ValueError, match="unknown coupling kind"):
             EffectiveCoupling(kind="heisenberg")
