@@ -38,11 +38,12 @@ the N = 3 curve on t in [0.2, 5].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import embed, kron_all, pauli
+from .operators import kron_all
 
 GROUND_DEGENERACY_GAP = 1e-10
 
@@ -131,17 +132,24 @@ def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
 
     With j_coupling = 0 the spectrum is {-N h/2, ..., +N h/2} in steps of h
     and the ground state is the product of single-cell field ground states.
+
+    Written entry by entry from the bits of the basis states (site i is
+    bit N-1-i): sigma_i^x links a to a with bit i flipped, one entry per
+    site, and the zz term is diagonal, summed in bond order, so the matrix
+    equals the sum of embedded operators and their products exactly.
     """
     n = model.n_sites
     dim = 2**n
     h_mat = np.zeros((dim, dim), dtype=complex)
-    sx = pauli("x")
+    states = np.arange(dim)
     for i in range(n):
-        h_mat += (model.h / 2.0) * embed(sx, i, n)
+        h_mat[states, states ^ (1 << (n - 1 - i))] = model.h / 2.0
     if model.j_coupling != 0.0:
-        sz = pauli("z")
+        signs = [1.0 - 2.0 * ((states >> (n - 1 - i)) & 1) for i in range(n)]
+        diagonal = np.zeros(dim)
         for j, k in ring_bonds(n, model.periodic):
-            h_mat += (model.j_coupling / 4.0) * (embed(sz, j, n) @ embed(sz, k, n))
+            diagonal += (model.j_coupling / 4.0) * (signs[j] * signs[k])
+        h_mat[states, states] = diagonal
     return h_mat
 
 
@@ -245,18 +253,19 @@ def field_product_eigenbasis(
     """
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     dim = 2**n_sites
-    basis = np.empty((dim, dim), dtype=complex)
-    energies = np.empty(dim, dtype=float)
-    for a in range(dim):
-        factors = [
-            minus if (a >> (n_sites - 1 - i)) & 1 else plus
-            for i in range(n_sites)
-        ]
-        basis[:, a] = kron_all(factors) if n_sites > 1 else factors[0]
-        n_minus = bin(a).count("1")
-        energies[a] = (h / 2.0) * (n_sites - 2 * n_minus)
-    order = np.lexsort((np.arange(dim), energies))
+    states = np.arange(dim)
+    # entry (r, a) is the product over sites of +-1/sqrt(2), negative where
+    # site i is down in r and |-> in a: (-1)^popcount(r & a) times the
+    # magnitude, multiplied in the same order as the Kronecker product does
+    magnitude = math.prod([1.0 / math.sqrt(2.0)] * n_sites)
+    overlap = states[:, None] & states[None, :]
+    parity = np.zeros((dim, dim), dtype=np.int64)
+    n_minus = np.zeros(dim, dtype=np.int64)
+    for i in range(n_sites):
+        parity ^= (overlap >> i) & 1
+        n_minus += (states >> i) & 1
+    basis = np.where(parity == 1, -magnitude, magnitude).astype(complex)
+    energies = (h / 2.0) * (n_sites - 2 * n_minus)
+    order = np.lexsort((states, energies))
     return energies[order], basis[:, order]

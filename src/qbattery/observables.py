@@ -5,7 +5,11 @@ Tr[H rho] minus the passive energy, where the passive energy pairs the
 state's populations sorted ascending with the Hamiltonian's levels sorted
 descending (largest population on the lowest level).  The l1-coherence is
 the sum of absolute off-diagonal entries of the state expressed in a
-deterministic eigenbasis of the battery Hamiltonian.
+deterministic eigenbasis of the battery Hamiltonian.  For a state that is
+exactly invariant under the global spin flip (evolution.check_state then
+returns its two parity blocks) in a real basis whose every vector is even
+or odd under the flip, such as the field product basis, the transform
+splits into two real half-size ones; see parity_block_basis.
 """
 
 from __future__ import annotations
@@ -206,11 +210,40 @@ def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
+def parity_block_basis(basis: np.ndarray) -> np.ndarray | None:
+    """The basis split by spin-flip parity, for coherence_l1_energy_basis.
+
+    The global spin flip maps z index a to dim - 1 - a, so a column of
+    `basis` is even or odd under it when its row reversal equals it or its
+    negative.  When every column of a real basis is exactly one of the two,
+    with dim / 2 of each, column b of parity p has the coordinates
+    sqrt(2) b[:dim/2] in that sector's basis (|a> +- |dim - 1 - a>) /
+    sqrt(2), a < dim / 2.  Returns the (2, dim/2, dim/2) real stack of the
+    transposes C_+^T, C_-^T of those coordinate matrices (columns in their
+    order in `basis`), or None for any other basis.  Prepare it once per
+    basis, not once per state.
+    """
+    basis = np.asarray(basis)
+    dim = basis.shape[0]
+    if dim % 2 or basis.shape != (dim, dim) or np.any(np.imag(basis)):
+        return None
+    real = np.real(basis)
+    flipped = real[::-1]
+    even = (flipped == real).all(axis=0)
+    odd = (flipped == -real).all(axis=0)
+    h = dim // 2
+    if not (even ^ odd).all() or np.count_nonzero(even) != h:
+        return None
+    return np.sqrt(2.0) * np.stack((real[:h, even].T, real[:h, odd].T))
+
+
 def coherence_l1_energy_basis(
     rho: np.ndarray,
     h_b: np.ndarray,
     basis: np.ndarray | None = None,
     degeneracy_probe: np.ndarray | None = None,
+    parity_blocks: np.ndarray | None = None,
+    parity_basis: np.ndarray | None = None,
 ) -> float:
     """Sum of |off-diagonal| entries of rho in the h_b eigenbasis.
 
@@ -219,6 +252,13 @@ def coherence_l1_energy_basis(
     the noninteracting battery, whose spectrum is massively degenerate.
     Otherwise the deterministic basis from energy_eigenbasis is built, with
     `degeneracy_probe` as the tie-breaking observable.
+
+    When both `parity_blocks` (StateCheck.parity_blocks of this same rho)
+    and `parity_basis` (parity_block_basis of `basis`) are given, rho in the
+    basis is block diagonal: the blocks are C_p^T rho_p C_p, the
+    cross-parity entries are exactly zero, and the sum is taken over the
+    two blocks, two real matmuls per parity on half-size matrices in place
+    of two complex full-size ones.
     """
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
@@ -226,6 +266,17 @@ def coherence_l1_energy_basis(
         raise ValueError(
             f"dimension mismatch: state {rho.shape} vs Hamiltonian {h_b.shape}"
         )
+    if parity_blocks is not None and parity_basis is not None:
+        blocks = np.ascontiguousarray(parity_blocks, dtype=complex)
+        # a real matrix times a complex one, on the interleaved float view
+        rotated = np.matmul(parity_basis, blocks.view(float)).view(complex)
+        turned = np.ascontiguousarray(rotated.transpose(0, 2, 1))
+        # (C^T rho C)^T: the transpose has the same off-diagonal entries
+        transformed = np.matmul(parity_basis, turned.view(float)).view(complex)
+        off = np.abs(transformed)
+        diagonal = np.arange(off.shape[1])
+        off[:, diagonal, diagonal] = 0.0
+        return float(off.sum())
     if basis is None:
         _, basis = energy_eigenbasis(h_b, degeneracy_probe)
     transformed = basis.conj().T @ rho @ basis

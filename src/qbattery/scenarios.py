@@ -72,6 +72,7 @@ from .observables import (
     energy_eigenbasis,
     ergotropy,
     extraction_ratio,
+    parity_block_basis,
 )
 
 CSV_COLUMNS = ("t", "W", "ergotropy", "stored_E", "ratio_R", "coherence_per_site")
@@ -715,6 +716,7 @@ def _execute_run(payload: tuple) -> dict:
         _, basis = field_product_eigenbasis(n_sites, cfg.h)
     else:
         _, basis = energy_eigenbasis(h_b)
+    parity_basis = parity_block_basis(basis)
     if cfg.initial_state == "product_minus":
         rho0 = product_minus_state(n_sites)
     else:
@@ -740,15 +742,22 @@ def _execute_run(payload: tuple) -> dict:
     lines = [",".join(CSV_COLUMNS)]
     w0: float | None = None
     evolution_info: dict = {}
+    parity_resolved = 0
     for t, rho in evolve_stream(rho0, h_eff, spec, evo, info=evolution_info):
-        report = ergotropy(
-            rho, h_b, h_energies, evolution_info["check"].populations
-        )
+        check = evolution_info["check"]
+        report = ergotropy(rho, h_b, h_energies, check.populations)
         if w0 is None:
             w0 = report.w
         stored = report.w - w0
         ratio = extraction_ratio(report.ergotropy, stored)
-        coherence = coherence_l1_energy_basis(rho, h_b, basis=basis) / n_sites
+        coherence = coherence_l1_energy_basis(
+            rho,
+            h_b,
+            basis=basis,
+            parity_blocks=check.parity_blocks,
+            parity_basis=parity_basis,
+        ) / n_sites
+        parity_resolved += check.parity_blocks is not None
         lines.append(
             ",".join(
                 (
@@ -782,6 +791,7 @@ def _execute_run(payload: tuple) -> dict:
         "steady_window": window,
         "converged": steady.converged,
         "invariant_margins": evolution_info["invariant_margins"],
+        "parity_resolved_samples": parity_resolved,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "sha256": hashlib.sha256(payload_bytes).hexdigest(),
     }
@@ -804,7 +814,9 @@ def run_scenario(
     see qbattery.evolution), applied cross-site rate (after any --auto-cptp
     scaling), convergence flag, worst invariant margins over the sampled
     states (largest |trace - 1| and hermiticity drift, smallest minimum
-    eigenvalue), wall time, and a sha256 hash of each CSV.
+    eigenvalue), the number of sampled states that the check split into
+    spin-flip parity blocks (see qbattery.evolution.check_state),
+    wall time, and a sha256 hash of each CSV.
 
     Args:
         cfg: validated scenario declaration.

@@ -45,6 +45,32 @@ def ref_battery_hamiltonian(
     return out
 
 
+def ref_field_product_eigenbasis(
+    n_sites: int, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field-only eigenbasis with each column an explicit Kronecker chain
+    of |+> and |-> (|-> on the sites whose bit is set, site 0 = MSB),
+    sorted by energy (h/2)(n_plus - n_minus), ties by bit pattern."""
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+    dim = 2**n_sites
+    columns, energies = [], []
+    for a in range(dim):
+        col = np.array([1.0], dtype=complex)
+        n_minus = 0
+        for i in range(n_sites):
+            is_minus = (a >> (n_sites - 1 - i)) & 1
+            n_minus += is_minus
+            col = np.kron(col, minus if is_minus else plus)
+        columns.append(col)
+        energies.append((h / 2.0) * (n_sites - 2 * n_minus))
+    order = sorted(range(dim), key=lambda a: (energies[a], a))
+    return (
+        np.array([energies[a] for a in order]),
+        np.column_stack([columns[a] for a in order]),
+    )
+
+
 def ref_xx_dm_bond(
     j_xx: float, d_dm: float, j: int, k: int, n_sites: int
 ) -> np.ndarray:

@@ -552,6 +552,109 @@ class TestCheckState:
         assert err.value.min_eig == pytest.approx(-0.5)
 
 
+def _flip_invariant(rho):
+    """0.5 (rho + P rho P) for the global spin flip P, exactly invariant:
+    entries (a, b) and (dim-1-a, dim-1-b) add the same two numbers."""
+    return 0.5 * (rho + rho[::-1, ::-1])
+
+
+def _parity_vectors(dim):
+    """Columns (|a> + |dim-1-a>) / sqrt(2) and (|a> - |dim-1-a>) / sqrt(2),
+    a < dim / 2: orthonormal bases of the even and odd flip sectors."""
+    eye = np.eye(dim)
+    h = dim // 2
+    return (
+        (eye[:, :h] + eye[:, ::-1][:, :h]) / np.sqrt(2.0),
+        (eye[:, :h] - eye[:, ::-1][:, :h]) / np.sqrt(2.0),
+    )
+
+
+class TestParityCheck:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_spectrum_matches_full_eigvalsh(self, n):
+        rng = np.random.default_rng(100 + n)
+        dim = 2**n
+        rho = _flip_invariant(random_density_matrix(rng, dim))
+        # an invariant skew part inside the hermiticity tolerance
+        skew = 1j * _flip_invariant(random_hermitian(rng, dim))
+        rho = rho + 0.01 * HERMITICITY_TOL * skew
+        record = check_state(rho, 0.0)
+        assert record.parity_blocks is not None
+        assert record.parity_blocks.shape == (2, dim // 2, dim // 2)
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-13)
+        assert np.all(np.diff(record.populations) >= 0)
+
+    def test_blocks_are_the_parity_sectors(self):
+        rho = _flip_invariant(random_density_matrix(np.random.default_rng(4), 8))
+        even, odd = _parity_vectors(8)
+        blocks = check_state(rho, 0.0).parity_blocks
+        np.testing.assert_allclose(blocks[0], even.T @ rho @ even, atol=1e-15)
+        np.testing.assert_allclose(blocks[1], odd.T @ rho @ odd, atol=1e-15)
+        np.testing.assert_allclose(even.T @ rho @ odd, 0.0, atol=1e-15)
+
+    def test_negative_eigenvalue_in_odd_block_is_caught(self):
+        # rho = E A E^T + O B O^T over the even and odd parity vectors, with
+        # A positive and B holding the only negative eigenvalue.
+        rng = np.random.default_rng(8)
+        even, odd = _parity_vectors(8)
+        a_block = 0.8 * random_density_matrix(rng, 4)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        b_block = q @ np.diag([-0.01, 0.05, 0.06, 0.1]) @ q.T
+        rho = _flip_invariant(even @ a_block @ even.T + odd @ b_block @ odd.T)
+        assert np.linalg.eigvalsh(even.T @ rho @ even)[0] > 0
+        with pytest.raises(StateInvariantError) as err:
+            check_state(rho, 0.7)
+        assert err.value.t == 0.7
+        assert err.value.min_eig == pytest.approx(-0.01, abs=1e-12)
+
+    def test_one_ulp_off_invariance_takes_full_path(self):
+        rho = _flip_invariant(random_density_matrix(np.random.default_rng(6), 16))
+        assert check_state(rho, 0.0).parity_blocks is not None
+        rho[2, 5] = np.nextafter(rho[2, 5].real, np.inf) + 1j * rho[2, 5].imag
+        record = check_state(rho, 0.0)
+        assert record.parity_blocks is None
+        np.testing.assert_array_equal(
+            record.populations, np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        )
+
+    def test_dephasing_stream_is_parity_resolved(self):
+        info = {}
+        cfg = EvolutionConfig(t_max=0.5, dt_sample=0.1)
+        for topology in ("nearest_neighbor", "all_to_all", "local"):
+            for _ in evolve_stream(
+                product_minus_state(4), _ising_heff(4), _spec(topology=topology),
+                cfg, info=info,
+            ):
+                assert info["check"].parity_blocks is not None
+
+
+class TestNonFiniteStates:
+    # numpy warns on inf - inf while the drift is measured
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            ((1, 1), np.nan),                  # diagonal nan
+            ((0, 2), complex(0.1, np.nan)),    # off-diagonal nan
+            ((3, 0), np.inf),                  # inf entry
+            ((2, 2), complex(0.25, -np.inf)),  # inf on the diagonal
+        ],
+    )
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_rejected_with_state_invariant_error(self, index, value, invariant):
+        # invariant: the entry and its flip image both set, so that an inf
+        # state stays exactly flip-invariant (a nan never equals itself)
+        rho = random_density_matrix(np.random.default_rng(2), 4)
+        if invariant:
+            rho = _flip_invariant(rho)
+            rho[3 - index[0], 3 - index[1]] = value
+        rho[index] = value
+        with pytest.raises(StateInvariantError) as err:
+            check_state(rho, 0.4)
+        assert err.value.t == 0.4
+
+
 class TestEvolve:
     def test_matches_exponential_propagator(self):
         # Fixed-step RK4 against the dense Liouvillian exponential, both

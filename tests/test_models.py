@@ -25,6 +25,7 @@ from reference_impls import (
     SM,
     SP,
     ref_battery_hamiltonian,
+    ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
 
@@ -82,6 +83,16 @@ class TestBatteryHamiltonian:
         )
         expected = ref_battery_hamiltonian(n_sites, h, j, periodic)
         np.testing.assert_allclose(got, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+    def test_bit_construction_equals_kron_construction(self, n_sites, periodic):
+        for h, j in ((1.3, 1.0), (0.7, -0.45), (-1.1, 2.5)):
+            got = battery_hamiltonian(
+                BatteryModel(n_sites=n_sites, h=h, j_coupling=j, periodic=periodic)
+            )
+            expected = ref_battery_hamiltonian(n_sites, h, j, periodic)
+            assert np.array_equal(got, expected)
 
     def test_single_cell_is_half_field_sigma_x(self):
         got = battery_hamiltonian(BatteryModel(n_sites=1, h=1.3))
@@ -283,6 +294,15 @@ class TestFieldProductEigenbasis:
             basis.conj().T @ h_mat @ basis, np.diag(energies), atol=1e-13
         )
         assert np.all(np.diff(energies) >= -1e-15)
+
+    @pytest.mark.parametrize("n_sites", range(1, 9))
+    def test_bit_construction_equals_kron_construction(self, n_sites):
+        for h in (1.0, 1.3, -0.8):
+            energies, basis = field_product_eigenbasis(n_sites, h)
+            ref_energies, ref_basis = ref_field_product_eigenbasis(n_sites, h)
+            assert np.array_equal(energies, ref_energies)
+            assert np.array_equal(basis, ref_basis)
+            assert basis.dtype == ref_basis.dtype
 
     def test_two_cell_literal_layout(self):
         # Frozen column layout for N = 2, h = 1: energies (-1, 0, 0, 1) with

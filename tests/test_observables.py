@@ -22,7 +22,7 @@ from qbattery import (
     product_minus_state,
 )
 from qbattery.evolution import check_state
-from qbattery.observables import STORED_ENERGY_FLOOR
+from qbattery.observables import STORED_ENERGY_FLOOR, parity_block_basis
 from qbattery.operators import embed, pauli
 
 from reference_impls import (
@@ -306,6 +306,66 @@ class TestCoherence:
         rho = random_density_matrix(rng, 4)
         h = random_hermitian(rng, 4)
         assert coherence_l1_energy_basis(rho, h) >= 0.0
+
+
+def _full_transform_coherence(rho, basis):
+    """The l1 sum as the full d x d transform computes it."""
+    off = np.abs(basis.conj().T @ rho @ basis)
+    np.fill_diagonal(off, 0.0)
+    return float(off.sum())
+
+
+class TestParityCoherence:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_full_transform(self, n):
+        rng = np.random.default_rng(200 + n)
+        rho = random_density_matrix(rng, 2**n)
+        rho = 0.5 * (rho + rho[::-1, ::-1])          # exactly flip-invariant
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
+        _, basis = field_product_eigenbasis(n, 1.3)
+        blocks = check_state(rho, 0.0).parity_blocks
+        assert blocks is not None
+        got = coherence_l1_energy_basis(
+            rho, h_b, basis=basis, parity_blocks=blocks,
+            parity_basis=parity_block_basis(basis),
+        )
+        assert got == pytest.approx(
+            _full_transform_coherence(rho, basis), rel=0, abs=1e-13
+        )
+
+    def test_non_invariant_state_is_unchanged(self):
+        rng = np.random.default_rng(21)
+        n = 4
+        rho = random_density_matrix(rng, 2**n)
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.0))
+        _, basis = field_product_eigenbasis(n, 1.0)
+        check = check_state(rho, 0.0)
+        assert check.parity_blocks is None
+        got = coherence_l1_energy_basis(
+            rho, h_b, basis=basis, parity_blocks=check.parity_blocks,
+            parity_basis=parity_block_basis(basis),
+        )
+        assert got == _full_transform_coherence(rho, basis)
+
+    def test_field_product_basis_is_parity_adapted(self):
+        for n in range(1, 9):
+            _, basis = field_product_eigenbasis(n, 1.0)
+            stack = parity_block_basis(basis)
+            assert stack.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
+            assert stack.dtype == float
+            for c in stack:                           # orthogonal sectors
+                np.testing.assert_allclose(c @ c.T, np.eye(len(c)), atol=1e-13)
+
+    def test_other_bases_have_no_parity_split(self):
+        _, basis = field_product_eigenbasis(3, 1.0)
+        nudged = basis.copy()
+        nudged[0, 5] = np.nextafter(nudged[0, 5].real, 1.0)
+        assert parity_block_basis(nudged) is None
+        assert parity_block_basis(1j * basis) is None
+        assert parity_block_basis(np.eye(8)) is None
+        rng = np.random.default_rng(9)
+        _, generic = energy_eigenbasis(random_hermitian(rng, 8))
+        assert parity_block_basis(generic) is None
 
 
 class TestExtractionRatio:

@@ -318,6 +318,26 @@ class TestRunArtifacts:
         assert calls_b - calls_a == rows_b - rows_a
         assert calls_a - rows_a == 3
 
+    @pytest.mark.parametrize(
+        "preset, resolved",
+        [("fig2_dephasing_product", "all"), ("fig5_ad_product", 1)],
+    )
+    def test_manifest_counts_parity_resolved_samples(
+        self, preset, resolved, tmp_path
+    ):
+        # Dephasing from |->^N stays exactly flip-invariant, so every
+        # sample is checked by parity blocks; amplitude damping breaks the
+        # symmetry after t = 0.
+        cfg = dataclasses.replace(
+            get_preset(preset),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(3,),
+            t_max=0.3,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        expected = entry["n_samples"] if resolved == "all" else resolved
+        assert entry["parity_resolved_samples"] == expected
+
     def test_reruns_are_byte_identical(self, tiny_result, tmp_path):
         cfg, result = tiny_result
         rerun = run_scenario(cfg, str(tmp_path))
