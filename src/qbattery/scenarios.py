@@ -792,6 +792,10 @@ def _execute_run(payload: tuple) -> dict:
         "converged": steady.converged,
         "invariant_margins": evolution_info["invariant_margins"],
         "parity_resolved_samples": parity_resolved,
+        "timing_s": {
+            phase: round(seconds, 6)
+            for phase, seconds in evolution_info["timing_s"].items()
+        },
         "wall_time_s": round(time.perf_counter() - start, 3),
         "sha256": hashlib.sha256(payload_bytes).hexdigest(),
     }
@@ -815,8 +819,10 @@ def run_scenario(
     scaling), convergence flag, worst invariant margins over the sampled
     states (largest |trace - 1| and hermiticity drift, smallest minimum
     eigenvalue), the number of sampled states that the check split into
-    spin-flip parity blocks (see qbattery.evolution.check_state),
-    wall time, and a sha256 hash of each CSV.
+    spin-flip parity blocks (see qbattery.evolution.check_state), the
+    seconds of the generator and map build and of the sampling
+    (`timing_s`, see qbattery.evolution.evolve_stream), wall time, and a
+    sha256 hash of each CSV.
 
     Args:
         cfg: validated scenario declaration.

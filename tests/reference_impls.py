@@ -177,3 +177,18 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian matrix with O(1) entries."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + g.conj().T)
+
+
+def ref_rk4_block_map(
+    lmat, idx: np.ndarray, dt: float, n_sub: int
+) -> np.ndarray:
+    """Per-sample RK4 map P(dt L_b)^n_sub of the sparse generator lmat
+    restricted to the indices idx, in their given order, built dense:
+    P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form on the whole
+    block, then numpy's matrix power."""
+    x = (dt * lmat[idx][:, idx]).toarray()
+    one = np.eye(len(idx), dtype=complex)
+    p = one + x / 4.0
+    for k in (3.0, 2.0, 1.0):
+        p = one + x @ p / k
+    return np.linalg.matrix_power(p, n_sub)

@@ -1,5 +1,7 @@
 """Unit tests for the master-equation integrators and state invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from qbattery import evolution
 from qbattery.evolution import (
     EXPM_MAX_SITES,
     HERMITICITY_TOL,
+    LEVEL_SPLIT_MIN_ROWS,
     StateCheck,
     _AmplitudeDampingRHS,
     _ElementwiseDephasingRHS,
@@ -40,6 +43,7 @@ from reference_impls import (
     random_density_matrix,
     random_hermitian,
     ref_master_rhs,
+    ref_rk4_block_map,
     solve_master_ivp,
 )
 from qbattery.dissipation import jump_operators
@@ -418,6 +422,126 @@ class TestConjugateSectors:
         assert info["propagation"] == path
 
 
+def _excitations(idx, n):
+    """(ket, bra) excitation counts of the vec(rho) indices idx: the
+    cleared bits of the row and column basis states (sigma^- sets one)."""
+    rows, cols = np.divmod(idx, 2**n)
+    up = np.array([n - bin(a).count("1") for a in range(2**n)])
+    return up[rows], up[cols]
+
+
+def _assert_maps_match_reference(rhs, blocks, dt, n_sub):
+    """block_maps covers the blocks, and each map equals the dense
+    construction on the block's indices in the map's order within 1e-13
+    relative to the map's largest entry."""
+    covered = []
+    for indices, maps in rhs.block_maps(blocks, dt, n_sub):
+        assert maps.shape == (len(indices),) + 2 * indices.shape[1:]
+        for idx, got in zip(indices, maps):
+            covered.append(np.sort(idx))
+            ref = ref_rk4_block_map(rhs.lmat, idx, dt, n_sub)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate(covered)), np.sort(np.concatenate(blocks))
+    )
+
+
+class TestLevelMap:
+    """The block maps, level by level from LEVEL_SPLIT_MIN_ROWS rows on,
+    against the dense construction (tests/reference_impls.py)."""
+
+    DT, N_SUB = 0.01 / 13, 13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "topology", ["local", "nearest_neighbor", "all_to_all"]
+    )
+    def test_matches_dense_construction(self, topology, n):
+        _, rhs = _damping_rhs(topology, n)
+        _assert_maps_match_reference(rhs, rhs.blocks(), self.DT, self.N_SUB)
+
+    def test_matches_dense_construction_at_six_cells(self):
+        _, rhs = _damping_rhs("all_to_all", 6)
+        kept_blocks = rhs._kept_sectors()[0]
+        assert max(len(idx) for idx in kept_blocks) == 924
+        _assert_maps_match_reference(rhs, kept_blocks, self.DT, self.N_SUB)
+
+    @pytest.mark.parametrize("n_sub", [1, 2, 3, 4, 7, 16])
+    def test_every_power_matches(self, n_sub):
+        # the square-and-multiply buffers for other substep counts
+        _, rhs = _damping_rhs("nearest_neighbor", 5)
+        large = [idx for idx in rhs.blocks() if len(idx) >= LEVEL_SPLIT_MIN_ROWS]
+        assert len(large) == 3  # 252 and the two of 210
+        _assert_maps_match_reference(rhs, large, 1e-3, n_sub)
+
+    def test_small_blocks_are_bitwise_the_dense_construction(self):
+        # below the cut-off the batched build does the dense construction's
+        # arithmetic, so runs with small blocks keep their bytes
+        _, rhs = _damping_rhs("local", 5)
+        blocks = rhs.blocks()
+        assert max(len(idx) for idx in blocks) < LEVEL_SPLIT_MIN_ROWS
+        for indices, maps in rhs.block_maps(blocks, self.DT, self.N_SUB):
+            for idx, got in zip(indices, maps):
+                np.testing.assert_array_equal(np.sort(idx), idx)
+                ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
+    def test_levels_are_excitation_pairs_at_six_cells(self, topology):
+        # Excitation-conserving hopping: the block with ket-minus-bra
+        # excitation difference d splits into the (m + d, m) pairs, of
+        # binom(6, m + d) * binom(6, m) indices, the highest first.
+        n = 6
+        _, rhs = _damping_rhs(topology, n)
+        for idx in rhs._kept_sectors()[0]:
+            ordered, sizes = rhs.levels(idx)
+            np.testing.assert_array_equal(np.sort(ordered), idx)
+            ket, bra = _excitations(ordered, n)
+            d = abs(int(ket[0]) - int(bra[0]))
+            expected = [
+                math.comb(n, m + d) * math.comb(n, m)
+                for m in range(n - d, -1, -1)
+            ]
+            assert sizes.tolist() == expected
+            offsets = np.concatenate(([0], np.cumsum(sizes)))
+            for k, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+                # one (ket, bra) pair per level, excitations falling
+                pairs = set(zip(ket[lo:hi].tolist(), bra[lo:hi].tolist()))
+                assert len(pairs) == 1
+                ((a, b),) = pairs
+                assert abs(a - b) == d
+                assert min(a, b) == n - d - k
+
+    def test_map_is_zero_above_the_level_diagonal(self):
+        _, rhs = _damping_rhs("all_to_all", 6)
+        kept_blocks = rhs._kept_sectors()[0]
+        split = 0
+        for indices, maps in rhs.block_maps(kept_blocks, self.DT, self.N_SUB):
+            if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
+                continue
+            for idx, got in zip(indices, maps):
+                ordered, sizes = rhs.levels(np.sort(idx))
+                np.testing.assert_array_equal(ordered, idx)
+                assert len(sizes) > 1
+                for hi in np.cumsum(sizes)[:-1]:
+                    assert np.all(got[:hi, hi:] == 0)
+                    assert np.any(got[hi:, :hi] != 0)
+                split += 1
+        assert split == 4  # 924, 792, 495 and 220 rows
+
+    def test_non_conserving_heff_matches_dense_construction(self):
+        # a sigma^x field breaks excitation conservation, so the sectors
+        # merge and their levels are no longer excitation pairs
+        n = 4
+        spec = _spec(channel="amplitude_damping", topology="all_to_all")
+        h_eff = _channel_heff("amplitude_damping", "all_to_all", n)
+        h_eff = h_eff + 0.3 * embed(pauli("x"), 0, n)
+        rhs = make_rhs(h_eff, build_gamma(spec, n), "amplitude_damping")
+        blocks = rhs.blocks()
+        assert max(len(idx) for idx in blocks) >= LEVEL_SPLIT_MIN_ROWS
+        _assert_maps_match_reference(rhs, blocks, self.DT, self.N_SUB)
+
+
 class TestTimeGrid:
     def test_explicit_step_snaps_to_subdivision(self):
         cfg = EvolutionConfig(t_max=1.0, dt_sample=0.01, dt_internal=0.003)
@@ -630,8 +754,8 @@ class TestParityCheck:
 
 
 class TestNonFiniteStates:
-    # numpy warns on inf - inf while the drift is measured
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # the check measures the drift of a non-finite state without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "index, value",
         [

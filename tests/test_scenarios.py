@@ -338,6 +338,26 @@ class TestRunArtifacts:
         expected = entry["n_samples"] if resolved == "all" else resolved
         assert entry["parity_resolved_samples"] == expected
 
+    @pytest.mark.parametrize(
+        "preset", ["fig2_dephasing_product", "fig5_ad_product"]
+    )
+    def test_manifest_records_build_and_sampling_time(self, preset, tmp_path):
+        cfg = dataclasses.replace(
+            get_preset(preset),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(3,),
+            t_max=0.3,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        timing = entry["timing_s"]
+        assert set(timing) == {"build", "sampling"}
+        assert timing["build"] >= 0.0
+        assert timing["sampling"] > 0.0
+        assert timing["build"] + timing["sampling"] <= entry["wall_time_s"] + 1e-3
+        if cfg.channels == ("amplitude_damping",):
+            # the sparse generator and its block map are built
+            assert timing["build"] > 0.0
+
     def test_reruns_are_byte_identical(self, tiny_result, tmp_path):
         cfg, result = tiny_result
         rerun = run_scenario(cfg, str(tmp_path))
