@@ -177,7 +177,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"converged={entry['converged']}, {entry['wall_time_s']}s, "
             f"max |trace-1|={margins['max_trace_drift']:.1e}, "
             f"max herm drift={margins['max_herm_drift']:.1e}, "
-            f"min eig={margins['min_eigenvalue']:.1e})"
+            f"min eig={margins['min_eigenvalue']:.1e}, "
+            f"parity-resolved={entry['parity_resolved_samples']}, "
+            f"translation-resolved={entry['translation_resolved_samples']} "
+            f"of {entry['n_samples']} samples)"
         )
     print(f"manifest: {result.manifest_path}")
     return EXIT_OK

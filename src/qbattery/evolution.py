@@ -58,10 +58,17 @@ ergotropy.  sigma^z dephasing commutes with the global spin flip
 P = sigma^x on every cell, another weak symmetry, so from a flip-invariant
 start such as |->^N each sample is block diagonal in P's two parity
 sectors.  The check tests that exactly, bit for bit, on every sample and
-then diagonalizes the two half-size blocks instead of the whole state.  A
-state that is not exactly invariant takes the full eigvalsh: any
-amplitude-damping sample after t = 0, and the ground state of an
-interacting H_B as eigh returns it (off by ~1e-16) with all that follows.
+then diagonalizes the two half-size blocks instead of the whole state.
+Ring and local runs also commute with the cyclic site shift T, and their
+dephasing samples from |->^N are exactly T-invariant, so from
+TRANSLATION_SPLIT_MIN_DIM rows on the check tests that bit for bit too and
+takes the spectrum from the momentum blocks over the orbits of T (Sandvik,
+AIP Conf. Proc. 1297, 135, 2010, section 4), N blocks of about dim / N
+rows.  All-to-all dephasing samples after t = 0 break T through their
+complex cross-cell rates and keep the parity blocks.  A state that is not
+exactly invariant under either symmetry takes the full eigvalsh, such as
+any amplitude-damping sample after t = 0 (a damping ring is off
+T-invariance by ~1e-15).
 """
 
 from __future__ import annotations
@@ -109,6 +116,18 @@ LEVEL_SPLIT_MIN_ROWS = 160
 # Bytes of dense generator blocks built in one batch by the dense build; a
 # batch's temporaries are a few times this.
 DENSE_BUILD_BATCH_BYTES = 4 * 2**20
+# States with at least this many rows take the momentum-resolved check
+# when they are exactly invariant under the cyclic site shift.  On ring and
+# local dephasing states (one BLAS thread, 2-core Xeon) check_state took
+# 190 to 240 us that way against 160 to 200 us on the parity blocks at 64
+# rows, and 0.36 to 0.42 against 0.63 to 0.83 ms at 128 rows.
+TRANSLATION_SPLIT_MIN_DIM = 128
+# Rows per slab of the hermiticity-drift measurement (_herm_drift); a state
+# of at most this many rows is measured whole.  One BLAS thread, 2-core
+# Xeon: at 128 rows the whole measurement took 83 us against 88 us in
+# slabs, at 256 rows 1.05 ms against 0.34 ms and at 512 rows 7.2 ms against
+# 1.5 ms in slabs of 128 rows.
+HERM_DRIFT_SLAB_ROWS = 128
 
 INTEGRATORS = ("fixed_step_rk4", "liouvillian_expm")
 
@@ -721,20 +740,55 @@ class StateCheck(NamedTuple):
     summed) and herm_drift the largest entry of |rho - rho^dag|.
     parity_blocks is the (2, dim/2, dim/2) stack (rho_+, rho_-) of rho's
     spin-flip parity blocks when rho commutes exactly with the global flip
-    (see check_state), and None otherwise.
+    (see check_state), and None otherwise.  translation_resolved is True
+    when the spectrum came from rho's momentum blocks, which it does for a
+    state of at least TRANSLATION_SPLIT_MIN_DIM rows that commutes exactly
+    with the cyclic site shift.
     """
 
     populations: np.ndarray
     trace_drift: float
     herm_drift: float
     parity_blocks: np.ndarray | None = None
+    translation_resolved: bool = False
 
     @property
     def min_eig(self) -> float:
         return float(self.populations[0])
 
 
-def _parity_blocks(rho: np.ndarray) -> np.ndarray | None:
+def _herm_drift(rho: np.ndarray, rows: np.ndarray | None = None) -> float:
+    """max |rho - rho^dag|, bitwise the whole-matrix value, without its
+    dim^2 temporaries.
+
+    |rho[j, i] - conj(rho[i, j])| is bitwise |rho[i, j] - conj(rho[j, i])|
+    (the real parts are exact negatives, the imaginary parts the same sum),
+    so the upper triangle holds every value: above HERM_DRIFT_SLAB_ROWS
+    rows it is taken in row slabs rho[i:i+t, i:] of that many rows, whose
+    temporaries stay in cache.  For a state that is exactly invariant under
+    the cyclic site shift T, `rows` are the orbit representatives
+    (_orbits): entry (T^j r, b) equals (r, T^-j b) bit for bit, and so does
+    its partner, so the representative rows alone hold every value.  The
+    maximum is taken by numpy, so a nan anywhere is the result.
+    """
+    if rows is not None:
+        return float(np.max(np.abs(rho[rows] - rho[:, rows].T.conj())))
+    step = HERM_DRIFT_SLAB_ROWS
+    if rho.shape[0] <= step:
+        return float(np.max(np.abs(rho - rho.conj().T)))
+    return float(
+        np.max(
+            [
+                np.max(np.abs(rho[i:i + step, i:] - rho[i:, i:i + step].T.conj()))
+                for i in range(0, rho.shape[0], step)
+            ]
+        )
+    )
+
+
+def _parity_blocks(
+    rho: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray | None:
     """(rho_+, rho_-) stacked, or None unless rho is exactly flip-invariant.
 
     The global spin flip P = sigma^x on every cell maps z index a to
@@ -744,17 +798,22 @@ def _parity_blocks(rho: np.ndarray) -> np.ndarray | None:
 
         rho_+- = rho[:h, :h] +- rho[:h, h:][:, ::-1],   h = dim / 2;
 
-    the cross-parity part is exactly zero.
+    the cross-parity part is exactly zero.  For a state exactly invariant
+    under the cyclic site shift T, `rows` are its orbit representatives,
+    as in _herm_drift: P commutes with T, so comparing those rows of
+    P rho P with rho's decides the whole comparison.
     """
     dim = rho.shape[0]
     # the corner entries are one necessary condition, so a state far from
     # the symmetry (amplitude damping drains |0> into |dim - 1>) costs one
     # comparison, not a whole-matrix one
-    if (
-        dim % 2
-        or rho[0, 0] != rho[-1, -1]
-        or not (rho == rho[::-1, ::-1]).all()
-    ):
+    if dim % 2 or rho[0, 0] != rho[-1, -1]:
+        return None
+    if rows is None:
+        flipped = rho == rho[::-1, ::-1]
+    else:
+        flipped = rho[dim - 1 - rows, ::-1] == rho[rows]
+    if not flipped.all():
         return None
     h = dim // 2
     top_left, top_right = rho[:h, :h], rho[:h, h:][:, ::-1]
@@ -764,31 +823,157 @@ def _parity_blocks(rho: np.ndarray) -> np.ndarray | None:
     return blocks
 
 
+class _Orbits(NamedTuple):
+    """Orbit tables of the cyclic site shift T on n_sites cells (_orbits)."""
+
+    shift: np.ndarray
+    representatives: np.ndarray
+    orbit_columns: np.ndarray
+    momentum_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+@functools.lru_cache(maxsize=None)
+def _orbits(n_sites: int) -> _Orbits:
+    """The orbits of T on the z basis of n_sites cells.
+
+    T moves the state of site i to site i + 1 (mod N), on z indices a left
+    rotation of the N bits: shift[a] = T a.  The representatives are the
+    smallest index of each orbit, ascending, and orbit_columns[j, r] is
+    T^j of representative r.  Momentum k admits the representatives whose
+    period R has k R = 0 (mod N); momentum_stacks holds, for each number of
+    admitted representatives, the (m,) momenta with that number, their
+    (m, s) admitted representatives and the (m, s, s) weights
+    sqrt(R_a R_b) / N of check_state's blocks.
+    """
+    dim = 2**n_sites
+    index = np.arange(dim)
+    shift = ((index << 1) & (dim - 1)) | (index >> (n_sites - 1))
+    # rows j = 0..N of T^j a; row N is the identity again
+    orbit = np.empty((n_sites + 1, dim), dtype=np.intp)
+    orbit[0] = index
+    for j in range(1, n_sites + 1):
+        orbit[j] = shift[orbit[j - 1]]
+    representatives = np.flatnonzero(orbit.min(axis=0) == index)
+    columns = orbit[:, representatives]
+    # the period is the first j > 0 with T^j a = a
+    periods = (columns[1:] == representatives).argmax(axis=0) + 1
+    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for k in range(n_sites):
+        admitted = np.flatnonzero(k * periods % n_sites == 0)
+        by_size.setdefault(len(admitted), []).append((k, admitted))
+    root = np.sqrt(periods / n_sites)
+    stacks = []
+    for same in by_size.values():
+        momenta = np.array([k for k, _ in same])
+        admitted = np.stack([a for _, a in same])
+        weights = root[admitted][:, :, None] * root[admitted][:, None, :]
+        stacks.append((momenta, admitted, weights))
+    return _Orbits(shift, representatives, columns[:n_sites], stacks)
+
+
+def _translation_invariant(rho: np.ndarray) -> bool:
+    """True when T rho T^dag equals rho bit for bit.
+
+    Row 0 first: T fixes index 0, so rho[0, T b] == rho[0, b] is necessary,
+    and a state far from the symmetry costs O(dim).  Then the whole state:
+    with a = (top bit, rest) and T a = (rest, top bit), rho[T a, T b] is
+    rho's (2, dim/2, 2, dim/2) view with its axes swapped in pairs, compared
+    with the (dim/2, 2, dim/2, 2) view, so no index array of dim^2 entries
+    is formed.
+    """
+    dim = rho.shape[0]
+    n_sites = dim.bit_length() - 1
+    if not (rho[0, _orbits(n_sites).shift] == rho[0]).all():
+        return False
+    h = dim // 2
+    return bool(
+        (
+            rho.reshape(h, 2, h, 2)
+            == rho.reshape(2, h, 2, h).transpose(1, 0, 3, 2)
+        ).all()
+    )
+
+
+def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of a T-invariant rho.
+
+    In the momentum states |a, k> = sqrt(R_a) / N sum_j e^{-2 pi i k j / N}
+    T^j |a> over the representatives a with k R_a = 0 (mod N), a T-invariant
+    rho is block diagonal over k, with blocks
+
+        B_k[a, b] = sqrt(R_a R_b) / N  sum_j e^{-2 pi i k j / N} rho[a, T^j b].
+
+    One gather of the representative rows at the orbit columns gives
+    rho[a, T^j b] for every (a, j, b), one FFT along j gives every
+    momentum, and the Hermitian parts of the blocks of one size go through
+    one eigvalsh.
+    """
+    orbits = _orbits(rho.shape[0].bit_length() - 1)
+    rows = rho[orbits.representatives][:, orbits.orbit_columns]
+    transformed = np.fft.fft(rows, axis=1)
+    spectra = []
+    for momenta, admitted, weights in orbits.momentum_stacks:
+        blocks = transformed[
+            admitted[:, :, None], momenta[:, None, None], admitted[:, None, :]
+        ]
+        blocks *= weights
+        hermitian = blocks + blocks.conj().transpose(0, 2, 1)
+        hermitian *= 0.5
+        spectra.append(np.linalg.eigvalsh(hermitian).ravel())
+    return np.sort(np.concatenate(spectra))
+
+
 def check_state(rho: np.ndarray, t: float) -> StateCheck:
     """Raise StateInvariantError unless rho is a valid density matrix.
 
     Returns the check's measurements, including the spectrum it computed,
     so a caller needs no second eigendecomposition of the same state.  The
-    drifts are measured on the whole of rho.  When rho is exactly invariant
-    under the global spin flip (every dephasing sample from a flip-invariant
-    start), the spectrum is the union of its two parity blocks' spectra,
-    from one eigvalsh call on the stacked blocks, a quarter of the
-    arithmetic of the full one; any other state takes the full eigvalsh.
-    A state with a nan or inf entry is rejected before either.
+    spectrum comes from the smallest exact symmetry blocks the state has,
+    each symmetry tested bit for bit with no tolerance or margin:
+
+    * from TRANSLATION_SPLIT_MIN_DIM rows on (N >= 7), a state that equals
+      T rho T^dag for the cyclic site shift T (_translation_invariant: row
+      0 first, then the whole state; ring and local dephasing from |->^N)
+      takes its momentum blocks (_momentum_spectrum), about N blocks of
+      dim / N rows, one eigvalsh per block size.  Below that size the
+      parity blocks were as fast;
+    * otherwise a state that equals P rho P for the global spin flip P
+      (every dephasing sample from a flip-invariant start) takes its two
+      parity blocks, from one eigvalsh call on the stacked blocks, a
+      quarter of the arithmetic of the full one;
+    * any other state takes the full eigvalsh.
+
+    The drifts are measured over the whole of rho, with the same values
+    either way; for a T-invariant state the hermiticity drift and the flip
+    comparison read only the orbit representatives' rows, which hold every
+    value.  The parity blocks are returned whenever the state has them,
+    for the coherence.  A state with a nan or inf entry is rejected before
+    any spectrum is taken.
     """
     trace = np.trace(rho)
     trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
-    adjoint = rho.conj().T
+    dim = rho.shape[0]
+    # a nan entry fails the invariance test (nan != nan); an inf one may
+    # pass it, and then sits in a representative row as well
+    rows = None
+    if (
+        dim >= TRANSLATION_SPLIT_MIN_DIM
+        and not dim & (dim - 1)
+        and _translation_invariant(rho)
+    ):
+        rows = _orbits(dim.bit_length() - 1).representatives
     # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
     # numpy would warn about), so the test below rejects every non-finite
     # state
     with np.errstate(invalid="ignore"):
-        herm_drift = float(np.max(np.abs(rho - adjoint)))
+        herm_drift = _herm_drift(rho, rows)
     if not math.isfinite(herm_drift):
         raise StateInvariantError(t, trace_drift, herm_drift, math.nan)
-    parity_blocks = _parity_blocks(rho)
-    if parity_blocks is None:
-        populations = np.linalg.eigvalsh(0.5 * (rho + adjoint))
+    parity_blocks = _parity_blocks(rho, rows)
+    if rows is not None:
+        populations = _momentum_spectrum(rho)
+    elif parity_blocks is None:
+        populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     else:
         hermitian = parity_blocks + parity_blocks.conj().transpose(0, 2, 1)
         hermitian *= 0.5
@@ -801,7 +986,9 @@ def check_state(rho: np.ndarray, t: float) -> StateCheck:
         and min_eig >= MIN_EIGENVALUE_TOL
     ):
         raise StateInvariantError(t, trace_drift, herm_drift, min_eig)
-    return StateCheck(populations, trace_drift, herm_drift, parity_blocks)
+    return StateCheck(
+        populations, trace_drift, herm_drift, parity_blocks, rows is not None
+    )
 
 
 def resolve_time_grid(cfg: EvolutionConfig, spec: NoiseSpec) -> tuple[int, int]:

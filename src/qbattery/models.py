@@ -203,6 +203,15 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
     eigenvalue is smaller than 1e-10; a degenerate ground level has no
     canonical representative, so the caller must construct the state
     explicitly (see product_minus_state for the j_coupling = 0 battery).
+
+    When h_matrix commutes bit for bit with the global spin flip P (which
+    maps z index a to dim - 1 - a, so P H P = H[::-1, ::-1]), as every
+    battery_hamiltonian does, the unique ground vector psi has a parity s,
+    the sign of <psi|P psi>, and eigh's vector is projected onto it:
+    (psi + s P psi) / 2, normalized.  Its entries a and dim - 1 - a are
+    then equal, or exact negatives, bit for bit, so the density matrix is
+    exactly flip-invariant and the invariant check can take its parity
+    blocks (evolution.check_state).  Any other matrix keeps eigh's vector.
     """
     h_matrix = np.asarray(h_matrix, dtype=complex)
     if np.max(np.abs(h_matrix - h_matrix.conj().T)) > 1e-12:
@@ -214,6 +223,10 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
             "specify the initial state explicitly"
         )
     g = vecs[:, 0]
+    if np.array_equal(h_matrix, h_matrix[::-1, ::-1]):
+        sign = 1.0 if np.vdot(g, g[::-1]).real >= 0 else -1.0
+        g = g + sign * g[::-1]
+        g /= np.linalg.norm(g)
     return np.outer(g, g.conj())
 
 

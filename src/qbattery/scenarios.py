@@ -742,7 +742,7 @@ def _execute_run(payload: tuple) -> dict:
     lines = [",".join(CSV_COLUMNS)]
     w0: float | None = None
     evolution_info: dict = {}
-    parity_resolved = 0
+    parity_resolved = translation_resolved = 0
     for t, rho in evolve_stream(rho0, h_eff, spec, evo, info=evolution_info):
         check = evolution_info["check"]
         report = ergotropy(rho, h_b, h_energies, check.populations)
@@ -758,6 +758,7 @@ def _execute_run(payload: tuple) -> dict:
             parity_basis=parity_basis,
         ) / n_sites
         parity_resolved += check.parity_blocks is not None
+        translation_resolved += check.translation_resolved
         lines.append(
             ",".join(
                 (
@@ -792,6 +793,7 @@ def _execute_run(payload: tuple) -> dict:
         "converged": steady.converged,
         "invariant_margins": evolution_info["invariant_margins"],
         "parity_resolved_samples": parity_resolved,
+        "translation_resolved_samples": translation_resolved,
         "timing_s": {
             phase: round(seconds, 6)
             for phase, seconds in evolution_info["timing_s"].items()
@@ -818,8 +820,9 @@ def run_scenario(
     see qbattery.evolution), applied cross-site rate (after any --auto-cptp
     scaling), convergence flag, worst invariant margins over the sampled
     states (largest |trace - 1| and hermiticity drift, smallest minimum
-    eigenvalue), the number of sampled states that the check split into
-    spin-flip parity blocks (see qbattery.evolution.check_state), the
+    eigenvalue), the numbers of sampled states that the check split into
+    spin-flip parity blocks and into momentum blocks of the cyclic site
+    shift (see qbattery.evolution.check_state), the
     seconds of the generator and map build and of the sampling
     (`timing_s`, see qbattery.evolution.evolve_stream), wall time, and a
     sha256 hash of each CSV.

@@ -27,10 +27,15 @@ from qbattery.evolution import (
     EXPM_MAX_SITES,
     HERMITICITY_TOL,
     LEVEL_SPLIT_MIN_ROWS,
+    MIN_EIGENVALUE_TOL,
+    TRANSLATION_SPLIT_MIN_DIM,
     StateCheck,
     _AmplitudeDampingRHS,
     _ElementwiseDephasingRHS,
     _GenericRHS,
+    _herm_drift,
+    _momentum_spectrum,
+    _orbits,
     _rk4_substeps,
     _substep_loop_work,
     check_state,
@@ -637,10 +642,24 @@ class TestCheckState:
         }
 
     def test_stream_raises_at_first_nonphysical_sample(self, monkeypatch):
+        self._raise_at_third_sample(monkeypatch, 2)
+
+    def test_stream_raises_at_first_nonphysical_translation_resolved_sample(
+        self, monkeypatch
+    ):
+        self._raise_at_third_sample(monkeypatch, 7)
+
+    @staticmethod
+    def _raise_at_third_sample(monkeypatch, n):
         # The third propagated sample is replaced by a trace-one Hermitian
         # matrix with a negative eigenvalue: the samples before it are
-        # yielded, it is not, and the error names its time.
-        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        # yielded, it is not, and the error names its time.  The matrix is
+        # diagonal with entries only on the shift-invariant |0...0> and
+        # |1...1>, so at N = 7 every sample of the ring dephasing run,
+        # the bad one included, is checked on its momentum blocks.
+        dim = 2**n
+        bad = np.zeros((dim, dim), dtype=complex)
+        bad[0, 0], bad[-1, -1] = 1.5, -0.5
         real_make_rhs = evolution.make_rhs
 
         def make_faulty_rhs(*args):
@@ -661,17 +680,30 @@ class TestCheckState:
             return rhs
 
         monkeypatch.setattr(evolution, "make_rhs", make_faulty_rhs)
+        real_check = evolution.check_state
+        resolved = []
+
+        def recorded_check(rho, t):
+            resolved.append(rho.shape[0] == dim and _translation_symmetric(rho))
+            return real_check(rho, t)
+
+        monkeypatch.setattr(evolution, "check_state", recorded_check)
         seen = []
+        info = {}
         with pytest.raises(StateInvariantError) as err:
             for t, _ in evolve_stream(
-                product_minus_state(2),
-                _ising_heff(2),
+                product_minus_state(n),
+                _ising_heff(n),
                 _spec(),
                 EvolutionConfig(t_max=1.0, dt_sample=0.1),
-                info={},
+                info=info,
             ):
+                assert info["check"].translation_resolved == (
+                    dim >= TRANSLATION_SPLIT_MIN_DIM
+                )
                 seen.append(t)
         assert seen == pytest.approx([0.0, 0.1, 0.2])
+        assert resolved == [True] * 4
         assert err.value.t == pytest.approx(0.3)
         assert err.value.min_eig == pytest.approx(-0.5)
 
@@ -753,6 +785,233 @@ class TestParityCheck:
                 assert info["check"].parity_blocks is not None
 
 
+def _shift(n):
+    """Index map of the cyclic site shift T on n cells (site 0 the top
+    bit): T moves site i to i + 1, a left rotation of the bits."""
+    dim = 2**n
+    index = np.arange(dim)
+    return ((index << 1) & (dim - 1)) | (index >> (n - 1))
+
+
+def _translation_symmetric(rho):
+    """T rho T^dag == rho bit for bit, by index arrays."""
+    shift = _shift(int(rho.shape[0]).bit_length() - 1)
+    return bool((rho[np.ix_(shift, shift)] == rho).all())
+
+
+def _shift_symmetrized(matrix):
+    """`matrix` averaged over T, then each entry taken from its pair
+    orbit's smallest row-major index, so the result commutes with T bit
+    for bit and is within round-off of the average."""
+    dim = matrix.shape[0]
+    n = dim.bit_length() - 1
+    shift = _shift(n)
+    a, b = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+    average = np.zeros_like(matrix)
+    code = a * dim + b
+    for _ in range(n):
+        average += matrix[a, b]
+        a, b = shift[a], shift[b]
+        code = np.minimum(code, a * dim + b)
+    return (average / n).reshape(-1)[code]
+
+
+def _dephasing_state(topology, n, t_max=0.3):
+    """The last sample of a dephasing run from |->^N over t_max."""
+    spec = _spec(topology=topology, coupling=None)
+    h_eff = np.zeros((2**n, 2**n), dtype=complex)
+    if topology != "local":
+        spec = _spec(
+            topology=topology,
+            coupling=EffectiveCoupling(kind="ising_z", j_z=1.0),
+        )
+        h_eff = _ising_heff(n)
+    for _, rho in evolve_stream(
+        product_minus_state(n), h_eff, spec,
+        EvolutionConfig(t_max=t_max, dt_sample=0.1),
+    ):
+        pass
+    return rho
+
+
+class TestTranslationCheck:
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "local"])
+    def test_dephasing_spectrum_matches_full_eigvalsh(self, topology, n):
+        rho = _dephasing_state(topology, n)
+        assert _translation_symmetric(rho)
+        record = check_state(rho, 0.3)
+        assert record.translation_resolved
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-12)
+        assert np.all(np.diff(record.populations) >= 0)
+        # the drifts read only the representative rows but are the
+        # whole-matrix values; the parity blocks are still returned
+        assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
+        assert record.parity_blocks is not None
+        np.testing.assert_array_equal(
+            record.parity_blocks, evolution._parity_blocks(rho)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_helper_matches_full_eigvalsh(self, n):
+        rng = np.random.default_rng(300 + n)
+        dim = 2**n
+        rho = _shift_symmetrized(random_density_matrix(rng, dim))
+        # an invariant skew part inside the hermiticity tolerance
+        rho = rho + 0.01 * HERMITICITY_TOL * 1j * _shift_symmetrized(
+            random_hermitian(rng, dim)
+        )
+        assert _translation_symmetric(rho)
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        np.testing.assert_allclose(_momentum_spectrum(rho), full, atol=1e-12)
+        for topology in ("nearest_neighbor", "local"):
+            state = _dephasing_state(topology, n)
+            np.testing.assert_allclose(
+                _momentum_spectrum(state),
+                np.linalg.eigvalsh(0.5 * (state + state.conj().T)),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_orbit_tables(self, n):
+        orbits = _orbits(n)
+        dim = 2**n
+        shift = _shift(n)
+        np.testing.assert_array_equal(orbits.shift, shift)
+        # the orbit columns partition the basis, one column per orbit
+        covered = np.unique(orbits.orbit_columns)
+        np.testing.assert_array_equal(covered, np.arange(dim))
+        np.testing.assert_array_equal(
+            orbits.orbit_columns[0], orbits.representatives
+        )
+        # the momentum blocks hold dim states in all
+        sizes = sum(
+            admitted.size for _, admitted, _ in orbits.momentum_stacks
+        )
+        assert sizes == dim
+
+    def test_negative_eigenvalue_in_a_momentum_block_is_caught(self):
+        # a T-invariant state with a negative eigenvalue on a momentum
+        # k = 1 state of the orbit of |0...01>
+        n = 7
+        dim = 2**n
+        shift = _shift(n)
+        vector = np.zeros(dim, dtype=complex)
+        a = 1
+        for j in range(n):
+            vector[a] = np.exp(-2j * np.pi * j / n) / np.sqrt(n)
+            a = shift[a]
+        rho = random_density_matrix(np.random.default_rng(9), dim)
+        rho = _shift_symmetrized(rho - 0.05 * np.outer(vector, vector.conj()))
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        assert full[0] < MIN_EIGENVALUE_TOL
+        with pytest.raises(StateInvariantError) as err:
+            check_state(rho, 0.6)
+        assert err.value.t == 0.6
+        assert err.value.min_eig == pytest.approx(full[0], abs=1e-12)
+
+    @pytest.mark.parametrize("keep_flip", [False, True])
+    def test_one_ulp_off_invariance_falls_back(self, keep_flip):
+        # one Hermitian pair of entries, away from row 0, moved by one ulp
+        # (and its flip image too, so that the parity path stays open)
+        rho = _dephasing_state("nearest_neighbor", 7)
+        reference = check_state(rho, 0.0)
+        assert reference.translation_resolved
+        dim = rho.shape[0]
+        pairs = [(3, 5)]
+        if keep_flip:
+            pairs.append((dim - 4, dim - 6))
+        for i, j in pairs:
+            rho[i, j] = np.nextafter(rho[i, j].real, np.inf) + 1j * rho[i, j].imag
+            rho[j, i] = rho[i, j].conj()
+        assert not _translation_symmetric(rho)
+        record = check_state(rho, 0.0)
+        assert not record.translation_resolved
+        assert (record.parity_blocks is not None) == keep_flip
+        assert record.min_eig == pytest.approx(reference.min_eig, abs=1e-12)
+        np.testing.assert_allclose(
+            record.populations, reference.populations, rtol=0, atol=1e-12
+        )
+        if not keep_flip:
+            np.testing.assert_array_equal(
+                record.populations,
+                np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)),
+            )
+
+    def test_cut_off(self):
+        # below TRANSLATION_SPLIT_MIN_DIM an invariant state takes the
+        # parity blocks
+        rho = _dephasing_state("nearest_neighbor", 6)
+        assert _translation_symmetric(rho)
+        assert TRANSLATION_SPLIT_MIN_DIM == 128
+        record = check_state(rho, 0.0)
+        assert not record.translation_resolved
+        assert record.parity_blocks is not None
+
+    def test_all_to_all_dephasing_is_not_resolved_after_t0(self):
+        info = {}
+        resolved = []
+        spec = _spec(
+            topology="all_to_all",
+            coupling=EffectiveCoupling(
+                kind="ising_z", j_z=1.0, interaction_range="all_to_all"
+            ),
+        )
+        for _ in evolve_stream(
+            product_minus_state(7), _ising_heff(7, interaction_range="all_to_all"),
+            spec, EvolutionConfig(t_max=0.3, dt_sample=0.1), info=info,
+        ):
+            resolved.append(info["check"].translation_resolved)
+        # |->^N itself is invariant; the complex cross rates break T after it
+        assert resolved == [True, False, False, False]
+
+    def test_ring_damping_is_not_resolved_after_t0(self, monkeypatch):
+        # amplitude damping leaves exact T-invariance after t = 0 (a ring is
+        # off by ~1e-15); the cut-off is lowered so that N = 4 could take
+        # the path
+        monkeypatch.setattr(evolution, "TRANSLATION_SPLIT_MIN_DIM", 2)
+        info = {}
+        resolved = []
+        spec = _spec(
+            channel="amplitude_damping",
+            coupling=EffectiveCoupling(kind="xx_dm", j_xx=1.2, d_dm=0.2),
+        )
+        for _, rho in evolve_stream(
+            product_minus_state(4), _hopping_heff(4), spec,
+            EvolutionConfig(t_max=0.5, dt_sample=0.1), info=info,
+        ):
+            resolved.append(info["check"].translation_resolved)
+            assert resolved[-1] == _translation_symmetric(rho)
+        assert resolved[0]
+        assert not any(resolved[1:])
+
+
+class TestHermDrift:
+    @pytest.mark.parametrize("dim", [1, 2, 8, 63, 64, 65, 128, 200, 512])
+    def test_slabs_equal_whole_matrix_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1.0, 1e-12):
+            rho = random_hermitian(rng, dim) + scale * (
+                rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            )
+            assert _herm_drift(rho) == float(np.max(np.abs(rho - rho.conj().T)))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 8])
+    def test_representative_rows_equal_whole_matrix_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        dim = 2**n
+        rho = _shift_symmetrized(
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        assert _translation_symmetric(rho)
+        rows = _orbits(n).representatives
+        assert _herm_drift(rho, rows) == float(
+            np.max(np.abs(rho - rho.conj().T))
+        )
+
+
 class TestNonFiniteStates:
     # the check measures the drift of a non-finite state without a warning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -777,6 +1036,35 @@ class TestNonFiniteStates:
         with pytest.raises(StateInvariantError) as err:
             check_state(rho, 0.4)
         assert err.value.t == 0.4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            ((1, 1), np.nan),
+            ((3, 5), complex(0.1, np.nan)),
+            ((5, 3), np.inf),
+            ((2, 2), complex(0.25, -np.inf)),
+            ((0, 6), -np.inf),
+        ],
+    )
+    def test_translation_invariant_state_rejected(self, index, value):
+        # the entry is set on its whole orbit under T, so that an inf state
+        # stays exactly T-invariant at a size that takes the momentum path
+        n = 7
+        shift = _shift(n)
+        rho = _shift_symmetrized(
+            random_density_matrix(np.random.default_rng(3), 2**n)
+        )
+        a, b = index
+        for _ in range(n):
+            rho[a, b] = value
+            a, b = shift[a], shift[b]
+        assert _translation_symmetric(rho) == (value == value)
+        with pytest.raises(StateInvariantError) as err:
+            check_state(rho, 0.5)
+        assert err.value.t == 0.5
+        assert not math.isfinite(err.value.herm_drift)
 
 
 class TestEvolve:

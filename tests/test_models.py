@@ -244,6 +244,39 @@ class TestGroundState:
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
         assert expectation(rho, h_mat) == pytest.approx(vals[0], abs=1e-10)
 
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("j_coupling", [0.5, 1.0])
+    def test_flip_symmetric_hamiltonian_gives_exactly_invariant_state(
+        self, n_sites, j_coupling
+    ):
+        # battery_hamiltonian commutes bit for bit with the global flip, so
+        # the ground vector is projected onto its parity sector and
+        # rho == P rho P exactly; it is still eigh's ground state.
+        h_mat = battery_hamiltonian(
+            BatteryModel(n_sites=n_sites, h=1.0, j_coupling=j_coupling)
+        )
+        assert np.array_equal(h_mat, h_mat[::-1, ::-1])
+        rho = ground_state(h_mat)
+        assert np.array_equal(rho, rho[::-1, ::-1])
+        vals, vecs = np.linalg.eigh(h_mat)
+        psi = vecs[:, 0]
+        np.testing.assert_allclose(
+            rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-15)
+
+    def test_other_hamiltonian_keeps_eigh_vector(self):
+        # a matrix that does not commute with the flip bit for bit gets
+        # eigh's vector unchanged
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h_mat = g + g.conj().T
+        assert not np.array_equal(h_mat, h_mat[::-1, ::-1])
+        psi = np.linalg.eigh(h_mat)[1][:, 0]
+        np.testing.assert_array_equal(
+            ground_state(h_mat), np.outer(psi, psi.conj())
+        )
+
     def test_single_cell_ground_state_is_minus(self):
         h_mat = battery_hamiltonian(BatteryModel(n_sites=1, h=1.0))
         np.testing.assert_allclose(

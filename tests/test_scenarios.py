@@ -338,6 +338,48 @@ class TestRunArtifacts:
         expected = entry["n_samples"] if resolved == "all" else resolved
         assert entry["parity_resolved_samples"] == expected
 
+    def test_ground_state_dephasing_is_parity_resolved(self, tmp_path):
+        # the interacting ground state is exactly flip-invariant, and so is
+        # every dephasing sample from it
+        cfg = dataclasses.replace(
+            get_preset("fig3_dephasing_entangled"),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(3,),
+            t_max=0.3,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        assert entry["parity_resolved_samples"] == entry["n_samples"]
+
+    def test_manifest_counts_translation_resolved_samples(self, tmp_path):
+        # From N = 7 on, ring and local dephasing samples from |->^N are
+        # checked on their momentum blocks; all-to-all rates break the
+        # shift symmetry after t = 0, and amplitude damping runs below the
+        # cut-off size never take the path.
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            topologies=("nearest_neighbor", "local", "all_to_all"),
+            n_sites_list=(7,),
+            t_max=0.2,
+        )
+        entries = run_scenario(cfg, str(tmp_path / "deph")).manifest["runs"]
+        counts = {
+            e["topology"]: (e["translation_resolved_samples"], e["n_samples"])
+            for e in entries
+        }
+        assert counts == {
+            "nearest_neighbor": (21, 21),
+            "local": (21, 21),
+            "all_to_all": (1, 21),
+        }
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(3,),
+            t_max=0.3,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path / "ad")).manifest["runs"]
+        assert entry["translation_resolved_samples"] == 0
+
     @pytest.mark.parametrize(
         "preset", ["fig2_dephasing_product", "fig5_ad_product"]
     )
@@ -576,6 +618,7 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out and "manifest:" in out
+        assert "parity-resolved=11, translation-resolved=0 of 11 samples" in out
         assert (out_dir / "fig2_dephasing_product_manifest.json").exists()
 
     def test_run_preset_name_with_overrides(self, tmp_path, capsys):
