@@ -54,10 +54,12 @@ each, all blocks of one size in one batch.  The stored map and the
 per-sample apply are the same either way.
 
 Every sampled state is checked (check_state) and its spectrum kept for the
-ergotropy.  sigma^z dephasing commutes with the global spin flip
-P = sigma^x on every cell, another weak symmetry, so from a flip-invariant
-start such as |->^N each sample is block diagonal in P's two parity
-sectors.  The check tests that exactly, bit for bit, on every sample and
+ergotropy.  evolve_stream checks the samples a chunk at a time, the states
+that fit in CHECK_CHUNK_BYTES in one stacked call, since a small state's
+check is mostly per-call overhead.  sigma^z dephasing commutes with the
+global spin flip P = sigma^x on every cell, another weak symmetry, so from
+a flip-invariant start such as |->^N each sample is block diagonal in P's
+two parity sectors.  The check tests that exactly, bit for bit, on every sample and
 then diagonalizes the two half-size blocks instead of the whole state.
 Ring and local runs also commute with the cyclic site shift T, and their
 dephasing samples from |->^N are exactly T-invariant, so from
@@ -128,20 +130,40 @@ TRANSLATION_SPLIT_MIN_DIM = 128
 # slabs, at 256 rows 1.05 ms against 0.34 ms and at 512 rows 7.2 ms against
 # 1.5 ms in slabs of 128 rows.
 HERM_DRIFT_SLAB_ROWS = 128
+# Bytes of the stack of sampled states that evolve_stream propagates before
+# it checks them in one check_state call: 16 dim^2 bytes a state, at least
+# one state, so from 128 rows (N = 7) on every sample is checked alone.  A
+# small state's check, ergotropy and coherence are mostly per-call overhead
+# (about 20 numpy calls a sample).  On fig5 ring damping states (one BLAS
+# thread, 2-core Xeon) the three took 8 us a sample on a stack against 57 us
+# one state at a time at 4 rows, 16 against 62 at 8, 36 against 82 at 16
+# and 122 against 157 at 32; from 64 rows on a stacked eigvalsh gains
+# nothing.
+CHECK_CHUNK_BYTES = 256 * 2**10
 
 INTEGRATORS = ("fixed_step_rk4", "liouvillian_expm")
 
 
 class StateInvariantError(RuntimeError):
-    """A sampled state left the physical region; integration is aborted."""
+    """A sampled state left the physical region; integration is aborted.
+
+    When check_state was given a stack, `passed` holds the check records of
+    the states before the failing one, in order; it is empty otherwise.
+    """
 
     def __init__(
-        self, t: float, trace_drift: float, herm_drift: float, min_eig: float
+        self,
+        t: float,
+        trace_drift: float,
+        herm_drift: float,
+        min_eig: float,
+        passed: list[StateCheck] | None = None,
     ) -> None:
         self.t = t
         self.trace_drift = trace_drift
         self.herm_drift = herm_drift
         self.min_eig = min_eig
+        self.passed = [] if passed is None else passed
         super().__init__(
             f"state invariant violated at t = {t:.6g}: "
             f"|trace - 1| = {trace_drift:.3e}, "
@@ -815,12 +837,29 @@ def _parity_blocks(
         flipped = rho[dim - 1 - rows, ::-1] == rho[rows]
     if not flipped.all():
         return None
-    h = dim // 2
-    top_left, top_right = rho[:h, :h], rho[:h, h:][:, ::-1]
-    blocks = np.empty((2, h, h), dtype=complex)
-    np.add(top_left, top_right, out=blocks[0])
-    np.subtract(top_left, top_right, out=blocks[1])
+    return _split_parity(rho)
+
+
+def _split_parity(rho: np.ndarray) -> np.ndarray:
+    """The (..., 2, dim/2, dim/2) parity blocks (rho_+, rho_-) of one
+    exactly flip-invariant state or of each state of a stack (see
+    _parity_blocks)."""
+    h = rho.shape[-1] // 2
+    top_left, top_right = rho[..., :h, :h], rho[..., :h, h:][..., ::-1]
+    blocks = np.empty(rho.shape[:-2] + (2, h, h), dtype=complex)
+    np.add(top_left, top_right, out=blocks[..., 0, :, :])
+    np.subtract(top_left, top_right, out=blocks[..., 1, :, :])
     return blocks
+
+
+def _parity_spectrum(blocks: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of a state from its parity
+    blocks (_split_parity), one eigvalsh call for every block given: (dim,)
+    for one state, (K, dim) for a stack."""
+    hermitian = blocks + blocks.conj().swapaxes(-1, -2)
+    hermitian *= 0.5
+    spectra = np.linalg.eigvalsh(hermitian)
+    return np.sort(spectra.reshape(spectra.shape[:-2] + (-1,)), axis=-1)
 
 
 class _Orbits(NamedTuple):
@@ -923,11 +962,18 @@ def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
-def check_state(rho: np.ndarray, t: float) -> StateCheck:
+def check_state(
+    rho: np.ndarray, t: float | list[float]
+) -> StateCheck | list[StateCheck]:
     """Raise StateInvariantError unless rho is a valid density matrix.
 
-    Returns the check's measurements, including the spectrum it computed,
-    so a caller needs no second eigendecomposition of the same state.  The
+    rho is one state, or a (K, dim, dim) stack of states with their K
+    sample times t.  For one state it returns the check's measurements
+    (StateCheck), including the spectrum it computed, so a caller needs no
+    second eigendecomposition of the same state.  For a stack it returns
+    the list of the states' records, each bitwise the one check_state
+    gives for that state alone, and raises for the first invalid state
+    with the records of the states before it as the error's `passed`.  The
     spectrum comes from the smallest exact symmetry blocks the state has,
     each symmetry tested bit for bit with no tolerance or margin:
 
@@ -949,7 +995,31 @@ def check_state(rho: np.ndarray, t: float) -> StateCheck:
     value.  The parity blocks are returned whenever the state has them,
     for the coherence.  A state with a nan or inf entry is rejected before
     any spectrum is taken.
+
+    A stack of states under TRANSLATION_SPLIT_MIN_DIM rows is checked at
+    once (_check_stack): the drifts, the finiteness and the flip test are
+    taken per state, one eigvalsh takes every full-path state and one the
+    parity blocks of all the others.  LAPACK sees each matrix alone, so
+    each spectrum is bitwise the one-state one, and the per-call overhead,
+    most of a small state's check, is paid once a stack.  Larger states
+    gain nothing from a stacked eigvalsh and are checked one at a time.
     """
+    if rho.ndim == 2:
+        return _check_one(rho, t)
+    if rho.shape[-1] < TRANSLATION_SPLIT_MIN_DIM:
+        return _check_stack(rho, t)
+    checks: list[StateCheck] = []
+    for state, time_ in zip(rho, t):
+        try:
+            checks.append(_check_one(state, time_))
+        except StateInvariantError as err:
+            err.passed = checks
+            raise
+    return checks
+
+
+def _check_one(rho: np.ndarray, t: float) -> StateCheck:
+    """check_state on one state."""
     trace = np.trace(rho)
     trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
     dim = rho.shape[0]
@@ -975,9 +1045,7 @@ def check_state(rho: np.ndarray, t: float) -> StateCheck:
     elif parity_blocks is None:
         populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     else:
-        hermitian = parity_blocks + parity_blocks.conj().transpose(0, 2, 1)
-        hermitian *= 0.5
-        populations = np.sort(np.linalg.eigvalsh(hermitian), axis=None)
+        populations = _parity_spectrum(parity_blocks)
     min_eig = float(populations[0])
     # written so that a nan measurement fails
     if not (
@@ -989,6 +1057,66 @@ def check_state(rho: np.ndarray, t: float) -> StateCheck:
     return StateCheck(
         populations, trace_drift, herm_drift, parity_blocks, rows is not None
     )
+
+
+def _check_stack(states: np.ndarray, times: list[float]) -> list[StateCheck]:
+    """check_state on a (K, dim, dim) stack of states with fewer than
+    TRANSLATION_SPLIT_MIN_DIM rows, so none takes the momentum blocks.
+
+    Each measurement is the one _check_one takes, state by state: the
+    trace, the whole-matrix hermiticity drift (max is exact in any order),
+    the corner and flip comparisons, the Hermitian parts and their eigvalsh
+    (one call on the full-path states, one on the parity blocks of the
+    others) and the sorted block spectra, so every record is bitwise the one-state
+    record.  A non-finite state gets no spectrum (its min_eig is nan).
+    """
+    count, dim = states.shape[:2]
+    trace = np.trace(states, axis1=1, axis2=2)
+    trace_drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    adjoint = states.conj().transpose(0, 2, 1)
+    # as in _check_one, rho - rho^dag is nan or inf wherever rho is
+    with np.errstate(invalid="ignore"):
+        herm_drift = np.abs(states - adjoint).max(axis=(1, 2))
+    finite = np.isfinite(herm_drift)
+    flipped = np.zeros(count, dtype=bool)
+    if dim % 2 == 0:
+        corner = np.flatnonzero(finite & (states[:, 0, 0] == states[:, -1, -1]))
+        flipped[corner] = (
+            states[corner] == states[corner, ::-1, ::-1]
+        ).all(axis=(1, 2))
+    populations = np.full((count, dim), math.nan)
+    full = finite & ~flipped
+    if full.any():
+        populations[full] = np.linalg.eigvalsh(
+            0.5 * (states[full] + adjoint[full])
+        )
+    blocks: list = [None] * count
+    if flipped.any():
+        stacked = _split_parity(states[flipped])
+        populations[flipped] = _parity_spectrum(stacked)
+        for k, block in zip(np.flatnonzero(flipped).tolist(), stacked):
+            blocks[k] = block
+    # written so that a nan measurement fails
+    valid = (
+        (trace_drift < TRACE_TOL)
+        & (herm_drift < HERMITICITY_TOL)
+        & (populations[:, 0] >= MIN_EIGENVALUE_TOL)
+    ).tolist()
+    trace_drift, herm_drift = trace_drift.tolist(), herm_drift.tolist()
+    checks: list[StateCheck] = []
+    for k in range(count):
+        if not valid[k]:
+            raise StateInvariantError(
+                times[k],
+                trace_drift[k],
+                herm_drift[k],
+                float(populations[k, 0]),
+                checks,
+            )
+        checks.append(
+            StateCheck(populations[k], trace_drift[k], herm_drift[k], blocks[k])
+        )
+    return checks
 
 
 def resolve_time_grid(cfg: EvolutionConfig, spec: NoiseSpec) -> tuple[int, int]:
@@ -1006,6 +1134,19 @@ def resolve_time_grid(cfg: EvolutionConfig, spec: NoiseSpec) -> tuple[int, int]:
     return n_samples, n_sub
 
 
+class SampleChunk(NamedTuple):
+    """Samples that evolve_stream checked together (info["chunk"]).
+
+    times are the K sample times, states the (K, dim, dim) stack of the
+    states it yields for them, in order, and checks their check_state
+    records.
+    """
+
+    times: list[float]
+    states: np.ndarray
+    checks: list[StateCheck]
+
+
 def evolve_stream(
     rho0: np.ndarray,
     h_eff: np.ndarray,
@@ -1020,13 +1161,23 @@ def evolve_stream(
     pass CPTP validation or integration is refused; every yielded state is
     checked against the density-matrix invariants.
 
+    The samples after t = 0 are made a chunk at a time: K states are
+    propagated in order with the per-sample map, one state after the other
+    as without chunks, so their bytes do not depend on K, and then checked
+    by one check_state call on their (K, dim, dim) stack.  K is the number
+    of states in CHECK_CHUNK_BYTES, at least one (one from 128 rows on).
+    A state that fails its check raises StateInvariantError after exactly
+    the samples before it have been yielded.
+
     If `info` is a dict, the propagation path is stored under
     info["propagation"] before the first sample after t = 0 is yielded:
     "rk4_sample_map" (precomputed per-sample RK4 map), "rk4_substep_loop"
     (explicit RK4 substeps) or "expm" (the liouvillian_expm integrator).
     info["timing_s"] holds the wall seconds of the run's phases: "build",
     the generator and its per-sample map or step, set with
-    info["propagation"]; and "sampling", from the start of the first sample after t = 0 to the
+    info["propagation"]; "propagate" and "check", the propagation and the
+    check_state calls of the samples after t = 0, summed over the chunks;
+    and "sampling", from the start of the first sample after t = 0 to the
     end of the stream (the consumer's time between samples included), set
     when the stream ends.
     Before each sample is yielded, its check_state record is stored under
@@ -1035,7 +1186,10 @@ def evolve_stream(
     them, feed observables.coherence_l1_energy_basis), and
     info["invariant_margins"] holds the worst margins of the samples so
     far: the largest trace and hermiticity drifts and the smallest minimum
-    eigenvalue.
+    eigenvalue.  Before the first sample of each chunk (the t = 0 sample is
+    a chunk of its own) is yielded, info["chunk"] holds the SampleChunk of
+    the samples that will be yielded from it, so a consumer can measure
+    them as one stack.
     """
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -1056,29 +1210,32 @@ def evolve_stream(
         "max_herm_drift": 0.0,
         "min_eigenvalue": math.inf,
     }
-    timing = {"build": 0.0, "sampling": 0.0}
+    timing = {"build": 0.0, "propagate": 0.0, "check": 0.0, "sampling": 0.0}
     if info is not None:
         info["invariant_margins"] = margins
         info["timing_s"] = timing
 
-    def checked(rho: np.ndarray, t: float) -> None:
-        check = check_state(rho, t)
-        if info is None:
-            return
-        info["check"] = check
-        margins["max_trace_drift"] = max(
-            margins["max_trace_drift"], check.trace_drift
-        )
-        margins["max_herm_drift"] = max(
-            margins["max_herm_drift"], check.herm_drift
-        )
-        margins["min_eigenvalue"] = min(
-            margins["min_eigenvalue"], check.min_eig
-        )
+    def emit(chunk: SampleChunk):
+        """Yield the chunk's samples, recording each one's check first."""
+        if info is not None:
+            info["chunk"] = chunk
+        for t, state, check in zip(*chunk):
+            if info is not None:
+                info["check"] = check
+                margins["max_trace_drift"] = max(
+                    margins["max_trace_drift"], check.trace_drift
+                )
+                margins["max_herm_drift"] = max(
+                    margins["max_herm_drift"], check.herm_drift
+                )
+                margins["min_eigenvalue"] = min(
+                    margins["min_eigenvalue"], check.min_eig
+                )
+            yield t, state
 
-    checked(rho, 0.0)
+    check = check_state(rho, 0.0)
     n_samples, n_sub = resolve_time_grid(cfg, spec)
-    yield 0.0, rho.copy()
+    yield from emit(SampleChunk([0.0], rho[None].copy(), [check]))
     start = time.perf_counter()
     if cfg.integrator == "liouvillian_expm":
         if n_sites > EXPM_MAX_SITES:
@@ -1105,11 +1262,29 @@ def evolve_stream(
         info["propagation"] = path
     timing["build"] = time.perf_counter() - start
     start = time.perf_counter()
-    for k in range(1, n_samples + 1):
-        rho = step(rho)
-        t = k * cfg.dt_sample
-        checked(rho, t)
-        yield t, rho.copy()
+    size = max(1, CHECK_CHUNK_BYTES // (16 * dim * dim))
+    for first in range(1, n_samples + 1, size):
+        mark = time.perf_counter()
+        last = min(first + size, n_samples + 1)
+        times = [k * cfg.dt_sample for k in range(first, last)]
+        states = np.empty((len(times), dim, dim), dtype=complex)
+        for i in range(len(times)):
+            # the stack holds copies, so a consumer's writes to a yielded
+            # state cannot reach the propagation
+            rho = step(rho)
+            states[i] = rho
+        checked = time.perf_counter()
+        timing["propagate"] += checked - mark
+        failure = None
+        try:
+            checks = check_state(states, times)
+        except StateInvariantError as err:
+            checks, failure = err.passed, err
+        timing["check"] += time.perf_counter() - checked
+        count = len(checks)
+        yield from emit(SampleChunk(times[:count], states[:count], checks))
+        if failure is not None:
+            raise failure
     timing["sampling"] = time.perf_counter() - start
 
 

@@ -73,28 +73,9 @@ def kron_all(ops: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba."""
-    return a @ b + b @ a
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when max |A - A^dagger| entrywise is below `tol`."""
-    return bool(np.max(np.abs(a - a.conj().T)) < tol)
-
-
-def expectation(rho: np.ndarray, op: np.ndarray) -> float:
-    """Tr[rho op] as a real number.
+def expectation(rho: np.ndarray, op: np.ndarray) -> float | np.ndarray:
+    """Tr[rho op] as a real number, or as a (K,) real array for each state
+    of a (K, dim, dim) stack rho (bitwise the one-state values).
 
     The imaginary residue of the trace must stay below 1e-10; a larger
     residue signals a corrupted state or a non-Hermitian observable and
@@ -102,14 +83,23 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> float:
     """
     rho = np.asarray(rho)
     op = np.asarray(op)
-    if rho.shape != op.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if (
+        rho.shape[-2:] != op.shape
+        or rho.ndim not in (2, 3)
+        or op.shape[0] != op.shape[1]
+    ):
         raise ValueError(
             f"dimension mismatch: state {rho.shape} vs operator {op.shape}"
         )
-    value = complex(np.einsum("ij,ji->", rho, op))
-    if abs(value.imag) >= IMAG_TRACE_TOL:
+    if rho.ndim == 3:
+        values = np.einsum("kij,ji->k", rho, op)
+        residue = float(np.max(np.abs(values.imag), initial=0.0))
+    else:
+        value = complex(np.einsum("ij,ji->", rho, op))
+        values, residue = value, abs(value.imag)
+    if residue >= IMAG_TRACE_TOL:
         raise ValueError(
-            f"expectation value has imaginary residue {value.imag:.3e} "
+            f"expectation value has imaginary residue {residue:.3e} "
             f"(tolerance {IMAG_TRACE_TOL:.0e})"
         )
-    return float(value.real)
+    return values.real if rho.ndim == 3 else float(values.real)

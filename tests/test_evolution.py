@@ -684,8 +684,19 @@ class TestCheckState:
         resolved = []
 
         def recorded_check(rho, t):
-            resolved.append(rho.shape[0] == dim and _translation_symmetric(rho))
-            return real_check(rho, t)
+            # one state or a stack of them: record each state the check
+            # reached, up to and including the first invalid one
+            states = rho.reshape(-1, *rho.shape[-2:])
+            try:
+                return real_check(rho, t)
+            except StateInvariantError as exc:
+                states = states[: len(exc.passed) + 1]
+                raise
+            finally:
+                resolved.extend(
+                    state.shape[0] == dim and _translation_symmetric(state)
+                    for state in states
+                )
 
         monkeypatch.setattr(evolution, "check_state", recorded_check)
         seen = []
@@ -706,6 +717,153 @@ class TestCheckState:
         assert resolved == [True] * 4
         assert err.value.t == pytest.approx(0.3)
         assert err.value.min_eig == pytest.approx(-0.5)
+
+
+def _assert_same_record(a, b):
+    """Two check_state records bitwise equal."""
+    assert a.populations.tobytes() == b.populations.tobytes()
+    assert (a.trace_drift, a.herm_drift) == (b.trace_drift, b.herm_drift)
+    assert a.translation_resolved == b.translation_resolved
+    assert (a.parity_blocks is None) == (b.parity_blocks is None)
+    if a.parity_blocks is not None:
+        assert a.parity_blocks.tobytes() == b.parity_blocks.tobytes()
+
+
+def _faulty_make_rhs(bad, position):
+    """make_rhs whose per-sample map returns `bad` on its position-th call
+    (the sample at t = position dt_sample) and propagates otherwise."""
+    real_make_rhs = evolution.make_rhs
+
+    def make_faulty_rhs(*args):
+        rhs = real_make_rhs(*args)
+        real_map = rhs.sample_map
+
+        def sample_map(dt, n_sub):
+            step = real_map(dt, n_sub)
+            calls = []
+
+            def faulty(rho):
+                calls.append(None)
+                return bad.copy() if len(calls) == position else step(rho)
+
+            return faulty
+
+        rhs.sample_map = sample_map
+        return rhs
+
+    return make_faulty_rhs
+
+
+class TestStackedCheck:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_one_state_calls(self, n):
+        rng = np.random.default_rng(300 + n)
+        dim = 2**n
+        states = []
+        for k in range(6):
+            rho = random_density_matrix(rng, dim)
+            # a skew part inside the hermiticity tolerance on some states
+            if k % 3 == 0:
+                rho = rho + 0.01j * HERMITICITY_TOL * random_hermitian(rng, dim)
+            states.append(_flip_invariant(rho) if k % 2 else rho)
+        stack = np.array(states)
+        times = [0.1 * k for k in range(6)]
+        checks = check_state(stack, times)
+        assert len(checks) == 6
+        for rho, t, record in zip(stack, times, checks):
+            _assert_same_record(record, check_state(rho, t))
+        assert [c.parity_blocks is not None for c in checks] == [False, True] * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("first_bad", ["non-finite", "negative"])
+    def test_raises_at_the_first_bad_state(self, value, first_bad):
+        rng = np.random.default_rng(41)
+        good = [random_density_matrix(rng, 8) for _ in range(5)]
+        good[1] = _flip_invariant(good[1])
+        non_finite = good[0].copy()
+        non_finite[2, 3] = value
+        negative = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        bad = [non_finite, negative]
+        if first_bad == "negative":
+            bad.reverse()
+        stack = np.array(good[:3] + [bad[0], good[3], bad[1], good[4]])
+        times = [0.1 * k for k in range(7)]
+        with pytest.raises(StateInvariantError) as err:
+            check_state(stack, times)
+        with pytest.raises(StateInvariantError) as alone:
+            check_state(stack[3], times[3])
+        assert err.value.t == times[3]
+        for field in ("trace_drift", "herm_drift", "min_eig"):
+            got, expected = getattr(err.value, field), getattr(alone.value, field)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert len(err.value.passed) == 3
+        for rho, t, record in zip(stack, times, err.value.passed):
+            _assert_same_record(record, check_state(rho, t))
+        assert alone.value.passed == []
+
+    def test_large_states_are_checked_one_at_a_time(self):
+        # from TRANSLATION_SPLIT_MIN_DIM rows on: the momentum path per state
+        rng = np.random.default_rng(43)
+        ring = _dephasing_state("nearest_neighbor", 7)
+        other = random_density_matrix(rng, 128)
+        negative = np.diag(np.r_[1.5, -0.5, np.zeros(126)]).astype(complex)
+        stack = np.array([ring, other, ring, negative, ring])
+        times = [0.1 * k for k in range(5)]
+        checks = check_state(stack[:3], times[:3])
+        assert [c.translation_resolved for c in checks] == [True, False, True]
+        for rho, t, record in zip(stack, times, checks):
+            _assert_same_record(record, check_state(rho, t))
+        with pytest.raises(StateInvariantError) as err:
+            check_state(stack, times)
+        assert err.value.t == times[3]
+        assert err.value.min_eig == pytest.approx(-0.5)
+        assert len(err.value.passed) == 3
+
+    @pytest.mark.parametrize("position", [1, 5, 6, 8])
+    def test_stream_raises_at_bad_sample_in_a_chunk(self, position, monkeypatch):
+        # chunks of four states: samples 1-4, 5-8 and 9-12; the bad state
+        # is the first (1, 5), a middle (6) or the last (8) of its chunk
+        n, dim = 3, 8
+        monkeypatch.setattr(evolution, "CHECK_CHUNK_BYTES", 4 * 16 * dim * dim)
+        bad = np.zeros((dim, dim), dtype=complex)
+        bad[0, 0], bad[-1, -1] = 1.5, -0.5
+        monkeypatch.setattr(evolution, "make_rhs", _faulty_make_rhs(bad, position))
+        seen = []
+        info = {}
+        with pytest.raises(StateInvariantError) as err:
+            for t, rho in evolve_stream(
+                product_minus_state(n),
+                _ising_heff(n),
+                _spec(),
+                EvolutionConfig(t_max=1.2, dt_sample=0.1),
+                info=info,
+            ):
+                _assert_same_record(info["check"], check_state(rho, t))
+                assert len(info["chunk"].times) <= 4
+                seen.append(t)
+        assert seen == pytest.approx([0.1 * k for k in range(position)])
+        assert err.value.t == pytest.approx(0.1 * position)
+        assert err.value.min_eig == pytest.approx(-0.5)
+        assert info["invariant_margins"]["min_eigenvalue"] >= MIN_EIGENVALUE_TOL
+
+    def test_stream_chunks_cover_the_samples_in_order(self, monkeypatch):
+        n, dim = 3, 8
+        monkeypatch.setattr(evolution, "CHECK_CHUNK_BYTES", 4 * 16 * dim * dim)
+        info = {}
+        chunks, samples = [], []
+        for t, rho in evolve_stream(
+            product_minus_state(n), _ising_heff(n), _spec(),
+            EvolutionConfig(t_max=1.0, dt_sample=0.1), info=info,
+        ):
+            if not chunks or info["chunk"] is not chunks[-1]:
+                chunks.append(info["chunk"])
+            samples.append((t, rho))
+        assert [len(c.times) for c in chunks] == [1, 4, 4, 2]
+        flat = [(t, s) for c in chunks for t, s in zip(c.times, c.states)]
+        assert [t for t, _ in flat] == [t for t, _ in samples]
+        for (_, a), (_, b) in zip(flat, samples):
+            assert a is b or np.shares_memory(a, b)
 
 
 def _flip_invariant(rho):

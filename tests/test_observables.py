@@ -368,6 +368,68 @@ class TestParityCoherence:
         assert parity_block_basis(generic) is None
 
 
+class TestStackedObservables:
+    """ergotropy and coherence_l1_energy_basis on a (K, dim, dim) stack give
+    each state's one-state value bit for bit."""
+
+    @staticmethod
+    def _states(rng, n, count=6):
+        states = []
+        for k in range(count):
+            rho = random_density_matrix(rng, 2**n)
+            # every other state exactly flip-invariant
+            states.append(0.5 * (rho + rho[::-1, ::-1]) if k % 2 else rho)
+        return np.array(states)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_ergotropy_matches_each_state_bitwise(self, n):
+        rng = np.random.default_rng(500 + n)
+        stack = self._states(rng, n)
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3, j_coupling=0.7))
+        energies = np.linalg.eigvalsh(h_b)
+        checks = check_state(stack, [0.0] * len(stack))
+        populations = [c.populations for c in checks]
+        for supplied in (populations, None):
+            report = ergotropy(stack, h_b, energies, supplied)
+            for k, rho in enumerate(stack):
+                alone = ergotropy(
+                    rho, h_b, energies, None if supplied is None else supplied[k]
+                )
+                assert report.w[k] == alone.w
+                assert report.passive_energy[k] == alone.passive_energy
+                assert report.ergotropy[k] == alone.ergotropy
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    def test_coherence_matches_each_state_bitwise(self, n):
+        rng = np.random.default_rng(600 + n)
+        stack = self._states(rng, n)
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
+        _, basis = field_product_eigenbasis(n, 1.3)
+        parity_basis = parity_block_basis(basis)
+        blocks = [c.parity_blocks for c in check_state(stack, [0.0] * len(stack))]
+        assert [b is not None for b in blocks] == [False, True] * 3
+        for supplied, supplied_basis in ((blocks, parity_basis), (None, None)):
+            values = coherence_l1_energy_basis(
+                stack, h_b, basis=basis,
+                parity_blocks=supplied, parity_basis=supplied_basis,
+            )
+            assert values.shape == (len(stack),)
+            for k, rho in enumerate(stack):
+                alone = coherence_l1_energy_basis(
+                    rho, h_b, basis=basis,
+                    parity_blocks=None if supplied is None else supplied[k],
+                    parity_basis=supplied_basis,
+                )
+                assert values[k] == alone
+
+    def test_stack_dimension_mismatch_raises(self):
+        stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ergotropy(stack, np.eye(8))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            coherence_l1_energy_basis(stack, np.eye(8))
+
+
 class TestExtractionRatio:
     def test_regular_value(self):
         assert extraction_ratio(0.5, 2.0) == pytest.approx(0.25)

@@ -50,16 +50,11 @@ class TestPauli:
             np.testing.assert_allclose(
                 ops.pauli(kind) @ ops.pauli(kind), np.eye(2), atol=1e-15
             )
+        x, y = ops.pauli("x"), ops.pauli("y")
         np.testing.assert_allclose(
-            ops.commutator(ops.pauli("x"), ops.pauli("y")),
-            2j * ops.pauli("z"),
-            atol=1e-15,
+            x @ y - y @ x, 2j * ops.pauli("z"), atol=1e-15
         )
-        np.testing.assert_allclose(
-            ops.anticommutator(ops.pauli("x"), ops.pauli("y")),
-            np.zeros((2, 2)),
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(x @ y + y @ x, np.zeros((2, 2)), atol=1e-15)
         # Ladder decomposition: plus/minus = (x -++ i y) / 2.
         np.testing.assert_allclose(
             ops.pauli("plus"), (SX + 1j * SY) / 2, atol=1e-15
@@ -101,7 +96,7 @@ class TestEmbed:
     def test_different_sites_commute(self):
         a = ops.embed(SX, 0, 3)
         b = ops.embed(SY, 2, 3)
-        np.testing.assert_allclose(ops.commutator(a, b), 0 * a, atol=1e-15)
+        np.testing.assert_allclose(a @ b - b @ a, 0 * a, atol=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -152,25 +147,19 @@ class TestExpectation:
         eigs = np.linalg.eigvalsh(op)
         assert eigs[0] - 1e-10 <= value <= eigs[-1] + 1e-10
 
+    def test_stack_matches_each_state_bitwise(self):
+        rng = np.random.default_rng(31)
+        for dim in (2, 8, 32):
+            stack = np.array([random_density_matrix(rng, dim) for _ in range(5)])
+            op = random_hermitian(rng, dim)
+            values = ops.expectation(stack, op)
+            assert values.shape == (5,)
+            assert values.tolist() == [ops.expectation(r, op) for r in stack]
 
-class TestHermiticityHelpers:
-    def test_is_hermitian(self):
-        assert ops.is_hermitian(SY)
-        assert not ops.is_hermitian(SP)
-        almost = SZ + 1e-13 * 1j * np.eye(2)
-        assert ops.is_hermitian(almost)
-        assert not ops.is_hermitian(almost, tol=1e-15)
-
-    def test_dagger(self):
-        np.testing.assert_array_equal(ops.dagger(SP), SM)
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_commutator_of_hermitians_is_antihermitian(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        c = ops.commutator(a, b)
-        np.testing.assert_allclose(c, -ops.dagger(c), atol=1e-12)
-        ac = ops.anticommutator(a, b)
-        np.testing.assert_allclose(ac, ops.dagger(ac), atol=1e-12)
+    def test_imaginary_residue_in_a_stack_raises(self):
+        good = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        bad = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            ops.expectation(np.array([good, bad]), SP)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ops.expectation(np.array([good, bad]), np.eye(4))

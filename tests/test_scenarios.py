@@ -38,7 +38,7 @@ from qbattery.scenarios import (
     run_filename,
     run_list,
 )
-from qbattery import cli
+from qbattery import cli, evolution
 
 PRESET_NAMES = (
     "fig2_dephasing_product",
@@ -290,9 +290,28 @@ class TestRunArtifacts:
         "preset", ["fig2_dephasing_product", "fig5_ad_product"]
     )
     def test_one_eigendecomposition_per_row(self, preset, tmp_path, monkeypatch):
-        # The check's spectrum feeds the ergotropy: one eigvalsh call per
-        # CSV row.  Two horizons cancel the fixed set-up calls (rate-matrix
-        # admission, battery spectrum), which are counted as well.
+        # The check's spectrum feeds the ergotropy: with one state a chunk,
+        # one eigvalsh call per CSV row.  Two horizons cancel the fixed
+        # set-up calls (rate-matrix admission, battery spectrum), which are
+        # counted as well.
+        monkeypatch.setattr(evolution, "CHECK_CHUNK_BYTES", 0)
+        counts = self._eigvalsh_calls_per_horizon(preset, tmp_path, monkeypatch)
+        (rows_a, calls_a), (rows_b, calls_b) = sorted(counts.items())
+        assert rows_b - rows_a == 20
+        assert calls_b - calls_a == rows_b - rows_a
+        assert calls_a - rows_a == 3
+
+    @pytest.mark.parametrize(
+        "preset", ["fig2_dephasing_product", "fig5_ad_product"]
+    )
+    def test_one_eigendecomposition_per_chunk(self, preset, tmp_path, monkeypatch):
+        # At N = 2 both horizons fit in one chunk: the three set-up calls,
+        # the t = 0 sample and one stacked call for every later sample.
+        counts = self._eigvalsh_calls_per_horizon(preset, tmp_path, monkeypatch)
+        assert sorted(counts.values()) == [3 + 2, 3 + 2]
+
+    @staticmethod
+    def _eigvalsh_calls_per_horizon(preset, tmp_path, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -313,10 +332,7 @@ class TestRunArtifacts:
             result = run_scenario(cfg, str(tmp_path / str(t_max)))
             (entry,) = result.manifest["runs"]
             counts[entry["n_samples"]] = len(calls)
-        (rows_a, calls_a), (rows_b, calls_b) = sorted(counts.items())
-        assert rows_b - rows_a == 20
-        assert calls_b - calls_a == rows_b - rows_a
-        assert calls_a - rows_a == 3
+        return counts
 
     @pytest.mark.parametrize(
         "preset, resolved",
@@ -392,10 +408,14 @@ class TestRunArtifacts:
         )
         (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
         timing = entry["timing_s"]
-        assert set(timing) == {"build", "sampling"}
-        assert timing["build"] >= 0.0
+        assert set(timing) == {
+            "build", "propagate", "check", "sampling", "observables", "io"
+        }
+        assert all(seconds >= 0.0 for seconds in timing.values())
         assert timing["sampling"] > 0.0
         assert timing["build"] + timing["sampling"] <= entry["wall_time_s"] + 1e-3
+        # each is rounded to 1e-6 s
+        assert timing["propagate"] + timing["check"] <= timing["sampling"] + 2e-6
         if cfg.channels == ("amplitude_damping",):
             # the sparse generator and its block map are built
             assert timing["build"] > 0.0
@@ -746,3 +766,63 @@ class TestCli:
             tmp_path / "b.csv", np.arange(4) * 0.1, [0, 1, 2, 3]
         )
         assert cli.main(["compare", a, b, "--column", "W", "--mode", "max_abs_diff"]) == 2
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize(
+        "preset, t_max",
+        [("fig2_dephasing_product", 0.6), ("fig5_ad_product", 1.0)],
+    )
+    def test_chunk_size_does_not_change_the_bytes(
+        self, preset, t_max, tmp_path, monkeypatch
+    ):
+        # fig2 on all three topologies at N = 2..6 and fig5 at N = 2..5; at
+        # N = 5 and 6 the default chunk (16 and 4 states) splits the run.
+        topologies = (
+            ("nearest_neighbor", "all_to_all", "local")
+            if preset == "fig2_dephasing_product"
+            else None
+        )
+        cfg = dataclasses.replace(get_preset(preset), t_max=t_max)
+        if topologies is not None:
+            cfg = dataclasses.replace(cfg, topologies=topologies)
+        chunked = run_scenario(cfg, str(tmp_path / "chunked"))
+        monkeypatch.setattr(evolution, "CHECK_CHUNK_BYTES", 0)
+        single = run_scenario(cfg, str(tmp_path / "single"))
+        assert len(chunked.csv_paths) == len(run_list(cfg))
+        for a, b in zip(chunked.csv_paths, single.csv_paths):
+            assert open(a, "rb").read() == open(b, "rb").read()
+        for a, b in zip(chunked.manifest["runs"], single.manifest["runs"]):
+            for key in (
+                "converged", "propagation", "n_samples", "invariant_margins",
+                "parity_resolved_samples", "translation_resolved_samples",
+            ):
+                assert a[key] == b[key]
+
+
+class TestLogging:
+    def test_run_logs_progress_and_prints_nothing(self, tmp_path, capsys, caplog):
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            topologies=("nearest_neighbor", "local"),
+            n_sites_list=(2,),
+            t_max=0.1,
+        )
+        with caplog.at_level("INFO", logger="qbattery"):
+            run_scenario(cfg, str(tmp_path))
+        assert capsys.readouterr().out == ""
+        records = [r for r in caplog.records if r.name == "qbattery"]
+        assert [r.levelname for r in records] == ["INFO"] * 4
+        messages = [r.getMessage() for r in records]
+        assert messages[0] == "run dephasing nearest_neighbor N=2: 11 samples"
+        assert re.fullmatch(
+            r"run dephasing nearest_neighbor N=2: 11 samples in \d+\.\d{3} s",
+            messages[1],
+        )
+        assert messages[2] == "run dephasing local N=2: 11 samples"
+        assert messages[3].startswith("run dephasing local N=2: 11 samples in ")
+
+    def test_library_configures_no_handler(self):
+        import logging
+
+        assert logging.getLogger("qbattery").handlers == []
