@@ -22,7 +22,6 @@ from qbattery import (
     EvolutionConfig,
     NoiseSpec,
     battery_hamiltonian,
-    effective_hamiltonian,
     ergotropy,
     evolve_stream,
     product_minus_state,
@@ -51,20 +50,25 @@ def main() -> int:
             gamma_offdiag=offdiag,
             coupling=coupling,
         )
-        h_eff = effective_hamiltonian(coupling, n)
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=args.field))
         h_energies = np.linalg.eigvalsh(h_b)
         cfg = EvolutionConfig(t_max=args.t_max, dt_sample=0.01)
         series = [
             (t, ergotropy(rho, h_b, h_energies).ergotropy)
-            for t, rho in evolve_stream(product_minus_state(n), h_eff, spec, cfg)
+            for t, rho in evolve_stream(product_minus_state(n), spec, cfg)
         ]
         values = [e for _, e in series]
         peak = next(
-            i
-            for i in range(1, len(values) - 1)
-            if values[i - 1] < values[i] > values[i + 1]
+            (
+                i
+                for i in range(1, len(values) - 1)
+                if values[i - 1] < values[i] > values[i + 1]
+            ),
+            None,
         )
+        if peak is None:
+            print(f"{n:>3}  no peak before t_max = {args.t_max:g}")
+            continue
         t_pk, e_pk = series[peak]
         print(f"{n:>3} {t_pk:>8.2f} {e_pk:>15.6f} {e_pk / n:>10.6f}")
     return 0

@@ -26,7 +26,6 @@ from qbattery import (
     battery_hamiltonian,
     correlated_dephasing_energy,
     correlated_dephasing_state,
-    effective_hamiltonian,
     evolve_stream,
     expectation,
     product_minus_state,
@@ -60,13 +59,12 @@ def main() -> int:
         coupling=coupling,
         periodic=False,  # the open pair is the exactly solvable configuration
     )
-    h_eff = effective_hamiltonian(coupling, 2, periodic=False)
     h_b = battery_hamiltonian(BatteryModel(n_sites=2, h=args.field))
     cfg = EvolutionConfig(t_max=args.t_max, dt_sample=0.01)
 
     worst_state = 0.0
     worst_energy = 0.0
-    for t, rho in evolve_stream(product_minus_state(2), h_eff, spec, cfg):
+    for t, rho in evolve_stream(product_minus_state(2), spec, cfg):
         exact = correlated_dephasing_state(params, t)
         worst_state = max(worst_state, float(np.max(np.abs(rho - exact))))
         worst_energy = max(

@@ -237,8 +237,8 @@ def dissipator_apply(
     """Apply the dissipator sum_ij Gamma_ij (L_j rho L_i^dag - 1/2 {L_i^dag L_j, rho}).
 
     Reference implementation used directly by the right-hand side of the
-    master equation at test scale; the evolver owns faster channel-specific
-    paths that are cross-checked against this one.  Output is Hermitian and
+    master equation at test scale; the evolver's sparse generator is
+    cross-checked against this one.  Output is Hermitian and
     traceless (up to round-off) for Hermitian rho and Hermitian Gamma.
     """
     rho = np.asarray(rho, dtype=complex)

@@ -6,40 +6,36 @@ The generator is
                  + sum_ij Gamma_ij (L_j rho L_i^dag - 1/2 {L_i^dag L_j, rho})
 
 where H_eff is the reservoir-induced coherent Hamiltonian (zero for purely
-local reservoirs).  The battery Hamiltonian enters observables and initial
-states only, never the generator.  The default integrator is fixed-step
-RK4 on the matrix-valued right-hand side; a vectorized matrix-exponential
-mode is available at small size as an integrator-independent cross-check.
+local reservoirs), derived from the NoiseSpec's coupling and boundary
+condition.  The battery Hamiltonian enters observables and initial states
+only, never the generator.  The integrator is fixed-step classical RK4.
 
-Channel-specific fast paths (cross-checked in tests against the literal
-dissipator sum):
-
-* dephasing with a z-diagonal H_eff acts element-wise in the z product
-  basis, so the right-hand side is a single precomputed Hadamard factor;
-* amplitude damping assembles the whole generator once as a sparse CSR
-  superoperator on vec(rho), one sparse matvec per evaluation.
+Both channels assemble the generator once as one sparse CSR superoperator
+on vec(rho) (cross-checked in tests against the literal dissipator sum).
+For sigma^z dephasing the dissipator and the diagonal of H_eff act
+elementwise in the z product basis, so they enter as the diagonal
+Lambda[a, b] of that matrix; an Ising-z H_eff leaves it purely diagonal.
 
 The generator does not depend on time, so for a linear right-hand side
 rho' = L rho one RK4 step of size dt is exactly rho -> P(dt L) rho with
 P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and the n_sub substeps between two
-samples are the fixed map M = P(dt L)^n_sub.  Both fast paths precompute M
-once per run and apply it once per sample (the same RK4 polynomial, not
-the exponential): the elementwise path as an elementwise power of its
-factor, the sparse path as dense blocks over the weakly connected
-components of the CSR's sparsity graph, on which L is block diagonal
-(blocks of equal size stacked, one batched matmul per size).  These
-components are the weak-symmetry sectors of the generator (Buca & Prosen,
-NJP 14, 073007, 2012), and since every GKSL generator satisfies
-L(rho^dag) = L(rho)^dag, the transpose vec(i, j) -> vec(j, i) maps each
-sector onto its conjugate partner, with the complex-conjugate block.  The
-sparse path therefore propagates one sector of each pair plus every
-self-conjugate one, and fills the others of the Hermitian state as
-rho[j, i] = conj(rho[i, j]).  It keeps the explicit substep loop, on the
-CSR restricted to those kept sectors, when the map would do more
-multiply-adds per sample than that loop or store more than
+samples are the fixed map M = P(dt L)^n_sub.  It is precomputed once per
+run and applied once per sample (the same RK4 polynomial, not the
+exponential).  A diagonal generator's map is the elementwise power of
+P(dt Lambda), one Hadamard product a sample.  Any other is block diagonal
+over the weakly connected components of the CSR's sparsity graph, and its
+map is stored as dense blocks over them (blocks of equal size stacked, one
+batched matmul per size).  These components are the weak-symmetry sectors
+of the generator (Buca & Prosen, NJP 14, 073007, 2012), and since every
+GKSL generator satisfies L(rho^dag) = L(rho)^dag, the transpose
+vec(i, j) -> vec(j, i) maps each sector onto its conjugate partner, with
+the complex-conjugate block.  The map therefore propagates one sector of
+each pair plus every self-conjugate one, and fills the others of the
+Hermitian state as rho[j, i] = conj(rho[i, j]).  It keeps the explicit
+substep loop, on the CSR restricted to those kept sectors, when the map
+would do more multiply-adds per sample than that loop or store more than
 SAMPLE_MAP_MAX_BYTES (amplitude damping with cross-cell rates or hopping
-from N = 7 on, local amplitude damping without hopping from N = 9 on);
-the dense generic path always runs the loop.
+from N = 7 on, local amplitude damping without hopping from N = 9 on).
 
 Within a sector the strongly connected components of the sparsity graph
 order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  For
@@ -51,7 +47,9 @@ form, P(dt L) by Horner with the sparse block and its power by squaring
 over the lower level blocks only (36 % of the dense arithmetic for the
 924-row sector at N = 6); smaller sectors are built as one dense block
 each, all blocks of one size in one batch.  The stored map and the
-per-sample apply are the same either way.
+per-sample apply are the same either way.  For sigma^z dephasing with an
+excitation-conserving, non-diagonal H_eff, each sector is one (ket, bra)
+excitation pair and a single level.
 
 Every sampled state is checked (check_state) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
@@ -82,7 +80,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -94,14 +91,14 @@ from .dissipation import (
     jump_operators,
     require_cptp,
 )
+from .models import effective_hamiltonian
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 STEADY_STATE_TOL = 1e-6
-EXPM_MAX_SITES = 5
 MAX_SAMPLES = 10**6
-# Bytes the precomputed per-sample map of the sparse path may store, 16 per
+# Bytes the precomputed block map of a non-diagonal generator may store, 16 per
 # dense complex entry summed over the kept blocks (one of each conjugate
 # pair plus the self-conjugate ones): amplitude damping with cross-cell
 # rates or hopping needs ~28 MB at N = 6 and ~415 MB at N = 7, local
@@ -141,8 +138,6 @@ HERM_DRIFT_SLAB_ROWS = 128
 # nothing.
 CHECK_CHUNK_BYTES = 256 * 2**10
 
-INTEGRATORS = ("fixed_step_rk4", "liouvillian_expm")
-
 
 class StateInvariantError(RuntimeError):
     """A sampled state left the physical region; integration is aborted.
@@ -174,7 +169,7 @@ class StateInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time grid and integrator settings.
+    """Time grid and RK4 step settings.
 
     dt_internal = None selects the default step 1e-3 / max(rate and coupling
     scales of the generator); the battery field never enters the generator,
@@ -186,18 +181,19 @@ class EvolutionConfig:
 
     t_max: float
     dt_sample: float = 0.01
-    integrator: str = "fixed_step_rk4"
     dt_internal: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("t_max", "dt_sample", "dt_internal"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_max <= 0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
         if self.dt_sample <= 0:
             raise ValueError(f"dt_sample must be > 0, got {self.dt_sample}")
         if self.t_max / self.dt_sample > MAX_SAMPLES:
             raise ValueError(f"t_max / dt_sample exceeds {MAX_SAMPLES} samples")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dt_internal is not None:
             if self.dt_internal <= 0:
                 raise ValueError("dt_internal must be > 0")
@@ -236,12 +232,6 @@ def _site_z_signs(n_sites: int) -> np.ndarray:
         bit = (a >> (n_sites - 1 - i)) & 1
         signs[i] = 1.0 - 2.0 * bit
     return signs
-
-
-def _is_z_diagonal(matrix: np.ndarray) -> bool:
-    off = np.asarray(matrix).copy()
-    np.fill_diagonal(off, 0.0)
-    return bool(np.max(np.abs(off)) < 1e-14)
 
 
 def _rk4_polynomial(x: np.ndarray, elementwise: bool) -> np.ndarray:
@@ -355,91 +345,84 @@ def _rk4_substeps(rhs, dt: float, n_sub: int, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-class _ElementwiseDephasingRHS:
-    """rhs(rho) = Lambda * rho for z-diagonal H_eff and sigma^z jumps.
-
-    With s_i(a) the sigma^z value of site i in basis state a and E_a the
-    diagonal effective energies,
+def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
+    """Lambda[a, b], the sigma^z dissipator plus the diagonal energies E of
+    H_eff acting on rho[a, b], which all multiply rho elementwise.  With
+    s_i(a) the sigma^z value of site i in basis state a,
 
         Lambda_ab = -i (E_a - E_b) + sum_ij Gamma_ij [ s_j(a) s_i(b)
                     - s_i(a) s_j(a) / 2 - s_i(b) s_j(b) / 2 ].
     """
-
-    def __init__(self, h_eff: np.ndarray, gamma: GammaMatrix) -> None:
-        signs = _site_z_signs(gamma.n_sites)
-        g = gamma.matrix
-        g_signs = g @ signs                                     # (N, dim)
-        cross = np.einsum("ja,ib,ij->ab", signs, signs, g, optimize=True)
-        self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
-        energies = np.real(np.diag(h_eff))
-        self.factor = (
-            -1j * (energies[:, None] - energies[None, :])
-            + cross
-            - 0.5 * (self_rate[:, None] + self_rate[None, :])
-        )
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.factor * rho
-
-    def sample_map(self, dt: float, n_sub: int):
-        """One sample (n_sub RK4 steps of size dt) as one Hadamard product.
-
-        It stores one array the size of `factor` and costs one multiply per
-        entry against 4 n_sub for the substep loop, so it is always used.
-        """
-        sample_factor = (
-            _rk4_polynomial(dt * self.factor, elementwise=True) ** n_sub
-        )
-        return lambda rho: sample_factor * rho
+    signs = _site_z_signs(gamma.n_sites)
+    g = gamma.matrix
+    g_signs = g @ signs                                         # (N, dim)
+    cross = np.einsum("ja,ib,ij->ab", signs, signs, g, optimize=True)
+    self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
+    return (
+        -1j * (energies[:, None] - energies[None, :])
+        + cross
+        - 0.5 * (self_rate[:, None] + self_rate[None, :])
+    )
 
 
-class _AmplitudeDampingRHS:
-    """Sparse-superoperator RHS for sigma^- jumps with arbitrary rate matrices.
-
-    Every piece of the generator is sparse for this channel (sigma^- sets
-    one bit, so each embedded jump operator has dim/2 entries), so the whole
-    right-hand side is assembled once as a CSR matrix acting on vec(rho)
-    (row-major, vec(A rho B) = kron(A, B^T) vec(rho)):
+class _Generator:
+    """The GKSL generator of either channel as one sparse CSR superoperator
+    on vec(rho) (row-major, vec(A rho B) = kron(A, B^T) vec(rho)):
 
         L = -i [kron(H_nh, I) - kron(I, conj(H_nh))]
             + sum_ij Gamma_ij kron(L_j, conj(L_i)),
 
     with the non-Hermitian drift H_nh = H_eff - (i/2) M and
-    M = sum_ij Gamma_ij sigma_i^+ sigma_j^-.  One sparse matvec per
-    evaluation replaces the dense commutator algebra, and the form is exact
-    for arbitrary (not only Hermitian) inputs.
+    M = sum_ij Gamma_ij L_i^dag L_j.  sigma^- sets one bit, so each embedded
+    jump operator has dim/2 entries and the amplitude-damping sums are
+    sparse.  For sigma^z jumps M and every kron(L_j, conj(L_i)) are
+    diagonal, so the dissipator and the diagonal of H_eff enter as the
+    diagonal Lambda (_dephasing_diagonal) and only H_eff's off-diagonal
+    entries as kron terms; with an Ising-z H_eff the matrix is diagonal.
+    One sparse matvec per evaluation; the form is exact for arbitrary (not
+    only Hermitian) inputs.
     """
 
-    def __init__(self, h_eff: np.ndarray, gamma: GammaMatrix) -> None:
+    def __init__(
+        self, h_eff: np.ndarray, gamma: GammaMatrix, channel: str
+    ) -> None:
         n = gamma.n_sites
         dim = 2**n
-        ls = [
-            scipy.sparse.csr_matrix(op)
-            for op in jump_operators("amplitude_damping", n)
-        ]
-        g = gamma.matrix
-        m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        jump = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
-        for i in range(n):
-            li_dag = ls[i].conj().T
-            for j in range(n):
-                if g[i, j] == 0:
-                    continue
-                m_op = m_op + g[i, j] * (li_dag @ ls[j])
-                jump = jump + g[i, j] * scipy.sparse.kron(
-                    ls[j], ls[i].conj(), format="csr"
-                )
-        h_nh = scipy.sparse.csr_matrix(np.asarray(h_eff, dtype=complex))
-        h_nh = h_nh - 0.5j * m_op
-        eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
-        lmat = (
-            -1j
-            * (
-                scipy.sparse.kron(h_nh, eye, format="csr")
-                - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
+        h_eff = np.array(h_eff, dtype=complex)
+        if channel == "dephasing":
+            diagonal = _dephasing_diagonal(np.real(np.diag(h_eff)), gamma)
+            size = dim * dim
+            lmat = scipy.sparse.csr_matrix(
+                (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
+                shape=(size, size),
             )
-            + jump
-        )
+            np.fill_diagonal(h_eff, 0.0)
+            h_nh = scipy.sparse.csr_matrix(h_eff)
+        else:
+            ls = [scipy.sparse.csr_matrix(op) for op in jump_operators(channel, n)]
+            g = gamma.matrix
+            m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+            lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+            for i in range(n):
+                li_dag = ls[i].conj().T
+                for j in range(n):
+                    if g[i, j] == 0:
+                        continue
+                    m_op = m_op + g[i, j] * (li_dag @ ls[j])
+                    lmat = lmat + g[i, j] * scipy.sparse.kron(
+                        ls[j], ls[i].conj(), format="csr"
+                    )
+            h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
+        if h_nh.nnz:
+            eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
+            lmat = (
+                -1j
+                * (
+                    scipy.sparse.kron(h_nh, eye, format="csr")
+                    - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
+                )
+                + lmat
+            )
         self.lmat = lmat.tocsr()
         self.dim = dim
 
@@ -451,8 +434,8 @@ class _AmplitudeDampingRHS:
         """Index sets of the weakly connected components of lmat's sparsity
         graph, each sorted ascending.  lmat has no entry between two of
         them, so it is block diagonal over them (the weak-symmetry sectors;
-        for excitation-conserving H_eff, one per ket-minus-bra excitation
-        difference)."""
+        for amplitude damping with excitation-conserving H_eff, one per
+        ket-minus-bra excitation difference)."""
         return self.conjugate_sectors()[0]
 
     def _pattern(self) -> scipy.sparse.csr_matrix:
@@ -594,10 +577,27 @@ class _AmplitudeDampingRHS:
             )
         return maps
 
+    def _is_diagonal(self) -> bool:
+        """True when lmat stores no entry off its diagonal.  The row counts
+        decide first, so a generator with off-diagonal entries in most rows
+        costs no array of nnz entries."""
+        counts = np.diff(self.lmat.indptr)
+        if counts.max(initial=0) > 1:
+            return False
+        return np.array_equal(self.lmat.indices, np.flatnonzero(counts))
+
     def sample_map(self, dt: float, n_sub: int):
-        """One sample (n_sub RK4 steps of size dt) as dense block matvecs
-        on the kept sectors (_kept_sectors), the other entries filled as
-        conjugates; exact for Hermitian rho.
+        """One sample (n_sub RK4 steps of size dt) as a precomputed map.
+
+        A diagonal lmat (sigma^z dephasing with an Ising-z H_eff) acts on
+        rho elementwise, so the map is one Hadamard product with
+        P(dt Lambda)^n_sub, which stores one array the size of rho and costs
+        one multiply per entry against 4 n_sub for the substep loop; it is
+        always used.
+
+        Any other lmat takes dense block matvecs on the kept sectors
+        (_kept_sectors), the other entries filled as conjugates; exact for
+        Hermitian rho.
 
         The block maps come from block_maps: level by level from
         LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per size below.  At
@@ -610,6 +610,10 @@ class _AmplitudeDampingRHS:
         (_substep_loop_work on the kept rows) or take more than
         SAMPLE_MAP_MAX_BYTES.
         """
+        if self._is_diagonal():
+            diagonal = self.lmat.diagonal().reshape(self.dim, self.dim)
+            factor = _rk4_polynomial(dt * diagonal, elementwise=True) ** n_sub
+            return lambda rho: factor * rho
         kept_blocks, kept, fill = self._kept_sectors()
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
         kept_nnz = int(np.diff(self.lmat.indptr)[kept].sum())
@@ -649,57 +653,9 @@ class _AmplitudeDampingRHS:
         return step
 
 
-class _GenericRHS:
-    """Dense fallback: eigendecomposed jump stack plus non-Hermitian drift.
-
-    Valid for Hermitian states (density matrices and RK4 stage values);
-    liouvillian_rhs is the fully general literal reference.
-    """
-
-    def __init__(
-        self, h_eff: np.ndarray, gamma: GammaMatrix, channel: str
-    ) -> None:
-        n = gamma.n_sites
-        ls = jump_operators(channel, n)
-        mu, v = np.linalg.eigh(gamma.matrix)
-        stack = []
-        for k in range(n):
-            a_k = np.zeros_like(ls[0])
-            for j in range(n):
-                a_k += np.conj(v[j, k]) * ls[j]
-            stack.append(a_k)
-        self.mu = mu
-        self.a_stack = np.array(stack)
-        self.a_dag_stack = self.a_stack.conj().transpose(0, 2, 1)
-        m_op = np.einsum(
-            "k,kij,kjl->il", mu, self.a_dag_stack, self.a_stack, optimize=True
-        )
-        self.h_nh = np.asarray(h_eff, dtype=complex) - 0.5j * m_op
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        drift = self.h_nh @ rho
-        out = -1j * (drift - drift.conj().T)
-        sandwich = self.a_stack @ rho @ self.a_dag_stack
-        out += np.einsum("k,kij->ij", self.mu, sandwich, optimize=True)
-        return out
-
-    def sample_map(self, dt: float, n_sub: int):
-        """None: this path is valid on Hermitian inputs only, so it has no
-        superoperator to precompute and always runs the substep loop."""
-        return None
-
-    def substep_loop(self, dt: float, n_sub: int):
-        """One sample as n_sub explicit RK4 steps of size dt."""
-        return functools.partial(_rk4_substeps, self, dt, n_sub)
-
-
 def make_rhs(h_eff: np.ndarray, gamma: GammaMatrix, channel: str):
-    """Compiled right-hand-side callable for repeated evaluation."""
-    if channel == "dephasing" and _is_z_diagonal(h_eff):
-        return _ElementwiseDephasingRHS(h_eff, gamma)
-    if channel == "amplitude_damping":
-        return _AmplitudeDampingRHS(h_eff, gamma)
-    return _GenericRHS(h_eff, gamma, channel)
+    """The run's generator (_Generator), built once for repeated evaluation."""
+    return _Generator(h_eff, gamma, channel)
 
 
 def liouvillian_rhs(
@@ -718,38 +674,6 @@ def liouvillian_rhs(
         -1j * (h_eff @ rho - rho @ h_eff)
         + dissipator_apply(gamma, channel, rho)
     )
-
-
-def liouvillian_matrix(
-    h_eff: np.ndarray, gamma: GammaMatrix, channel: str
-) -> np.ndarray:
-    """Vectorized generator L with vec(rho) = rho.reshape(-1) (row-major).
-
-    vec(A rho B) = kron(A, B^T) vec(rho), so
-
-        L = -i [kron(H, I) - kron(I, H^T)]
-            + sum_ij Gamma_ij [ kron(L_j, conj(L_i))
-                                - 1/2 kron(L_i^dag L_j, I)
-                                - 1/2 kron(I, (L_i^dag L_j)^T) ].
-    """
-    n = gamma.n_sites
-    dim = 2**n
-    ls = jump_operators(channel, n)
-    eye = np.eye(dim, dtype=complex)
-    h_eff = np.asarray(h_eff, dtype=complex)
-    lmat = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.T))
-    g = gamma.matrix
-    for i in range(n):
-        for j in range(n):
-            if g[i, j] == 0:
-                continue
-            ldl = ls[i].conj().T @ ls[j]
-            lmat += g[i, j] * (
-                np.kron(ls[j], ls[i].conj())
-                - 0.5 * np.kron(ldl, eye)
-                - 0.5 * np.kron(eye, ldl.T)
-            )
-    return lmat
 
 
 class StateCheck(NamedTuple):
@@ -1149,7 +1073,6 @@ class SampleChunk(NamedTuple):
 
 def evolve_stream(
     rho0: np.ndarray,
-    h_eff: np.ndarray,
     spec: NoiseSpec,
     cfg: EvolutionConfig,
     info: dict | None = None,
@@ -1157,8 +1080,11 @@ def evolve_stream(
     """Generator form of evolve: yields (t, rho) one sample at a time.
 
     Memory stays O(dim^2) regardless of the grid length; evolve() collects
-    the samples into the list form.  The rate matrix built from `spec` must
-    pass CPTP validation or integration is refused; every yielded state is
+    the samples into the list form.  The generator comes from `spec` and
+    the number of cells N of rho0 alone: the rate matrix, which must pass
+    CPTP validation or integration is refused, and H_eff, the
+    reservoir-induced coupling on spec's bonds (models.effective_hamiltonian
+    with spec.periodic; zero without a coupling).  Every yielded state is
     checked against the density-matrix invariants.
 
     The samples after t = 0 are made a chunk at a time: K states are
@@ -1171,15 +1097,14 @@ def evolve_stream(
 
     If `info` is a dict, the propagation path is stored under
     info["propagation"] before the first sample after t = 0 is yielded:
-    "rk4_sample_map" (precomputed per-sample RK4 map), "rk4_substep_loop"
-    (explicit RK4 substeps) or "expm" (the liouvillian_expm integrator).
-    info["timing_s"] holds the wall seconds of the run's phases: "build",
-    the generator and its per-sample map or step, set with
-    info["propagation"]; "propagate" and "check", the propagation and the
-    check_state calls of the samples after t = 0, summed over the chunks;
-    and "sampling", from the start of the first sample after t = 0 to the
-    end of the stream (the consumer's time between samples included), set
-    when the stream ends.
+    "rk4_sample_map" (precomputed per-sample RK4 map) or "rk4_substep_loop"
+    (explicit RK4 substeps).  info["timing_s"] holds the wall seconds of the
+    run's phases: "build", H_eff, the generator and its per-sample map or
+    step, set with info["propagation"]; "propagate" and "check", the
+    propagation and the check_state calls of the samples after t = 0,
+    summed over the chunks; and "sampling", from the start of the first
+    sample after t = 0 to the end of the stream (the consumer's time
+    between samples included), set when the stream ends.
     Before each sample is yielded, its check_state record is stored under
     info["check"] (its populations feed observables.ergotropy without a
     second eigendecomposition, and its parity blocks, when the state has
@@ -1196,13 +1121,6 @@ def evolve_stream(
     n_sites = int(np.log2(dim))
     if 2**n_sites != dim or rho.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} is not a 2^N square")
-    h_eff = np.asarray(h_eff, dtype=complex)
-    if h_eff.shape != rho.shape:
-        raise ValueError(
-            f"dimension mismatch: H_eff {h_eff.shape} vs state {rho.shape}"
-        )
-    if np.max(np.abs(h_eff - h_eff.conj().T)) > 1e-12:
-        raise ValueError("evolve expects a Hermitian H_eff")
     gamma = build_gamma(spec, n_sites)
     require_cptp(gamma)
     margins = {
@@ -1237,27 +1155,17 @@ def evolve_stream(
     n_samples, n_sub = resolve_time_grid(cfg, spec)
     yield from emit(SampleChunk([0.0], rho[None].copy(), [check]))
     start = time.perf_counter()
-    if cfg.integrator == "liouvillian_expm":
-        if n_sites > EXPM_MAX_SITES:
-            raise ValueError(
-                f"liouvillian_expm supports N <= {EXPM_MAX_SITES} cells"
-            )
-        lmat = liouvillian_matrix(h_eff, gamma, spec.channel)
-        propagator = scipy.linalg.expm(lmat * cfg.dt_sample)
-        path = "expm"
-
-        def step(rho: np.ndarray) -> np.ndarray:
-            return (propagator @ rho.reshape(-1)).reshape(dim, dim)
-
+    if spec.coupling is None:
+        h_eff = np.zeros((dim, dim), dtype=complex)
     else:
-        rhs = make_rhs(h_eff, gamma, spec.channel)
-        dt = cfg.dt_sample / n_sub
-        step, path = rhs.sample_map(dt, n_sub), "rk4_sample_map"
-        if step is None:
-            step, path = rhs.substep_loop(dt, n_sub), "rk4_substep_loop"
-        # the step holds what it applies; the damping generator need not
-        # outlive it
-        del rhs
+        h_eff = effective_hamiltonian(spec.coupling, n_sites, spec.periodic)
+    rhs = make_rhs(h_eff, gamma, spec.channel)
+    dt = cfg.dt_sample / n_sub
+    step, path = rhs.sample_map(dt, n_sub), "rk4_sample_map"
+    if step is None:
+        step, path = rhs.substep_loop(dt, n_sub), "rk4_substep_loop"
+    # the step holds what it applies; the generator need not outlive it
+    del rhs
     if info is not None:
         info["propagation"] = path
     timing["build"] = time.perf_counter() - start
@@ -1289,13 +1197,10 @@ def evolve_stream(
 
 
 def evolve(
-    rho0: np.ndarray,
-    h_eff: np.ndarray,
-    spec: NoiseSpec,
-    cfg: EvolutionConfig,
+    rho0: np.ndarray, spec: NoiseSpec, cfg: EvolutionConfig
 ) -> list[tuple[float, np.ndarray]]:
     """Integrate the master equation and return all sampled (t, rho) pairs."""
-    return list(evolve_stream(rho0, h_eff, spec, cfg))
+    return list(evolve_stream(rho0, spec, cfg))
 
 
 def steady_state_probe(

@@ -53,7 +53,6 @@ from .dissipation import (
     validate_cptp,
 )
 from .evolution import (
-    INTEGRATORS,
     EvolutionConfig,
     evolve_stream,
     resolve_time_grid,
@@ -63,7 +62,9 @@ from .models import (
     BatteryModel,
     EffectiveCoupling,
     battery_hamiltonian,
-    effective_hamiltonian,
+    # evolve_stream derives H_eff from the NoiseSpec; the name stays
+    # importable here because perfbench/child.py wraps it by this path
+    effective_hamiltonian,  # noqa: F401
     field_product_eigenbasis,
     ground_state,
     product_minus_state,
@@ -130,7 +131,6 @@ class ScenarioConfig:
         j_xx, d_dm: symmetric and antisymmetric parts of the complex
             hopping j_xx + i * d_dm used by amplitude-damping runs.
         t_max, dt_sample: sampling grid of the emitted time series.
-        integrator: "fixed_step_rk4" or "liouvillian_expm".
         dt_internal: RK4 substep; None selects the evolver default.
         description: one-line human summary (shown by list_presets).
     """
@@ -150,7 +150,6 @@ class ScenarioConfig:
     j_xx: float = 0.0
     d_dm: float = 0.0
     dt_sample: float = 0.01
-    integrator: str = "fixed_step_rk4"
     dt_internal: float | None = None
     description: str = ""
 
@@ -263,11 +262,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad("dt_sample", f"must be a finite number > 0, got {cfg.dt_sample!r}")
     elif math.isfinite(cfg.t_max) and cfg.t_max > 0 and cfg.t_max < cfg.dt_sample:
         bad("t_max", "must be at least dt_sample (otherwise no samples)")
-    if cfg.integrator not in INTEGRATORS:
-        bad(
-            "integrator",
-            f"unknown integrator {cfg.integrator!r} (choices: {INTEGRATORS})",
-        )
     if cfg.dt_internal is not None:
         good_dt = (
             isinstance(cfg.dt_internal, (int, float))
@@ -490,7 +484,6 @@ CONFIG_KEYS: dict[str, tuple[str, object]] = {
     "d_dm": ("d_dm", float),
     "t_max": ("t_max", float),
     "dt_sample": ("dt_sample", float),
-    "integrator": ("integrator", str),
     "dt_internal": ("dt_internal", _parse_optional_float),
     "description": ("description", str),
 }
@@ -738,16 +731,8 @@ def _execute_run(payload: tuple) -> dict:
         rho0 = ground_state(h_b)
 
     spec = _noise_spec(cfg, channel, topology, modulus)
-    coupling = spec.coupling
-    if coupling is None:
-        h_eff = np.zeros_like(h_b)
-    else:
-        h_eff = effective_hamiltonian(coupling, n_sites, periodic=True)
     evo = EvolutionConfig(
-        t_max=cfg.t_max,
-        dt_sample=cfg.dt_sample,
-        integrator=cfg.integrator,
-        dt_internal=cfg.dt_internal,
+        t_max=cfg.t_max, dt_sample=cfg.dt_sample, dt_internal=cfg.dt_internal
     )
     n_samples, n_sub = resolve_time_grid(evo, spec)
 
@@ -763,7 +748,7 @@ def _execute_run(payload: tuple) -> dict:
     _LOG.info(
         "run %s %s N=%d: %d samples", channel, topology, n_sites, n_samples + 1
     )
-    for t, rho in evolve_stream(rho0, h_eff, spec, evo, info=evolution_info):
+    for t, rho in evolve_stream(rho0, spec, evo, info=evolution_info):
         chunk = evolution_info["chunk"]
         if chunk is not measured:
             # the chunk's first sample: measure and format all of its rows
@@ -822,7 +807,6 @@ def _execute_run(payload: tuple) -> dict:
         "topology": topology,
         "n_sites": n_sites,
         "n_samples": n_samples + 1,
-        "integrator": cfg.integrator,
         "rk4_substeps_per_sample": n_sub,
         "propagation": evolution_info["propagation"],
         "dt_internal_effective": cfg.dt_sample / n_sub,

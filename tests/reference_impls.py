@@ -115,6 +115,51 @@ def ref_master_rhs(
     )
 
 
+def ref_generator_matrix(
+    h_eff: np.ndarray, gamma_matrix: np.ndarray, jumps: list[np.ndarray]
+) -> np.ndarray:
+    """Dense generator on vec(rho) (row-major), column by column: column
+    a * dim + b is ref_master_rhs applied to the unit matrix |a><b|."""
+    dim = h_eff.shape[0]
+    columns = []
+    for k in range(dim * dim):
+        unit = np.zeros(dim * dim, dtype=complex)
+        unit[k] = 1.0
+        rho = unit.reshape(dim, dim)
+        columns.append(ref_master_rhs(h_eff, gamma_matrix, jumps, rho).reshape(-1))
+    return np.column_stack(columns)
+
+
+def ref_dephasing_diagonal(
+    energies: np.ndarray, gamma_matrix: np.ndarray, n_sites: int
+) -> np.ndarray:
+    """Lambda[a, b] of sigma^z dephasing with diagonal H_eff energies E:
+
+        Lambda_ab = -i (E_a - E_b) + sum_ij Gamma_ij [ s_j(a) s_i(b)
+                    - s_i(a) s_j(a) / 2 - s_i(b) s_j(b) / 2 ],
+
+    s_i(a) the sigma^z value of site i in basis state a (site 0 = MSB).
+    Unlike the rest of this module this is the library's own arithmetic,
+    operation for operation, so that a test can demand equality bit for
+    bit: the dephasing CSVs and the exact translation invariance of ring
+    runs rest on these exact values."""
+    dim = 2**n_sites
+    signs = np.array(
+        [
+            [-1.0 if (a >> (n_sites - 1 - i)) & 1 else 1.0 for a in range(dim)]
+            for i in range(n_sites)
+        ]
+    )
+    g_signs = gamma_matrix @ signs
+    cross = np.einsum("ja,ib,ij->ab", signs, signs, gamma_matrix, optimize=True)
+    self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
+    return (
+        -1j * (energies[:, None] - energies[None, :])
+        + cross
+        - 0.5 * (self_rate[:, None] + self_rate[None, :])
+    )
+
+
 def solve_master_ivp(
     h_eff: np.ndarray,
     gamma_matrix: np.ndarray,

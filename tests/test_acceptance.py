@@ -25,7 +25,6 @@ from qbattery import (
     correlated_dephasing_energy,
     correlated_dephasing_ergotropy_limit,
     correlated_dephasing_state,
-    effective_hamiltonian,
     ergotropy,
     ergotropy_bruteforce_oracle,
     evolve_stream,
@@ -98,9 +97,6 @@ def test_criterion_01_two_cell_closed_form(capsys):
         coupling=EffectiveCoupling(kind="ising_z", j_z=p.j_z),
         periodic=False,  # single-bond pair: the exactly solvable layout
     )
-    h_eff = effective_hamiltonian(
-        EffectiveCoupling(kind="ising_z", j_z=p.j_z), 2, periodic=False
-    )
     h_b = battery_hamiltonian(BatteryModel(n_sites=2, h=p.h))
     targets = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     worst_state = 0.0
@@ -108,7 +104,6 @@ def test_criterion_01_two_cell_closed_form(capsys):
     checked = 0
     for t, rho in evolve_stream(
         product_minus_state(2),
-        h_eff,
         spec,
         EvolutionConfig(t_max=10.0, dt_sample=0.1),
     ):
@@ -156,7 +151,6 @@ def test_criterion_02_local_dephasing_stores_no_work(capsys):
         h_energies = np.linalg.eigvalsh(h_b)
         for _, rho in evolve_stream(
             product_minus_state(n),
-            np.zeros_like(h_b),
             spec,
             EvolutionConfig(t_max=5.0, dt_sample=0.01),
         ):
@@ -395,7 +389,6 @@ def test_criterion_08_damping_full_extraction(capsys, tmp_path_factory):
     worst_state = 0.0
     for t, rho in evolve_stream(
         product_minus_state(1),
-        np.zeros((2, 2), dtype=complex),
         spec,
         EvolutionConfig(t_max=10.0, dt_sample=0.1),
     ):
@@ -512,7 +505,6 @@ def test_criterion_11_invariants_and_step_convergence(capsys, tmp_path_factory):
                 gamma_offdiag=G12,
                 coupling=EffectiveCoupling(kind="ising_z", j_z=1.0),
             ),
-            effective_hamiltonian(EffectiveCoupling(kind="ising_z", j_z=1.0), 6),
             2.0,
         ),
         (
@@ -525,16 +517,12 @@ def test_criterion_11_invariants_and_step_convergence(capsys, tmp_path_factory):
                 gamma_offdiag=G12,
                 coupling=EffectiveCoupling(kind="xx_dm", j_xx=1.2, d_dm=0.2),
             ),
-            effective_hamiltonian(
-                EffectiveCoupling(kind="xx_dm", j_xx=1.2, d_dm=0.2), 4
-            ),
             2.0,
         ),
     )
-    for _, n, spec, h_eff, t_max in reps:
+    for _, n, spec, t_max in reps:
         for _, rho in evolve_stream(
             product_minus_state(n),
-            h_eff,
             spec,
             EvolutionConfig(t_max=t_max, dt_sample=0.01),
         ):

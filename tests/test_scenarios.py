@@ -667,10 +667,13 @@ class TestCli:
             "typo_key = 1\n"
             "gamma = -1\n"
             "initial_state = bogus\n"
+            "integrator = fixed_step_rk4\n"
         )
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "typo_key" in err and "gamma" in err and "initial_state" in err
+        # the RK4 integrator is the only one, so the key is gone
+        assert "integrator: unknown key" in err
 
     def test_run_cptp_violation_exits_3_naming_bound(self, tmp_path, capsys):
         path = tmp_path / "hot.cfg"
