@@ -33,9 +33,21 @@ the complex-conjugate block.  The map therefore propagates one sector of
 each pair plus every self-conjugate one, and fills the others of the
 Hermitian state as rho[j, i] = conj(rho[i, j]).  It keeps the explicit
 substep loop, on the CSR restricted to those kept sectors, when the map
-would do more multiply-adds per sample than that loop or store more than
-SAMPLE_MAP_MAX_BYTES (amplitude damping with cross-cell rates or hopping
-from N = 7 on, local amplitude damping without hopping from N = 9 on).
+would do more multiply-adds per sample than that loop or its whole blocks
+take more than SAMPLE_MAP_MAX_BYTES (all-to-all amplitude damping from
+N = 7 on).
+
+Ring and local runs commute with the cyclic site shift T.  When the CSR
+commutes bit for bit with the superoperator shift vec(a, b) ->
+vec(T a, T b) and the initial state is exactly T-invariant, make_rhs
+reduces a non-diagonal generator to one value per orbit of that shift,
+L_red = L[representatives] S with S the orbit-indicator matrix (700 of
+4,096 values at N = 6, 2,344 of 16,384 at N = 7), and the sectors, the
+conjugate pairs, the level maps and the substep loop above run on L_red
+unchanged; each sample scatters the orbit values back along the orbits,
+so it is exactly T-invariant.  Ring and local amplitude damping from
+|->^N take this path, all-to-all does not (its complex cross rates are
+oriented i < j), and any run that fails either test keeps vec(rho).
 
 Within a sector the strongly connected components of the sparsity graph
 order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  For
@@ -49,7 +61,8 @@ over the lower level blocks only (36 % of the dense arithmetic for the
 each, all blocks of one size in one batch.  The stored map and the
 per-sample apply are the same either way.  For sigma^z dephasing with an
 excitation-conserving, non-diagonal H_eff, each sector is one (ket, bra)
-excitation pair and a single level.
+excitation pair and a single level.  The map of a level-split sector is
+stored and applied only up to its level diagonal, one row slab per level.
 
 Every sampled state is checked (check_state) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
@@ -59,16 +72,16 @@ global spin flip P = sigma^x on every cell, another weak symmetry, so from
 a flip-invariant start such as |->^N each sample is block diagonal in P's
 two parity sectors.  The check tests that exactly, bit for bit, on every sample and
 then diagonalizes the two half-size blocks instead of the whole state.
-Ring and local runs also commute with the cyclic site shift T, and their
-dephasing samples from |->^N are exactly T-invariant, so from
-TRANSLATION_SPLIT_MIN_DIM rows on the check tests that bit for bit too and
-takes the spectrum from the momentum blocks over the orbits of T (Sandvik,
-AIP Conf. Proc. 1297, 135, 2010, section 4), N blocks of about dim / N
-rows.  All-to-all dephasing samples after t = 0 break T through their
-complex cross-cell rates and keep the parity blocks.  A state that is not
-exactly invariant under either symmetry takes the full eigvalsh, such as
-any amplitude-damping sample after t = 0 (a damping ring is off
-T-invariance by ~1e-15).
+Ring and local dephasing samples from |->^N are exactly T-invariant (the
+dephasing diagonal is built exactly T-invariant for them), and so are the
+shift-reduced damping samples, so from TRANSLATION_SPLIT_MIN_DIM rows on
+the check tests that bit for bit too and takes the spectrum from the
+momentum blocks over the orbits of T (Sandvik, AIP Conf. Proc. 1297, 135,
+2010, section 4), N blocks of about dim / N rows.  All-to-all samples
+after t = 0 break T through their complex cross-cell rates and keep the
+parity blocks (dephasing) or the full eigvalsh (damping, which breaks the
+flip symmetry too).  A state that is not exactly invariant under either
+symmetry takes the full eigvalsh.
 """
 
 from __future__ import annotations
@@ -77,7 +90,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -98,12 +111,16 @@ HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 STEADY_STATE_TOL = 1e-6
 MAX_SAMPLES = 10**6
-# Bytes the precomputed block map of a non-diagonal generator may store, 16 per
+# Bytes the whole blocks of a non-diagonal generator's map may take, 16 per
 # dense complex entry summed over the kept blocks (one of each conjugate
-# pair plus the self-conjugate ones): amplitude damping with cross-cell
-# rates or hopping needs ~28 MB at N = 6 and ~415 MB at N = 7, local
-# amplitude damping ((6^N + 4^N) / 2 entries) ~14 MB at N = 8 and ~83 MB at
-# N = 9.  Above the bound the run uses the explicit substep loop.
+# pair plus the self-conjugate ones); the build holds them whole, though a
+# level-split block is then stored up to its level diagonal only.
+# All-to-all amplitude damping with hopping needs ~28 MB at N = 6 and
+# ~415 MB at N = 7, which keeps the explicit substep loop.  Ring and local
+# damping from |->^N take the shift-reduced generator (make_rhs), whose
+# blocks take 0.8 MiB at N = 6 and 8.1 MiB at N = 7 on the ring and 8.4 MiB
+# at N = 9 local; without the reduction local amplitude damping
+# ((6^N + 4^N) / 2 entries) would need ~83 MB at N = 9.
 SAMPLE_MAP_MAX_BYTES = 64 * 2**20
 # Kept sectors with at least this many rows build their map level by level
 # (block lower triangular); smaller ones as one dense block each.  On the
@@ -112,6 +129,12 @@ SAMPLE_MAP_MAX_BYTES = 64 * 2**20
 # time of the dense one from 210 rows on (6.2 against 11.7 ms; 0.29 against
 # 0.93 s at 924 rows); at 45 to 70 rows it took 2 to 3 times as long.
 LEVEL_SPLIT_MIN_ROWS = 160
+# Rows per slab in which make_rhs compares a generator with its image under
+# the superoperator shift (_commutes_with).  All-to-all amplitude damping at
+# N = 7 (16,384 rows, 561k stored entries) fails in its first slab; a
+# whole-matrix comparison raised that process's peak memory by 14 MB.  Up
+# to N = 5 a generator is one slab.
+COMMUTE_SLAB_ROWS = 1024
 # Bytes of dense generator blocks built in one batch by the dense build; a
 # batch's temporaries are a few times this.
 DENSE_BUILD_BATCH_BYTES = 4 * 2**20
@@ -352,12 +375,26 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
 
         Lambda_ab = -i (E_a - E_b) + sum_ij Gamma_ij [ s_j(a) s_i(b)
                     - s_i(a) s_j(a) / 2 - s_i(b) s_j(b) / 2 ].
+
+    A circulant rate matrix (ring and local reservoirs, bit for bit) makes
+    the dissipator commute with the cyclic site shift T, so its terms are
+    equal on every (T^j a, T^j b).  The sums meet their terms in another
+    order on each entry of such an orbit, so each entry takes the value of
+    its orbit's smallest index (_pair_orbits, and _orbits for the
+    per-state rates), and the terms are exactly T-invariant.  With
+    T-invariant energies, too, so is Lambda.
     """
-    signs = _site_z_signs(gamma.n_sites)
+    n = gamma.n_sites
+    signs = _site_z_signs(n)
     g = gamma.matrix
     g_signs = g @ signs                                         # (N, dim)
     cross = np.einsum("ja,ib,ij->ab", signs, signs, g, optimize=True)
     self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
+    if np.array_equal(np.roll(g, (1, 1), axis=(0, 1)), g):
+        pairs = _pair_orbits(n)
+        smallest = pairs.representatives[pairs.orbit_of]
+        cross = cross.reshape(-1)[smallest].reshape(cross.shape)
+        self_rate = self_rate[_orbits(n).smallest]
     return (
         -1j * (energies[:, None] - energies[None, :])
         + cross
@@ -365,7 +402,9 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     )
 
 
-class _Generator:
+def _gksl_matrix(
+    h_eff: np.ndarray, gamma: GammaMatrix, channel: str
+) -> scipy.sparse.csr_matrix:
     """The GKSL generator of either channel as one sparse CSR superoperator
     on vec(rho) (row-major, vec(A rho B) = kron(A, B^T) vec(rho)):
 
@@ -379,56 +418,114 @@ class _Generator:
     diagonal, so the dissipator and the diagonal of H_eff enter as the
     diagonal Lambda (_dephasing_diagonal) and only H_eff's off-diagonal
     entries as kron terms; with an Ising-z H_eff the matrix is diagonal.
-    One sparse matvec per evaluation; the form is exact for arbitrary (not
-    only Hermitian) inputs.
+    The form is exact for arbitrary (not only Hermitian) inputs.
+    """
+    n = gamma.n_sites
+    dim = 2**n
+    h_eff = np.array(h_eff, dtype=complex)
+    if channel == "dephasing":
+        diagonal = _dephasing_diagonal(np.real(np.diag(h_eff)), gamma)
+        size = dim * dim
+        lmat = scipy.sparse.csr_matrix(
+            (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
+            shape=(size, size),
+        )
+        np.fill_diagonal(h_eff, 0.0)
+        h_nh = scipy.sparse.csr_matrix(h_eff)
+    else:
+        ls = [scipy.sparse.csr_matrix(op) for op in jump_operators(channel, n)]
+        g = gamma.matrix
+        m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+        lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+        for i in range(n):
+            li_dag = ls[i].conj().T
+            for j in range(n):
+                if g[i, j] == 0:
+                    continue
+                m_op = m_op + g[i, j] * (li_dag @ ls[j])
+                lmat = lmat + g[i, j] * scipy.sparse.kron(
+                    ls[j], ls[i].conj(), format="csr"
+                )
+        h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
+    if h_nh.nnz:
+        eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
+        lmat = (
+            -1j
+            * (
+                scipy.sparse.kron(h_nh, eye, format="csr")
+                - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
+            )
+            + lmat
+        )
+    return lmat.tocsr()
+
+
+class _Generator:
+    """A run's generator as a sparse CSR matrix `lmat` on the vector it
+    propagates, with the weak sectors, conjugate pairs and per-sample maps
+    of that matrix.
+
+    The vector is vec(rho) (_gksl_matrix), or, for a generator reduced to
+    the orbits of the superoperator shift (make_rhs), one value per orbit
+    (a, b) -> (T a, T b) of vec indices (`orbits`, _pair_orbits): rho's
+    entry at the orbit's smallest index, which every entry of the orbit
+    shares in a T-invariant state.  The reduced matrix is
+    L_red = L[representatives] S for the orbit-indicator matrix S
+    (S[k, o] = 1 when vec index k lies in orbit o), exact on T-invariant
+    states; the steps gather those entries from rho and scatter the
+    propagated values back along the orbits.  One sparse matvec per
+    evaluation.
     """
 
     def __init__(
-        self, h_eff: np.ndarray, gamma: GammaMatrix, channel: str
+        self,
+        lmat: scipy.sparse.csr_matrix,
+        dim: int,
+        orbits: _PairOrbits | None = None,
     ) -> None:
-        n = gamma.n_sites
-        dim = 2**n
-        h_eff = np.array(h_eff, dtype=complex)
-        if channel == "dephasing":
-            diagonal = _dephasing_diagonal(np.real(np.diag(h_eff)), gamma)
-            size = dim * dim
-            lmat = scipy.sparse.csr_matrix(
-                (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
-                shape=(size, size),
-            )
-            np.fill_diagonal(h_eff, 0.0)
-            h_nh = scipy.sparse.csr_matrix(h_eff)
-        else:
-            ls = [scipy.sparse.csr_matrix(op) for op in jump_operators(channel, n)]
-            g = gamma.matrix
-            m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-            lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
-            for i in range(n):
-                li_dag = ls[i].conj().T
-                for j in range(n):
-                    if g[i, j] == 0:
-                        continue
-                    m_op = m_op + g[i, j] * (li_dag @ ls[j])
-                    lmat = lmat + g[i, j] * scipy.sparse.kron(
-                        ls[j], ls[i].conj(), format="csr"
-                    )
-            h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
-        if h_nh.nnz:
-            eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
-            lmat = (
-                -1j
-                * (
-                    scipy.sparse.kron(h_nh, eye, format="csr")
-                    - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
-                )
-                + lmat
-            )
-        self.lmat = lmat.tocsr()
+        self.lmat = lmat
         self.dim = dim
+        self.orbits = orbits
+
+    @functools.cached_property
+    def transpose(self) -> np.ndarray:
+        """The position of the conjugate partner rho[j, i] of each
+        propagated value: the row-major vec index, or the orbit of
+        (b, a)."""
+        if self.orbits is None:
+            return _transpose_index(np.arange(self.dim**2), self.dim)
+        return self.orbits.transpose
+
+    def shift_reduced(self, orbits: _PairOrbits) -> _Generator | None:
+        """The generator reduced to `orbits`, or None unless lmat commutes
+        bit for bit with the superoperator shift (lmat[T k, T l] ==
+        lmat[k, l] for every pair of vec indices).
+
+        Each row of L_red sums its representative's row of lmat over the
+        orbits of the columns.  Every stored entry's image under the
+        transpose permutation is stored too, as zero where the sums leave
+        none, so that the transpose maps each weak sector of L_red onto
+        one (conjugate_sectors); the zeros change no value.
+        """
+        if not _commutes_with(self.lmat, orbits.shift):
+            return None
+        rows = self.lmat[orbits.representatives]
+        row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+        col = orbits.orbit_of[rows.indices]
+        image = orbits.transpose
+        data = np.concatenate((rows.data, np.zeros(len(row))))
+        row = np.concatenate((row, image[row]))
+        col = np.concatenate((col, image[col]))
+        size = rows.shape[0]
+        lmat = scipy.sparse.csr_matrix((data, (row, col)), shape=(size, size))
+        return _Generator(lmat, self.dim, orbits)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        flat = self.lmat @ np.ascontiguousarray(rho).reshape(-1)
-        return flat.reshape(self.dim, self.dim)
+        flat = np.ascontiguousarray(rho).reshape(-1)
+        if self.orbits is None:
+            return (self.lmat @ flat).reshape(self.dim, self.dim)
+        values = self.lmat @ flat[self.orbits.representatives]
+        return values[self.orbits.orbit_of].reshape(self.dim, self.dim)
 
     def blocks(self) -> list[np.ndarray]:
         """Index sets of the weakly connected components of lmat's sparsity
@@ -449,7 +546,7 @@ class _Generator:
     def conjugate_sectors(self) -> tuple[list[np.ndarray], np.ndarray]:
         """(blocks, partner): the blocks as blocks() returns them, and
         partner[c] the block onto which the transpose vec(i, j) -> vec(j, i)
-        maps block c.
+        (`transpose`) maps block c.
 
         Every GKSL generator satisfies L(rho^dag) = L(rho)^dag, that is
         lmat[T a, T b] = conj(lmat[a, b]) for the transpose T, so T maps each
@@ -465,7 +562,7 @@ class _Generator:
         order = np.argsort(labels, kind="stable")
         bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
         firsts = order[np.concatenate(([0], bounds))]
-        return np.split(order, bounds), labels[_transpose_index(firsts, self.dim)]
+        return np.split(order, bounds), labels[self.transpose[firsts]]
 
     @functools.cached_property
     def _level(self) -> np.ndarray:
@@ -523,11 +620,14 @@ class _Generator:
 
     def block_maps(
         self, blocks: list[np.ndarray], dt: float, n_sub: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(indices, maps) for each distinct size s of the given blocks:
-        the (k, s) stack of the k blocks' indices, in the order their maps
-        use, and the (k, s, s) stack of their maps P(dt L_b)^n_sub, where
-        L_b is lmat restricted to the block in that order.
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (indices, maps) for each distinct size s of the given
+        blocks, the largest first: the (k, s) stack of the k blocks'
+        indices, in the order their maps use, and the (k, s, s) stack of
+        their maps P(dt L_b)^n_sub, where L_b is lmat restricted to the
+        block in that order.  A group is built when it is asked for, so a
+        caller that keeps only a part of each group's maps never holds all
+        of them at once.
 
         A block of at least LEVEL_SPLIT_MIN_ROWS rows is put in level order
         (levels()) and built by _level_map, so its map is block lower
@@ -538,11 +638,10 @@ class _Generator:
         by_size: dict[int, list[np.ndarray]] = {}
         for idx in blocks:
             by_size.setdefault(len(idx), []).append(idx)
-        groups = []
-        for size, same in by_size.items():
+        for size, same in sorted(by_size.items(), reverse=True):
             indices = np.stack(same)
             if size < LEVEL_SPLIT_MIN_ROWS:
-                groups.append((indices, self._dense_maps(indices, dt, n_sub)))
+                yield indices, self._dense_maps(indices, dt, n_sub)
                 continue
             maps = np.zeros((len(same), size, size), dtype=complex)
             for b, idx in enumerate(same):
@@ -550,8 +649,7 @@ class _Generator:
                 sub = dt * self.lmat[indices[b]][:, indices[b]]
                 offsets = np.concatenate(([0], np.cumsum(sizes)))
                 _level_map(sub, n_sub, offsets, maps[b])
-            groups.append((indices, maps))
-        return groups
+            yield indices, maps
 
     def _dense_maps(
         self, indices: np.ndarray, dt: float, n_sub: int
@@ -597,22 +695,32 @@ class _Generator:
 
         Any other lmat takes dense block matvecs on the kept sectors
         (_kept_sectors), the other entries filled as conjugates; exact for
-        Hermitian rho.
+        Hermitian rho.  A shift-reduced generator (make_rhs) propagates the
+        orbit values and scatters them along the orbits.
 
         The block maps come from block_maps: level by level from
         LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per size below.  At
         N = 6 with hopping (fig7, 13 substeps) this method took 0.68 to
         0.79 s against 1.86 to 2.13 s when every block was built dense
-        (one BLAS thread, 2-core Xeon).  Blocks of equal size are stacked, so a sample costs one
-        batched matmul per distinct block size.  Returns None, and the
-        caller runs substep_loop, when the kept blocks hold at least as
-        many entries as that loop does multiply-adds per sample
-        (_substep_loop_work on the kept rows) or take more than
-        SAMPLE_MAP_MAX_BYTES.
+        (one BLAS thread, 2-core Xeon).  The smaller blocks are stored
+        whole, blocks of equal size stacked, one batched matmul per size a
+        sample.  A level-split block's map is block lower triangular, so
+        only each level's row slab up to the diagonal is stored and applied,
+        one matvec per level (at fig7 N = 6 all-to-all, 17.8 MiB instead of
+        27.1 MiB).  Returns None, and the caller runs substep_loop, when the
+        kept blocks hold at least as many entries as that loop does
+        multiply-adds per sample (_substep_loop_work on the kept rows) or
+        their whole blocks take more than SAMPLE_MAP_MAX_BYTES, the memory
+        the build needs: all-to-all amplitude damping from N = 7 on (~415
+        MB there), while the shift-reduced ring and local damping maps stay
+        small.
         """
         if self._is_diagonal():
-            diagonal = self.lmat.diagonal().reshape(self.dim, self.dim)
-            factor = _rk4_polynomial(dt * diagonal, elementwise=True) ** n_sub
+            factor = _rk4_polynomial(dt * self.lmat.diagonal(), elementwise=True)
+            factor = factor**n_sub
+            if self.orbits is not None:
+                factor = factor[self.orbits.orbit_of]
+            factor = factor.reshape(self.dim, self.dim)
             return lambda rho: factor * rho
         kept_blocks, kept, fill = self._kept_sectors()
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
@@ -620,42 +728,119 @@ class _Generator:
         loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
             return None
-        groups = self.block_maps(kept_blocks, dt, n_sub)
-        source = _transpose_index(fill, self.dim)
+        dense, levelled = [], []
+        for indices, maps in self.block_maps(kept_blocks, dt, n_sub):
+            if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
+                dense.append((indices, maps))
+                continue
+            for idx, block in zip(indices, maps):
+                bounds = np.cumsum(np.bincount(self._level[idx]))
+                levelled.append((
+                    idx,
+                    [
+                        (idx[lo:hi], hi, block[lo:hi, :hi].copy())
+                        for lo, hi in zip(np.r_[0, bounds[:-1]], bounds)
+                    ],
+                ))
+            # free the whole maps before the next group is built
+            del maps, block
+        source = self.transpose[fill]
+        gather, scatter = self._orbit_arrays()
 
         def step(rho: np.ndarray) -> np.ndarray:
             flat = rho.reshape(-1)
+            if gather is not None:
+                flat = flat[gather]
             out = np.empty_like(flat)
-            for idx, maps in groups:
+            for idx, maps in dense:
                 out[idx] = np.matmul(maps, flat[idx][..., None])[..., 0]
+            for idx, slabs in levelled:
+                block = flat[idx]
+                for rows, hi, slab in slabs:
+                    out[rows] = slab @ block[:hi]
             out[fill] = np.conj(out[source])
+            if scatter is not None:
+                out = out[scatter]
             return out.reshape(rho.shape)
 
         return step
 
     def substep_loop(self, dt: float, n_sub: int):
         """One sample as n_sub explicit RK4 steps of size dt on the kept
-        sectors, the other entries filled as in sample_map; exact for
-        Hermitian rho.  The step holds lmat restricted to the kept indices,
-        not lmat itself, so the full generator can be freed once it is
-        built."""
+        sectors, the other entries filled and the orbit values scattered as
+        in sample_map; exact for Hermitian rho.  The step holds lmat
+        restricted to the kept indices, not lmat itself, so the full
+        generator can be freed once it is built."""
         _, kept, fill = self._kept_sectors()
         lmat_kept = self.lmat[kept][:, kept]
-        source = _transpose_index(fill, self.dim)
+        source = self.transpose[fill]
+        gather, scatter = self._orbit_arrays()
 
         def step(rho: np.ndarray) -> np.ndarray:
             flat = rho.reshape(-1)
+            if gather is not None:
+                flat = flat[gather]
             out = np.empty_like(flat)
             out[kept] = _rk4_substeps(lmat_kept.dot, dt, n_sub, flat[kept])
             out[fill] = np.conj(out[source])
+            if scatter is not None:
+                out = out[scatter]
             return out.reshape(rho.shape)
 
         return step
 
+    def _orbit_arrays(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(gather, scatter) of a step: the vec indices whose entries it
+        propagates and the propagated value of each vec index, or
+        (None, None) when it propagates vec(rho) itself."""
+        if self.orbits is None:
+            return None, None
+        return self.orbits.representatives, self.orbits.orbit_of
 
-def make_rhs(h_eff: np.ndarray, gamma: GammaMatrix, channel: str):
-    """The run's generator (_Generator), built once for repeated evaluation."""
-    return _Generator(h_eff, gamma, channel)
+
+def _commutes_with(lmat: scipy.sparse.csr_matrix, perm: np.ndarray) -> bool:
+    """lmat[perm[k], perm[l]] == lmat[k, l] for every pair of indices, bit
+    for bit, compared COMMUTE_SLAB_ROWS rows at a time, so that the
+    comparison's copies of lmat stay a fraction of its size and a matrix
+    that fails early costs one slab."""
+    for first in range(0, lmat.shape[0], COMMUTE_SLAB_ROWS):
+        rows = slice(first, first + COMMUTE_SLAB_ROWS)
+        if (lmat[perm[rows]][:, perm] != lmat[rows]).nnz:
+            return False
+    return True
+
+
+def make_rhs(
+    h_eff: np.ndarray,
+    gamma: GammaMatrix,
+    channel: str,
+    rho0: np.ndarray | None = None,
+) -> _Generator:
+    """The run's generator (_Generator), built once for repeated evaluation.
+
+    With the run's initial state rho0, a generator that is not diagonal is
+    reduced to the orbits of the superoperator shift vec(a, b) ->
+    vec(T a, T b) for the cyclic site shift T (_Generator.shift_reduced)
+    when two exact tests pass: rho0 equals T rho0 T^dag bit for bit, and
+    the CSR commutes with the shift bit for bit.  Then vec(rho(t)) stays in
+    the shift-invariant subspace, one value per orbit: 700 of 4,096 at
+    N = 6 and 2,344 of 16,384 at N = 7.  This is the Liouville-space form
+    of the momentum states of _momentum_spectrum (Sandvik, AIP Conf. Proc.
+    1297, 135, 2010, section 4) for a weak symmetry (Buca & Prosen, NJP 14,
+    073007, 2012).  Ring and local amplitude damping from |->^N pass both
+    tests; all-to-all fails the second (its complex cross rates are
+    oriented i < j), and such runs, and every run without rho0, keep the
+    full generator.  A diagonal generator is never reduced, as its map is
+    already one multiply per entry.
+    """
+    rhs = _Generator(_gksl_matrix(h_eff, gamma, channel), 2**gamma.n_sites)
+    if rho0 is None or rhs._is_diagonal() or not _translation_invariant(rho0):
+        return rhs
+    orbits = _pair_orbits(gamma.n_sites)
+    # at N = 1 the shift is the identity and every orbit a single index
+    if len(orbits.representatives) == rhs.lmat.shape[0]:
+        return rhs
+    return rhs.shift_reduced(orbits) or rhs
 
 
 def liouvillian_rhs(
@@ -793,6 +978,7 @@ class _Orbits(NamedTuple):
     representatives: np.ndarray
     orbit_columns: np.ndarray
     momentum_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    smallest: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -806,7 +992,8 @@ def _orbits(n_sites: int) -> _Orbits:
     period R has k R = 0 (mod N); momentum_stacks holds, for each number of
     admitted representatives, the (m,) momenta with that number, their
     (m, s) admitted representatives and the (m, s, s) weights
-    sqrt(R_a R_b) / N of check_state's blocks.
+    sqrt(R_a R_b) / N of check_state's blocks.  smallest[a] is the
+    representative of a's orbit.
     """
     dim = 2**n_sites
     index = np.arange(dim)
@@ -816,7 +1003,8 @@ def _orbits(n_sites: int) -> _Orbits:
     orbit[0] = index
     for j in range(1, n_sites + 1):
         orbit[j] = shift[orbit[j - 1]]
-    representatives = np.flatnonzero(orbit.min(axis=0) == index)
+    smallest = orbit.min(axis=0)
+    representatives = np.flatnonzero(smallest == index)
     columns = orbit[:, representatives]
     # the period is the first j > 0 with T^j a = a
     periods = (columns[1:] == representatives).argmax(axis=0) + 1
@@ -831,7 +1019,40 @@ def _orbits(n_sites: int) -> _Orbits:
         admitted = np.stack([a for _, a in same])
         weights = root[admitted][:, :, None] * root[admitted][:, None, :]
         stacks.append((momenta, admitted, weights))
-    return _Orbits(shift, representatives, columns[:n_sites], stacks)
+    return _Orbits(shift, representatives, columns[:n_sites], stacks, smallest)
+
+
+class _PairOrbits(NamedTuple):
+    """Orbits of the superoperator shift on vec indices (_pair_orbits)."""
+
+    shift: np.ndarray
+    representatives: np.ndarray
+    orbit_of: np.ndarray
+    transpose: np.ndarray
+
+
+def _pair_orbits(n_sites: int) -> _PairOrbits:
+    """The orbits of vec(a, b) -> vec(T a, T b) on the row-major vec indices
+    of dim x dim matrices, for the cyclic site shift T of _orbits.
+
+    shift[k] is the vec index of (T a, T b) for vec index k of (a, b); the
+    representatives are the smallest vec index of each orbit, ascending;
+    orbit_of[k] is the position of k's orbit among them; and transpose[o]
+    is the orbit of (b, a) for the orbit o of (a, b).
+    """
+    dim = 2**n_sites
+    state_shift = _orbits(n_sites).shift
+    shift = (state_shift[:, None] * dim + state_shift[None, :]).reshape(-1)
+    smallest = np.arange(dim * dim)
+    image = smallest
+    for _ in range(n_sites - 1):
+        image = shift[image]
+        smallest = np.minimum(smallest, image)
+    is_smallest = smallest == np.arange(dim * dim)
+    representatives = np.flatnonzero(is_smallest)
+    orbit_of = (np.cumsum(is_smallest) - 1)[smallest]
+    transpose = orbit_of[_transpose_index(representatives, dim)]
+    return _PairOrbits(shift, representatives, orbit_of, transpose)
 
 
 def _translation_invariant(rho: np.ndarray) -> bool:
@@ -1095,10 +1316,19 @@ def evolve_stream(
     A state that fails its check raises StateInvariantError after exactly
     the samples before it have been yielded.
 
+    The generator is built by make_rhs with rho0: ring and local
+    amplitude damping from an exactly T-invariant start propagate one value
+    per orbit of the superoperator shift and take the per-sample map at
+    N = 6 and 7 alike, while all-to-all damping keeps vec(rho) and, from
+    N = 7 on (~415 MB of blocks), the substep loop.
+
     If `info` is a dict, the propagation path is stored under
     info["propagation"] before the first sample after t = 0 is yielded:
     "rk4_sample_map" (precomputed per-sample RK4 map) or "rk4_substep_loop"
-    (explicit RK4 substeps).  info["timing_s"] holds the wall seconds of the
+    (explicit RK4 substeps); with it info["shift_reduced"], whether the
+    generator was reduced to the shift orbits, and
+    info["propagated_values"], the length of the propagated vector (the
+    number of orbits, or dim^2).  info["timing_s"] holds the wall seconds of the
     run's phases: "build", H_eff, the generator and its per-sample map or
     step, set with info["propagation"]; "propagate" and "check", the
     propagation and the check_state calls of the samples after t = 0,
@@ -1159,15 +1389,18 @@ def evolve_stream(
         h_eff = np.zeros((dim, dim), dtype=complex)
     else:
         h_eff = effective_hamiltonian(spec.coupling, n_sites, spec.periodic)
-    rhs = make_rhs(h_eff, gamma, spec.channel)
+    rhs = make_rhs(h_eff, gamma, spec.channel, rho)
     dt = cfg.dt_sample / n_sub
     step, path = rhs.sample_map(dt, n_sub), "rk4_sample_map"
     if step is None:
         step, path = rhs.substep_loop(dt, n_sub), "rk4_substep_loop"
+    shift_reduced, propagated = rhs.orbits is not None, rhs.lmat.shape[0]
     # the step holds what it applies; the generator need not outlive it
     del rhs
     if info is not None:
         info["propagation"] = path
+        info["shift_reduced"] = shift_reduced
+        info["propagated_values"] = propagated
     timing["build"] = time.perf_counter() - start
     start = time.perf_counter()
     size = max(1, CHECK_CHUNK_BYTES // (16 * dim * dim))

@@ -809,6 +809,8 @@ def _execute_run(payload: tuple) -> dict:
         "n_samples": n_samples + 1,
         "rk4_substeps_per_sample": n_sub,
         "propagation": evolution_info["propagation"],
+        "shift_reduced": evolution_info["shift_reduced"],
+        "propagated_values": evolution_info["propagated_values"],
         "dt_internal_effective": cfg.dt_sample / n_sub,
         "applied_gamma_offdiag_modulus": modulus,
         "steady_window": window,

@@ -142,7 +142,10 @@ def ref_dephasing_diagonal(
     Unlike the rest of this module this is the library's own arithmetic,
     operation for operation, so that a test can demand equality bit for
     bit: the dephasing CSVs and the exact translation invariance of ring
-    runs rest on these exact values."""
+    runs rest on these exact values.  For a circulant rate matrix each
+    entry of the rate terms takes the value at the smallest index of its
+    orbit under the cyclic site shift (site i -> i + 1), found here by
+    walking the orbits one basis state at a time."""
     dim = 2**n_sites
     signs = np.array(
         [
@@ -153,6 +156,27 @@ def ref_dephasing_diagonal(
     g_signs = gamma_matrix @ signs
     cross = np.einsum("ja,ib,ij->ab", signs, signs, gamma_matrix, optimize=True)
     self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
+    if np.array_equal(np.roll(gamma_matrix, (1, 1), axis=(0, 1)), gamma_matrix):
+        def shift(a):
+            # site i moves to i + 1: a left rotation of the bits
+            return ((a << 1) & (dim - 1)) | (a >> (n_sites - 1))
+
+        def orbit(a):
+            members = [a]
+            while shift(members[-1]) != a:
+                members.append(shift(members[-1]))
+            return members
+
+        smallest = np.array([min(orbit(a)) for a in range(dim)])
+        pair_smallest = np.empty((dim, dim, 2), dtype=int)
+        for a in range(dim):
+            for b in range(dim):
+                pairs = [(a, b)]
+                while (shift(pairs[-1][0]), shift(pairs[-1][1])) != (a, b):
+                    pairs.append((shift(pairs[-1][0]), shift(pairs[-1][1])))
+                pair_smallest[a, b] = min(pairs)
+        cross = cross[pair_smallest[..., 0], pair_smallest[..., 1]]
+        self_rate = self_rate[smallest]
     return (
         -1j * (energies[:, None] - energies[None, :])
         + cross

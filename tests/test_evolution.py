@@ -221,6 +221,31 @@ class TestRhsCorrectness:
         )
         assert np.array_equal(lmat.diagonal(), expected.reshape(-1))
 
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("phase", [np.pi / 3, 0.7])
+    @pytest.mark.parametrize(
+        "topology", ["local", "nearest_neighbor", "all_to_all"]
+    )
+    def test_dephasing_diagonal_is_shift_invariant(self, topology, phase, n):
+        # exactly for ring and local reservoirs, whose rate matrices are
+        # circulant, and within round-off of the plain sum in any case
+        spec = _spec(topology=topology, offdiag=0.01 * np.exp(1j * phase))
+        gamma = build_gamma(spec, n)
+        energies = np.real(np.diag(_ising_heff(n)))
+        lam = evolution._dephasing_diagonal(energies, gamma)
+        shift = _shift(n)
+        invariant = np.array_equal(lam[np.ix_(shift, shift)], lam)
+        assert invariant == (topology != "all_to_all")
+        signs = evolution._site_z_signs(n)
+        g = gamma.matrix
+        plain = (
+            -1j * (energies[:, None] - energies[None, :])
+            + np.einsum("ja,ib,ij->ab", signs, signs, g)
+            - 0.5 * np.einsum("ia,ij,ja->a", signs, g, signs)[:, None]
+            - 0.5 * np.einsum("ia,ij,ja->a", signs, g, signs)[None, :]
+        )
+        np.testing.assert_allclose(lam, plain, rtol=0, atol=1e-14)
+
     def test_literal_rhs_matches_independent_reference(self):
         rng = np.random.default_rng(21)
         gamma = build_gamma(_spec(channel="amplitude_damping"), 3)
@@ -301,6 +326,12 @@ class TestSampleMap:
             evolve_stream(product_minus_state(n), spec, cfg, info=info)
         )
         assert info["propagation"] == path
+        # ring and local runs with a non-diagonal generator propagate the
+        # shift orbits, on either path
+        non_diagonal = channel == "amplitude_damping" or (
+            kind == "xx_dm" and topology != "local"
+        )
+        assert info["shift_reduced"] == (non_diagonal and topology != "all_to_all")
         n_samples, n_sub = resolve_time_grid(cfg, spec)
         assert len(series) == n_samples + 1 >= 51
         rhs = make_rhs(h_eff, build_gamma(spec, n), channel)
@@ -433,6 +464,7 @@ class TestConjugateSectors:
             evolve_stream(product_minus_state(n), spec, cfg, info=info)
         )
         assert info["propagation"] == path
+        assert info["shift_reduced"] == (topology == "nearest_neighbor")
         n_samples, n_sub = resolve_time_grid(cfg, spec)
         assert len(series) == n_samples + 1 == 61
         rho = product_minus_state(n).astype(complex)
@@ -440,14 +472,17 @@ class TestConjugateSectors:
             np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
             rho = _rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
 
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
     @pytest.mark.parametrize(
         "path", ["rk4_sample_map", "rk4_substep_loop"]
     )
-    def test_filled_entries_are_exact_conjugates(self, path, monkeypatch):
+    def test_filled_entries_are_exact_conjugates(self, path, topology, monkeypatch):
+        # the ring propagates the shift orbits, whose conjugate pairs are
+        # the orbits of the transposed indices
         if path == "rk4_substep_loop":
             monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
         n = 4
-        spec, rhs = _damping_rhs("all_to_all", n)
+        spec, rhs = _damping_rhs(topology, n)
         blocks, partner = rhs.conjugate_sectors()
         paired = np.concatenate(
             [idx for c, idx in enumerate(blocks) if partner[c] != c]
@@ -462,6 +497,7 @@ class TestConjugateSectors:
         ):
             assert np.array_equal(rho[rows, cols], np.conj(rho[cols, rows]))
         assert info["propagation"] == path
+        assert info["shift_reduced"] == (topology == "nearest_neighbor")
 
 
 def _excitations(idx, n):
@@ -582,6 +618,170 @@ class TestLevelMap:
         blocks = rhs.blocks()
         assert max(len(idx) for idx in blocks) >= LEVEL_SPLIT_MIN_ROWS
         _assert_maps_match_reference(rhs, blocks, self.DT, self.N_SUB)
+
+
+def _level_slabs(step):
+    """The 2-D complex arrays a per-sample map closes over: the row slabs
+    of its level-split blocks."""
+    return [a for a in _map_arrays(step) if a.ndim == 2 and np.iscomplexobj(a)]
+
+
+class TestLowerLevelSlabs:
+    """A level-split block's map is stored and applied up to its level
+    diagonal only."""
+
+    DT, N_SUB = 0.01 / 13, 13
+
+    @pytest.mark.parametrize(
+        "topology, n", [("nearest_neighbor", 5), ("all_to_all", 5), ("all_to_all", 6)]
+    )
+    def test_slabs_cover_the_lower_level_blocks(self, topology, n):
+        _, rhs = _damping_rhs(topology, n)
+        kept_blocks = rhs._kept_sectors()[0]
+        step = rhs.sample_map(self.DT, self.N_SUB)
+        expected = 0
+        for idx in kept_blocks:
+            if len(idx) >= LEVEL_SPLIT_MIN_ROWS:
+                sizes = rhs.levels(idx)[1]
+                expected += int(np.sum(sizes * np.cumsum(sizes)))
+        assert expected > 0
+        assert sum(a.size for a in _level_slabs(step)) == expected
+        # no 3-D stack holds a level-split block
+        stacks = [a for a in _map_arrays(step) if a.ndim == 3]
+        assert max(m.shape[1] for m in stacks) < LEVEL_SPLIT_MIN_ROWS
+
+    def test_apply_matches_the_whole_blocks(self):
+        # the slabs give the product of the whole block maps within
+        # round-off (the stored upper level blocks are exactly zero)
+        n = 6
+        _, rhs = _damping_rhs("all_to_all", n)
+        kept_blocks, _, fill = rhs._kept_sectors()
+        groups = rhs.block_maps(kept_blocks, self.DT, self.N_SUB)
+        step = rhs.sample_map(self.DT, self.N_SUB)
+        rho = random_density_matrix(np.random.default_rng(12), 2**n)
+        flat = rho.reshape(-1)
+        expected = np.empty_like(flat)
+        for indices, maps in groups:
+            expected[indices] = np.matmul(maps, flat[indices][..., None])[..., 0]
+        expected[fill] = np.conj(expected[rhs.transpose[fill]])
+        got = step(rho).reshape(-1)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+        assert sum(a.nbytes for a in _level_slabs(step)) < 18 * 2**20
+
+
+def _run(rho0, spec, n_samples=50, info=None):
+    """Every sample of a run from rho0 with dt_sample = 0.01."""
+    cfg = EvolutionConfig(t_max=0.01 * n_samples, dt_sample=0.01)
+    return [rho for _, rho in evolve_stream(rho0, spec, cfg, info=info)]
+
+
+class TestShiftReduction:
+    """Ring and local damping from a T-invariant start propagate one value
+    per orbit of the superoperator shift; every other run keeps vec(rho)."""
+
+    ORBITS = {2: 10, 3: 24, 4: 70, 5: 208, 6: 700, 7: 2344}
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "local"])
+    def test_matches_the_full_path(self, topology, n):
+        # the full path is reached by a start one ulp off T-invariance
+        spec = _channel_spec("amplitude_damping", topology)
+        rho0 = product_minus_state(n).astype(complex)
+        reduced_info, full_info = {}, {}
+        reduced = _run(rho0, spec, info=reduced_info)
+        full = _run(_one_ulp_off_invariance(rho0), spec, info=full_info)
+        assert reduced_info["shift_reduced"]
+        assert reduced_info["propagated_values"] == self.ORBITS[n]
+        assert not full_info["shift_reduced"]
+        assert full_info["propagated_values"] == 4**n
+        assert len(reduced) == len(full) == 51
+        for a, b in zip(reduced, full):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert _translation_symmetric(a)
+
+    def test_orbit_counts(self):
+        for n, count in self.ORBITS.items():
+            orbits = evolution._pair_orbits(n)
+            assert len(orbits.representatives) == count
+            dim = 2**n
+            # the orbits partition the vec indices, each orbit closed
+            # under the shift and the transpose mapping orbits onto orbits
+            np.testing.assert_array_equal(
+                orbits.representatives[orbits.orbit_of][orbits.shift],
+                orbits.representatives[orbits.orbit_of],
+            )
+            transposed = _transposed(np.arange(dim * dim), dim)
+            np.testing.assert_array_equal(
+                orbits.orbit_of[transposed], orbits.transpose[orbits.orbit_of]
+            )
+
+    def test_ring_run_at_seven_cells_is_translation_resolved(self):
+        spec = _channel_spec("amplitude_damping", "nearest_neighbor")
+        info = {}
+        resolved = []
+        cfg = EvolutionConfig(t_max=0.1, dt_sample=0.01)
+        for _ in evolve_stream(product_minus_state(7), spec, cfg, info=info):
+            resolved.append(info["check"].translation_resolved)
+        assert info["propagation"] == "rk4_sample_map"
+        assert info["shift_reduced"]
+        assert resolved == [True] * 11
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_all_to_all_keeps_the_full_path(self, n):
+        spec = _channel_spec("amplitude_damping", "all_to_all")
+        info = {}
+        _run(product_minus_state(n), spec, n_samples=2, info=info)
+        assert not info["shift_reduced"]
+        assert info["propagated_values"] == 4**n
+        rhs = make_rhs(
+            _spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping",
+            product_minus_state(n),
+        )
+        assert rhs.orbits is None
+
+    def test_generator_one_ulp_off_keeps_the_full_path(self, monkeypatch):
+        n = 4
+        spec = _channel_spec("amplitude_damping", "nearest_neighbor")
+        args = (_spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping")
+        rho0 = product_minus_state(n)
+        assert make_rhs(*args, rho0).orbits is not None
+        real_matrix = evolution._gksl_matrix
+
+        def nudged_matrix(*matrix_args):
+            lmat = real_matrix(*matrix_args)
+            k = lmat.nnz // 2
+            lmat.data[k] = np.nextafter(lmat.data[k].real, np.inf) + 1j * lmat.data[k].imag
+            return lmat
+
+        monkeypatch.setattr(evolution, "_gksl_matrix", nudged_matrix)
+        assert make_rhs(*args, rho0).orbits is None
+        info = {}
+        _run(rho0, spec, n_samples=2, info=info)
+        assert not info["shift_reduced"]
+
+    def test_no_reduction_without_the_initial_state(self):
+        _, rhs = _damping_rhs("nearest_neighbor", 4)
+        assert rhs.orbits is None
+        assert rhs.lmat.shape[0] == 256
+
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "local"])
+    def test_reduced_generator_is_exact_on_invariant_states(self, topology):
+        n = 4
+        spec = _channel_spec("amplitude_damping", topology)
+        args = (_spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping")
+        full = make_rhs(*args)
+        reduced = make_rhs(*args, product_minus_state(n))
+        assert reduced.orbits is not None
+        rho = _shift_symmetrized(random_density_matrix(np.random.default_rng(7), 16))
+        np.testing.assert_allclose(reduced(rho), full(rho), rtol=0, atol=1e-15)
+
+    def test_dephasing_keeps_the_hadamard_product(self):
+        # a diagonal generator is never reduced
+        info = {}
+        _run(product_minus_state(4), _channel_spec("dephasing", "nearest_neighbor"),
+             n_samples=2, info=info)
+        assert not info["shift_reduced"]
+        assert info["propagated_values"] == 256
 
 
 class TestTimeGrid:
@@ -996,6 +1196,15 @@ def _translation_symmetric(rho):
     return bool((rho[np.ix_(shift, shift)] == rho).all())
 
 
+def _one_ulp_off_invariance(rho):
+    """rho with its diagonal entry at basis state |0...01> one ulp larger:
+    a valid state within round-off, no longer T-invariant (T moves that
+    basis state at every N >= 2)."""
+    rho = rho.copy()
+    rho[1, 1] = np.nextafter(rho[1, 1].real, np.inf)
+    return rho
+
+
 def _shift_symmetrized(matrix):
     """`matrix` averaged over T, then each entry taken from its pair
     orbit's smallest row-major index, so the result commutes with T bit
@@ -1156,10 +1365,15 @@ class TestTranslationCheck:
         # |->^N itself is invariant; the complex cross rates break T after it
         assert resolved == [True, False, False, False]
 
-    def test_ring_damping_is_not_resolved_after_t0(self, monkeypatch):
-        # amplitude damping leaves exact T-invariance after t = 0 (a ring is
-        # off by ~1e-15); the cut-off is lowered so that N = 4 could take
-        # the path
+    @pytest.mark.parametrize("invariant_start", [True, False])
+    def test_ring_damping_is_resolved_on_the_reduced_path(
+        self, invariant_start, monkeypatch
+    ):
+        # a ring damping run from an exactly T-invariant start propagates
+        # the orbit values, so every sample is exactly invariant; from a
+        # start one ulp off invariance it keeps the full path, and its
+        # samples after t = 0 are off by round-off.  The cut-off is lowered
+        # so that N = 4 can take the momentum path.
         monkeypatch.setattr(evolution, "TRANSLATION_SPLIT_MIN_DIM", 2)
         info = {}
         resolved = []
@@ -1167,14 +1381,16 @@ class TestTranslationCheck:
             channel="amplitude_damping",
             coupling=EffectiveCoupling(kind="xx_dm", j_xx=1.2, d_dm=0.2),
         )
+        rho0 = product_minus_state(4).astype(complex)
+        if not invariant_start:
+            rho0 = _one_ulp_off_invariance(rho0)
         for _, rho in evolve_stream(
-            product_minus_state(4), spec,
-            EvolutionConfig(t_max=0.5, dt_sample=0.1), info=info,
+            rho0, spec, EvolutionConfig(t_max=0.5, dt_sample=0.1), info=info,
         ):
             resolved.append(info["check"].translation_resolved)
             assert resolved[-1] == _translation_symmetric(rho)
-        assert resolved[0]
-        assert not any(resolved[1:])
+        assert info["shift_reduced"] == invariant_start
+        assert resolved == [invariant_start] * 6
 
 
 class TestHermDrift:

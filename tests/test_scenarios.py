@@ -396,6 +396,58 @@ class TestRunArtifacts:
         (entry,) = run_scenario(cfg, str(tmp_path / "ad")).manifest["runs"]
         assert entry["translation_resolved_samples"] == 0
 
+    def test_ring_dephasing_at_another_phase_is_translation_resolved(
+        self, tmp_path
+    ):
+        # the dephasing generator is exactly shift-invariant for a ring at
+        # any cross-rate phase, so every sample takes the momentum blocks
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(7,),
+            gamma_offdiag_phase=0.7,
+            t_max=0.5,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        assert entry["n_samples"] == 51
+        assert entry["translation_resolved_samples"] == 51
+
+    def test_manifest_records_the_shift_reduction(self, tmp_path):
+        # ring and local damping from |->^N propagate one value per orbit
+        # of the superoperator shift; all-to-all and dephasing runs
+        # propagate vec(rho).  At N = 7 every ring damping sample is
+        # exactly T-invariant and takes the momentum blocks.
+        cfg = dataclasses.replace(
+            get_preset("fig7_longrange_comparison"),
+            channels=("amplitude_damping", "dephasing"),
+            topologies=("nearest_neighbor", "all_to_all"),
+            n_sites_list=(3,),
+            t_max=0.1,
+        )
+        entries = run_scenario(cfg, str(tmp_path / "n3")).manifest["runs"]
+        recorded = {
+            (e["channel"], e["topology"]): (
+                e["shift_reduced"], e["propagated_values"]
+            )
+            for e in entries
+        }
+        assert recorded == {
+            ("amplitude_damping", "nearest_neighbor"): (True, 24),
+            ("amplitude_damping", "all_to_all"): (False, 64),
+            ("dephasing", "nearest_neighbor"): (False, 64),
+            ("dephasing", "all_to_all"): (False, 64),
+        }
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"),
+            topologies=("nearest_neighbor",),
+            n_sites_list=(7,),
+            t_max=0.05,
+        )
+        (entry,) = run_scenario(cfg, str(tmp_path / "n7")).manifest["runs"]
+        assert (entry["shift_reduced"], entry["propagated_values"]) == (True, 2344)
+        assert entry["propagation"] == "rk4_sample_map"
+        assert entry["translation_resolved_samples"] == entry["n_samples"] == 6
+
     @pytest.mark.parametrize(
         "preset", ["fig2_dephasing_product", "fig5_ad_product"]
     )
