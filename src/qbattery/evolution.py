@@ -110,6 +110,8 @@ TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 STEADY_STATE_TOL = 1e-6
+# Share of t_max that evolve_stream's steady-state window spans.
+STEADY_WINDOW_FRACTION = 0.1
 MAX_SAMPLES = 10**6
 # Bytes the whole blocks of a non-diagonal generator's map may take, 16 per
 # dense complex entry summed over the kept blocks (one of each conjugate
@@ -226,8 +228,19 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class SteadyStateReport:
+    """Whether a series settled over its trailing time window.
+
+    deviation is (lower, upper), bounds on the largest entrywise
+    |rho_k - rho_end| over the window's states rho_k and the final state
+    rho_end; the two are equal when that maximum was taken exactly.
+    converged is True when the window holds at least two samples and the
+    maximum is below STEADY_STATE_TOL.  window is the window's length in
+    time.
+    """
+
     converged: bool
-    rho_ss: np.ndarray
+    deviation: tuple[float, float]
+    window: float
 
 
 def default_dt_internal(*scales: float) -> float:
@@ -1292,6 +1305,90 @@ class SampleChunk(NamedTuple):
     checks: list[StateCheck]
 
 
+class _SteadyWindow:
+    """evolve_stream's steady-state decision in O(dim^2) memory.
+
+    The window is known before sampling starts: of the samples
+    k = 0..n_samples at t = k dt_sample, the last round(window /
+    dt_sample) + 1 with t >= t_end - window, the set steady_state_probe
+    filters when it is given those samples.  add() keeps the running
+    minimum and maximum of the real and imaginary parts of each entry over
+    the window's samples (`lo`, `hi`) and a copy of its first state.
+
+    Rounding is monotone, so against the final state the bounds give the
+    largest real and imaginary gaps R and I of each entry over the window
+    exactly, and the largest |rho_k - rho_end| lies between max(R, I) and
+    hypot(R, I), the lower and upper bounds of decide().  Only when
+    STEADY_STATE_TOL lies between the two does decide() re-propagate the
+    window from its first state with the run's step and take the exact
+    maximum, so `converged` is bitwise the probe's.  The run holds three
+    states for this however long the window is.
+    """
+
+    def __init__(self, window: float, dt_sample: float, n_samples: int) -> None:
+        t_end = n_samples * dt_sample
+        tail = int(round(window / dt_sample)) + 1
+        k = np.arange(max(0, n_samples + 1 - tail), n_samples + 1)
+        self.window = window
+        self.first = int(k[k * dt_sample >= t_end - window][0])
+        self.count = n_samples + 1 - self.first
+        self.lo = self.hi = self.start = None
+
+    def add(self, first: int, states: np.ndarray) -> None:
+        """Take the (K, dim, dim) stack of the samples first, first + 1, ...
+        into the bounds."""
+        skip = self.first - first
+        if skip >= len(states):
+            return
+        if skip >= 0:
+            self.start = states[skip].copy()
+            self.lo, self.hi = self.start.copy(), self.start.copy()
+        # as floats, each entry's real and imaginary parts side by side
+        lo, hi = self.lo.view(float), self.hi.view(float)
+        for state in states[max(skip, 0):]:
+            parts = state.view(float)
+            np.minimum(lo, parts, out=lo)
+            np.maximum(hi, parts, out=hi)
+
+    def decide(self, end: np.ndarray, step) -> SteadyStateReport:
+        """The report for the final state `end`, once every sample has been
+        added; `step` maps a sample to the next one, bit for bit.  A window
+        of one sample has nothing to settle against and is not converged."""
+        if self.count < 2:
+            return SteadyStateReport(False, (0.0, 0.0), self.window)
+        lower, upper = self._bounds(end)
+        if lower < STEADY_STATE_TOL <= upper:
+            # the final state is the window's last; its deviation is 0
+            lower = upper = max(
+                float(np.max(np.abs(rho - end)))
+                for rho in _replay(self.start, step, self.count - 1)
+            )
+        return SteadyStateReport(
+            upper < STEADY_STATE_TOL, (lower, upper), self.window
+        )
+
+
+    def _bounds(self, end: np.ndarray) -> tuple[float, float]:
+        """(max(R, I), max hypot(R, I)) over the entries, from the gaps
+        R + iI computed in the bounds' own arrays, which are then freed."""
+        end_parts = np.ascontiguousarray(end).view(float)
+        lo, hi = self.lo.view(float), self.hi.view(float)
+        self.lo = self.hi = None
+        np.subtract(hi, end_parts, out=hi)
+        np.subtract(end_parts, lo, out=lo)
+        gaps = np.maximum(hi, lo, out=hi)
+        return float(gaps.max()), float(np.abs(gaps.view(complex)).max())
+
+
+def _replay(start: np.ndarray, step, count: int) -> Iterator[np.ndarray]:
+    """The `count` states start, step(start), step(step(start)), ..."""
+    rho = start
+    yield rho
+    for _ in range(count - 1):
+        rho = step(rho)
+        yield rho
+
+
 def evolve_stream(
     rho0: np.ndarray,
     spec: NoiseSpec,
@@ -1345,6 +1442,18 @@ def evolve_stream(
     a chunk of its own) is yielded, info["chunk"] holds the SampleChunk of
     the samples that will be yielded from it, so a consumer can measure
     them as one stack.
+
+    When the stream ends, info["steady"] holds the SteadyStateReport of
+    the run's trailing window, the last STEADY_WINDOW_FRACTION of t_max:
+    whether every sample in it lies within STEADY_STATE_TOL of the final
+    state entrywise, bitwise the decision of steady_state_probe on the
+    last round(window / dt_sample) + 1 samples, and bounds on the largest
+    deviation.  It is taken from running per-entry bounds (_SteadyWindow),
+    so the stream holds three states for it instead of the window's
+    samples; only when the tolerance falls between the bounds is the
+    window propagated a second time from its first state, with the same
+    step.  A window of one sample (t_max under about 10 dt_sample) is
+    reported not converged.
     """
     rho = np.array(rho0, dtype=complex)
     dim = rho.shape[0]
@@ -1383,7 +1492,12 @@ def evolve_stream(
 
     check = check_state(rho, 0.0)
     n_samples, n_sub = resolve_time_grid(cfg, spec)
-    yield from emit(SampleChunk([0.0], rho[None].copy(), [check]))
+    steady = _SteadyWindow(
+        STEADY_WINDOW_FRACTION * cfg.t_max, cfg.dt_sample, n_samples
+    )
+    chunk = SampleChunk([0.0], rho[None].copy(), [check])
+    steady.add(0, chunk.states)
+    yield from emit(chunk)
     start = time.perf_counter()
     if spec.coupling is None:
         h_eff = np.zeros((dim, dim), dtype=complex)
@@ -1423,9 +1537,12 @@ def evolve_stream(
             checks, failure = err.passed, err
         timing["check"] += time.perf_counter() - checked
         count = len(checks)
+        steady.add(first, states[:count])
         yield from emit(SampleChunk(times[:count], states[:count], checks))
         if failure is not None:
             raise failure
+    if info is not None:
+        info["steady"] = steady.decide(rho, step)
     timing["sampling"] = time.perf_counter() - start
 
 
@@ -1439,18 +1556,25 @@ def evolve(
 def steady_state_probe(
     series: list[tuple[float, np.ndarray]], window: float
 ) -> SteadyStateReport:
-    """Convergence test over the trailing time window.
+    """Convergence test over the trailing time window, on a list of states.
 
-    converged is True when every sampled state within `window` of the final
-    time differs from the final state by less than 1e-6 entrywise.
+    converged is True when at least two samples lie within `window` of the
+    final time and every one of them differs from the final state by less
+    than STEADY_STATE_TOL entrywise; deviation holds that largest
+    difference twice.  evolve_stream takes the same decision without
+    holding the window's states (info["steady"]); this list form is its
+    reference.
     """
     if not series:
         raise ValueError("steady_state_probe needs a nonempty series")
     t_end, rho_end = series[-1]
-    deviation = 0.0
+    deviation, inside = 0.0, 0
     for t, rho in series:
         if t >= t_end - window:
+            inside += 1
             deviation = max(deviation, float(np.max(np.abs(rho - rho_end))))
     return SteadyStateReport(
-        converged=deviation < STEADY_STATE_TOL, rho_ss=rho_end.copy()
+        inside >= 2 and deviation < STEADY_STATE_TOL,
+        (deviation, deviation),
+        window,
     )

@@ -37,7 +37,6 @@ import math
 import os
 import re
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
@@ -56,7 +55,9 @@ from .evolution import (
     EvolutionConfig,
     evolve_stream,
     resolve_time_grid,
-    steady_state_probe,
+    # evolve_stream decides convergence itself; the name stays importable
+    # here because perfbench/child.py wraps it by this path
+    steady_state_probe,  # noqa: F401
 )
 from .models import (
     BatteryModel,
@@ -80,7 +81,6 @@ from .observables import (
 CSV_COLUMNS = ("t", "W", "ergotropy", "stored_E", "ratio_R", "coherence_per_site")
 INITIAL_STATES = ("product_minus", "ground_interacting")
 MAX_SITES = 10
-STEADY_WINDOW_FRACTION = 0.1
 
 _LOG = logging.getLogger("qbattery")
 
@@ -736,9 +736,6 @@ def _execute_run(payload: tuple) -> dict:
     )
     n_samples, n_sub = resolve_time_grid(evo, spec)
 
-    window = STEADY_WINDOW_FRACTION * cfg.t_max
-    tail_len = int(round(window / cfg.dt_sample)) + 1
-    tail: deque[tuple[float, np.ndarray]] = deque(maxlen=tail_len)
     lines = [",".join(CSV_COLUMNS)]
     w0: float | None = None
     evolution_info: dict = {}
@@ -748,7 +745,7 @@ def _execute_run(payload: tuple) -> dict:
     _LOG.info(
         "run %s %s N=%d: %d samples", channel, topology, n_sites, n_samples + 1
     )
-    for t, rho in evolve_stream(rho0, spec, evo, info=evolution_info):
+    for _ in evolve_stream(rho0, spec, evo, info=evolution_info):
         chunk = evolution_info["chunk"]
         if chunk is not measured:
             # the chunk's first sample: measure and format all of its rows
@@ -787,8 +784,7 @@ def _execute_run(payload: tuple) -> dict:
                 )
             )
             timing["io"] += time.perf_counter() - io
-        tail.append((t, rho))
-    steady = steady_state_probe(list(tail), window)
+    steady = evolution_info["steady"]
 
     mark = time.perf_counter()
     payload_bytes = ("\n".join(lines) + "\n").encode("utf-8")
@@ -813,7 +809,8 @@ def _execute_run(payload: tuple) -> dict:
         "propagated_values": evolution_info["propagated_values"],
         "dt_internal_effective": cfg.dt_sample / n_sub,
         "applied_gamma_offdiag_modulus": modulus,
-        "steady_window": window,
+        "steady_window": steady.window,
+        "steady_deviation": list(steady.deviation),
         "converged": steady.converged,
         "invariant_margins": evolution_info["invariant_margins"],
         "parity_resolved_samples": parity_resolved,
@@ -842,9 +839,9 @@ def run_scenario(
     full config echo, library version, per-run integrator step and
     propagation path (precomputed per-sample map or explicit substep loop,
     see qbattery.evolution), applied cross-site rate (after any --auto-cptp
-    scaling), convergence flag, worst invariant margins over the sampled
-    states (largest |trace - 1| and hermiticity drift, smallest minimum
-    eigenvalue), the numbers of sampled states that the check split into
+    scaling), convergence flag and its evidence (below), worst invariant
+    margins over the sampled states (largest |trace - 1| and hermiticity
+    drift, smallest minimum eigenvalue), the numbers of sampled states that the check split into
     spin-flip parity blocks and into momentum blocks of the cyclic site
     shift (see qbattery.evolution.check_state), the seconds of the run's
     layers (`timing_s`: `build`, the generator and its map; `propagate`
@@ -853,6 +850,17 @@ def run_scenario(
     coherence and ratio; `io`, the CSV formatting and writing; and
     `sampling`, everything from the first sample after t = 0 to the end
     of the stream), wall time, and a sha256 hash of each CSV.
+
+    `converged` says whether the run settled: every sample in the trailing
+    window, the last 10 % of t_max (`steady_window`,
+    qbattery.evolution.STEADY_WINDOW_FRACTION), lies within 1e-6 of the
+    final state entrywise, and the window holds at least two samples (a
+    run with t_max under about 10 dt_sample does not).  evolve_stream
+    decides it from running per-entry bounds without holding the window's
+    states (info["steady"]), bitwise as steady_state_probe decides on
+    them.  `steady_deviation` records [lower, upper] bounds on the largest
+    deviation, equal when the window was propagated a second time to take
+    it exactly.
 
     Each run's observables are measured a chunk of samples at a time, on
     the stack that evolve_stream checked (info["chunk"]), with the same

@@ -1627,7 +1627,14 @@ class TestSteadyStateProbe:
         series = [(float(t), rho.copy()) for t in range(10)]
         report = steady_state_probe(series, window=3.0)
         assert report.converged
-        np.testing.assert_array_equal(report.rho_ss, rho)
+        assert report.deviation == (0.0, 0.0)
+        assert report.window == 3.0
+
+    def test_one_sample_window_is_not_converged(self):
+        rho = product_minus_state(1)
+        series = [(float(t), rho.copy()) for t in range(10)]
+        assert not steady_state_probe(series, window=0.5).converged
+        assert not steady_state_probe(series[:1], window=3.0).converged
 
     def test_not_converged_while_moving(self):
         series = [
@@ -1639,6 +1646,198 @@ class TestSteadyStateProbe:
     def test_empty_series_raises(self):
         with pytest.raises(ValueError, match="nonempty"):
             steady_state_probe([], window=1.0)
+
+
+BASE = np.array([[0.5, 0.25 - 0.125j], [0.25 + 0.125j, 0.5]])
+
+
+def _series(deltas, n_samples):
+    """n_samples + 1 states BASE, with deltas[k] added to entry (0, 1) of
+    sample k (counted from the end when negative)."""
+    states = np.repeat(BASE[None], n_samples + 1, axis=0)
+    for k, delta in deltas.items():
+        states[k, 0, 1] += delta
+    return states
+
+
+def _window_decision(states, window, dt, chunk):
+    """(report, indices of the states the replay stepped to) of
+    _SteadyWindow on the states, added `chunk` at a time.  The replay's
+    step hands out the next state of the series and checks that it was
+    given the previous one."""
+    steady = evolution._SteadyWindow(window, dt, len(states) - 1)
+    for first in range(0, len(states), chunk):
+        steady.add(first, states[first:first + chunk])
+    replayed = []
+
+    def step(rho):
+        k = steady.first + len(replayed)
+        assert np.array_equal(rho, states[k])
+        replayed.append(k + 1)
+        return states[k + 1].copy()
+
+    return steady.decide(states[-1], step), replayed
+
+
+def _probe(states, window, dt):
+    """The list probe on the last round(window / dt) + 1 samples."""
+    series = [(k * dt, rho) for k, rho in enumerate(states)]
+    return steady_state_probe(series[-(int(round(window / dt)) + 1):], window)
+
+
+class TestSteadyWindow:
+    """evolve_stream's running-bounds decision against the list probe."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "deltas, converged, exact",
+        [
+            # hypot(0.5, 0.5) e-6 < tol: the upper bound decides
+            ({-3: 0.5e-6, -5: 0.5e-6j}, True, False),
+            # a real gap of 2e-6 alone: the lower bound decides
+            ({-4: 2e-6, -6: -0.3e-6j}, False, False),
+            # real and imaginary gaps of 0.75e-6 at different samples: the
+            # bounds are 0.75e-6 and 1.06e-6, and the maximum is 0.75e-6
+            ({-3: 0.75e-6, -7: -0.75e-6j}, True, True),
+            # the same gaps at one sample: the maximum is 1.06e-6
+            ({-5: 0.75e-6 - 0.75e-6j}, False, True),
+        ],
+    )
+    def test_outcomes_match_the_probe(self, deltas, converged, exact, chunk):
+        states = _series(deltas, 100)
+        report, replayed = _window_decision(states, 1.0, 0.1, chunk)
+        reference = _probe(states, 1.0, 0.1)
+        assert report.converged == reference.converged == converged
+        lower, upper = report.deviation
+        assert lower <= reference.deviation[0] <= upper
+        assert (lower == upper) == exact
+        if exact:
+            assert report.deviation == reference.deviation
+            # every state of the window but the final one, in order
+            assert replayed == list(range(91, 100))
+        else:
+            assert replayed == []
+
+    def test_final_state_moving_alone_is_seen(self):
+        states = _series({-1: 3e-6}, 100)
+        report, _ = _window_decision(states, 1.0, 0.1, 7)
+        assert not report.converged
+        assert not _probe(states, 1.0, 0.1).converged
+
+    @pytest.mark.parametrize("n_samples, window", [(10, 0.05), (0, 1.0)])
+    def test_one_sample_window_is_not_converged(self, n_samples, window):
+        # a window shorter than dt_sample (t_max under about 10 dt_sample)
+        # holds the final sample alone, as does a run with no sample after
+        # t = 0
+        states = _series({}, n_samples)
+        report, replayed = _window_decision(states, window, 0.1, 4)
+        assert not report.converged
+        assert not _probe(states, window, 0.1).converged
+        assert report.deviation == (0.0, 0.0) and replayed == []
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_window_longer_than_the_run_starts_at_zero(self, chunk):
+        # 6 samples, a tail of 21: every sample is in the window, the t = 0
+        # one included, and it alone is far from the end
+        states = _series({0: 5e-6}, 5)
+        steady = evolution._SteadyWindow(0.2, 0.01, 5)
+        assert (steady.first, steady.count) == (0, 6)
+        report, _ = _window_decision(states, 0.2, 0.01, chunk)
+        assert not report.converged
+        assert not _probe(states, 0.2, 0.01).converged
+        assert _window_decision(_series({}, 5), 0.2, 0.01, chunk)[0].converged
+
+    @pytest.mark.parametrize("t_max", [0.2, 0.7, 1.2])
+    def test_float_boundary_of_the_window(self, t_max):
+        # at t_max = 0.2 and 1.2 the first sample of the tail lies at
+        # exactly t_end - window and is in the window; at 0.7 it lies one
+        # rounding below and is not
+        dt = 0.01
+        n_samples = int(np.floor(t_max / dt + 1e-9))
+        window = 0.1 * t_max
+        tail = int(round(window / dt)) + 1
+        boundary = n_samples + 1 - tail
+        on_edge = boundary * dt == n_samples * dt - window
+        assert on_edge == (t_max != 0.7)
+        assert (boundary * dt < n_samples * dt - window) == (t_max == 0.7)
+        steady = evolution._SteadyWindow(window, dt, n_samples)
+        assert steady.first == (boundary if on_edge else boundary + 1)
+        states = _series({boundary: 5e-6}, n_samples)
+        report, _ = _window_decision(states, window, dt, 5)
+        assert report.converged == _probe(states, window, dt).converged
+        assert report.converged == (not on_edge)
+
+    @pytest.mark.parametrize(
+        "channel, topology, t_max, converged",
+        [
+            ("amplitude_damping", "local", 30.0, True),
+            ("dephasing", "nearest_neighbor", 3.0, False),
+        ],
+    )
+    def test_stream_matches_probe_on_evolve(self, channel, topology, t_max, converged):
+        # strong local damping drains into |1...1> well within t_max = 30
+        spec = _spec(
+            channel=channel,
+            topology=topology,
+            gamma=2.0 if topology == "local" else 0.2,
+            coupling=None if topology == "local" else ISING,
+        )
+        cfg = EvolutionConfig(t_max=t_max, dt_sample=0.01)
+        info = {}
+        for _ in evolve_stream(product_minus_state(2), spec, cfg, info):
+            pass
+        window = evolution.STEADY_WINDOW_FRACTION * t_max
+        states = np.array([rho for _, rho in evolve(product_minus_state(2), spec, cfg)])
+        reference = _probe(states, window, 0.01)
+        assert info["steady"].converged == reference.converged == converged
+        assert info["steady"].window == window
+        lower, upper = info["steady"].deviation
+        assert lower <= reference.deviation[0] <= upper
+
+    @pytest.mark.parametrize(
+        "channel, topology, substep_loop",
+        [
+            ("dephasing", "nearest_neighbor", False),
+            ("amplitude_damping", "nearest_neighbor", False),
+            ("amplitude_damping", "all_to_all", False),
+            ("amplitude_damping", "all_to_all", True),
+        ],
+    )
+    def test_replayed_window_is_bitwise_the_stream(
+        self, channel, topology, substep_loop, monkeypatch
+    ):
+        # a tolerance between the two bounds forces the exact pass
+        spec = _channel_spec(channel, topology)
+        cfg = EvolutionConfig(t_max=1.0, dt_sample=0.01)
+        rho0 = product_minus_state(3)
+        if substep_loop:
+            monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
+        info = {}
+        states = np.array([rho.copy() for _, rho in evolve_stream(rho0, spec, cfg, info)])
+        lower, upper = info["steady"].deviation
+        assert lower < upper and not info["steady"].converged
+        monkeypatch.setattr(evolution, "STEADY_STATE_TOL", (lower + upper) / 2)
+        replay = evolution._replay
+        replayed = []
+
+        def recording(start, step, count):
+            for rho in replay(start, step, count):
+                replayed.append(rho.copy())
+                yield rho
+
+        monkeypatch.setattr(evolution, "_replay", recording)
+        info = {}
+        for _ in evolve_stream(rho0, spec, cfg, info):
+            pass
+        path = "rk4_substep_loop" if substep_loop else "rk4_sample_map"
+        assert info["propagation"] == path
+        # the last 11 samples, t = 0.9..1.0, less the final one
+        assert len(replayed) == 10
+        for rho, expected in zip(replayed, states[-11:-1]):
+            assert np.array_equal(rho, expected)
+        reference = _probe(states, 0.1, 0.01)
+        assert info["steady"].deviation == reference.deviation
+        assert info["steady"].converged == reference.converged
 
 
 class TestStepHalving:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,11 @@ class TestRunArtifacts:
         assert 0.0 <= margins["max_trace_drift"] < TRACE_TOL
         assert 0.0 <= margins["max_herm_drift"] < HERMITICITY_TOL
         assert MIN_EIGENVALUE_TOL <= margins["min_eigenvalue"] <= 1.0
+        # the window holds t = 0.18, 0.19 and 0.2, still moving
+        assert entry["steady_window"] == 0.1 * cfg.t_max
+        lower, upper = entry["steady_deviation"]
+        assert 1e-3 < lower <= upper
+        assert entry["converged"] is False
 
     @pytest.mark.parametrize(
         "preset", ["fig2_dephasing_product", "fig5_ad_product"]
@@ -853,6 +859,38 @@ class TestChunkedSampling:
                 "parity_resolved_samples", "translation_resolved_samples",
             ):
                 assert a[key] == b[key]
+
+
+class TestSteadyState:
+    def test_one_sample_window_is_not_converged(self, tmp_path):
+        # t_max = 0.01: the window (0.001) holds the final sample alone
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"), n_sites_list=(2,), t_max=0.01
+        )
+        for entry in run_scenario(cfg, str(tmp_path)).manifest["runs"]:
+            assert entry["converged"] is False
+            assert entry["steady_deviation"] == [0.0, 0.0]
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # ring dephasing at N = 6: windows of 21 and 81 states of 64 KiB, so
+        # a buffer of the window's states would add 3.8 MiB at t_max = 8;
+        # the running bounds hold three states at either horizon
+        def peak(t_max):
+            cfg = dataclasses.replace(
+                get_preset("fig2_dephasing_product"),
+                n_sites_list=(6,),
+                t_max=t_max,
+            )
+            tracemalloc.start()
+            try:
+                run_scenario(cfg, str(tmp_path / str(t_max)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.1)  # fill the module caches (shift orbits) first
+        state = 16 * 64 * 64
+        assert peak(8.0) - peak(2.0) < 3 * state
 
 
 class TestLogging:
