@@ -19,23 +19,25 @@ Lambda[a, b] of that matrix; an Ising-z H_eff leaves it purely diagonal.
 The generator does not depend on time, so for a linear right-hand side
 rho' = L rho one RK4 step of size dt is exactly rho -> P(dt L) rho with
 P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and the n_sub substeps between two
-samples are the fixed map M = P(dt L)^n_sub.  It is precomputed once per
-run and applied once per sample (the same RK4 polynomial, not the
-exponential).  A diagonal generator's map is the elementwise power of
-P(dt Lambda), one Hadamard product a sample.  Any other is block diagonal
-over the weakly connected components of the CSR's sparsity graph, and its
-map is stored as dense blocks over them (blocks of equal size stacked, one
-batched matmul per size).  These components are the weak-symmetry sectors
-of the generator (Buca & Prosen, NJP 14, 073007, 2012), and since every
-GKSL generator satisfies L(rho^dag) = L(rho)^dag, the transpose
-vec(i, j) -> vec(j, i) maps each sector onto its conjugate partner, with
-the complex-conjugate block.  The map therefore propagates one sector of
-each pair plus every self-conjugate one, and fills the others of the
-Hermitian state as rho[j, i] = conj(rho[i, j]).  It keeps the explicit
-substep loop, on the CSR restricted to those kept sectors, when the map
-would do more multiply-adds per sample than that loop or its whole blocks
-take more than SAMPLE_MAP_MAX_BYTES (all-to-all amplitude damping from
-N = 7 on).
+samples are the fixed map M = P(dt L)^n_sub.  _Generator.sample_map builds
+the run's one per-sample step: M, precomputed once per run and applied
+once per sample (the same RK4 polynomial, not the exponential), or the
+explicit substep loop where M would cost more (below), and it records
+which of the two it took.  A diagonal generator's map is the elementwise
+power of P(dt Lambda), one Hadamard product a sample.  Any other is block
+diagonal over the weakly connected components of the CSR's sparsity graph,
+and its map is stored as dense blocks over them (blocks of equal size
+stacked, one batched matmul per size).  These components are the
+weak-symmetry sectors of the generator (Buca & Prosen, NJP 14, 073007,
+2012), and since every GKSL generator satisfies L(rho^dag) = L(rho)^dag,
+the transpose vec(i, j) -> vec(j, i) maps each sector onto its conjugate
+partner, with the complex-conjugate block.  The map therefore propagates
+one sector of each pair plus every self-conjugate one, and fills the
+others of the Hermitian state as rho[j, i] = conj(rho[i, j]).  The step
+runs the explicit substep loop in place of the map, on the CSR restricted
+to those kept sectors and with the same fill, when the map would do more
+multiply-adds per sample than that loop or its whole blocks take more than
+SAMPLE_MAP_MAX_BYTES (all-to-all amplitude damping from N = 7 on).
 
 Ring and local runs commute with the cyclic site shift T.  When the CSR
 commutes bit for bit with the superoperator shift vec(a, b) ->
@@ -104,7 +106,7 @@ from .dissipation import (
     jump_operators,
     require_cptp,
 )
-from .models import effective_hamiltonian
+from .models import effective_hamiltonian, site_z_signs
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -259,17 +261,6 @@ def _spec_scales(spec: NoiseSpec) -> list[float]:
     return scales
 
 
-def _site_z_signs(n_sites: int) -> np.ndarray:
-    """S[i, a] = sigma^z value (+-1) of site i in basis state a (site 0 = MSB)."""
-    dim = 2**n_sites
-    a = np.arange(dim)
-    signs = np.empty((n_sites, dim), dtype=float)
-    for i in range(n_sites):
-        bit = (a >> (n_sites - 1 - i)) & 1
-        signs[i] = 1.0 - 2.0 * bit
-    return signs
-
-
 def _rk4_polynomial(x: np.ndarray, elementwise: bool) -> np.ndarray:
     """P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form.
 
@@ -398,7 +389,7 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     T-invariant energies, too, so is Lambda.
     """
     n = gamma.n_sites
-    signs = _site_z_signs(n)
+    signs = site_z_signs(n)
     g = gamma.matrix
     g_signs = g @ signs                                         # (N, dim)
     cross = np.einsum("ja,ib,ij->ab", signs, signs, g, optimize=True)
@@ -487,7 +478,8 @@ class _Generator:
     (S[k, o] = 1 when vec index k lies in orbit o), exact on T-invariant
     states; the steps gather those entries from rho and scatter the
     propagated values back along the orbits.  One sparse matvec per
-    evaluation.
+    evaluation.  `propagation` is the path of the last step sample_map
+    built, None before the first.
     """
 
     def __init__(
@@ -499,6 +491,7 @@ class _Generator:
         self.lmat = lmat
         self.dim = dim
         self.orbits = orbits
+        self.propagation: str | None = None
 
     @functools.cached_property
     def transpose(self) -> np.ndarray:
@@ -540,14 +533,6 @@ class _Generator:
         values = self.lmat @ flat[self.orbits.representatives]
         return values[self.orbits.orbit_of].reshape(self.dim, self.dim)
 
-    def blocks(self) -> list[np.ndarray]:
-        """Index sets of the weakly connected components of lmat's sparsity
-        graph, each sorted ascending.  lmat has no entry between two of
-        them, so it is block diagonal over them (the weak-symmetry sectors;
-        for amplitude damping with excitation-conserving H_eff, one per
-        ket-minus-bra excitation difference)."""
-        return self.conjugate_sectors()[0]
-
     def _pattern(self) -> scipy.sparse.csr_matrix:
         """lmat's sparsity graph: an edge b -> a for each stored entry
         lmat[a, b] (row a, column b)."""
@@ -557,9 +542,13 @@ class _Generator:
         )
 
     def conjugate_sectors(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """(blocks, partner): the blocks as blocks() returns them, and
+        """(blocks, partner): the index sets of the weakly connected
+        components of lmat's sparsity graph, each sorted ascending, and
         partner[c] the block onto which the transpose vec(i, j) -> vec(j, i)
-        (`transpose`) maps block c.
+        (`transpose`) maps block c.  lmat has no entry between two blocks,
+        so it is block diagonal over them (the weak-symmetry sectors; for
+        amplitude damping with excitation-conserving H_eff, one per
+        ket-minus-bra excitation difference).
 
         Every GKSL generator satisfies L(rho^dag) = L(rho)^dag, that is
         lmat[T a, T b] = conj(lmat[a, b]) for the transpose T, so T maps each
@@ -698,7 +687,9 @@ class _Generator:
         return np.array_equal(self.lmat.indices, np.flatnonzero(counts))
 
     def sample_map(self, dt: float, n_sub: int):
-        """One sample (n_sub RK4 steps of size dt) as a precomputed map.
+        """The run's per-sample step: n_sub RK4 steps of size dt, exact for
+        Hermitian rho.  The path it takes is recorded in `propagation`,
+        "rk4_sample_map" (a precomputed map) or "rk4_substep_loop".
 
         A diagonal lmat (sigma^z dephasing with an Ising-z H_eff) acts on
         rho elementwise, so the map is one Hadamard product with
@@ -706,10 +697,18 @@ class _Generator:
         one multiply per entry against 4 n_sub for the substep loop; it is
         always used.
 
-        Any other lmat takes dense block matvecs on the kept sectors
-        (_kept_sectors), the other entries filled as conjugates; exact for
-        Hermitian rho.  A shift-reduced generator (make_rhs) propagates the
-        orbit values and scatters them along the orbits.
+        Any other lmat propagates the kept sectors (_kept_sectors) and
+        fills the other entries as conjugates; a shift-reduced generator
+        (make_rhs) propagates the orbit values and scatters them along the
+        orbits.  The kept sectors take dense block matvecs unless their
+        blocks hold at least as many entries as the substep loop on them
+        does multiply-adds per sample (_substep_loop_work on the kept rows)
+        or their whole blocks take more than SAMPLE_MAP_MAX_BYTES, the
+        memory the build needs: all-to-all amplitude damping from N = 7 on
+        (~415 MB there), while the shift-reduced ring and local damping
+        maps stay small.  Then the step runs the explicit RK4 substeps on
+        lmat restricted to the kept indices, not lmat itself, so the full
+        generator can be freed once the step is built.
 
         The block maps come from block_maps: level by level from
         LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per size below.  At
@@ -720,51 +719,48 @@ class _Generator:
         sample.  A level-split block's map is block lower triangular, so
         only each level's row slab up to the diagonal is stored and applied,
         one matvec per level (at fig7 N = 6 all-to-all, 17.8 MiB instead of
-        27.1 MiB).  Returns None, and the caller runs substep_loop, when the
-        kept blocks hold at least as many entries as that loop does
-        multiply-adds per sample (_substep_loop_work on the kept rows) or
-        their whole blocks take more than SAMPLE_MAP_MAX_BYTES, the memory
-        the build needs: all-to-all amplitude damping from N = 7 on (~415
-        MB there), while the shift-reduced ring and local damping maps stay
-        small.
+        27.1 MiB).
         """
         if self._is_diagonal():
             factor = _rk4_polynomial(dt * self.lmat.diagonal(), elementwise=True)
-            factor = factor**n_sub
-            if self.orbits is not None:
-                factor = factor[self.orbits.orbit_of]
-            factor = factor.reshape(self.dim, self.dim)
+            factor = (factor**n_sub).reshape(self.dim, self.dim)
+            self.propagation = "rk4_sample_map"
             return lambda rho: factor * rho
         kept_blocks, kept, fill = self._kept_sectors()
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
         kept_nnz = int(np.diff(self.lmat.indptr)[kept].sum())
         loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
+        dense, levelled, loop = [], [], None
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
-            return None
-        dense, levelled = [], []
-        for indices, maps in self.block_maps(kept_blocks, dt, n_sub):
-            if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
-                dense.append((indices, maps))
-                continue
-            for idx, block in zip(indices, maps):
-                bounds = np.cumsum(np.bincount(self._level[idx]))
-                levelled.append((
-                    idx,
-                    [
-                        (idx[lo:hi], hi, block[lo:hi, :hi].copy())
-                        for lo, hi in zip(np.r_[0, bounds[:-1]], bounds)
-                    ],
-                ))
-            # free the whole maps before the next group is built
-            del maps, block
-        source = self.transpose[fill]
-        gather, scatter = self._orbit_arrays()
+            loop = self.lmat[kept][:, kept]
+        else:
+            for indices, maps in self.block_maps(kept_blocks, dt, n_sub):
+                if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
+                    dense.append((indices, maps))
+                    continue
+                for idx, block in zip(indices, maps):
+                    bounds = np.cumsum(np.bincount(self._level[idx]))
+                    levelled.append((
+                        idx,
+                        [
+                            (idx[lo:hi], hi, block[lo:hi, :hi].copy())
+                            for lo, hi in zip(np.r_[0, bounds[:-1]], bounds)
+                        ],
+                    ))
+                # free the whole maps before the next group is built
+                del maps, block
+        self.propagation = (
+            "rk4_sample_map" if loop is None else "rk4_substep_loop"
+        )
+        source, orbits = self.transpose[fill], self.orbits
 
         def step(rho: np.ndarray) -> np.ndarray:
             flat = rho.reshape(-1)
-            if gather is not None:
-                flat = flat[gather]
+            if orbits is not None:
+                flat = flat[orbits.representatives]
             out = np.empty_like(flat)
+            if loop is not None:
+                out[kept] = _rk4_substeps(loop.dot, dt, n_sub, flat[kept])
             for idx, maps in dense:
                 out[idx] = np.matmul(maps, flat[idx][..., None])[..., 0]
             for idx, slabs in levelled:
@@ -772,43 +768,11 @@ class _Generator:
                 for rows, hi, slab in slabs:
                     out[rows] = slab @ block[:hi]
             out[fill] = np.conj(out[source])
-            if scatter is not None:
-                out = out[scatter]
+            if orbits is not None:
+                out = out[orbits.orbit_of]
             return out.reshape(rho.shape)
 
         return step
-
-    def substep_loop(self, dt: float, n_sub: int):
-        """One sample as n_sub explicit RK4 steps of size dt on the kept
-        sectors, the other entries filled and the orbit values scattered as
-        in sample_map; exact for Hermitian rho.  The step holds lmat
-        restricted to the kept indices, not lmat itself, so the full
-        generator can be freed once it is built."""
-        _, kept, fill = self._kept_sectors()
-        lmat_kept = self.lmat[kept][:, kept]
-        source = self.transpose[fill]
-        gather, scatter = self._orbit_arrays()
-
-        def step(rho: np.ndarray) -> np.ndarray:
-            flat = rho.reshape(-1)
-            if gather is not None:
-                flat = flat[gather]
-            out = np.empty_like(flat)
-            out[kept] = _rk4_substeps(lmat_kept.dot, dt, n_sub, flat[kept])
-            out[fill] = np.conj(out[source])
-            if scatter is not None:
-                out = out[scatter]
-            return out.reshape(rho.shape)
-
-        return step
-
-    def _orbit_arrays(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(gather, scatter) of a step: the vec indices whose entries it
-        propagates and the propagated value of each vec index, or
-        (None, None) when it propagates vec(rho) itself."""
-        if self.orbits is None:
-            return None, None
-        return self.orbits.representatives, self.orbits.orbit_of
 
 
 def _commutes_with(lmat: scipy.sparse.csr_matrix, perm: np.ndarray) -> bool:
@@ -1367,7 +1331,6 @@ class _SteadyWindow:
             upper < STEADY_STATE_TOL, (lower, upper), self.window
         )
 
-
     def _bounds(self, end: np.ndarray) -> tuple[float, float]:
         """(max(R, I), max hypot(R, I)) over the entries, from the gaps
         R + iI computed in the bounds' own arrays, which are then freed."""
@@ -1419,10 +1382,11 @@ def evolve_stream(
     N = 6 and 7 alike, while all-to-all damping keeps vec(rho) and, from
     N = 7 on (~415 MB of blocks), the substep loop.
 
-    If `info` is a dict, the propagation path is stored under
-    info["propagation"] before the first sample after t = 0 is yielded:
-    "rk4_sample_map" (precomputed per-sample RK4 map) or "rk4_substep_loop"
-    (explicit RK4 substeps); with it info["shift_reduced"], whether the
+    If `info` is a dict, the propagation path that sample_map recorded
+    for the run's step is stored under info["propagation"] before the
+    first sample after t = 0 is yielded: "rk4_sample_map" (precomputed
+    per-sample RK4 map) or "rk4_substep_loop" (explicit RK4 substeps);
+    with it info["shift_reduced"], whether the
     generator was reduced to the shift orbits, and
     info["propagated_values"], the length of the propagated vector (the
     number of orbits, or dim^2).  info["timing_s"] holds the wall seconds of the
@@ -1468,26 +1432,25 @@ def evolve_stream(
         "min_eigenvalue": math.inf,
     }
     timing = {"build": 0.0, "propagate": 0.0, "check": 0.0, "sampling": 0.0}
-    if info is not None:
-        info["invariant_margins"] = margins
-        info["timing_s"] = timing
+    if info is None:
+        info = {}
+    info["invariant_margins"] = margins
+    info["timing_s"] = timing
 
     def emit(chunk: SampleChunk):
         """Yield the chunk's samples, recording each one's check first."""
-        if info is not None:
-            info["chunk"] = chunk
+        info["chunk"] = chunk
         for t, state, check in zip(*chunk):
-            if info is not None:
-                info["check"] = check
-                margins["max_trace_drift"] = max(
-                    margins["max_trace_drift"], check.trace_drift
-                )
-                margins["max_herm_drift"] = max(
-                    margins["max_herm_drift"], check.herm_drift
-                )
-                margins["min_eigenvalue"] = min(
-                    margins["min_eigenvalue"], check.min_eig
-                )
+            info["check"] = check
+            margins["max_trace_drift"] = max(
+                margins["max_trace_drift"], check.trace_drift
+            )
+            margins["max_herm_drift"] = max(
+                margins["max_herm_drift"], check.herm_drift
+            )
+            margins["min_eigenvalue"] = min(
+                margins["min_eigenvalue"], check.min_eig
+            )
             yield t, state
 
     check = check_state(rho, 0.0)
@@ -1504,17 +1467,12 @@ def evolve_stream(
     else:
         h_eff = effective_hamiltonian(spec.coupling, n_sites, spec.periodic)
     rhs = make_rhs(h_eff, gamma, spec.channel, rho)
-    dt = cfg.dt_sample / n_sub
-    step, path = rhs.sample_map(dt, n_sub), "rk4_sample_map"
-    if step is None:
-        step, path = rhs.substep_loop(dt, n_sub), "rk4_substep_loop"
-    shift_reduced, propagated = rhs.orbits is not None, rhs.lmat.shape[0]
+    step = rhs.sample_map(cfg.dt_sample / n_sub, n_sub)
+    info["propagation"] = rhs.propagation
+    info["shift_reduced"] = rhs.orbits is not None
+    info["propagated_values"] = rhs.lmat.shape[0]
     # the step holds what it applies; the generator need not outlive it
     del rhs
-    if info is not None:
-        info["propagation"] = path
-        info["shift_reduced"] = shift_reduced
-        info["propagated_values"] = propagated
     timing["build"] = time.perf_counter() - start
     start = time.perf_counter()
     size = max(1, CHECK_CHUNK_BYTES // (16 * dim * dim))
@@ -1541,8 +1499,7 @@ def evolve_stream(
         yield from emit(SampleChunk(times[:count], states[:count], checks))
         if failure is not None:
             raise failure
-    if info is not None:
-        info["steady"] = steady.decide(rho, step)
+    info["steady"] = steady.decide(rho, step)
     timing["sampling"] = time.perf_counter() - start
 
 

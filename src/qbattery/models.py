@@ -127,6 +127,14 @@ def all_pair_bonds(n_sites: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(n_sites) for k in range(j + 1, n_sites)]
 
 
+def site_z_signs(n_sites: int) -> np.ndarray:
+    """S[i, a] = sigma^z value (+-1, exact) of site i in z basis state a:
+    +1 where bit N-1-i of a is 0 (spin up), -1 where it is 1."""
+    states = np.arange(2**n_sites)
+    shifts = n_sites - 1 - np.arange(n_sites)
+    return 1.0 - 2.0 * ((states[None, :] >> shifts[:, None]) & 1)
+
+
 def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
     """Dense battery Hamiltonian for the given model.
 
@@ -145,7 +153,7 @@ def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
     for i in range(n):
         h_mat[states, states ^ (1 << (n - 1 - i))] = model.h / 2.0
     if model.j_coupling != 0.0:
-        signs = [1.0 - 2.0 * ((states >> (n - 1 - i)) & 1) for i in range(n)]
+        signs = site_z_signs(n)
         diagonal = np.zeros(dim)
         for j, k in ring_bonds(n, model.periodic):
             diagonal += (model.j_coupling / 4.0) * (signs[j] * signs[k])
@@ -171,12 +179,10 @@ def effective_hamiltonian(
         bonds = all_pair_bonds(n_sites)
     dim = 2**n_sites
     h_eff = np.zeros((dim, dim), dtype=complex)
-    states = np.arange(dim)
-    bits = [(states >> (n_sites - 1 - i)) & 1 for i in range(n_sites)]
+    signs = site_z_signs(n_sites)
     if coupling.kind == "ising_z":
         if coupling.j_z == 0.0:
             return h_eff
-        signs = [1.0 - 2.0 * b for b in bits]
         diagonal = np.zeros(dim, dtype=complex)
         for j, k in bonds:
             diagonal += coupling.j_z * (signs[j] * signs[k])
@@ -189,7 +195,7 @@ def effective_hamiltonian(
         return h_eff
     j_complex = coupling.j_xx + 1j * coupling.d_dm
     for j, k in bonds:
-        col = np.flatnonzero((bits[j] == 1) & (bits[k] == 0))
+        col = np.flatnonzero((signs[j] < 0) & (signs[k] > 0))
         row = col ^ ((1 << (n_sites - 1 - j)) | (1 << (n_sites - 1 - k)))
         h_eff[row, col] += j_complex
         h_eff[col, row] += np.conj(j_complex)

@@ -29,20 +29,14 @@ BRUTEFORCE_MAX_DIM = 16
 
 @dataclass(frozen=True)
 class ErgotropyReport:
-    """Energy bookkeeping for one state.
-
-    w, passive_energy, and ergotropy are always set; stored, ratio, and
-    coherence are filled by the scenario layer, which knows the initial
-    energy and the reference basis (ratio is None where the stored energy
-    is below the reporting floor).
+    """Energy bookkeeping of ergotropy(): the mean energy w = Tr[h_b rho],
+    the passive energy and their gap, the ergotropy.  Floats for one
+    state, (K,) arrays for a stack of K states.
     """
 
-    w: float
-    passive_energy: float
-    ergotropy: float
-    stored: float | None = None
-    ratio: float | None = None
-    coherence: float | None = None
+    w: float | np.ndarray
+    passive_energy: float | np.ndarray
+    ergotropy: float | np.ndarray
 
 
 def ergotropy(
@@ -75,18 +69,19 @@ def ergotropy(
         raise ValueError(
             f"dimension mismatch: state {rho.shape} vs Hamiltonian {h_b.shape}"
         )
-    w = expectation(rho, h_b)
+    # one state is a stack of one
+    states = rho[None] if rho.ndim == 2 else rho
+    w = expectation(states, h_b)
     if populations is None:
-        populations = np.linalg.eigvalsh(rho)      # ascending
+        populations = np.linalg.eigvalsh(states)   # ascending
+    elif rho.ndim == 2:
+        populations = [populations]
     if h_energies is None:
         h_energies = np.linalg.eigvalsh(h_b)
     energies = np.asarray(h_energies)[::-1]        # descending
+    passive = np.array([np.real(np.dot(p, energies)) for p in populations])
     if rho.ndim == 2:
-        passive = float(np.real(np.dot(populations, energies)))
-    else:
-        passive = np.array(
-            [np.real(np.dot(p, energies)) for p in populations], dtype=float
-        )
+        w, passive = float(w[0]), float(passive[0])
     return ErgotropyReport(w=w, passive_energy=passive, ergotropy=w - passive)
 
 
@@ -252,7 +247,6 @@ def coherence_l1_energy_basis(
     rho: np.ndarray,
     h_b: np.ndarray,
     basis: np.ndarray | None = None,
-    degeneracy_probe: np.ndarray | None = None,
     parity_blocks: np.ndarray | list | None = None,
     parity_basis: np.ndarray | None = None,
 ) -> float | np.ndarray:
@@ -261,8 +255,7 @@ def coherence_l1_energy_basis(
     When `basis` is given (unitary, eigenvectors as columns) it is used
     directly; this is how scenarios pin the analytic product eigenbasis of
     the noninteracting battery, whose spectrum is massively degenerate.
-    Otherwise the deterministic basis from energy_eigenbasis is built, with
-    `degeneracy_probe` as the tie-breaking observable.
+    Otherwise the deterministic basis from energy_eigenbasis is built.
 
     When both `parity_blocks` (StateCheck.parity_blocks of this same rho)
     and `parity_basis` (parity_block_basis of `basis`) are given, rho in the
@@ -307,7 +300,7 @@ def coherence_l1_energy_basis(
         values[resolved] = _off_diagonal_l1(transformed)
     if not resolved.all():
         if basis is None:
-            _, basis = energy_eigenbasis(h_b, degeneracy_probe)
+            _, basis = energy_eigenbasis(h_b)
         rest = states[~resolved] if resolved.any() else states
         transformed = basis.conj().T @ rest @ basis
         values[~resolved] = _off_diagonal_l1(transformed[:, None])

@@ -91,15 +91,12 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> float | np.ndarray:
         raise ValueError(
             f"dimension mismatch: state {rho.shape} vs operator {op.shape}"
         )
-    if rho.ndim == 3:
-        values = np.einsum("kij,ji->k", rho, op)
-        residue = float(np.max(np.abs(values.imag), initial=0.0))
-    else:
-        value = complex(np.einsum("ij,ji->", rho, op))
-        values, residue = value, abs(value.imag)
+    # one state is a stack of one
+    values = np.einsum("kij,ji->k", rho[None] if rho.ndim == 2 else rho, op)
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
     if residue >= IMAG_TRACE_TOL:
         raise ValueError(
             f"expectation value has imaginary residue {residue:.3e} "
             f"(tolerance {IMAG_TRACE_TOL:.0e})"
         )
-    return values.real if rho.ndim == 3 else float(values.real)
+    return values.real if rho.ndim == 3 else float(values[0].real)

@@ -38,7 +38,7 @@ from qbattery.evolution import (
     check_state,
     make_rhs,
 )
-from qbattery.models import EffectiveCoupling, effective_hamiltonian
+from qbattery.models import EffectiveCoupling, effective_hamiltonian, site_z_signs
 from qbattery.operators import embed, pauli
 
 from reference_impls import (
@@ -236,7 +236,7 @@ class TestRhsCorrectness:
         shift = _shift(n)
         invariant = np.array_equal(lam[np.ix_(shift, shift)], lam)
         assert invariant == (topology != "all_to_all")
-        signs = evolution._site_z_signs(n)
+        signs = site_z_signs(n)
         g = gamma.matrix
         plain = (
             -1j * (energies[:, None] - energies[None, :])
@@ -350,12 +350,14 @@ class TestSampleMap:
             build_gamma(spec, 4),
             "amplitude_damping",
         )
-        entries = sum(len(idx) ** 2 for idx in rhs.blocks())
+        entries = sum(len(idx) ** 2 for idx in rhs.conjugate_sectors()[0])
         size = rhs.lmat.shape[0]
         assert entries >= _substep_loop_work(rhs.lmat.nnz, size, 1)
         assert entries < _substep_loop_work(rhs.lmat.nnz, size, 13)
-        assert rhs.sample_map(1e-3, 1) is None
-        assert rhs.sample_map(1e-3, 13) is not None
+        rhs.sample_map(1e-3, 1)
+        assert rhs.propagation == "rk4_substep_loop"
+        rhs.sample_map(1e-3, 13)
+        assert rhs.propagation == "rk4_sample_map"
 
     def test_byte_bound_covers_all_blocks(self):
         # Local damping at N = 9: 3^9 blocks of at most 512 rows, 6^9
@@ -366,13 +368,17 @@ class TestSampleMap:
             build_gamma(spec, 9),
             "amplitude_damping",
         )
-        assert max(len(idx) for idx in rhs.blocks()) == 512
-        entries = sum(len(idx) ** 2 for idx in rhs.blocks())
+        blocks = rhs.conjugate_sectors()[0]
+        assert max(len(idx) for idx in blocks) == 512
+        entries = sum(len(idx) ** 2 for idx in blocks)
         assert 16 * entries > evolution.SAMPLE_MAP_MAX_BYTES
         assert entries < _substep_loop_work(
             rhs.lmat.nnz, rhs.lmat.shape[0], 13
         )
-        assert rhs.sample_map(1e-3, 13) is None
+        step = rhs.sample_map(1e-3, 13)
+        assert rhs.propagation == "rk4_substep_loop"
+        # the loop's step holds no map
+        assert not [a for a in _map_arrays(step) if np.iscomplexobj(a)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -385,7 +391,7 @@ class TestSampleMap:
             build_gamma(spec, n),
             "amplitude_damping",
         )
-        blocks = rhs.blocks()
+        blocks = rhs.conjugate_sectors()[0]
         size = rhs.lmat.shape[0]
         # every vec(rho) index lies in exactly one block
         np.testing.assert_array_equal(
@@ -408,7 +414,7 @@ class TestSampleMap:
             build_gamma(spec, 6),
             "amplitude_damping",
         )
-        sizes = sorted(len(idx) for idx in rhs.blocks())
+        sizes = sorted(len(idx) for idx in rhs.conjugate_sectors()[0])
         assert len(sizes) == 13
         assert sizes[-1] == 924
         assert 16 * sum(s * s for s in sizes) <= evolution.SAMPLE_MAP_MAX_BYTES
@@ -536,7 +542,7 @@ class TestLevelMap:
     )
     def test_matches_dense_construction(self, topology, n):
         _, rhs = _damping_rhs(topology, n)
-        _assert_maps_match_reference(rhs, rhs.blocks(), self.DT, self.N_SUB)
+        _assert_maps_match_reference(rhs, rhs.conjugate_sectors()[0], self.DT, self.N_SUB)
 
     def test_matches_dense_construction_at_six_cells(self):
         _, rhs = _damping_rhs("all_to_all", 6)
@@ -548,7 +554,7 @@ class TestLevelMap:
     def test_every_power_matches(self, n_sub):
         # the square-and-multiply buffers for other substep counts
         _, rhs = _damping_rhs("nearest_neighbor", 5)
-        large = [idx for idx in rhs.blocks() if len(idx) >= LEVEL_SPLIT_MIN_ROWS]
+        large = [idx for idx in rhs.conjugate_sectors()[0] if len(idx) >= LEVEL_SPLIT_MIN_ROWS]
         assert len(large) == 3  # 252 and the two of 210
         _assert_maps_match_reference(rhs, large, 1e-3, n_sub)
 
@@ -556,7 +562,7 @@ class TestLevelMap:
         # below the cut-off the batched build does the dense construction's
         # arithmetic, so runs with small blocks keep their bytes
         _, rhs = _damping_rhs("local", 5)
-        blocks = rhs.blocks()
+        blocks = rhs.conjugate_sectors()[0]
         assert max(len(idx) for idx in blocks) < LEVEL_SPLIT_MIN_ROWS
         for indices, maps in rhs.block_maps(blocks, self.DT, self.N_SUB):
             for idx, got in zip(indices, maps):
@@ -615,7 +621,7 @@ class TestLevelMap:
         h_eff = _channel_heff("amplitude_damping", "all_to_all", n)
         h_eff = h_eff + 0.3 * embed(pauli("x"), 0, n)
         rhs = make_rhs(h_eff, build_gamma(spec, n), "amplitude_damping")
-        blocks = rhs.blocks()
+        blocks = rhs.conjugate_sectors()[0]
         assert max(len(idx) for idx in blocks) >= LEVEL_SPLIT_MIN_ROWS
         _assert_maps_match_reference(rhs, blocks, self.DT, self.N_SUB)
 

@@ -794,6 +794,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OK" in out and "8 runs" in out
 
+    def test_sample_bound_refused_by_validate_and_run(self, tmp_path, capsys):
+        # 2,000,000 samples: both subcommands report it under t_max and
+        # exit 2 before any output directory is made
+        path = tmp_path / "long.cfg"
+        path.write_text(
+            "preset = fig2_dephasing_product\nn_sites = 2\n"
+            "t_max = 20000\ndt_sample = 0.01\n"
+        )
+        out_dir = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert cli.main(
+            ["run", "fig2_dephasing_product", "--tmax", "20000",
+             "--out", str(out_dir)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count(
+            f"t_max: t_max / dt_sample exceeds {evolution.MAX_SAMPLES} samples"
+        ) == 3
+        assert not out_dir.exists()
+
     def test_validate_missing_file_exits_2(self, capsys):
         assert cli.main(["validate", "/nonexistent/path.cfg"]) == 2
 
