@@ -37,6 +37,7 @@ from .scenarios import (
     list_presets,
     load_config,
     precheck_cptp,
+    precheck_ground_state,
     require_valid_config,
     run_list,
     run_scenario,
@@ -121,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     val_p = sub.add_parser(
-        "validate", help="schema-validate a config file and its rate matrices"
+        "validate",
+        help="schema-validate a config, its rate matrices and ground level",
     )
     val_p.add_argument("config_path")
     return parser
@@ -204,6 +206,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config_path)
     applied = precheck_cptp(cfg, auto_cptp=False)
+    precheck_ground_state(cfg)
     n_runs = len(run_list(cfg))
     print(f"OK: scenario {cfg.name!r} ({n_runs} runs) passes validation")
     for (topology, n), modulus in sorted(applied.items()):

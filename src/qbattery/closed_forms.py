@@ -1,10 +1,10 @@
 """Closed-form reference solutions used as ground truth in tests.
 
-All matrices follow the package basis convention (cell basis ordered
-up, down with sigma^z = diag(1, -1); site 0 leftmost).  The two-qubit
-correlated-dephasing state below was derived directly from the master
-equation: with jump operators sigma^z the generator acts element-wise in
-the z product basis,
+All matrices follow the package basis convention set out in
+qbattery.models (cell basis ordered up, down with sigma^z = diag(1, -1);
+site 0 leftmost).  The two-qubit correlated-dephasing state below was
+derived directly from the master equation: with jump operators sigma^z
+the generator acts element-wise in the z product basis,
 
     rho_ab(t) = rho_ab(0) exp(Lambda_ab t),
     Lambda_ab = -i (E_a - E_b)

@@ -35,15 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import gamma_nn_eigenvalues
-from .models import EffectiveCoupling, ring_bonds
-from .operators import embed, pauli
+from .models import EffectiveCoupling, ring_bonds, site_z_signs
 
 PSD_TOL = -1e-12
 
 CHANNELS = ("dephasing", "amplitude_damping")
 TOPOLOGIES = ("local", "nearest_neighbor", "all_to_all")
-
-_JUMP_KIND = {"dephasing": "z", "amplitude_damping": "minus"}
 
 
 class CptpViolationError(ValueError):
@@ -224,11 +221,25 @@ def require_cptp(gamma: GammaMatrix) -> CptpReport:
 
 
 def jump_operators(channel: str, n_sites: int) -> list[np.ndarray]:
-    """Per-site jump operators for the channel, embedded in the full space."""
+    """Per-site jump operators for the channel, dense on the full space.
+
+    Written from the bits of the basis states (site i is bit N-1-i, 0 =
+    spin up): sigma^z_i is the diagonal of site_z_signs(N)[i], and
+    sigma^-_i has a 1 at (a | bit_i, a) for every a with site i up.
+    """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
-    op = pauli(_JUMP_KIND[channel])
-    return [embed(op, i, n_sites) for i in range(n_sites)]
+    signs = site_z_signs(n_sites)
+    if channel == "dephasing":
+        return [np.diag(row).astype(complex) for row in signs]
+    dim = 2**n_sites
+    ops = []
+    for i in range(n_sites):
+        op = np.zeros((dim, dim), dtype=complex)
+        up = np.flatnonzero(signs[i] > 0)
+        op[up | (1 << (n_sites - 1 - i)), up] = 1.0
+        ops.append(op)
+    return ops
 
 
 def dissipator_apply(

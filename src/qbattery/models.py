@@ -1,5 +1,13 @@
 """Battery Hamiltonian, reservoir-induced effective Hamiltonians, initial states.
 
+Conventions used throughout the package: a cell's basis states are
+ordered (spin up, spin down), so sigma^z = diag(1, -1) and index 0 is the
+excited (+1) level; site 0 is the leftmost tensor factor, i.e. site i is
+bit N-1-i of a basis-state index, and a set bit means spin down; hbar = 1
+and all couplings are dimensionless.  The Hamiltonians, the product start
+and the jump operators (dissipation.jump_operators) are written entry by
+entry from those bits, through site_z_signs.
+
 The battery register is a ring of N spin-1/2 cells with
 
     H_B = sum_i (h/2) sigma_i^x + (j_coupling/4) sum_(j,k) sigma_j^z sigma_k^z
@@ -42,8 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .operators import kron_all
 
 GROUND_DEGENERACY_GAP = 1e-10
 
@@ -243,11 +249,15 @@ def product_minus_state(n_sites: int) -> np.ndarray:
     field term (h/2) sigma^x for h > 0.  This constructor bypasses
     diagonalization so the j_coupling = 0 battery (whose full spectrum is
     degenerate in every excited level) has a canonical preparation.
+
+    Entry a of the state vector is +-prod(1/sqrt(2) over the sites),
+    negative where an odd number of sites is down, multiplied in the
+    order the Kronecker product of the single-cell vectors does.
     """
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    vec = kron_all([minus] * n_sites) if n_sites > 1 else minus
+    magnitude = math.prod([1.0 / math.sqrt(2.0)] * n_sites)
+    vec = (magnitude * site_z_signs(n_sites).prod(axis=0)).astype(complex)
     return np.outer(vec, vec.conj())
 
 
@@ -272,19 +282,14 @@ def field_product_eigenbasis(
     """
     if n_sites < 1:
         raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    dim = 2**n_sites
-    states = np.arange(dim)
-    # entry (r, a) is the product over sites of +-1/sqrt(2), negative where
-    # site i is down in r and |-> in a: (-1)^popcount(r & a) times the
-    # magnitude, multiplied in the same order as the Kronecker product does
+    # down[i, a] = 1 where site i is down in a.  Entry (r, a) is the product
+    # over sites of +-1/sqrt(2), negative where site i is down in r and |->
+    # in a: (-1)^popcount(r & a) times the magnitude, multiplied in the
+    # same order as the Kronecker product does
+    down = (site_z_signs(n_sites) < 0).astype(np.int64)
     magnitude = math.prod([1.0 / math.sqrt(2.0)] * n_sites)
-    overlap = states[:, None] & states[None, :]
-    parity = np.zeros((dim, dim), dtype=np.int64)
-    n_minus = np.zeros(dim, dtype=np.int64)
-    for i in range(n_sites):
-        parity ^= (overlap >> i) & 1
-        n_minus += (states >> i) & 1
+    parity = (down.T @ down) % 2
     basis = np.where(parity == 1, -magnitude, magnitude).astype(complex)
-    energies = (h / 2.0) * (n_sites - 2 * n_minus)
-    order = np.lexsort((states, energies))
+    energies = (h / 2.0) * (n_sites - 2 * down.sum(axis=0))
+    order = np.lexsort((np.arange(2**n_sites), energies))
     return energies[order], basis[:, order]

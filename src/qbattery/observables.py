@@ -19,12 +19,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import expectation
-
 STORED_ENERGY_FLOOR = 1e-9
+IMAG_TRACE_TOL = 1e-10
 DEGENERACY_GAP = 1e-10
 BRUTEFORCE_EXHAUSTIVE_DIM = 8
 BRUTEFORCE_MAX_DIM = 16
+
+
+def expectation(rho: np.ndarray, op: np.ndarray) -> float | np.ndarray:
+    """Tr[rho op] as a real number, or as a (K,) real array for each state
+    of a (K, dim, dim) stack rho (bitwise the one-state values).
+
+    The imaginary residue of the trace must stay below 1e-10; a larger
+    residue signals a corrupted state or a non-Hermitian observable and
+    raises instead of being silently discarded.
+    """
+    rho = np.asarray(rho)
+    op = np.asarray(op)
+    if (
+        rho.shape[-2:] != op.shape
+        or rho.ndim not in (2, 3)
+        or op.shape[0] != op.shape[1]
+    ):
+        raise ValueError(
+            f"dimension mismatch: state {rho.shape} vs operator {op.shape}"
+        )
+    # one state is a stack of one
+    values = np.einsum("kij,ji->k", rho[None] if rho.ndim == 2 else rho, op)
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue >= IMAG_TRACE_TOL:
+        raise ValueError(
+            f"expectation value has imaginary residue {residue:.3e} "
+            f"(tolerance {IMAG_TRACE_TOL:.0e})"
+        )
+    return values.real if rho.ndim == 3 else float(values[0].real)
 
 
 @dataclass(frozen=True)

@@ -693,6 +693,18 @@ def precheck_cptp(cfg: ScenarioConfig, auto_cptp: bool) -> dict[tuple[str, int],
     return applied
 
 
+def precheck_ground_state(cfg: ScenarioConfig) -> None:
+    """Refuse a ground_interacting start whose ground level is degenerate
+    at any N of the sweep before anything is written: ground_state's own
+    test, on each run's battery Hamiltonian, raises
+    DegenerateGroundStateError.  Product starts build nothing."""
+    if cfg.initial_state != "ground_interacting":
+        return
+    for n in cfg.n_sites_list:
+        model = BatteryModel(n_sites=n, h=cfg.h, j_coupling=cfg.j_prime)
+        ground_state(battery_hamiltonian(model))
+
+
 def run_filename(name: str, channel: str, topology: str, n_sites: int) -> str:
     """CSV filename for one run of a scenario."""
     return f"{name}_{channel}_{topology}_N{n_sites}.csv"
@@ -839,7 +851,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run every (channel, topology, N) combination and emit CSVs + manifest.
 
-    The rate matrices of all runs are validated before any integration
+    The rate matrices of all runs, and a ground-state start's ground
+    level, are validated before out_dir is created or any integration
     starts.  Runs are fully independent; workers > 1 executes the sweep in
     that many worker processes (output files and manifest order are
     identical either way).  The manifest `<name>_manifest.json` records the
@@ -886,8 +899,9 @@ def run_scenario(
         ScenarioResult with the manifest path, CSV paths, and manifest dict.
     """
     require_valid_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     applied = precheck_cptp(cfg, auto_cptp)
+    precheck_ground_state(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     runs = run_list(cfg)
     payloads = [
         (cfg, channel, topology, n, applied[(topology, n)], out_dir)

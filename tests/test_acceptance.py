@@ -35,7 +35,7 @@ from qbattery import (
     read_run_csv,
     run_scenario,
 )
-from qbattery.operators import expectation
+from qbattery.observables import expectation
 from qbattery.scenarios import first_peak, run_filename
 
 from reference_impls import random_density_matrix, random_hermitian

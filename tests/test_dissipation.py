@@ -17,9 +17,14 @@ from qbattery import (
     validate_cptp,
 )
 from qbattery.models import EffectiveCoupling
-from qbattery.operators import embed, pauli
 
-from reference_impls import random_density_matrix, ref_dissipator
+from reference_impls import (
+    SM,
+    SZ,
+    random_density_matrix,
+    ref_dissipator,
+    ref_embed,
+)
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 
@@ -262,16 +267,22 @@ class TestCptpValidation:
 
 
 class TestJumpOperators:
+    # Values only: a Kronecker chain writes some zeros as -0.0.
     def test_dephasing_jumps_are_embedded_sigma_z(self):
-        ls = jump_operators("dephasing", 3)
-        assert len(ls) == 3
-        for i, l in enumerate(ls):
-            np.testing.assert_array_equal(l, embed(pauli("z"), i, 3))
+        for n in range(1, 7):
+            ls = jump_operators("dephasing", n)
+            assert len(ls) == n
+            for i, l in enumerate(ls):
+                assert l.dtype == complex
+                np.testing.assert_array_equal(l, ref_embed(SZ, i, n))
 
     def test_damping_jumps_are_embedded_sigma_minus(self):
-        ls = jump_operators("amplitude_damping", 2)
-        for i, l in enumerate(ls):
-            np.testing.assert_array_equal(l, embed(pauli("minus"), i, 2))
+        for n in range(1, 7):
+            ls = jump_operators("amplitude_damping", n)
+            assert len(ls) == n
+            for i, l in enumerate(ls):
+                assert l.dtype == complex
+                np.testing.assert_array_equal(l, ref_embed(SM, i, n))
 
     def test_unknown_channel_raises(self):
         with pytest.raises(ValueError, match="unknown channel"):

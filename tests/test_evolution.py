@@ -39,12 +39,14 @@ from qbattery.evolution import (
     make_rhs,
 )
 from qbattery.models import EffectiveCoupling, effective_hamiltonian, site_z_signs
-from qbattery.operators import embed, pauli
 
 from reference_impls import (
+    SX,
+    SY,
     random_density_matrix,
     random_hermitian,
     ref_dephasing_diagonal,
+    ref_embed,
     ref_generator_matrix,
     ref_master_rhs,
     ref_rk4_block_map,
@@ -195,7 +197,7 @@ class TestRhsCorrectness:
         rng = np.random.default_rng(9)
         spec = _spec()
         gamma = build_gamma(spec, 2)
-        h_off = embed(pauli("x"), 0, 2) + 0.3 * embed(pauli("y"), 1, 2)
+        h_off = ref_embed(SX, 0, 2) + 0.3 * ref_embed(SY, 1, 2)
         rhs = make_rhs(h_off, gamma, "dephasing")
         for _ in range(4):
             rho = random_density_matrix(rng, 4)
@@ -619,7 +621,7 @@ class TestLevelMap:
         n = 4
         spec = _spec(channel="amplitude_damping", topology="all_to_all")
         h_eff = _channel_heff("amplitude_damping", "all_to_all", n)
-        h_eff = h_eff + 0.3 * embed(pauli("x"), 0, n)
+        h_eff = h_eff + 0.3 * ref_embed(SX, 0, n)
         rhs = make_rhs(h_eff, build_gamma(spec, n), "amplitude_damping")
         blocks = rhs.conjugate_sectors()[0]
         assert max(len(idx) for idx in blocks) >= LEVEL_SPLIT_MIN_ROWS

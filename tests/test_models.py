@@ -14,17 +14,20 @@ from qbattery import (
     all_pair_bonds,
     battery_hamiltonian,
     effective_hamiltonian,
+    expectation,
     field_product_eigenbasis,
     ground_state,
     product_minus_state,
     ring_bonds,
 )
-from qbattery.operators import embed, expectation, pauli
 
 from reference_impls import (
     SM,
     SP,
+    SX,
+    SZ,
     ref_battery_hamiltonian,
+    ref_embed,
     ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
@@ -145,7 +148,7 @@ class TestEffectiveHamiltonian:
         # antisymmetric (d_dm) part and double the symmetric hopping.
         coupling = EffectiveCoupling(kind="xx_dm", j_xx=1.2, d_dm=0.2)
         got = effective_hamiltonian(coupling, 2, periodic=True)
-        hop = embed(SP, 0, 2) @ embed(SM, 1, 2)
+        hop = ref_embed(SP, 0, 2) @ ref_embed(SM, 1, 2)
         expected = 2.0 * 1.2 * (hop + hop.conj().T)
         np.testing.assert_allclose(got, expected, atol=1e-14)
         # d_dm must not appear at all:
@@ -192,12 +195,11 @@ class TestEffectiveHamiltonian:
         j_complex = coupling.j_xx + 1j * coupling.d_dm
         for j, k in bonds:
             if kind == "ising_z":
-                sz = pauli("z")
                 expected += coupling.j_z * (
-                    embed(sz, j, n_sites) @ embed(sz, k, n_sites)
+                    ref_embed(SZ, j, n_sites) @ ref_embed(SZ, k, n_sites)
                 )
             else:
-                hop = embed(SP, j, n_sites) @ embed(SM, k, n_sites)
+                hop = ref_embed(SP, j, n_sites) @ ref_embed(SM, k, n_sites)
                 expected += j_complex * hop + np.conj(j_complex) * hop.conj().T
         got = effective_hamiltonian(coupling, n_sites, periodic=periodic)
         assert np.array_equal(got, expected)
@@ -301,11 +303,20 @@ class TestProductMinusState:
             h_mat @ rho, -n_sites * h / 2.0 * rho, atol=1e-13
         )
         # Every cell points along -x:
-        sx = pauli("x")
         for i in range(n_sites):
-            assert expectation(rho, embed(sx, i, n_sites)) == pytest.approx(
-                -1.0, abs=1e-13
-            )
+            sx = ref_embed(SX, i, n_sites)
+            assert expectation(rho, sx) == pytest.approx(-1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n_sites", range(1, 9))
+    def test_bit_construction_equals_kron_chain(self, n_sites):
+        # Values only: the Kronecker chain writes some imaginary zeros as -0.0.
+        minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+        vec = np.array([1.0], dtype=complex)
+        for _ in range(n_sites):
+            vec = np.kron(vec, minus)
+        rho = product_minus_state(n_sites)
+        assert rho.dtype == complex
+        np.testing.assert_array_equal(rho, np.outer(vec, vec.conj()))
 
     def test_invalid_count_raises(self):
         with pytest.raises(ValueError, match="n_sites"):

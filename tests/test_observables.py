@@ -17,20 +17,67 @@ from qbattery import (
     energy_eigenbasis,
     ergotropy,
     ergotropy_bruteforce_oracle,
+    expectation,
     extraction_ratio,
     field_product_eigenbasis,
     product_minus_state,
 )
 from qbattery.evolution import check_state
 from qbattery.observables import STORED_ENERGY_FLOOR, parity_block_basis
-from qbattery.operators import embed, pauli
 
 from reference_impls import (
+    SP,
+    SX,
+    SZ,
     random_density_matrix,
     random_hermitian,
     ref_ergotropy,
     ref_l1_coherence,
 )
+
+
+class TestExpectation:
+    def test_known_value(self):
+        rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+        assert expectation(rho, SZ) == pytest.approx(0.5, abs=1e-15)
+        assert expectation(rho, SX) == pytest.approx(0.5, abs=1e-15)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            expectation(np.eye(2), np.eye(4))
+
+    def test_imaginary_residue_raises(self):
+        # Tr[rho op] for this state against a ladder operator is -0.5j.
+        rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            expectation(rho, SP)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), dim=st.sampled_from([2, 4, 8]))
+    def test_hermitian_expectation_is_real_and_bounded(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, dim)
+        op = random_hermitian(rng, dim)
+        value = expectation(rho, op)
+        eigs = np.linalg.eigvalsh(op)
+        assert eigs[0] - 1e-10 <= value <= eigs[-1] + 1e-10
+
+    def test_stack_matches_each_state_bitwise(self):
+        rng = np.random.default_rng(31)
+        for dim in (2, 8, 32):
+            stack = np.array([random_density_matrix(rng, dim) for _ in range(5)])
+            op = random_hermitian(rng, dim)
+            values = expectation(stack, op)
+            assert values.shape == (5,)
+            assert values.tolist() == [expectation(r, op) for r in stack]
+
+    def test_imaginary_residue_in_a_stack_raises(self):
+        good = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        bad = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="imaginary residue"):
+            expectation(np.array([good, bad]), SP)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            expectation(np.array([good, bad]), np.eye(4))
 
 
 class TestErgotropySpectral:

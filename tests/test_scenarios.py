@@ -815,6 +815,38 @@ class TestCli:
         ) == 3
         assert not out_dir.exists()
 
+    def test_cptp_refusal_by_validate_and_run_makes_no_directory(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "hot.cfg"
+        path.write_text(
+            "preset = fig2_dephasing_product\ngamma = 0.01\n"
+            "n_sites = 3\nt_max = 0.05\n"
+        )
+        out_dir = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 3
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("complete-positivity violation") == 2
+        assert not out_dir.exists()
+
+    def test_degenerate_ground_level_refused_by_validate_and_run(
+        self, tmp_path, capsys
+    ):
+        # h = 0 leaves only the zz term, whose ground level is degenerate
+        path = tmp_path / "flat.cfg"
+        path.write_text(
+            "preset = fig3_dephasing_entangled\nh = 0\n"
+            "n_sites = 3, 2\nt_max = 0.05\n"
+        )
+        out_dir = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert "passes validation" not in captured.out
+        assert captured.err.count("ground level is degenerate") == 2
+        assert not out_dir.exists()
+
     def test_validate_missing_file_exits_2(self, capsys):
         assert cli.main(["validate", "/nonexistent/path.cfg"]) == 2
 

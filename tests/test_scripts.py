@@ -10,6 +10,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_script(script, args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -18,15 +33,30 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_0(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
+    proc = _run_script(script, args)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduce_figures_runs_one_preset(tmp_path):
+    # run from tmp_path so that not even the default output root lands in
+    # the repository
+    out = tmp_path / "out"
+    proc = _run_script(
+        "reproduce_figures.py",
+        ["--only", "fig2_dephasing_product", "--out", str(out)],
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    run_dir = out / "fig2_dephasing_product"
+    assert len(list(run_dir.glob("*.csv"))) == 5
+    assert (run_dir / "fig2_dephasing_product_manifest.json").exists()
+    assert "fig2_dephasing_product: 5 runs" in proc.stdout
+
+    proc = _run_script(
+        "reproduce_figures.py",
+        ["--only", "nope", "--out", str(out)],
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "unknown preset 'nope'" in proc.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
