@@ -284,6 +284,65 @@ class TestJumpOperators:
                 assert l.dtype == complex
                 np.testing.assert_array_equal(l, ref_embed(SM, i, n))
 
+    def test_site_zero_is_most_significant_bit(self):
+        # sigma^z_0 on 3 cells is sz (x) id (x) id: its diagonal flips sign
+        # exactly at the most significant bit of the basis index.
+        sz0 = jump_operators("dephasing", 3)[0]
+        expected = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=complex)
+        np.testing.assert_array_equal(np.diag(sz0), expected)
+
+    def test_last_site_toggles_least_significant_bit(self):
+        sz2 = jump_operators("dephasing", 3)[2]
+        expected = np.array([1, -1, 1, -1, 1, -1, 1, -1], dtype=complex)
+        np.testing.assert_array_equal(np.diag(sz2), expected)
+
+    def test_lowering_demotes_up_to_down(self):
+        # sigma^-_i sends |a> with site i up (bit 0) to |a with bit set>
+        # and annihilates |a> with site i down.
+        n, dim = 3, 8
+        for i, sm in enumerate(jump_operators("amplitude_damping", n)):
+            bit = 1 << (n - 1 - i)
+            for a in range(dim):
+                ket = np.zeros(dim, dtype=complex)
+                ket[a] = 1.0
+                expected = np.zeros(dim, dtype=complex)
+                if not a & bit:
+                    expected[a | bit] = 1.0
+                np.testing.assert_array_equal(sm @ ket, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_single_site_algebra(self, n):
+        eye = np.eye(2**n)
+        szs = jump_operators("dephasing", n)
+        sms = jump_operators("amplitude_damping", n)
+        for sz, sm in zip(szs, sms):
+            sp = sm.conj().T
+            np.testing.assert_array_equal(sz @ sz, eye)
+            np.testing.assert_array_equal(sm @ sm, 0 * eye)
+            np.testing.assert_array_equal(sp @ sm - sm @ sp, sz)
+            np.testing.assert_array_equal(sp @ sm + sm @ sp, eye)
+
+    def test_different_sites_commute(self):
+        szs = jump_operators("dephasing", 3)
+        sms = jump_operators("amplitude_damping", 3)
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                a, b = sms[i], sms[j].conj().T
+                np.testing.assert_array_equal(a @ b - b @ a, 0 * a)
+                a, b = sms[i], szs[j]
+                np.testing.assert_array_equal(a @ b - b @ a, 0 * a)
+
+    def test_returns_fresh_arrays(self):
+        for channel in ("dephasing", "amplitude_damping"):
+            first = jump_operators(channel, 2)
+            first[0][0, 0] = 99.0
+            np.testing.assert_array_equal(
+                jump_operators(channel, 2)[0],
+                ref_embed(SZ if channel == "dephasing" else SM, 0, 2),
+            )
+
     def test_unknown_channel_raises(self):
         with pytest.raises(ValueError, match="unknown channel"):
             jump_operators("thermal", 2)

@@ -31,6 +31,7 @@ from reference_impls import (
     ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
+from qbattery.models import site_z_signs
 
 
 class TestBondSets:
@@ -56,6 +57,29 @@ class TestBondSets:
             bonds = ring_bonds(n, periodic=True)
             assert len(bonds) == n
             assert all(k == (j + 1) % n for j, k in bonds)
+
+
+class TestSiteZSigns:
+    def test_three_cell_literal(self):
+        # Site 0 is the most significant bit; 0 is spin up (+1).
+        expected = np.array(
+            [
+                [1, 1, 1, 1, -1, -1, -1, -1],
+                [1, 1, -1, -1, 1, 1, -1, -1],
+                [1, -1, 1, -1, 1, -1, 1, -1],
+            ],
+            dtype=float,
+        )
+        np.testing.assert_array_equal(site_z_signs(3), expected)
+
+    def test_rows_are_embedded_sigma_z_diagonals(self):
+        for n in range(1, 7):
+            signs = site_z_signs(n)
+            assert signs.shape == (n, 2**n)
+            for i in range(n):
+                np.testing.assert_array_equal(
+                    signs[i], np.diag(ref_embed(SZ, i, n)).real
+                )
 
 
 class TestBatteryHamiltonian:
