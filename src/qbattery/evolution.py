@@ -60,11 +60,12 @@ A sector of at least LEVEL_SPLIT_MIN_ROWS rows builds its map on that
 form, P(dt L) by Horner with the sparse block and its power by squaring
 over the lower level blocks only (36 % of the dense arithmetic for the
 924-row sector at N = 6); smaller sectors are built as one dense block
-each, all blocks of one size in one batch.  The stored map and the
-per-sample apply are the same either way.  For sigma^z dephasing with an
+each, all blocks of one size in one batch.  For sigma^z dephasing with an
 excitation-conserving, non-diagonal H_eff, each sector is one (ket, bra)
 excitation pair and a single level.  The map of a level-split sector is
-stored and applied only up to its level diagonal, one row slab per level.
+built, stored and applied only up to its level diagonal, one row slab
+per level: the squaring runs in place on one whole block, a row slab at a
+time from the last level up, and the product is kept as row slabs only.
 
 Every sampled state is checked (check_state) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
@@ -103,7 +104,6 @@ from .dissipation import (
     NoiseSpec,
     build_gamma,
     dissipator_apply,
-    jump_operators,
     require_cptp,
 )
 from .models import effective_hamiltonian, site_z_signs
@@ -117,8 +117,11 @@ STEADY_WINDOW_FRACTION = 0.1
 MAX_SAMPLES = 10**6
 # Bytes the whole blocks of a non-diagonal generator's map may take, 16 per
 # dense complex entry summed over the kept blocks (one of each conjugate
-# pair plus the self-conjugate ones); the build holds them whole, though a
-# level-split block is then stored up to its level diagonal only.
+# pair plus the self-conjugate ones).  The rule counts whole blocks, though
+# a level-split block is built and stored only as its level row slabs up to
+# the diagonal: the build holds the slabs stored so far, one whole block,
+# the slabs of the block being built and one more row slab (at fig7
+# all-to-all N = 6, 17.9 MiB of slabs and a 28 MiB tracemalloc peak).
 # All-to-all amplitude damping with hopping needs ~28 MB at N = 6 and
 # ~415 MB at N = 7, which keeps the explicit substep loop.  Ring and local
 # damping from |->^N take the shift-reduced generator (make_rhs), whose
@@ -279,38 +282,42 @@ def _rk4_polynomial(x: np.ndarray, elementwise: bool) -> np.ndarray:
     return p
 
 
-def _lower_matmul(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, offsets: np.ndarray
-) -> None:
-    """out = a @ b for square a, b block lower triangular over the levels
-    [offsets[k], offsets[k + 1]), computing the lower level blocks only:
-    out[I, J] = a[I, J..I] @ b[J..I, J] for each level pair I >= J.  The
-    blocks of out above the level diagonal are left as they are."""
-    for i in range(len(offsets) - 1):
-        rows = slice(offsets[i], offsets[i + 1])
-        for j in range(i + 1):
-            cols = slice(offsets[j], offsets[j + 1])
-            inner = slice(offsets[j], offsets[i + 1])
-            np.matmul(a[rows, inner], b[inner, cols], out=out[rows, cols])
+def _lower_row_slab(
+    a: np.ndarray, b: np.ndarray, levels: list[tuple[int, int]], i: int
+) -> np.ndarray:
+    """Row slab I = levels[i] of a @ b, up to the level diagonal, for a and b
+    block lower triangular over the levels, with a given as its own row slab
+    a[I, :hi_I]: level block J is a[I, J..I] @ b[J..I, J] for each J <= I,
+    computed into a new array of one row slab.  No row of b below level I
+    is read."""
+    lo, hi = levels[i]
+    out = np.empty((hi - lo, hi), dtype=complex)
+    for lo_j, hi_j in levels[: i + 1]:
+        np.matmul(a[:, lo_j:], b[lo_j:hi, lo_j:hi_j], out=out[:, lo_j:hi_j])
+    return out
 
 
 def _level_map(
-    x: scipy.sparse.csr_matrix, n_sub: int, offsets: np.ndarray, out: np.ndarray
-) -> None:
-    """out = P(x)^n_sub for a sparse x that is block lower triangular over
-    the levels [offsets[k], offsets[k + 1]); out must be zero above the
-    level diagonal on entry.
+    x: scipy.sparse.csr_matrix, n_sub: int, offsets: np.ndarray
+) -> list[np.ndarray]:
+    """The level row slabs M[offsets[I]:offsets[I + 1], :offsets[I + 1]] of
+    M = P(x)^n_sub, for a sparse x that is block lower triangular over the
+    levels [offsets[k], offsets[k + 1]); M is zero above the level diagonal.
 
     P(x) comes from Horner with the sparse x, one level column at a time:
     the columns of level J are zero above offsets[J], so they are
     P(x_J) e_J for the lower-right part x_J = x[offsets[J]:, offsets[J]:]
     and the unit columns e_J of the level, three sparse products with a
-    dense slab of that level's width.  Its power comes from
-    square-and-multiply with _lower_matmul in three buffers, out among
-    them, so no product allocates.
+    dense slab of that level's width.  Its power comes from right-to-left
+    square-and-multiply (result @ power, power @ power) over the lower
+    level blocks only, in place: `power` is one whole block and `result`
+    only its row slabs.  Each product is computed a row slab at a time
+    (_lower_row_slab) and copied over that slab, the last level first, so
+    that squaring power in place reads only rows of levels <= I, none of
+    which has been overwritten yet.
     """
     size = x.shape[0]
-    p = np.zeros((size, size), dtype=complex)
+    power = np.zeros((size, size), dtype=complex)
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         lower = x[lo:, lo:]
         unit = (np.arange(hi - lo), np.arange(hi - lo))
@@ -321,29 +328,24 @@ def _level_map(
             slab = lower @ slab
             slab /= k
             slab[unit] += 1.0
-        p[lo:, lo:hi] = slab
-    free = [out, np.zeros_like(p)]
-    power, result = p, None
+        power[lo:, lo:hi] = slab
+    levels = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    result = None
     while True:
         if n_sub & 1:
             if result is None:
-                result = power
+                result = [power[lo:hi, :hi].copy() for lo, hi in levels]
             else:
-                product = free.pop()
-                _lower_matmul(result, power, product, offsets)
-                if result is not power:
-                    free.append(result)
-                result = product
+                for i, row in enumerate(result):
+                    row[...] = _lower_row_slab(row, power, levels, i)
         n_sub >>= 1
         if not n_sub:
-            break
-        square = free.pop()
-        _lower_matmul(power, power, square, offsets)
-        if power is not result:
-            free.append(power)
-        power = square
-    if result is not out:
-        out[...] = result
+            return result
+        for i in reversed(range(len(levels))):
+            lo, hi = levels[i]
+            power[lo:hi, :hi] = _lower_row_slab(
+                power[lo:hi, :hi], power, levels, i
+            )
 
 
 def _substep_loop_work(nnz: int, size: int, n_sub: int) -> int:
@@ -406,6 +408,26 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     )
 
 
+def _lowering_csrs(n_sites: int) -> list[scipy.sparse.csr_matrix]:
+    """sigma^-_i for each site as a CSR matrix, written from the bits of the
+    basis states as dissipation.jump_operators writes its dense form (site
+    i is bit N-1-i, 0 = spin up): a 1 at (a | bit_i, a) for every a with
+    site i up, so each row holds at most one entry."""
+    dim = 2**n_sites
+    states = np.arange(dim)
+    ops = []
+    for i in range(n_sites):
+        bit = 1 << (n_sites - 1 - i)
+        up = states[(states & bit) == 0]
+        ops.append(
+            scipy.sparse.csr_matrix(
+                (np.ones(len(up), dtype=complex), (up | bit, up)),
+                shape=(dim, dim),
+            )
+        )
+    return ops
+
+
 def _gksl_matrix(
     h_eff: np.ndarray, gamma: GammaMatrix, channel: str
 ) -> scipy.sparse.csr_matrix:
@@ -426,7 +448,7 @@ def _gksl_matrix(
     """
     n = gamma.n_sites
     dim = 2**n
-    h_eff = np.array(h_eff, dtype=complex)
+    h_eff = np.asarray(h_eff, dtype=complex)
     if channel == "dephasing":
         diagonal = _dephasing_diagonal(np.real(np.diag(h_eff)), gamma)
         size = dim * dim
@@ -434,10 +456,11 @@ def _gksl_matrix(
             (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
             shape=(size, size),
         )
+        h_eff = h_eff.copy()
         np.fill_diagonal(h_eff, 0.0)
         h_nh = scipy.sparse.csr_matrix(h_eff)
     else:
-        ls = [scipy.sparse.csr_matrix(op) for op in jump_operators(channel, n)]
+        ls = _lowering_csrs(n)
         g = gamma.matrix
         m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
         lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
@@ -479,7 +502,8 @@ class _Generator:
     states; the steps gather those entries from rho and scatter the
     propagated values back along the orbits.  One sparse matvec per
     evaluation.  `propagation` is the path of the last step sample_map
-    built, None before the first.
+    built, None before the first, and `step_bytes` the bytes of the arrays
+    that step applies.
     """
 
     def __init__(
@@ -492,6 +516,7 @@ class _Generator:
         self.dim = dim
         self.orbits = orbits
         self.propagation: str | None = None
+        self.step_bytes: int | None = None
 
     @functools.cached_property
     def transpose(self) -> np.ndarray:
@@ -622,20 +647,22 @@ class _Generator:
 
     def block_maps(
         self, blocks: list[np.ndarray], dt: float, n_sub: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | list[list[np.ndarray]]]]:
         """Yield (indices, maps) for each distinct size s of the given
         blocks, the largest first: the (k, s) stack of the k blocks'
-        indices, in the order their maps use, and the (k, s, s) stack of
-        their maps P(dt L_b)^n_sub, where L_b is lmat restricted to the
-        block in that order.  A group is built when it is asked for, so a
-        caller that keeps only a part of each group's maps never holds all
-        of them at once.
+        indices, in the order their maps use, and their maps
+        M_b = P(dt L_b)^n_sub, where L_b is lmat restricted to the block in
+        that order.  A group is built when it is asked for, one block at a
+        time.
 
         A block of at least LEVEL_SPLIT_MIN_ROWS rows is put in level order
         (levels()) and built by _level_map, so its map is block lower
-        triangular with the blocks above the level diagonal exactly zero.
-        The smaller blocks keep ascending order and are built dense, all
-        blocks of one size together, DENSE_BUILD_BATCH_BYTES at a time.
+        triangular with the blocks above the level diagonal exactly zero;
+        such a group's maps are a list of k lists of level row slabs,
+        M_b[lo_I:hi_I, :hi_I] for each level I, and no whole map of it is
+        kept.  The smaller blocks keep ascending order and are built dense,
+        all blocks of one size together, DENSE_BUILD_BATCH_BYTES at a time,
+        into the (k, s, s) stack of their maps.
         """
         by_size: dict[int, list[np.ndarray]] = {}
         for idx in blocks:
@@ -645,12 +672,12 @@ class _Generator:
             if size < LEVEL_SPLIT_MIN_ROWS:
                 yield indices, self._dense_maps(indices, dt, n_sub)
                 continue
-            maps = np.zeros((len(same), size, size), dtype=complex)
+            maps = []
             for b, idx in enumerate(same):
                 indices[b], sizes = self.levels(idx)
                 sub = dt * self.lmat[indices[b]][:, indices[b]]
                 offsets = np.concatenate(([0], np.cumsum(sizes)))
-                _level_map(sub, n_sub, offsets, maps[b])
+                maps.append(_level_map(sub, n_sub, offsets))
             yield indices, maps
 
     def _dense_maps(
@@ -689,7 +716,10 @@ class _Generator:
     def sample_map(self, dt: float, n_sub: int):
         """The run's per-sample step: n_sub RK4 steps of size dt, exact for
         Hermitian rho.  The path it takes is recorded in `propagation`,
-        "rk4_sample_map" (a precomputed map) or "rk4_substep_loop".
+        "rk4_sample_map" (a precomputed map) or "rk4_substep_loop", and the
+        bytes of the arrays the step applies in `step_bytes`: the diagonal
+        factor, the dense stacks plus the level row slabs, or the data,
+        indices and indptr of the loop's kept CSR.
 
         A diagonal lmat (sigma^z dephasing with an Ising-z H_eff) acts on
         rho elementwise, so the map is one Hadamard product with
@@ -703,12 +733,15 @@ class _Generator:
         orbits.  The kept sectors take dense block matvecs unless their
         blocks hold at least as many entries as the substep loop on them
         does multiply-adds per sample (_substep_loop_work on the kept rows)
-        or their whole blocks take more than SAMPLE_MAP_MAX_BYTES, the
-        memory the build needs: all-to-all amplitude damping from N = 7 on
-        (~415 MB there), while the shift-reduced ring and local damping
-        maps stay small.  Then the step runs the explicit RK4 substeps on
-        lmat restricted to the kept indices, not lmat itself, so the full
-        generator can be freed once the step is built.
+        or their whole blocks take more than SAMPLE_MAP_MAX_BYTES (counted
+        whole, though a level-split block is built and stored as row slabs):
+        all-to-all amplitude damping from N = 7 on (~415 MB there), while
+        the shift-reduced ring and local damping maps stay small.  Then the
+        step runs the explicit RK4 substeps on lmat restricted to the kept
+        indices, not lmat itself, so the full generator can be freed once
+        the step is built.  Kept sectors are closed under lmat, so their
+        rows reference kept columns only: the restriction is one row slice
+        of lmat with its columns renumbered in place of a second slice.
 
         The block maps come from block_maps: level by level from
         LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per size below.  At
@@ -717,14 +750,17 @@ class _Generator:
         (one BLAS thread, 2-core Xeon).  The smaller blocks are stored
         whole, blocks of equal size stacked, one batched matmul per size a
         sample.  A level-split block's map is block lower triangular, so
-        only each level's row slab up to the diagonal is stored and applied,
-        one matvec per level (at fig7 N = 6 all-to-all, 17.8 MiB instead of
-        27.1 MiB).
+        it is built, stored and applied only as each level's row slab up
+        to the diagonal, one matvec per level (at fig7 N = 6 all-to-all,
+        17.9 MiB instead of 27.1 MiB); the build holds those slabs, one
+        whole block and one more row slab (tracemalloc peak 28.1 MiB there,
+        against 39.7 MiB for three whole blocks).
         """
         if self._is_diagonal():
             factor = _rk4_polynomial(dt * self.lmat.diagonal(), elementwise=True)
             factor = (factor**n_sub).reshape(self.dim, self.dim)
             self.propagation = "rk4_sample_map"
+            self.step_bytes = factor.nbytes
             return lambda rho: factor * rho
         kept_blocks, kept, fill = self._kept_sectors()
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
@@ -732,26 +768,40 @@ class _Generator:
         loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
         dense, levelled, loop = [], [], None
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
-            loop = self.lmat[kept][:, kept]
+            kept_rows = self.lmat[kept]
+            position = np.empty(self.lmat.shape[1], kept_rows.indices.dtype)
+            position[kept] = np.arange(len(kept))
+            loop = scipy.sparse.csr_matrix(
+                (kept_rows.data, position[kept_rows.indices], kept_rows.indptr),
+                shape=(len(kept), len(kept)),
+            )
         else:
             for indices, maps in self.block_maps(kept_blocks, dt, n_sub):
                 if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
                     dense.append((indices, maps))
                     continue
-                for idx, block in zip(indices, maps):
+                for idx, slabs in zip(indices, maps):
                     bounds = np.cumsum(np.bincount(self._level[idx]))
                     levelled.append((
                         idx,
                         [
-                            (idx[lo:hi], hi, block[lo:hi, :hi].copy())
-                            for lo, hi in zip(np.r_[0, bounds[:-1]], bounds)
+                            (idx[lo:hi], hi, slab)
+                            for lo, hi, slab in zip(
+                                np.r_[0, bounds[:-1]], bounds, slabs
+                            )
                         ],
                     ))
-                # free the whole maps before the next group is built
-                del maps, block
         self.propagation = (
             "rk4_sample_map" if loop is None else "rk4_substep_loop"
         )
+        if loop is None:
+            self.step_bytes = sum(maps.nbytes for _, maps in dense) + sum(
+                slab.nbytes for _, slabs in levelled for *_, slab in slabs
+            )
+        else:
+            self.step_bytes = (
+                loop.data.nbytes + loop.indices.nbytes + loop.indptr.nbytes
+            )
         source, orbits = self.transpose[fill], self.orbits
 
         def step(rho: np.ndarray) -> np.ndarray:
@@ -1387,11 +1437,13 @@ def evolve_stream(
     first sample after t = 0 is yielded: "rk4_sample_map" (precomputed
     per-sample RK4 map) or "rk4_substep_loop" (explicit RK4 substeps);
     with it info["shift_reduced"], whether the
-    generator was reduced to the shift orbits, and
+    generator was reduced to the shift orbits,
     info["propagated_values"], the length of the propagated vector (the
-    number of orbits, or dim^2).  info["timing_s"] holds the wall seconds of the
-    run's phases: "build", H_eff, the generator and its per-sample map or
-    step, set with info["propagation"]; "propagate" and "check", the
+    number of orbits, or dim^2), and info["step_bytes"], the bytes of the
+    arrays the step applies (_Generator.sample_map).  info["timing_s"]
+    holds the wall seconds of the run's phases: "build", H_eff, the
+    generator and its per-sample map or step, set with
+    info["propagation"]; "propagate" and "check", the
     propagation and the check_state calls of the samples after t = 0,
     summed over the chunks; and "sampling", from the start of the first
     sample after t = 0 to the end of the stream (the consumer's time
@@ -1471,6 +1523,7 @@ def evolve_stream(
     info["propagation"] = rhs.propagation
     info["shift_reduced"] = rhs.orbits is not None
     info["propagated_values"] = rhs.lmat.shape[0]
+    info["step_bytes"] = rhs.step_bytes
     # the step holds what it applies; the generator need not outlive it
     del rhs
     timing["build"] = time.perf_counter() - start

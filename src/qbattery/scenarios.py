@@ -693,16 +693,22 @@ def precheck_cptp(cfg: ScenarioConfig, auto_cptp: bool) -> dict[tuple[str, int],
     return applied
 
 
-def precheck_ground_state(cfg: ScenarioConfig) -> None:
+def precheck_ground_state(cfg: ScenarioConfig) -> dict[int, np.ndarray]:
     """Refuse a ground_interacting start whose ground level is degenerate
     at any N of the sweep before anything is written: ground_state's own
     test, on each run's battery Hamiltonian, raises
-    DegenerateGroundStateError.  Product starts build nothing."""
+    DegenerateGroundStateError.
+
+    Returns the ground state of each N, which run_scenario hands to every
+    (channel, topology) run of that N, so each is diagonalised once.
+    Product starts build nothing and return an empty dict."""
     if cfg.initial_state != "ground_interacting":
-        return
+        return {}
+    states = {}
     for n in cfg.n_sites_list:
         model = BatteryModel(n_sites=n, h=cfg.h, j_coupling=cfg.j_prime)
-        ground_state(battery_hamiltonian(model))
+        states[n] = ground_state(battery_hamiltonian(model))
+    return states
 
 
 def run_filename(name: str, channel: str, topology: str, n_sites: int) -> str:
@@ -730,10 +736,12 @@ def _execute_run(payload: tuple) -> dict:
     """Integrate one (channel, topology, N) run and write its CSV.
 
     Module-level so scenario sweeps can run in worker processes; the
-    payload is (cfg, channel, topology, n_sites, applied_modulus, out_dir).
+    payload is (cfg, channel, topology, n_sites, applied_modulus, rho0,
+    out_dir), where rho0 is the ground state from precheck_ground_state
+    for a ground_interacting start and None for a product start.
     Returns the manifest entry for the run.
     """
-    cfg, channel, topology, n_sites, modulus, out_dir = payload
+    cfg, channel, topology, n_sites, modulus, rho0, out_dir = payload
     start = time.perf_counter()
 
     model = BatteryModel(n_sites=n_sites, h=cfg.h, j_coupling=cfg.j_prime)
@@ -744,10 +752,8 @@ def _execute_run(payload: tuple) -> dict:
     else:
         _, basis = energy_eigenbasis(h_b)
     parity_basis = parity_block_basis(basis)
-    if cfg.initial_state == "product_minus":
+    if rho0 is None:
         rho0 = product_minus_state(n_sites)
-    else:
-        rho0 = ground_state(h_b)
 
     spec = _noise_spec(cfg, channel, topology, modulus)
     evo = EvolutionConfig(
@@ -826,6 +832,7 @@ def _execute_run(payload: tuple) -> dict:
         "propagation": evolution_info["propagation"],
         "shift_reduced": evolution_info["shift_reduced"],
         "propagated_values": evolution_info["propagated_values"],
+        "step_bytes": evolution_info["step_bytes"],
         "dt_internal_effective": cfg.dt_sample / n_sub,
         "applied_gamma_offdiag_modulus": modulus,
         "steady_window": steady.window,
@@ -853,12 +860,14 @@ def run_scenario(
 
     The rate matrices of all runs, and a ground-state start's ground
     level, are validated before out_dir is created or any integration
-    starts.  Runs are fully independent; workers > 1 executes the sweep in
-    that many worker processes (output files and manifest order are
-    identical either way).  The manifest `<name>_manifest.json` records the
+    starts; each N's ground state is diagonalised once, there, and handed
+    to that N's runs.  Runs are fully independent; workers > 1 executes
+    the sweep in that many worker processes (output files and manifest
+    order are identical either way).  The manifest `<name>_manifest.json` records the
     full config echo, library version, per-run integrator step and
     propagation path (precomputed per-sample map or explicit substep loop,
-    see qbattery.evolution), applied cross-site rate (after any --auto-cptp
+    see qbattery.evolution) and the bytes its per-sample step applies
+    (`step_bytes`), applied cross-site rate (after any --auto-cptp
     scaling), convergence flag and its evidence (below), worst invariant
     margins over the sampled states (largest |trace - 1| and hermiticity
     drift, smallest minimum eigenvalue), the numbers of sampled states that the check split into
@@ -900,11 +909,14 @@ def run_scenario(
     """
     require_valid_config(cfg)
     applied = precheck_cptp(cfg, auto_cptp)
-    precheck_ground_state(cfg)
+    ground = precheck_ground_state(cfg)
     os.makedirs(out_dir, exist_ok=True)
     runs = run_list(cfg)
     payloads = [
-        (cfg, channel, topology, n, applied[(topology, n)], out_dir)
+        (
+            cfg, channel, topology, n, applied[(topology, n)], ground.get(n),
+            out_dir,
+        )
         for channel, topology, n in runs
     ]
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")

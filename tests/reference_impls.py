@@ -261,3 +261,64 @@ def ref_rk4_block_map(
     for k in (3.0, 2.0, 1.0):
         p = one + x @ p / k
     return np.linalg.matrix_power(p, n_sub)
+
+
+def ref_lower_matmul(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, offsets: np.ndarray
+) -> None:
+    """out = a @ b for square a, b block lower triangular over the levels
+    [offsets[k], offsets[k + 1]), computing the lower level blocks only:
+    out[I, J] = a[I, J..I] @ b[J..I, J] for each level pair I >= J.  The
+    blocks of out above the level diagonal are left as they are."""
+    for i in range(len(offsets) - 1):
+        rows = slice(offsets[i], offsets[i + 1])
+        for j in range(i + 1):
+            cols = slice(offsets[j], offsets[j + 1])
+            inner = slice(offsets[j], offsets[i + 1])
+            np.matmul(a[rows, inner], b[inner, cols], out=out[rows, cols])
+
+
+def ref_level_map(x, n_sub: int, offsets: np.ndarray) -> np.ndarray:
+    """P(x)^n_sub as one whole matrix, for a sparse x that is block lower
+    triangular over the levels [offsets[k], offsets[k + 1]), by the
+    library's former whole-matrix construction: P(x) by Horner one level
+    column at a time, then right-to-left square-and-multiply with
+    ref_lower_matmul in three whole buffers, so the blocks above the level
+    diagonal stay exactly zero.  The library now builds the same products
+    a level row slab at a time, in place; each level block is the same
+    matmul on the same operands, so the two agree bit for bit."""
+    size = x.shape[0]
+    p = np.zeros((size, size), dtype=complex)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        lower = x[lo:, lo:]
+        unit = (np.arange(hi - lo), np.arange(hi - lo))
+        slab = lower[:, : hi - lo].toarray()
+        slab /= 4.0
+        slab[unit] += 1.0
+        for k in (3.0, 2.0, 1.0):
+            slab = lower @ slab
+            slab /= k
+            slab[unit] += 1.0
+        p[lo:, lo:hi] = slab
+    out = np.zeros_like(p)
+    free = [out, np.zeros_like(p)]
+    power, result = p, None
+    while True:
+        if n_sub & 1:
+            if result is None:
+                result = power
+            else:
+                product = free.pop()
+                ref_lower_matmul(result, power, product, offsets)
+                if result is not power:
+                    free.append(result)
+                result = product
+        n_sub >>= 1
+        if not n_sub:
+            break
+        square = free.pop()
+        ref_lower_matmul(power, power, square, offsets)
+        if power is not result:
+            free.append(power)
+        power = square
+    return result

@@ -2,10 +2,12 @@
 state invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +50,7 @@ from reference_impls import (
     ref_dephasing_diagonal,
     ref_embed,
     ref_generator_matrix,
+    ref_level_map,
     ref_master_rhs,
     ref_rk4_block_map,
     solve_master_ivp,
@@ -143,6 +146,42 @@ class TestRhsDispatch:
         # one block per kept sector, none the whole of vec(rho)
         assert sum(len(m) for m in stacks) == len(rhs._kept_sectors()[0])
         assert max(m.shape[1] for m in stacks) < 4**n
+
+
+class TestLoweringCsrs:
+    """The generator's sigma^- CSRs, written from the bits of the basis
+    states, against the dense jump operators they replaced there."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equal_the_dense_jump_operators(self, n):
+        csrs = evolution._lowering_csrs(n)
+        dense = jump_operators("amplitude_damping", n)
+        assert len(csrs) == len(dense) == n
+        for csr, op in zip(csrs, dense):
+            assert csr.nnz == 2 ** (n - 1)
+            assert np.array_equal(csr.toarray(), op)
+
+    @pytest.mark.parametrize(
+        "topology, n",
+        # correlated topologies need two cells
+        [("local", n) for n in range(1, 8)]
+        + [(t, n) for t in ("nearest_neighbor", "all_to_all") for n in range(2, 8)],
+    )
+    def test_generator_keeps_its_arrays(self, topology, n, monkeypatch):
+        spec = _channel_spec("amplitude_damping", topology)
+        h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
+        got = evolution._gksl_matrix(h_eff, gamma, "amplitude_damping")
+        monkeypatch.setattr(
+            evolution,
+            "_lowering_csrs",
+            lambda n_sites: [
+                scipy.sparse.csr_matrix(op)
+                for op in jump_operators("amplitude_damping", n_sites)
+            ],
+        )
+        ref = evolution._gksl_matrix(h_eff, gamma, "amplitude_damping")
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 class TestRhsCorrectness:
@@ -423,6 +462,63 @@ class TestSampleMap:
         assert sum(sizes) == 4096
 
 
+def _step_csrs(step):
+    """The sparse matrices a per-sample step closes over."""
+    cells = [cell.cell_contents for cell in step.__closure__ or ()]
+    return [obj for obj in cells if scipy.sparse.issparse(obj)]
+
+
+class TestStepBytes:
+    """sample_map records the bytes of the arrays its step applies, and the
+    substep loop's kept CSR is one row slice of the generator."""
+
+    @pytest.mark.parametrize(
+        "channel, topology, n, path",
+        [
+            ("dephasing", "nearest_neighbor", 3, "rk4_sample_map"),
+            ("amplitude_damping", "nearest_neighbor", 4, "rk4_sample_map"),
+            ("amplitude_damping", "all_to_all", 5, "rk4_sample_map"),
+            ("amplitude_damping", "all_to_all", 4, "rk4_substep_loop"),
+        ],
+    )
+    def test_equals_the_bytes_of_the_step_arrays(
+        self, channel, topology, n, path, monkeypatch
+    ):
+        if path == "rk4_substep_loop":
+            monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
+        spec = _channel_spec(channel, topology)
+        rhs = make_rhs(_spec_heff(spec, n), build_gamma(spec, n), channel)
+        assert rhs.step_bytes is None
+        step = rhs.sample_map(1e-3, 13)
+        assert rhs.propagation == path
+        maps = [a for a in _map_arrays(step) if np.iscomplexobj(a)]
+        csrs = _step_csrs(step)
+        expected = sum(a.nbytes for a in maps) + sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in csrs
+        )
+        assert rhs.step_bytes == expected > 0
+        # a map holds no CSR and the loop no map
+        assert len(csrs) == (path == "rk4_substep_loop")
+        assert not (maps and csrs)
+        if topology == "all_to_all" and path == "rk4_sample_map":
+            assert _level_slabs(step)
+
+    @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
+    def test_loop_csr_is_the_kept_restriction(self, topology, monkeypatch):
+        # the kept rows reference kept columns only, so renumbering the
+        # columns of lmat[kept] gives lmat[kept][:, kept] array for array
+        monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
+        n = 4
+        _, rhs = _damping_rhs(topology, n)
+        kept = rhs._kept_sectors()[1]
+        assert len(kept) < rhs.lmat.shape[0]
+        (loop,) = _step_csrs(rhs.sample_map(1e-3, 13))
+        ref = rhs.lmat[kept][:, kept]
+        assert loop.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(loop, name), getattr(ref, name))
+
+
 def _transposed(idx, dim):
     """vec(rho) indices of rho[j, i] for the indices of rho[i, j]."""
     return (idx % dim) * dim + idx // dim
@@ -516,16 +612,40 @@ def _excitations(idx, n):
     return up[rows], up[cols]
 
 
+def _level_bounds(slabs):
+    """(lo, hi) of each level row slab M[lo:hi, :hi] of a level-split map."""
+    return [(slab.shape[1] - len(slab), slab.shape[1]) for slab in slabs]
+
+
+def _levels_whole(slabs):
+    """The whole map from its level row slabs, zero above the level
+    diagonal."""
+    size = slabs[-1].shape[1]
+    whole = np.zeros((size, size), dtype=complex)
+    for (lo, hi), slab in zip(_level_bounds(slabs), slabs):
+        whole[lo:hi, :hi] = slab
+    return whole
+
+
 def _assert_maps_match_reference(rhs, blocks, dt, n_sub):
     """block_maps covers the blocks, and each map equals the dense
     construction on the block's indices in the map's order within 1e-13
-    relative to the map's largest entry."""
+    relative to the map's largest entry.  A level-split map is stored as
+    its level row slabs, which tile the lower level blocks, and the dense
+    construction is exactly zero above them."""
     covered = []
     for indices, maps in rhs.block_maps(blocks, dt, n_sub):
-        assert maps.shape == (len(indices),) + 2 * indices.shape[1:]
+        assert len(maps) == len(indices)
         for idx, got in zip(indices, maps):
             covered.append(np.sort(idx))
             ref = ref_rk4_block_map(rhs.lmat, idx, dt, n_sub)
+            if isinstance(got, list):
+                bounds = _level_bounds(got)
+                assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+                for lo, hi in bounds:
+                    assert np.all(ref[lo:hi, hi:] == 0)
+                got = _levels_whole(got)
+            assert got.shape == 2 * idx.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     np.testing.assert_array_equal(
         np.sort(np.concatenate(covered)), np.sort(np.concatenate(blocks))
@@ -599,6 +719,9 @@ class TestLevelMap:
                 assert min(a, b) == n - d - k
 
     def test_map_is_zero_above_the_level_diagonal(self):
+        # the map is stored as the level row slabs M[lo:hi, :hi]; the dense
+        # construction is exactly zero above them, and each slab below the
+        # first level reaches into the levels before it
         _, rhs = _damping_rhs("all_to_all", 6)
         kept_blocks = rhs._kept_sectors()[0]
         split = 0
@@ -609,11 +732,44 @@ class TestLevelMap:
                 ordered, sizes = rhs.levels(np.sort(idx))
                 np.testing.assert_array_equal(ordered, idx)
                 assert len(sizes) > 1
-                for hi in np.cumsum(sizes)[:-1]:
-                    assert np.all(got[:hi, hi:] == 0)
-                    assert np.any(got[hi:, :hi] != 0)
+                bounds = np.cumsum(sizes)
+                assert [slab.shape for slab in got] == list(zip(sizes, bounds))
+                ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
+                for hi, slab in zip(bounds[:-1], got[1:]):
+                    assert np.all(ref[:hi, hi:] == 0)
+                    assert np.any(slab[:, :hi] != 0)
                 split += 1
         assert split == 4  # 924, 792, 495 and 220 rows
+
+    @pytest.mark.parametrize(
+        "topology, n, kept, n_subs",
+        [
+            ("all_to_all", 6, True, [13]),
+            ("nearest_neighbor", 5, False, [1, 2, 3, 4, 7, 13, 16]),
+        ],
+    )
+    def test_slabs_are_bitwise_the_whole_matrix_build(
+        self, topology, n, kept, n_subs
+    ):
+        # the in-place slab build does each level block's matmul on the
+        # same operands as the whole-matrix build it replaced
+        # (tests/reference_impls.py), so the stored slabs keep their bytes
+        _, rhs = _damping_rhs(topology, n)
+        blocks = rhs._kept_sectors()[0] if kept else rhs.conjugate_sectors()[0]
+        large = [idx for idx in blocks if len(idx) >= LEVEL_SPLIT_MIN_ROWS]
+        assert len(large) == (4 if kept else 3)
+        dt = 0.01 / 13
+        for n_sub in n_subs:
+            for indices, maps in rhs.block_maps(large, dt, n_sub):
+                for idx, got in zip(indices, maps):
+                    ordered, sizes = rhs.levels(np.sort(idx))
+                    np.testing.assert_array_equal(ordered, idx)
+                    offsets = np.concatenate(([0], np.cumsum(sizes)))
+                    sub = dt * rhs.lmat[idx][:, idx]
+                    ref = ref_level_map(sub, n_sub, offsets)
+                    assert len(got) == len(sizes)
+                    for (lo, hi), slab in zip(_level_bounds(got), got):
+                        assert np.array_equal(slab, ref[lo:hi, :hi])
 
     def test_non_conserving_heff_matches_dense_construction(self):
         # a sigma^x field breaks excitation conservation, so the sectors
@@ -670,11 +826,28 @@ class TestLowerLevelSlabs:
         flat = rho.reshape(-1)
         expected = np.empty_like(flat)
         for indices, maps in groups:
+            if isinstance(maps, list):
+                maps = np.stack([_levels_whole(slabs) for slabs in maps])
             expected[indices] = np.matmul(maps, flat[indices][..., None])[..., 0]
         expected[fill] = np.conj(expected[rhs.transpose[fill]])
         got = step(rho).reshape(-1)
         assert np.max(np.abs(got - expected)) <= 1e-15
         assert sum(a.nbytes for a in _level_slabs(step)) < 18 * 2**20
+
+    def test_build_holds_one_whole_block(self):
+        # fig7 all-to-all damping at N = 6 stores 18.0 MiB of slabs; the
+        # build adds one whole 924-row block (13.0 MiB) and a row slab to
+        # those, where it held three whole blocks (39.7 MiB at its peak)
+        _, rhs = _damping_rhs("all_to_all", 6)
+        tracemalloc.start()
+        try:
+            step = rhs.sample_map(self.DT, self.N_SUB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rhs.propagation == "rk4_sample_map"
+        assert peak < 30 * 2**20
+        assert sum(a.nbytes for a in _level_slabs(step)) > 17 * 2**20
 
 
 def _run(rho0, spec, n_samples=50, info=None):

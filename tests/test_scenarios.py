@@ -39,7 +39,7 @@ from qbattery.scenarios import (
     run_filename,
     run_list,
 )
-from qbattery import cli, evolution
+from qbattery import cli, evolution, scenarios
 
 PRESET_NAMES = (
     "fig2_dephasing_product",
@@ -454,6 +454,26 @@ class TestRunArtifacts:
         assert entry["propagation"] == "rk4_sample_map"
         assert entry["translation_resolved_samples"] == entry["n_samples"] == 6
 
+    def test_manifest_records_the_step_bytes(self, tmp_path):
+        # fig7 at N = 3: a dephasing run's step is one factor of dim^2
+        # complex entries, a damping run's its kept blocks (one of each
+        # conjugate pair), fewer entries than the propagated vector squared
+        cfg = dataclasses.replace(
+            get_preset("fig7_longrange_comparison"),
+            channels=("amplitude_damping", "dephasing"),
+            topologies=("nearest_neighbor", "all_to_all"),
+            n_sites_list=(3,),
+            t_max=0.1,
+        )
+        entries = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        assert len(entries) == 4
+        for e in entries:
+            assert e["propagation"] == "rk4_sample_map"
+            if e["channel"] == "dephasing":
+                assert e["step_bytes"] == 16 * 64
+            else:
+                assert 0 < e["step_bytes"] < 16 * e["propagated_values"] ** 2
+
     @pytest.mark.parametrize(
         "preset", ["fig2_dephasing_product", "fig5_ad_product"]
     )
@@ -501,6 +521,32 @@ class TestRunArtifacts:
         assert [os.path.basename(p) for p in serial.csv_paths] == [
             os.path.basename(p) for p in pooled.csv_paths
         ]
+        for a, b in zip(serial.csv_paths, pooled.csv_paths):
+            assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_ground_state_is_diagonalised_once_per_size(
+        self, tmp_path, monkeypatch
+    ):
+        # precheck_ground_state diagonalises each N once and hands the
+        # state to every run of that N, in worker processes too
+        cfg = dataclasses.replace(
+            get_preset("fig6_ad_entangled"), n_sites_list=(2, 3), t_max=0.1
+        )
+        assert cfg.initial_state == "ground_interacting"
+        assert len(cfg.topologies) == 2
+        real, parent, calls = scenarios.ground_state, os.getpid(), []
+
+        def counted(h_matrix):
+            assert os.getpid() == parent, "a worker diagonalised"
+            calls.append(h_matrix.shape[0])
+            return real(h_matrix)
+
+        monkeypatch.setattr(scenarios, "ground_state", counted)
+        serial = run_scenario(cfg, str(tmp_path / "serial"), workers=1)
+        assert sorted(calls) == [4, 8]
+        pooled = run_scenario(cfg, str(tmp_path / "pooled"), workers=2)
+        assert sorted(calls) == [4, 4, 8, 8]
+        assert len(serial.csv_paths) == len(pooled.csv_paths) == 4
         for a, b in zip(serial.csv_paths, pooled.csv_paths):
             assert open(a, "rb").read() == open(b, "rb").read()
 
