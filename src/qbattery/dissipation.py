@@ -1,4 +1,4 @@
-"""Dissipation-rate matrices, CPTP validation, and the Lindblad dissipator.
+"""Dissipation-rate matrices and their CPTP validation.
 
 A reservoir configuration is an N x N Hermitian rate matrix Gamma with the
 local rate gamma on the diagonal and the cross-site rate gamma_offdiag
@@ -8,7 +8,8 @@ is necessary and sufficient for the generator
     D(rho) = sum_ij Gamma_ij (L_j rho L_i^dag - 1/2 {L_i^dag L_j, rho})
 
 to be completely positive and trace preserving, with L = sigma^z for
-dephasing and L = sigma^- for zero-temperature amplitude damping.
+dephasing and L = sigma^- for zero-temperature amplitude damping.  The
+generator itself is assembled in evolution (_gksl_matrix).
 
 Topologies:
     local:            Gamma = gamma * I
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import gamma_nn_eigenvalues
-from .models import EffectiveCoupling, ring_bonds, site_z_signs
+from .models import EffectiveCoupling, ring_bonds
 
 PSD_TOL = -1e-12
 
@@ -218,60 +219,3 @@ def require_cptp(gamma: GammaMatrix) -> CptpReport:
             f"{'satisfied' if report.analytic_bound_satisfied else 'violated'}"
         )
     return report
-
-
-def jump_operators(channel: str, n_sites: int) -> list[np.ndarray]:
-    """Per-site jump operators for the channel, dense on the full space.
-
-    Written from the bits of the basis states (site i is bit N-1-i, 0 =
-    spin up): sigma^z_i is the diagonal of site_z_signs(N)[i], and
-    sigma^-_i has a 1 at (a | bit_i, a) for every a with site i up.
-    """
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
-    signs = site_z_signs(n_sites)
-    if channel == "dephasing":
-        return [np.diag(row).astype(complex) for row in signs]
-    dim = 2**n_sites
-    ops = []
-    for i in range(n_sites):
-        op = np.zeros((dim, dim), dtype=complex)
-        up = np.flatnonzero(signs[i] > 0)
-        op[up | (1 << (n_sites - 1 - i)), up] = 1.0
-        ops.append(op)
-    return ops
-
-
-def dissipator_apply(
-    gamma: GammaMatrix, channel: str, rho: np.ndarray
-) -> np.ndarray:
-    """Apply the dissipator sum_ij Gamma_ij (L_j rho L_i^dag - 1/2 {L_i^dag L_j, rho}).
-
-    Reference implementation used directly by the right-hand side of the
-    master equation at test scale; the evolver's sparse generator is
-    cross-checked against this one.  Output is Hermitian and
-    traceless (up to round-off) for Hermitian rho and Hermitian Gamma.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = gamma.n_sites
-    dim = 2**n
-    if rho.shape != (dim, dim):
-        raise ValueError(
-            f"state dimension {rho.shape} does not match {n} cells (dim {dim})"
-        )
-    ls = jump_operators(channel, n)
-    lds = [l.conj().T for l in ls]
-    g = gamma.matrix
-    # B_j = sum_i Gamma_ij L_i^dag, so that
-    #   jump term   = sum_j L_j rho B_j
-    #   drift term  = -1/2 {M, rho} with M = sum_j B_j L_j
-    out = np.zeros_like(rho)
-    m_op = np.zeros_like(rho)
-    for j in range(n):
-        b_j = np.zeros_like(rho)
-        for i in range(n):
-            b_j += g[i, j] * lds[i]
-        out += ls[j] @ rho @ b_j
-        m_op += b_j @ ls[j]
-    out -= 0.5 * (m_op @ rho + rho @ m_op)
-    return out

@@ -11,7 +11,8 @@ condition.  The battery Hamiltonian enters observables and initial states
 only, never the generator.  The integrator is fixed-step classical RK4.
 
 Both channels assemble the generator once as one sparse CSR superoperator
-on vec(rho) (cross-checked in tests against the literal dissipator sum).
+on vec(rho) (_gksl_matrix, the package's only construction of it; the
+tests compare it with the literal double sum of tests/reference_impls.py).
 For sigma^z dephasing the dissipator and the diagonal of H_eff act
 elementwise in the z product basis, so they enter as the diagonal
 Lambda[a, b] of that matrix; an Ising-z H_eff leaves it purely diagonal.
@@ -67,14 +68,16 @@ built, stored and applied only up to its level diagonal, one row slab
 per level: the squaring runs in place on one whole block, a row slab at a
 time from the last level up, and the product is kept as row slabs only.
 
-Every sampled state is checked (check_state) and its spectrum kept for the
+Every sampled state is checked (check_state, one path over a stack of
+states, one state being a stack of one) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
 that fit in CHECK_CHUNK_BYTES in one stacked call, since a small state's
 check is mostly per-call overhead.  sigma^z dephasing commutes with the
 global spin flip P = sigma^x on every cell, another weak symmetry, so from
 a flip-invariant start such as |->^N each sample is block diagonal in P's
-two parity sectors.  The check tests that exactly, bit for bit, on every sample and
-then diagonalizes the two half-size blocks instead of the whole state.
+two parity sectors.  The check tests that exactly, bit for bit, on every
+sample and then diagonalizes the two half-size blocks instead of the
+whole state.
 Ring and local dephasing samples from |->^N are exactly T-invariant (the
 dephasing diagonal is built exactly T-invariant for them), and so are the
 shift-reduced damping samples, so from TRANSLATION_SPLIT_MIN_DIM rows on
@@ -99,13 +102,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .dissipation import (
-    GammaMatrix,
-    NoiseSpec,
-    build_gamma,
-    dissipator_apply,
-    require_cptp,
-)
+from .dissipation import GammaMatrix, NoiseSpec, build_gamma, require_cptp
 from .models import effective_hamiltonian, site_z_signs
 
 TRACE_TOL = 1e-9
@@ -172,8 +169,8 @@ CHECK_CHUNK_BYTES = 256 * 2**10
 class StateInvariantError(RuntimeError):
     """A sampled state left the physical region; integration is aborted.
 
-    When check_state was given a stack, `passed` holds the check records of
-    the states before the failing one, in order; it is empty otherwise.
+    `passed` holds the check records of the states that check_state was
+    given before the failing one, in order (none for one state).
     """
 
     def __init__(
@@ -182,13 +179,13 @@ class StateInvariantError(RuntimeError):
         trace_drift: float,
         herm_drift: float,
         min_eig: float,
-        passed: list[StateCheck] | None = None,
+        passed: list[StateCheck],
     ) -> None:
         self.t = t
         self.trace_drift = trace_drift
         self.herm_drift = herm_drift
         self.min_eig = min_eig
-        self.passed = [] if passed is None else passed
+        self.passed = passed
         super().__init__(
             f"state invariant violated at t = {t:.6g}: "
             f"|trace - 1| = {trace_drift:.3e}, "
@@ -410,9 +407,10 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
 
 def _lowering_csrs(n_sites: int) -> list[scipy.sparse.csr_matrix]:
     """sigma^-_i for each site as a CSR matrix, written from the bits of the
-    basis states as dissipation.jump_operators writes its dense form (site
-    i is bit N-1-i, 0 = spin up): a 1 at (a | bit_i, a) for every a with
-    site i up, so each row holds at most one entry."""
+    basis states (site i is bit N-1-i, 0 = spin up): a 1 at (a | bit_i, a)
+    for every a with site i up, so each row holds at most one entry.  The
+    sigma^z jumps of dephasing need no matrix: they are the rows of
+    models.site_z_signs."""
     dim = 2**n_sites
     states = np.arange(dim)
     ops = []
@@ -870,22 +868,13 @@ def make_rhs(
     return rhs.shift_reduced(orbits) or rhs
 
 
+# perfbench/selftest.py compares its own generator with this name; it
+# stays for that and evaluates the production generator
 def liouvillian_rhs(
     h_eff: np.ndarray, gamma: GammaMatrix, channel: str, rho: np.ndarray
 ) -> np.ndarray:
-    """Literal d rho / dt = -i [H_eff, rho] + dissipator.  Reference path."""
-    h_eff = np.asarray(h_eff, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if h_eff.shape != rho.shape:
-        raise ValueError(
-            f"dimension mismatch: H_eff {h_eff.shape} vs state {rho.shape}"
-        )
-    if np.max(np.abs(h_eff - h_eff.conj().T)) > 1e-12:
-        raise ValueError("liouvillian_rhs expects a Hermitian H_eff")
-    return (
-        -1j * (h_eff @ rho - rho @ h_eff)
-        + dissipator_apply(gamma, channel, rho)
-    )
+    """d rho / dt = make_rhs(h_eff, gamma, channel)(rho)."""
+    return make_rhs(h_eff, gamma, channel)(rho)
 
 
 class StateCheck(NamedTuple):
@@ -915,39 +904,39 @@ class StateCheck(NamedTuple):
         return float(self.populations[0])
 
 
-def _herm_drift(rho: np.ndarray, rows: np.ndarray | None = None) -> float:
-    """max |rho - rho^dag|, bitwise the whole-matrix value, without its
-    dim^2 temporaries.
+def _herm_drift(rho: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """max |rho - rho^dag| of one state, or of each state of a (K, dim, dim)
+    stack, bitwise the whole-matrix value, without its dim^2 temporaries.
 
     |rho[j, i] - conj(rho[i, j])| is bitwise |rho[i, j] - conj(rho[j, i])|
     (the real parts are exact negatives, the imaginary parts the same sum),
-    so the upper triangle holds every value: above HERM_DRIFT_SLAB_ROWS
-    rows it is taken in row slabs rho[i:i+t, i:] of that many rows, whose
-    temporaries stay in cache.  For a state that is exactly invariant under
-    the cyclic site shift T, `rows` are the orbit representatives
-    (_orbits): entry (T^j r, b) equals (r, T^-j b) bit for bit, and so does
-    its partner, so the representative rows alone hold every value.  The
-    maximum is taken by numpy, so a nan anywhere is the result.
+    so the upper triangle holds every value: it is taken in row slabs
+    rho[i:i+t, i:] of HERM_DRIFT_SLAB_ROWS rows (one slab, the whole
+    matrix, for a state of at most that many rows), whose temporaries stay
+    in cache.  For one state that is exactly invariant under the cyclic
+    site shift T, `rows` are the orbit representatives (_orbits): entry
+    (T^j r, b) equals (r, T^-j b) bit for bit, and so does its partner, so
+    the representative rows alone hold every value.  The maximum is taken
+    by numpy, so a nan anywhere is the result.
     """
     if rows is not None:
-        return float(np.max(np.abs(rho[rows] - rho[:, rows].T.conj())))
+        return np.max(np.abs(rho[rows] - rho[:, rows].T.conj()))
     step = HERM_DRIFT_SLAB_ROWS
-    if rho.shape[0] <= step:
-        return float(np.max(np.abs(rho - rho.conj().T)))
-    return float(
-        np.max(
-            [
-                np.max(np.abs(rho[i:i + step, i:] - rho[i:, i:i + step].T.conj()))
-                for i in range(0, rho.shape[0], step)
-            ]
-        )
+    return np.max(
+        [
+            np.abs(
+                rho[..., i:i + step, i:]
+                - rho[..., i:, i:i + step].swapaxes(-1, -2).conj()
+            ).max(axis=(-2, -1))
+            for i in range(0, rho.shape[-1], step)
+        ],
+        axis=0,
     )
 
 
-def _parity_blocks(
-    rho: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray | None:
-    """(rho_+, rho_-) stacked, or None unless rho is exactly flip-invariant.
+def _split_parity(rho: np.ndarray) -> np.ndarray:
+    """The (..., 2, dim/2, dim/2) parity blocks (rho_+, rho_-) of one
+    exactly flip-invariant state or of each state of a stack.
 
     The global spin flip P = sigma^x on every cell maps z index a to
     dim - 1 - a, so P rho P = rho[::-1, ::-1].  When that equals rho bit
@@ -956,30 +945,8 @@ def _parity_blocks(
 
         rho_+- = rho[:h, :h] +- rho[:h, h:][:, ::-1],   h = dim / 2;
 
-    the cross-parity part is exactly zero.  For a state exactly invariant
-    under the cyclic site shift T, `rows` are its orbit representatives,
-    as in _herm_drift: P commutes with T, so comparing those rows of
-    P rho P with rho's decides the whole comparison.
+    the cross-parity part is exactly zero.
     """
-    dim = rho.shape[0]
-    # the corner entries are one necessary condition, so a state far from
-    # the symmetry (amplitude damping drains |0> into |dim - 1>) costs one
-    # comparison, not a whole-matrix one
-    if dim % 2 or rho[0, 0] != rho[-1, -1]:
-        return None
-    if rows is None:
-        flipped = rho == rho[::-1, ::-1]
-    else:
-        flipped = rho[dim - 1 - rows, ::-1] == rho[rows]
-    if not flipped.all():
-        return None
-    return _split_parity(rho)
-
-
-def _split_parity(rho: np.ndarray) -> np.ndarray:
-    """The (..., 2, dim/2, dim/2) parity blocks (rho_+, rho_-) of one
-    exactly flip-invariant state or of each state of a stack (see
-    _parity_blocks)."""
     h = rho.shape[-1] // 2
     top_left, top_right = rho[..., :h, :h], rho[..., :h, h:][..., ::-1]
     blocks = np.empty(rho.shape[:-2] + (2, h, h), dtype=complex)
@@ -1134,20 +1101,27 @@ def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
+def _take(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The states of a stack that `mask` selects; the stack itself, not a
+    copy, when it selects them all."""
+    return states if mask.all() else states[mask]
+
+
 def check_state(
     rho: np.ndarray, t: float | list[float]
 ) -> StateCheck | list[StateCheck]:
     """Raise StateInvariantError unless rho is a valid density matrix.
 
     rho is one state, or a (K, dim, dim) stack of states with their K
-    sample times t.  For one state it returns the check's measurements
-    (StateCheck), including the spectrum it computed, so a caller needs no
-    second eigendecomposition of the same state.  For a stack it returns
-    the list of the states' records, each bitwise the one check_state
-    gives for that state alone, and raises for the first invalid state
-    with the records of the states before it as the error's `passed`.  The
-    spectrum comes from the smallest exact symmetry blocks the state has,
-    each symmetry tested bit for bit with no tolerance or margin:
+    sample times t; one state is checked as a stack of one.  For one state
+    it returns the check's measurements (StateCheck), including the
+    spectrum it computed, so a caller needs no second eigendecomposition
+    of the same state; for a stack, the list of the states' records, each
+    bitwise the one check_state gives for that state alone.  It raises for
+    the first invalid state, with the records of the states before it as
+    the error's `passed`.  The spectrum comes from the smallest exact
+    symmetry blocks the state has, each symmetry tested bit for bit with
+    no tolerance or margin:
 
     * from TRANSLATION_SPLIT_MIN_DIM rows on (N >= 7), a state that equals
       T rho T^dag for the cyclic site shift T (_translation_invariant: row
@@ -1157,117 +1131,84 @@ def check_state(
       parity blocks were as fast;
     * otherwise a state that equals P rho P for the global spin flip P
       (every dephasing sample from a flip-invariant start) takes its two
-      parity blocks, from one eigvalsh call on the stacked blocks, a
-      quarter of the arithmetic of the full one;
+      parity blocks (_split_parity), a quarter of the arithmetic of the
+      full eigvalsh;
     * any other state takes the full eigvalsh.
 
     The drifts are measured over the whole of rho, with the same values
     either way; for a T-invariant state the hermiticity drift and the flip
     comparison read only the orbit representatives' rows, which hold every
     value.  The parity blocks are returned whenever the state has them,
-    for the coherence.  A state with a nan or inf entry is rejected before
-    any spectrum is taken.
+    for the coherence.  A state with a nan or inf entry gets no spectrum
+    (its min_eig is nan) and is rejected.
 
-    A stack of states under TRANSLATION_SPLIT_MIN_DIM rows is checked at
-    once (_check_stack): the drifts, the finiteness and the flip test are
-    taken per state, one eigvalsh takes every full-path state and one the
-    parity blocks of all the others.  LAPACK sees each matrix alone, so
-    each spectrum is bitwise the one-state one, and the per-call overhead,
-    most of a small state's check, is paid once a stack.  Larger states
-    gain nothing from a stacked eigvalsh and are checked one at a time.
+    The T-invariant states are measured one by one.  The others are
+    measured as one stack (no copy when that is the whole stack): the
+    drifts and the corner and flip tests at once, one eigvalsh for every
+    full-path state and one for the parity blocks of all the others.
+    LAPACK sees each matrix alone, so each spectrum is bitwise the
+    one-state one, and the per-call overhead, most of a small state's
+    check, is paid once a stack.
     """
-    if rho.ndim == 2:
-        return _check_one(rho, t)
-    if rho.shape[-1] < TRANSLATION_SPLIT_MIN_DIM:
-        return _check_stack(rho, t)
-    checks: list[StateCheck] = []
-    for state, time_ in zip(rho, t):
-        try:
-            checks.append(_check_one(state, time_))
-        except StateInvariantError as err:
-            err.passed = checks
-            raise
-    return checks
-
-
-def _check_one(rho: np.ndarray, t: float) -> StateCheck:
-    """check_state on one state."""
-    trace = np.trace(rho)
-    trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
-    dim = rho.shape[0]
-    # a nan entry fails the invariance test (nan != nan); an inf one may
-    # pass it, and then sits in a representative row as well
-    rows = None
-    if (
-        dim >= TRANSLATION_SPLIT_MIN_DIM
-        and not dim & (dim - 1)
-        and _translation_invariant(rho)
-    ):
-        rows = _orbits(dim.bit_length() - 1).representatives
-    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
-    # numpy would warn about), so the test below rejects every non-finite
-    # state
-    with np.errstate(invalid="ignore"):
-        herm_drift = _herm_drift(rho, rows)
-    if not math.isfinite(herm_drift):
-        raise StateInvariantError(t, trace_drift, herm_drift, math.nan)
-    parity_blocks = _parity_blocks(rho, rows)
-    if rows is not None:
-        populations = _momentum_spectrum(rho)
-    elif parity_blocks is None:
-        populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    else:
-        populations = _parity_spectrum(parity_blocks)
-    min_eig = float(populations[0])
-    # written so that a nan measurement fails
-    if not (
-        trace_drift < TRACE_TOL
-        and herm_drift < HERMITICITY_TOL
-        and min_eig >= MIN_EIGENVALUE_TOL
-    ):
-        raise StateInvariantError(t, trace_drift, herm_drift, min_eig)
-    return StateCheck(
-        populations, trace_drift, herm_drift, parity_blocks, rows is not None
-    )
-
-
-def _check_stack(states: np.ndarray, times: list[float]) -> list[StateCheck]:
-    """check_state on a (K, dim, dim) stack of states with fewer than
-    TRANSLATION_SPLIT_MIN_DIM rows, so none takes the momentum blocks.
-
-    Each measurement is the one _check_one takes, state by state: the
-    trace, the whole-matrix hermiticity drift (max is exact in any order),
-    the corner and flip comparisons, the Hermitian parts and their eigvalsh
-    (one call on the full-path states, one on the parity blocks of the
-    others) and the sorted block spectra, so every record is bitwise the one-state
-    record.  A non-finite state gets no spectrum (its min_eig is nan).
-    """
+    # one state is a stack of one
+    states, times = (rho[None], [t]) if rho.ndim == 2 else (rho, t)
     count, dim = states.shape[:2]
     trace = np.trace(states, axis1=1, axis2=2)
     trace_drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
-    adjoint = states.conj().transpose(0, 2, 1)
-    # as in _check_one, rho - rho^dag is nan or inf wherever rho is
-    with np.errstate(invalid="ignore"):
-        herm_drift = np.abs(states - adjoint).max(axis=(1, 2))
-    finite = np.isfinite(herm_drift)
-    flipped = np.zeros(count, dtype=bool)
-    if dim % 2 == 0:
-        corner = np.flatnonzero(finite & (states[:, 0, 0] == states[:, -1, -1]))
-        flipped[corner] = (
-            states[corner] == states[corner, ::-1, ::-1]
-        ).all(axis=(1, 2))
+    herm_drift = np.empty(count)
     populations = np.full((count, dim), math.nan)
-    full = finite & ~flipped
-    if full.any():
-        populations[full] = np.linalg.eigvalsh(
-            0.5 * (states[full] + adjoint[full])
-        )
     blocks: list = [None] * count
-    if flipped.any():
-        stacked = _split_parity(states[flipped])
-        populations[flipped] = _parity_spectrum(stacked)
-        for k, block in zip(np.flatnonzero(flipped).tolist(), stacked):
-            blocks[k] = block
+    translated = np.zeros(count, dtype=bool)
+    if dim >= TRANSLATION_SPLIT_MIN_DIM and not dim & (dim - 1):
+        rows = _orbits(dim.bit_length() - 1).representatives
+        # a nan entry fails the invariance test (nan != nan); an inf one may
+        # pass it, and then sits in a representative row as well
+        translated[:] = [_translation_invariant(state) for state in states]
+    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
+    # numpy would warn about), so a non-finite state gets no spectrum
+    for k in np.flatnonzero(translated).tolist():
+        state = states[k]
+        with np.errstate(invalid="ignore"):
+            herm_drift[k] = _herm_drift(state, rows)
+        if not math.isfinite(herm_drift[k]):
+            continue
+        populations[k] = _momentum_spectrum(state)
+        # P commutes with T, so the representative rows of P rho P decide
+        # the whole flip comparison
+        if (
+            state[0, 0] == state[-1, -1]
+            and (state[dim - 1 - rows, ::-1] == state[rows]).all()
+        ):
+            blocks[k] = _split_parity(state)
+    rest = np.flatnonzero(~translated)
+    if rest.size:
+        chosen = states if rest.size == count else states[rest]
+        with np.errstate(invalid="ignore"):
+            herm_drift[rest] = _herm_drift(chosen)
+        finite = np.isfinite(herm_drift[rest])
+        flipped = np.zeros(rest.size, dtype=bool)
+        # the corner entries are one necessary condition, so a state far
+        # from the symmetry (amplitude damping drains |0> into |dim - 1>)
+        # costs one comparison, not a whole-matrix one
+        corner = (
+            finite & (dim % 2 == 0) & (chosen[:, 0, 0] == chosen[:, -1, -1])
+        )
+        if corner.any():
+            candidates = _take(chosen, corner)
+            flipped[corner] = (
+                candidates == candidates[:, ::-1, ::-1]
+            ).all(axis=(1, 2))
+        if flipped.any():
+            stacked = _split_parity(_take(chosen, flipped))
+            populations[rest[flipped]] = _parity_spectrum(stacked)
+            for k, block in zip(rest[flipped].tolist(), stacked):
+                blocks[k] = block
+        full = finite & ~flipped
+        if full.any():
+            candidates = _take(chosen, full)
+            hermitian = candidates + candidates.conj().swapaxes(1, 2)
+            hermitian *= 0.5
+            populations[rest[full]] = np.linalg.eigvalsh(hermitian)
     # written so that a nan measurement fails
     valid = (
         (trace_drift < TRACE_TOL)
@@ -1275,6 +1216,7 @@ def _check_stack(states: np.ndarray, times: list[float]) -> list[StateCheck]:
         & (populations[:, 0] >= MIN_EIGENVALUE_TOL)
     ).tolist()
     trace_drift, herm_drift = trace_drift.tolist(), herm_drift.tolist()
+    translated = translated.tolist()
     checks: list[StateCheck] = []
     for k in range(count):
         if not valid[k]:
@@ -1286,9 +1228,12 @@ def _check_stack(states: np.ndarray, times: list[float]) -> list[StateCheck]:
                 checks,
             )
         checks.append(
-            StateCheck(populations[k], trace_drift[k], herm_drift[k], blocks[k])
+            StateCheck(
+                populations[k], trace_drift[k], herm_drift[k], blocks[k],
+                translated[k],
+            )
         )
-    return checks
+    return checks[0] if rho.ndim == 2 else checks
 
 
 def resolve_time_grid(cfg: EvolutionConfig, spec: NoiseSpec) -> tuple[int, int]:

@@ -5,8 +5,8 @@ ordered (spin up, spin down), so sigma^z = diag(1, -1) and index 0 is the
 excited (+1) level; site 0 is the leftmost tensor factor, i.e. site i is
 bit N-1-i of a basis-state index, and a set bit means spin down; hbar = 1
 and all couplings are dimensionless.  The Hamiltonians, the product start
-and the jump operators (dissipation.jump_operators) are written entry by
-entry from those bits, through site_z_signs.
+and the generator's jump operators (evolution._gksl_matrix) are written
+entry by entry from those bits, through site_z_signs.
 
 The battery register is a ring of N spin-1/2 cells with
 

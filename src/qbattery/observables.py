@@ -14,7 +14,6 @@ splits into two real half-size ones; see parity_block_basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 STORED_ENERGY_FLOOR = 1e-9
 IMAG_TRACE_TOL = 1e-10
 DEGENERACY_GAP = 1e-10
-BRUTEFORCE_EXHAUSTIVE_DIM = 8
-BRUTEFORCE_MAX_DIM = 16
 
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> float | np.ndarray:
@@ -111,59 +108,6 @@ def ergotropy(
     if rho.ndim == 2:
         w, passive = float(w[0]), float(passive[0])
     return ErgotropyReport(w=w, passive_energy=passive, ergotropy=w - passive)
-
-
-def ergotropy_bruteforce_oracle(
-    rho: np.ndarray,
-    h_b: np.ndarray,
-    n_random_unitaries: int,
-    seed: int = 0,
-) -> float:
-    """Ergotropy via direct minimization, independent of the sorting shortcut.
-
-    Minimizes the post-extraction energy over (a) assignments of state
-    eigenvectors to Hamiltonian eigenvectors -- exhaustively for dim <= 8,
-    via an optimal-assignment solver for 8 < dim <= 16 -- and (b)
-    n_random_unitaries Haar-random unitaries, then returns
-    Tr[h_b rho] - min.  Test-scale only.
-    """
-    # Imported here, their only use: they would add ~0.6 s to every
-    # import of the package.
-    import scipy.optimize
-    import scipy.stats
-
-    rho = np.asarray(rho, dtype=complex)
-    h_b = np.asarray(h_b, dtype=complex)
-    dim = rho.shape[0]
-    if dim > BRUTEFORCE_MAX_DIM:
-        raise ValueError(
-            f"brute-force oracle supports dim <= {BRUTEFORCE_MAX_DIM}, got {dim}"
-        )
-    w = expectation(rho, h_b)
-    populations = np.linalg.eigvalsh(rho)
-    energies = np.linalg.eigvalsh(h_b)
-    best = np.inf
-    if dim <= BRUTEFORCE_EXHAUSTIVE_DIM:
-        for perm in itertools.permutations(range(dim)):
-            value = float(np.dot(populations, energies[list(perm)]))
-            if value < best:
-                best = value
-    else:
-        cost = np.outer(populations, energies)
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        best = float(cost[rows, cols].sum())
-    if n_random_unitaries > 0:
-        unitaries = scipy.stats.unitary_group.rvs(
-            dim, size=n_random_unitaries, random_state=seed
-        )
-        if n_random_unitaries == 1:
-            unitaries = unitaries[np.newaxis, :, :]
-        rotated = unitaries @ rho @ unitaries.conj().transpose(0, 2, 1)
-        extracted = np.einsum("kij,ji->k", rotated, h_b)
-        if np.max(np.abs(extracted.imag)) > 1e-9:
-            raise ValueError("unitary extraction produced a non-real energy")
-        best = min(best, float(np.min(extracted.real)))
-    return w - best
 
 
 def energy_eigenbasis(

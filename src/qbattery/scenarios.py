@@ -902,7 +902,8 @@ def run_scenario(
         out_dir: directory for CSVs and the manifest (created if missing).
         auto_cptp: scale all-to-all cross-site rates down to the
             complete-positivity bound instead of hard-failing.
-        workers: process count for the sweep; 1 runs in-process.
+        workers: process count for the sweep, at most one per run; 1 runs
+            in-process.  The manifest records the count requested.
 
     Returns:
         ScenarioResult with the manifest path, CSV paths, and manifest dict.
@@ -922,7 +923,11 @@ def run_scenario(
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.perf_counter()
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool starts all its workers at the first submit,
+        # so it is given no more than there are runs
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(payloads))
+        ) as pool:
             entries = list(pool.map(_execute_run, payloads))
     else:
         entries = [_execute_run(p) for p in payloads]

@@ -3,13 +3,38 @@
 Everything here is deliberately written from scratch — literal Pauli
 matrices, explicit Kronecker chains, the textbook double-sum dissipator,
 an adaptive ODE integration — so tests compare two genuinely different
-routes to the same object rather than the library against itself.
+routes to the same object rather than the library against itself.  The
+exceptions say so: the brute-force ergotropy oracle, and the library's
+former constructions kept as the reference its current ones must equal
+bit for bit (ref_dephasing_diagonal, ref_check_state, ref_level_map).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import scipy.integrate
+
+from qbattery.evolution import (
+    HERMITICITY_TOL,
+    MIN_EIGENVALUE_TOL,
+    TRACE_TOL,
+    TRANSLATION_SPLIT_MIN_DIM,
+    StateCheck,
+    StateInvariantError,
+    _herm_drift,
+    _momentum_spectrum,
+    _orbits,
+    _parity_spectrum,
+    _split_parity,
+    _translation_invariant,
+)
+from qbattery.observables import expectation
+
+BRUTEFORCE_EXHAUSTIVE_DIM = 8
+BRUTEFORCE_MAX_DIM = 16
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -25,6 +50,13 @@ def ref_embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     for i in range(n_sites):
         out = np.kron(out, op if i == site else ID2)
     return out
+
+
+def ref_jumps(channel: str, n_sites: int) -> list[np.ndarray]:
+    """The channel's per-site jump operators, sigma^z or sigma^-, each an
+    explicit Kronecker chain (ref_embed)."""
+    op = SZ if channel == "dephasing" else SM
+    return [ref_embed(op, i, n_sites) for i in range(n_sites)]
 
 
 def ref_battery_hamiltonian(
@@ -229,6 +261,58 @@ def ref_ergotropy(rho: np.ndarray, h_matrix: np.ndarray) -> float:
     return w - float(populations @ energies)
 
 
+def ergotropy_bruteforce_oracle(
+    rho: np.ndarray,
+    h_b: np.ndarray,
+    n_random_unitaries: int,
+    seed: int = 0,
+) -> float:
+    """Ergotropy via direct minimization, independent of the sorting shortcut.
+
+    Minimizes the post-extraction energy over (a) assignments of state
+    eigenvectors to Hamiltonian eigenvectors -- exhaustively for dim <= 8,
+    via an optimal-assignment solver for 8 < dim <= 16 -- and (b)
+    n_random_unitaries Haar-random unitaries, then returns
+    Tr[h_b rho] - min.  Test-scale only.
+    """
+    # Imported here, their only use: the two take about 0.6 s to import.
+    import scipy.optimize
+    import scipy.stats
+
+    rho = np.asarray(rho, dtype=complex)
+    h_b = np.asarray(h_b, dtype=complex)
+    dim = rho.shape[0]
+    if dim > BRUTEFORCE_MAX_DIM:
+        raise ValueError(
+            f"brute-force oracle supports dim <= {BRUTEFORCE_MAX_DIM}, got {dim}"
+        )
+    w = expectation(rho, h_b)
+    populations = np.linalg.eigvalsh(rho)
+    energies = np.linalg.eigvalsh(h_b)
+    best = np.inf
+    if dim <= BRUTEFORCE_EXHAUSTIVE_DIM:
+        for perm in itertools.permutations(range(dim)):
+            value = float(np.dot(populations, energies[list(perm)]))
+            if value < best:
+                best = value
+    else:
+        cost = np.outer(populations, energies)
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        best = float(cost[rows, cols].sum())
+    if n_random_unitaries > 0:
+        unitaries = scipy.stats.unitary_group.rvs(
+            dim, size=n_random_unitaries, random_state=seed
+        )
+        if n_random_unitaries == 1:
+            unitaries = unitaries[np.newaxis, :, :]
+        rotated = unitaries @ rho @ unitaries.conj().transpose(0, 2, 1)
+        extracted = np.einsum("kij,ji->k", rotated, h_b)
+        if np.max(np.abs(extracted.imag)) > 1e-9:
+            raise ValueError("unitary extraction produced a non-real energy")
+        best = min(best, float(np.min(extracted.real)))
+    return w - best
+
+
 def ref_l1_coherence(rho: np.ndarray, basis: np.ndarray) -> float:
     """Sum of |off-diagonal| entries of basis^dag rho basis."""
     transformed = basis.conj().T @ rho @ basis
@@ -322,3 +406,68 @@ def ref_level_map(x, n_sub: int, offsets: np.ndarray) -> np.ndarray:
             free.append(power)
         power = square
     return result
+
+
+def ref_parity_blocks(
+    rho: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray | None:
+    """(rho_+, rho_-) stacked, or None unless rho is exactly flip-invariant,
+    by the library's former one-state test: the corner entries first, then
+    rho == rho[::-1, ::-1] whole, or, for a state exactly invariant under
+    the cyclic site shift T, on its orbit representatives' rows."""
+    dim = rho.shape[0]
+    if dim % 2 or rho[0, 0] != rho[-1, -1]:
+        return None
+    if rows is None:
+        flipped = rho == rho[::-1, ::-1]
+    else:
+        flipped = rho[dim - 1 - rows, ::-1] == rho[rows]
+    if not flipped.all():
+        return None
+    return _split_parity(rho)
+
+
+def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
+    """check_state on one state by the library's former one-state path,
+    with its early return for a non-finite state and one branch per
+    spectrum; the library's stacked check must give bitwise its record and
+    its error fields.  It reuses the library's measurement helpers, so it
+    pins the stacking (the masks, the grouped eigvalsh, the record for
+    each state), not those helpers, which have tests of their own."""
+    trace = np.trace(rho)
+    trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
+    dim = rho.shape[0]
+    # a nan entry fails the invariance test (nan != nan); an inf one may
+    # pass it, and then sits in a representative row as well
+    rows = None
+    if (
+        dim >= TRANSLATION_SPLIT_MIN_DIM
+        and not dim & (dim - 1)
+        and _translation_invariant(rho)
+    ):
+        rows = _orbits(dim.bit_length() - 1).representatives
+    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
+    # numpy would warn about), so the test below rejects every non-finite
+    # state
+    with np.errstate(invalid="ignore"):
+        herm_drift = float(_herm_drift(rho, rows))
+    if not math.isfinite(herm_drift):
+        raise StateInvariantError(t, trace_drift, herm_drift, math.nan, [])
+    parity_blocks = ref_parity_blocks(rho, rows)
+    if rows is not None:
+        populations = _momentum_spectrum(rho)
+    elif parity_blocks is None:
+        populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    else:
+        populations = _parity_spectrum(parity_blocks)
+    min_eig = float(populations[0])
+    # written so that a nan measurement fails
+    if not (
+        trace_drift < TRACE_TOL
+        and herm_drift < HERMITICITY_TOL
+        and min_eig >= MIN_EIGENVALUE_TOL
+    ):
+        raise StateInvariantError(t, trace_drift, herm_drift, min_eig, [])
+    return StateCheck(
+        populations, trace_drift, herm_drift, parity_blocks, rows is not None
+    )

@@ -26,7 +26,6 @@ from qbattery import (
     correlated_dephasing_ergotropy_limit,
     correlated_dephasing_state,
     ergotropy,
-    ergotropy_bruteforce_oracle,
     evolve_stream,
     gamma_nn_eigenvalues,
     get_preset,
@@ -38,7 +37,11 @@ from qbattery import (
 from qbattery.observables import expectation
 from qbattery.scenarios import first_peak, run_filename
 
-from reference_impls import random_density_matrix, random_hermitian
+from reference_impls import (
+    ergotropy_bruteforce_oracle,
+    random_density_matrix,
+    random_hermitian,
+)
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 TWO_CELL_PARAMS = DephasingTwoQubitParams(

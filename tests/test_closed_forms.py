@@ -23,9 +23,8 @@ from qbattery import (
     product_minus_state,
 )
 from qbattery.models import BatteryModel, EffectiveCoupling, battery_hamiltonian, effective_hamiltonian
-from qbattery.dissipation import jump_operators
 
-from reference_impls import solve_master_ivp
+from reference_impls import ref_jumps, solve_master_ivp
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 PARAMS = DephasingTwoQubitParams(
@@ -64,7 +63,7 @@ class TestLocalDephasingState:
         states = solve_master_ivp(
             np.zeros((2, 2), dtype=complex),
             g.matrix,
-            jump_operators("dephasing", 1),
+            ref_jumps("dephasing", 1),
             product_minus_state(1),
             ts,
         )
@@ -110,7 +109,7 @@ class TestCorrelatedDephasingState:
         states = solve_master_ivp(
             h_eff,
             g.matrix,
-            jump_operators("dephasing", 2),
+            ref_jumps("dephasing", 2),
             product_minus_state(2),
             np.array([0.0, t]),
         )
@@ -196,7 +195,7 @@ class TestLocalAdState:
         states = solve_master_ivp(
             np.zeros((2, 2), dtype=complex),
             g.matrix,
-            jump_operators("amplitude_damping", 1),
+            ref_jumps("amplitude_damping", 1),
             product_minus_state(1),
             ts,
         )

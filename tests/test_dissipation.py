@@ -1,4 +1,5 @@
-"""Unit tests for rate matrices, CPTP validation, and the dissipator."""
+"""Unit tests for rate matrices, CPTP validation, the jump operators and
+the dissipator."""
 
 import numpy as np
 import pytest
@@ -10,21 +11,14 @@ from qbattery import (
     GammaMatrix,
     NoiseSpec,
     build_gamma,
-    dissipator_apply,
     gamma_nn_eigenvalues,
-    jump_operators,
     require_cptp,
     validate_cptp,
 )
-from qbattery.models import EffectiveCoupling
+from qbattery.evolution import _lowering_csrs, make_rhs
+from qbattery.models import EffectiveCoupling, site_z_signs
 
-from reference_impls import (
-    SM,
-    SZ,
-    random_density_matrix,
-    ref_dissipator,
-    ref_embed,
-)
+from reference_impls import SM, SZ, random_density_matrix, ref_embed
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 
@@ -266,41 +260,51 @@ class TestCptpValidation:
         assert report.valid
 
 
+def _sigma_z(n):
+    """The dephasing jumps production uses: sigma^z_i as the diagonal of
+    models.site_z_signs(n)[i]."""
+    return [np.diag(row).astype(complex) for row in site_z_signs(n)]
+
+
+def _sigma_minus(n):
+    """The amplitude-damping jumps production uses (evolution's sigma^-
+    CSRs), dense."""
+    return [op.toarray() for op in _lowering_csrs(n)]
+
+
 class TestJumpOperators:
+    # The generator's jump operators against explicit Kronecker chains.
     # Values only: a Kronecker chain writes some zeros as -0.0.
     def test_dephasing_jumps_are_embedded_sigma_z(self):
         for n in range(1, 7):
-            ls = jump_operators("dephasing", n)
+            ls = _sigma_z(n)
             assert len(ls) == n
             for i, l in enumerate(ls):
-                assert l.dtype == complex
                 np.testing.assert_array_equal(l, ref_embed(SZ, i, n))
 
     def test_damping_jumps_are_embedded_sigma_minus(self):
         for n in range(1, 7):
-            ls = jump_operators("amplitude_damping", n)
+            ls = _lowering_csrs(n)
             assert len(ls) == n
             for i, l in enumerate(ls):
                 assert l.dtype == complex
-                np.testing.assert_array_equal(l, ref_embed(SM, i, n))
+                np.testing.assert_array_equal(l.toarray(), ref_embed(SM, i, n))
 
     def test_site_zero_is_most_significant_bit(self):
         # sigma^z_0 on 3 cells is sz (x) id (x) id: its diagonal flips sign
         # exactly at the most significant bit of the basis index.
-        sz0 = jump_operators("dephasing", 3)[0]
-        expected = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=complex)
-        np.testing.assert_array_equal(np.diag(sz0), expected)
+        expected = np.array([1, 1, 1, 1, -1, -1, -1, -1])
+        np.testing.assert_array_equal(site_z_signs(3)[0], expected)
 
     def test_last_site_toggles_least_significant_bit(self):
-        sz2 = jump_operators("dephasing", 3)[2]
-        expected = np.array([1, -1, 1, -1, 1, -1, 1, -1], dtype=complex)
-        np.testing.assert_array_equal(np.diag(sz2), expected)
+        expected = np.array([1, -1, 1, -1, 1, -1, 1, -1])
+        np.testing.assert_array_equal(site_z_signs(3)[2], expected)
 
     def test_lowering_demotes_up_to_down(self):
         # sigma^-_i sends |a> with site i up (bit 0) to |a with bit set>
         # and annihilates |a> with site i down.
         n, dim = 3, 8
-        for i, sm in enumerate(jump_operators("amplitude_damping", n)):
+        for i, sm in enumerate(_lowering_csrs(n)):
             bit = 1 << (n - 1 - i)
             for a in range(dim):
                 ket = np.zeros(dim, dtype=complex)
@@ -313,9 +317,7 @@ class TestJumpOperators:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_single_site_algebra(self, n):
         eye = np.eye(2**n)
-        szs = jump_operators("dephasing", n)
-        sms = jump_operators("amplitude_damping", n)
-        for sz, sm in zip(szs, sms):
+        for sz, sm in zip(_sigma_z(n), _sigma_minus(n)):
             sp = sm.conj().T
             np.testing.assert_array_equal(sz @ sz, eye)
             np.testing.assert_array_equal(sm @ sm, 0 * eye)
@@ -323,8 +325,7 @@ class TestJumpOperators:
             np.testing.assert_array_equal(sp @ sm + sm @ sp, eye)
 
     def test_different_sites_commute(self):
-        szs = jump_operators("dephasing", 3)
-        sms = jump_operators("amplitude_damping", 3)
+        szs, sms = _sigma_z(3), _sigma_minus(3)
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -335,51 +336,13 @@ class TestJumpOperators:
                 np.testing.assert_array_equal(a @ b - b @ a, 0 * a)
 
     def test_returns_fresh_arrays(self):
-        for channel in ("dephasing", "amplitude_damping"):
-            first = jump_operators(channel, 2)
-            first[0][0, 0] = 99.0
-            np.testing.assert_array_equal(
-                jump_operators(channel, 2)[0],
-                ref_embed(SZ if channel == "dephasing" else SM, 0, 2),
-            )
-
-    def test_unknown_channel_raises(self):
-        with pytest.raises(ValueError, match="unknown channel"):
-            jump_operators("thermal", 2)
+        site_z_signs(2)[0, 0] = 99.0
+        np.testing.assert_array_equal(_sigma_z(2)[0], ref_embed(SZ, 0, 2))
+        _lowering_csrs(2)[0].data[:] = 99.0
+        np.testing.assert_array_equal(_sigma_minus(2)[0], ref_embed(SM, 0, 2))
 
 
 class TestDissipatorApply:
-    @pytest.mark.parametrize("channel", ["dephasing", "amplitude_damping"])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_literal_double_sum(self, channel, n):
-        rng = np.random.default_rng(17 * n)
-        g = build_gamma(_nn_spec(channel=channel), n)
-        rho = random_density_matrix(rng, 2**n)
-        got = dissipator_apply(g, channel, rho)
-        expected = ref_dissipator(g.matrix, jump_operators(channel, n), rho)
-        np.testing.assert_allclose(got, expected, atol=1e-14)
-
-    def test_all_to_all_matches_literal(self):
-        rng = np.random.default_rng(5)
-        spec = NoiseSpec(
-            channel="amplitude_damping",
-            topology="all_to_all",
-            gamma=0.2,
-            gamma_offdiag=0.05j,
-        )
-        g = build_gamma(spec, 3)
-        rho = random_density_matrix(rng, 8)
-        got = dissipator_apply(g, "amplitude_damping", rho)
-        expected = ref_dissipator(
-            g.matrix, jump_operators("amplitude_damping", 3), rho
-        )
-        np.testing.assert_allclose(got, expected, atol=1e-14)
-
-    def test_dimension_mismatch_raises(self):
-        g = build_gamma(_nn_spec(), 3)
-        with pytest.raises(ValueError, match="dimension"):
-            dissipator_apply(g, "dephasing", np.eye(4) / 4)
-
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
@@ -387,6 +350,7 @@ class TestDissipatorApply:
         n=st.integers(min_value=2, max_value=3),
     )
     def test_traceless_and_hermiticity_preserving(self, seed, channel, n):
+        # the production generator with H_eff = 0 is the dissipator alone
         rng = np.random.default_rng(seed)
         gamma = float(rng.uniform(0.05, 1.0))
         mod = float(rng.uniform(0.0, gamma / 2.0))
@@ -396,6 +360,6 @@ class TestDissipatorApply:
             n,
         )
         rho = random_density_matrix(rng, 2**n)
-        out = dissipator_apply(g, channel, rho)
+        out = make_rhs(np.zeros((2**n, 2**n)), g, channel)(rho)
         assert abs(np.trace(out)) < 1e-13
         np.testing.assert_allclose(out, out.conj().T, atol=1e-13)

@@ -20,7 +20,6 @@ from qbattery import (
     default_dt_internal,
     evolve,
     evolve_stream,
-    liouvillian_rhs,
     product_minus_state,
     resolve_time_grid,
     steady_state_probe,
@@ -38,6 +37,7 @@ from qbattery.evolution import (
     _rk4_substeps,
     _substep_loop_work,
     check_state,
+    liouvillian_rhs,
     make_rhs,
 )
 from qbattery.models import EffectiveCoupling, effective_hamiltonian, site_z_signs
@@ -47,15 +47,17 @@ from reference_impls import (
     SY,
     random_density_matrix,
     random_hermitian,
+    ref_check_state,
     ref_dephasing_diagonal,
     ref_embed,
     ref_generator_matrix,
+    ref_jumps,
     ref_level_map,
     ref_master_rhs,
+    ref_parity_blocks,
     ref_rk4_block_map,
     solve_master_ivp,
 )
-from qbattery.dissipation import jump_operators
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 
@@ -150,12 +152,12 @@ class TestRhsDispatch:
 
 class TestLoweringCsrs:
     """The generator's sigma^- CSRs, written from the bits of the basis
-    states, against the dense jump operators they replaced there."""
+    states, against dense jump operators built by Kronecker chains."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equal_the_dense_jump_operators(self, n):
         csrs = evolution._lowering_csrs(n)
-        dense = jump_operators("amplitude_damping", n)
+        dense = ref_jumps("amplitude_damping", n)
         assert len(csrs) == len(dense) == n
         for csr, op in zip(csrs, dense):
             assert csr.nnz == 2 ** (n - 1)
@@ -176,7 +178,7 @@ class TestLoweringCsrs:
             "_lowering_csrs",
             lambda n_sites: [
                 scipy.sparse.csr_matrix(op)
-                for op in jump_operators("amplitude_damping", n_sites)
+                for op in ref_jumps("amplitude_damping", n_sites)
             ],
         )
         ref = evolution._gksl_matrix(h_eff, gamma, "amplitude_damping")
@@ -197,7 +199,9 @@ class TestRhsCorrectness:
         rhs = make_rhs(h_eff, gamma, "dephasing")
         for _ in range(4):
             rho = random_density_matrix(rng, 2**n)
-            expected = liouvillian_rhs(h_eff, gamma, "dephasing", rho)
+            expected = ref_master_rhs(
+                h_eff, gamma.matrix, ref_jumps("dephasing", n), rho
+            )
             np.testing.assert_allclose(rhs(rho), expected, atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -214,7 +218,9 @@ class TestRhsCorrectness:
         rhs = make_rhs(h_eff, gamma, "amplitude_damping")
         for _ in range(4):
             rho = random_density_matrix(rng, 2**n)
-            expected = liouvillian_rhs(h_eff, gamma, "amplitude_damping", rho)
+            expected = ref_master_rhs(
+                h_eff, gamma.matrix, ref_jumps("amplitude_damping", n), rho
+            )
             np.testing.assert_allclose(rhs(rho), expected, atol=1e-13)
 
     @pytest.mark.parametrize("channel", ["dephasing", "amplitude_damping"])
@@ -228,7 +234,7 @@ class TestRhsCorrectness:
         rhs = make_rhs(h_eff, gamma, channel)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         expected = ref_master_rhs(
-            h_eff, gamma.matrix, jump_operators(channel, 2), m
+            h_eff, gamma.matrix, ref_jumps(channel, 2), m
         )
         np.testing.assert_allclose(rhs(m), expected, atol=1e-13)
 
@@ -240,7 +246,9 @@ class TestRhsCorrectness:
         rhs = make_rhs(h_off, gamma, "dephasing")
         for _ in range(4):
             rho = random_density_matrix(rng, 4)
-            expected = liouvillian_rhs(h_off, gamma, "dephasing", rho)
+            expected = ref_master_rhs(
+                h_off, gamma.matrix, ref_jumps("dephasing", 2), rho
+            )
             np.testing.assert_allclose(rhs(rho), expected, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -294,18 +302,26 @@ class TestRhsCorrectness:
         rho = random_density_matrix(rng, 8)
         got = liouvillian_rhs(h_eff, gamma, "amplitude_damping", rho)
         expected = ref_master_rhs(
-            h_eff, gamma.matrix, jump_operators("amplitude_damping", 3), rho
+            h_eff, gamma.matrix, ref_jumps("amplitude_damping", 3), rho
         )
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
-    def test_literal_rhs_guards(self):
-        gamma = build_gamma(_spec(), 2)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            liouvillian_rhs(np.zeros((8, 8)), gamma, "dephasing", np.eye(4) / 4)
-        with pytest.raises(ValueError, match="Hermitian"):
-            h_bad = np.zeros((4, 4), dtype=complex)
-            h_bad[0, 1] = 1.0
-            liouvillian_rhs(h_bad, gamma, "dephasing", np.eye(4) / 4)
+    @pytest.mark.parametrize("channel", ["dephasing", "amplitude_damping"])
+    @pytest.mark.parametrize(
+        "topology", ["local", "nearest_neighbor", "all_to_all"]
+    )
+    def test_literal_rhs_name_is_the_production_generator(
+        self, topology, channel
+    ):
+        # the name perfbench's self-test imports evaluates make_rhs
+        rng = np.random.default_rng(23)
+        spec = _channel_spec(channel, topology)
+        gamma = build_gamma(spec, 3)
+        h_eff = _spec_heff(spec, 3)
+        rho = random_density_matrix(rng, 8)
+        got = liouvillian_rhs(h_eff, gamma, channel, rho)
+        expected = make_rhs(h_eff, gamma, channel)(rho)
+        assert got.tobytes() == expected.tobytes()
 
 
 def _channel_spec(channel, topology, kind=None):
@@ -1007,23 +1023,28 @@ class TestTimeGrid:
 class TestCheckState:
     def test_accepts_valid_state(self):
         check_state(product_minus_state(2), 0.0)
+        _assert_check_matches_reference(product_minus_state(2), 0.0)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(StateInvariantError) as err:
             check_state(np.eye(2), 1.5)
         assert err.value.t == 1.5
         assert err.value.trace_drift >= 1.0
+        assert err.value.passed == []
+        _assert_check_matches_reference(np.eye(2), 1.5)
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
         with pytest.raises(StateInvariantError):
             check_state(rho, 0.0)
+        _assert_check_matches_reference(rho, 0.0)
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(StateInvariantError) as err:
             check_state(rho, 2.0)
         assert err.value.min_eig < -1e-8
+        _assert_check_matches_reference(rho, 2.0)
 
     def test_returns_spectrum_of_hermitian_part_and_drifts(self):
         rng = np.random.default_rng(5)
@@ -1043,6 +1064,7 @@ class TestCheckState:
         assert record.trace_drift == abs(trace.real - 1.0) + abs(trace.imag)
         assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
         assert 0 < record.herm_drift < HERMITICITY_TOL
+        _assert_check_matches_reference(rho, 0.3)
 
     def test_stream_records_each_samples_check_and_worst_margins(self):
         info = {}
@@ -1055,6 +1077,7 @@ class TestCheckState:
             np.testing.assert_array_equal(
                 record.populations, check_state(rho, t).populations
             )
+            _assert_same_record(record, ref_check_state(rho, t))
             records.append(record)
         assert len(records) == 6
         assert info["invariant_margins"] == {
@@ -1150,6 +1173,43 @@ def _assert_same_record(a, b):
         assert a.parity_blocks.tobytes() == b.parity_blocks.tobytes()
 
 
+def _assert_same_error(a, b):
+    """Two StateInvariantErrors with the same time and measurements (a nan
+    equal to a nan)."""
+    assert a.t == b.t
+    for field in ("trace_drift", "herm_drift", "min_eig"):
+        got, expected = getattr(a, field), getattr(b, field)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def _assert_check_matches_reference(rho, t):
+    """check_state(rho, t), on one state or a stack, against the former
+    one-state check (ref_check_state) state by state: bitwise the same
+    records, or the error of the first state the reference rejects, with
+    the same fields and the records before it as `passed`."""
+    states, times = (rho[None], [t]) if rho.ndim == 2 else (rho, t)
+    expected, error = [], None
+    for state, time_ in zip(states, times):
+        try:
+            expected.append(ref_check_state(state, time_))
+        except StateInvariantError as err:
+            error = err
+            break
+    try:
+        got = check_state(rho, t)
+    except StateInvariantError as err:
+        assert error is not None
+        _assert_same_error(err, error)
+        got = err.passed
+    else:
+        assert error is None
+        if rho.ndim == 2:
+            got = [got]
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        _assert_same_record(a, b)
+
+
 def _faulty_make_rhs(bad, position):
     """make_rhs whose per-sample map returns `bad` on its position-th call
     (the sample at t = position dt_sample) and propagates otherwise."""
@@ -1193,7 +1253,9 @@ class TestStackedCheck:
         assert len(checks) == 6
         for rho, t, record in zip(stack, times, checks):
             _assert_same_record(record, check_state(rho, t))
+            _assert_check_matches_reference(rho, t)
         assert [c.parity_blocks is not None for c in checks] == [False, True] * 3
+        _assert_check_matches_reference(stack, times)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -1222,9 +1284,13 @@ class TestStackedCheck:
         for rho, t, record in zip(stack, times, err.value.passed):
             _assert_same_record(record, check_state(rho, t))
         assert alone.value.passed == []
+        _assert_check_matches_reference(stack, times)
+        for rho, t in zip(stack, times):
+            _assert_check_matches_reference(rho, t)
 
     def test_large_states_are_checked_one_at_a_time(self):
-        # from TRANSLATION_SPLIT_MIN_DIM rows on: the momentum path per state
+        # from TRANSLATION_SPLIT_MIN_DIM rows on the translation test and
+        # the momentum path are taken state by state
         rng = np.random.default_rng(43)
         ring = _dephasing_state("nearest_neighbor", 7)
         other = random_density_matrix(rng, 128)
@@ -1240,6 +1306,52 @@ class TestStackedCheck:
         assert err.value.t == times[3]
         assert err.value.min_eig == pytest.approx(-0.5)
         assert len(err.value.passed) == 3
+        _assert_check_matches_reference(stack, times)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("first_bad", ["orbit", "entry", "negative"])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_large_mixed_stack_matches_reference(self, n, first_bad, value):
+        # several states of 128 or 256 rows in one call: momentum blocks
+        # with and without parity blocks, parity blocks alone, the full
+        # eigvalsh, and three invalid states, whose order sets the first
+        # one: a non-finite entry set on its whole orbit under T (an inf
+        # keeps the state T-invariant, a nan does not), one non-finite
+        # entry, and a T-invariant state with a negative eigenvalue
+        rng = np.random.default_rng(50 + n)
+        dim = 2**n
+        ring = _dephasing_state("nearest_neighbor", n)
+        shifted = _shift_symmetrized(random_density_matrix(rng, dim))
+        parity = _flip_invariant(random_density_matrix(rng, dim))
+        full = random_density_matrix(rng, dim)
+        orbit = shifted.copy()
+        a, b, shift = 3, 5, _shift(n)
+        for _ in range(n):
+            orbit[a, b] = value
+            a, b = shift[a], shift[b]
+        entry = full.copy()
+        entry[2, 7] = value
+        negative = np.zeros((dim, dim), dtype=complex)
+        negative[0, 0], negative[-1, -1] = 1.5, -0.5
+        bad = {"orbit": orbit, "entry": entry, "negative": negative}
+        order = [first_bad] + [k for k in bad if k != first_bad]
+        good = [ring, shifted, parity, full]
+        stack = np.array(good + [bad[order[0]], ring, bad[order[1]], bad[order[2]]])
+        times = [0.1 * k for k in range(len(stack))]
+        checks = check_state(stack[:4], times[:4])
+        assert [c.translation_resolved for c in checks] == [True, True, False, False]
+        assert [c.parity_blocks is not None for c in checks] == [
+            True, False, True, False
+        ]
+        _assert_check_matches_reference(stack[:4], times[:4])
+        with pytest.raises(StateInvariantError) as err:
+            check_state(stack, times)
+        assert err.value.t == times[4]
+        assert len(err.value.passed) == 4
+        _assert_check_matches_reference(stack, times)
+        for rho, t in zip(stack, times):
+            _assert_check_matches_reference(rho, t)
 
     @pytest.mark.parametrize("position", [1, 5, 6, 8])
     def test_stream_raises_at_bad_sample_in_a_chunk(self, position, monkeypatch):
@@ -1259,7 +1371,7 @@ class TestStackedCheck:
                 EvolutionConfig(t_max=1.2, dt_sample=0.1),
                 info=info,
             ):
-                _assert_same_record(info["check"], check_state(rho, t))
+                _assert_same_record(info["check"], ref_check_state(rho, t))
                 assert len(info["chunk"].times) <= 4
                 seen.append(t)
         assert seen == pytest.approx([0.1 * k for k in range(position)])
@@ -1318,11 +1430,13 @@ class TestParityCheck:
         full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-13)
         assert np.all(np.diff(record.populations) >= 0)
+        _assert_check_matches_reference(rho, 0.0)
 
     def test_blocks_are_the_parity_sectors(self):
         rho = _flip_invariant(random_density_matrix(np.random.default_rng(4), 8))
         even, odd = _parity_vectors(8)
         blocks = check_state(rho, 0.0).parity_blocks
+        _assert_check_matches_reference(rho, 0.0)
         np.testing.assert_allclose(blocks[0], even.T @ rho @ even, atol=1e-15)
         np.testing.assert_allclose(blocks[1], odd.T @ rho @ odd, atol=1e-15)
         np.testing.assert_allclose(even.T @ rho @ odd, 0.0, atol=1e-15)
@@ -1341,6 +1455,7 @@ class TestParityCheck:
             check_state(rho, 0.7)
         assert err.value.t == 0.7
         assert err.value.min_eig == pytest.approx(-0.01, abs=1e-12)
+        _assert_check_matches_reference(rho, 0.7)
 
     def test_one_ulp_off_invariance_takes_full_path(self):
         rho = _flip_invariant(random_density_matrix(np.random.default_rng(6), 16))
@@ -1351,6 +1466,7 @@ class TestParityCheck:
         np.testing.assert_array_equal(
             record.populations, np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         )
+        _assert_check_matches_reference(rho, 0.0)
 
     def test_dephasing_stream_is_parity_resolved(self):
         info = {}
@@ -1429,8 +1545,9 @@ class TestTranslationCheck:
         assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
         assert record.parity_blocks is not None
         np.testing.assert_array_equal(
-            record.parity_blocks, evolution._parity_blocks(rho)
+            record.parity_blocks, ref_parity_blocks(rho)
         )
+        _assert_check_matches_reference(rho, 0.3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_helper_matches_full_eigvalsh(self, n):
@@ -1490,6 +1607,7 @@ class TestTranslationCheck:
             check_state(rho, 0.6)
         assert err.value.t == 0.6
         assert err.value.min_eig == pytest.approx(full[0], abs=1e-12)
+        _assert_check_matches_reference(rho, 0.6)
 
     @pytest.mark.parametrize("keep_flip", [False, True])
     def test_one_ulp_off_invariance_falls_back(self, keep_flip):
@@ -1509,6 +1627,7 @@ class TestTranslationCheck:
         record = check_state(rho, 0.0)
         assert not record.translation_resolved
         assert (record.parity_blocks is not None) == keep_flip
+        _assert_check_matches_reference(rho, 0.0)
         assert record.min_eig == pytest.approx(reference.min_eig, abs=1e-12)
         np.testing.assert_allclose(
             record.populations, reference.populations, rtol=0, atol=1e-12
@@ -1528,6 +1647,7 @@ class TestTranslationCheck:
         record = check_state(rho, 0.0)
         assert not record.translation_resolved
         assert record.parity_blocks is not None
+        _assert_check_matches_reference(rho, 0.0)
 
     def test_all_to_all_dephasing_is_not_resolved_after_t0(self):
         info = {}
@@ -1578,11 +1698,16 @@ class TestHermDrift:
     @pytest.mark.parametrize("dim", [1, 2, 8, 63, 64, 65, 128, 200, 512])
     def test_slabs_equal_whole_matrix_bitwise(self, dim):
         rng = np.random.default_rng(dim)
+        states, whole = [], []
         for scale in (1.0, 1e-12):
             rho = random_hermitian(rng, dim) + scale * (
                 rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             )
-            assert _herm_drift(rho) == float(np.max(np.abs(rho - rho.conj().T)))
+            whole.append(float(np.max(np.abs(rho - rho.conj().T))))
+            assert _herm_drift(rho) == whole[-1]
+            states.append(rho)
+        # a stack gives each state's value
+        assert _herm_drift(np.array(states)).tolist() == whole
 
     @pytest.mark.parametrize("n", [3, 5, 7, 8])
     def test_representative_rows_equal_whole_matrix_bitwise(self, n):
@@ -1671,7 +1796,7 @@ class TestEvolve:
         lmat = ref_generator_matrix(
             _spec_heff(spec, n),
             build_gamma(spec, n).matrix,
-            jump_operators(channel, n),
+            ref_jumps(channel, n),
         )
         propagator = scipy.linalg.expm(lmat * cfg.dt_sample)
         assert len(series) == 11
@@ -1694,7 +1819,7 @@ class TestEvolve:
         reference = solve_master_ivp(
             _spec_heff(spec, n),
             build_gamma(spec, n).matrix,
-            jump_operators(channel, n),
+            ref_jumps(channel, n),
             rho0,
             ts,
         )
@@ -1713,7 +1838,7 @@ class TestEvolve:
             reference = solve_master_ivp(
                 h_eff,
                 build_gamma(spec, n).matrix,
-                jump_operators("dephasing", n),
+                ref_jumps("dephasing", n),
                 product_minus_state(n),
                 np.array([t for t, _ in series]),
             )

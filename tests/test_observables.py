@@ -16,7 +16,6 @@ from qbattery import (
     coherence_l1_energy_basis,
     energy_eigenbasis,
     ergotropy,
-    ergotropy_bruteforce_oracle,
     expectation,
     extraction_ratio,
     field_product_eigenbasis,
@@ -29,6 +28,7 @@ from reference_impls import (
     SP,
     SX,
     SZ,
+    ergotropy_bruteforce_oracle,
     random_density_matrix,
     random_hermitian,
     ref_ergotropy,

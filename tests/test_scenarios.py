@@ -1,5 +1,6 @@
 """Tests for the scenario layer: presets, configs, CSV/manifest contracts,
-comparison utilities, and the command-line interface."""
+comparison utilities, the command-line interface, and the package's
+public names."""
 
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qbattery
 from qbattery import (
     ConfigError,
     GridMismatchError,
@@ -524,6 +526,43 @@ class TestRunArtifacts:
         for a, b in zip(serial.csv_paths, pooled.csv_paths):
             assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_worker_pool_is_no_larger_than_the_run_count(
+        self, tmp_path, monkeypatch
+    ):
+        # a fork-started pool starts every worker it is given at the first
+        # submit; an in-process stand-in records the size it was given, so
+        # this test starts no process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(
+            scenarios.concurrent.futures, "ProcessPoolExecutor", InProcessPool
+        )
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            n_sites_list=(2, 3),
+            t_max=0.1,
+        )
+        assert len(run_list(cfg)) == 2
+        serial = run_scenario(cfg, str(tmp_path / "serial"), workers=1)
+        pooled = run_scenario(cfg, str(tmp_path / "pooled"), workers=3)
+        assert sizes == [2]
+        assert pooled.manifest["workers"] == 3
+        for a, b in zip(serial.csv_paths, pooled.csv_paths, strict=True):
+            assert open(a, "rb").read() == open(b, "rb").read()
+
     def test_ground_state_is_diagonalised_once_per_size(
         self, tmp_path, monkeypatch
     ):
@@ -1018,3 +1057,22 @@ class TestLogging:
         import logging
 
         assert logging.getLogger("qbattery").handlers == []
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        missing = [n for n in qbattery.__all__ if not hasattr(qbattery, n)]
+        assert missing == []
+        assert len(set(qbattery.__all__)) == len(qbattery.__all__)
+
+    def test_test_references_are_not_exported(self):
+        # the literal generator, the dense jump operators and the
+        # brute-force oracle live with the tests (tests/reference_impls.py)
+        for name in (
+            "dissipator_apply",
+            "jump_operators",
+            "liouvillian_rhs",
+            "ergotropy_bruteforce_oracle",
+        ):
+            assert name not in qbattery.__all__
+            assert not hasattr(qbattery, name)
