@@ -27,18 +27,20 @@ explicit substep loop where M would cost more (below), and it records
 which of the two it took.  A diagonal generator's map is the elementwise
 power of P(dt Lambda), one Hadamard product a sample.  Any other is block
 diagonal over the weakly connected components of the CSR's sparsity graph,
-and its map is stored as dense blocks over them (blocks of equal size
-stacked, one batched matmul per size).  These components are the
-weak-symmetry sectors of the generator (Buca & Prosen, NJP 14, 073007,
-2012), and since every GKSL generator satisfies L(rho^dag) = L(rho)^dag,
-the transpose vec(i, j) -> vec(j, i) maps each sector onto its conjugate
-partner, with the complex-conjugate block.  The map therefore propagates
-one sector of each pair plus every self-conjugate one, and fills the
-others of the Hermitian state as rho[j, i] = conj(rho[i, j]).  The step
-runs the explicit substep loop in place of the map, on the CSR restricted
-to those kept sectors and with the same fill, when the map would do more
-multiply-adds per sample than that loop or its whole blocks take more than
-SAMPLE_MAP_MAX_BYTES (all-to-all amplitude damping from N = 7 on).
+and its map is one list of parts over them (_Generator.sector_parts), each
+gathered once a sample and applied by batched matmuls: blocks of equal
+size stacked, one matmul per size, or one per level row slab (below).  The
+components are the weak-symmetry sectors of the generator (Buca & Prosen,
+NJP 14, 073007, 2012), and since every GKSL generator satisfies
+L(rho^dag) = L(rho)^dag, the transpose vec(i, j) -> vec(j, i) maps each
+sector onto its conjugate partner, with the complex-conjugate block.  The
+map therefore propagates one sector of each pair plus every
+self-conjugate one, and fills the others of the Hermitian state as
+rho[j, i] = conj(rho[i, j]).  The step runs the explicit substep loop in
+place of the map, on the CSR restricted to those kept sectors and with the
+same fill, when the map would do more multiply-adds per sample than that
+loop or its whole blocks take more than SAMPLE_MAP_MAX_BYTES (all-to-all
+amplitude damping from N = 7 on).
 
 Ring and local runs commute with the cyclic site shift T.  When the CSR
 commutes bit for bit with the superoperator shift vec(a, b) ->
@@ -102,7 +104,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .dissipation import GammaMatrix, NoiseSpec, build_gamma, require_cptp
+from .dissipation import (
+    CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
+)
 from .models import effective_hamiltonian, site_z_signs
 
 TRACE_TOL = 1e-9
@@ -442,8 +446,11 @@ def _gksl_matrix(
     diagonal, so the dissipator and the diagonal of H_eff enter as the
     diagonal Lambda (_dephasing_diagonal) and only H_eff's off-diagonal
     entries as kron terms; with an Ising-z H_eff the matrix is diagonal.
-    The form is exact for arbitrary (not only Hermitian) inputs.
+    The form is exact for arbitrary (not only Hermitian) inputs.  Any
+    channel outside CHANNELS raises ValueError.
     """
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r} (choices: {CHANNELS})")
     n = gamma.n_sites
     dim = 2**n
     h_eff = np.asarray(h_eff, dtype=complex)
@@ -643,40 +650,44 @@ class _Generator:
         in_kept[np.concatenate(kept_blocks)] = True
         return kept_blocks, np.flatnonzero(in_kept), np.flatnonzero(~in_kept)
 
-    def block_maps(
+    def sector_parts(
         self, blocks: list[np.ndarray], dt: float, n_sub: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | list[list[np.ndarray]]]]:
-        """Yield (indices, maps) for each distinct size s of the given
-        blocks, the largest first: the (k, s) stack of the k blocks'
-        indices, in the order their maps use, and their maps
-        M_b = P(dt L_b)^n_sub, where L_b is lmat restricted to the block in
-        that order.  A group is built when it is asked for, one block at a
-        time.
+    ) -> list[tuple[np.ndarray, list[tuple[np.ndarray, int, np.ndarray]]]]:
+        """The maps M_b = P(dt L_b)^n_sub of the given blocks, with L_b lmat
+        restricted to block b, as the parts the per-sample step applies:
+        each part is (idx, slabs), and each slab (rows, hi, map) means
+        out[rows] = map @ rho[idx][..., :hi].  The largest blocks come first.
 
-        A block of at least LEVEL_SPLIT_MIN_ROWS rows is put in level order
-        (levels()) and built by _level_map, so its map is block lower
-        triangular with the blocks above the level diagonal exactly zero;
-        such a group's maps are a list of k lists of level row slabs,
-        M_b[lo_I:hi_I, :hi_I] for each level I, and no whole map of it is
-        kept.  The smaller blocks keep ascending order and are built dense,
-        all blocks of one size together, DENSE_BUILD_BATCH_BYTES at a time,
-        into the (k, s, s) stack of their maps.
+        The blocks of one size s below LEVEL_SPLIT_MIN_ROWS keep ascending
+        order and make one part with one slab: the (k, s) stack of their
+        indices and the (k, s, s) stack of their maps, built dense, all
+        together, DENSE_BUILD_BATCH_BYTES at a time.  A larger block is put
+        in level order (levels()) and built by _level_map, so its map is
+        block lower triangular with the blocks above the level diagonal
+        exactly zero; it makes one part with one 2-D row slab per level I,
+        M_b[lo_I:hi_I, :hi_I], and no whole map of it is kept.
         """
         by_size: dict[int, list[np.ndarray]] = {}
         for idx in blocks:
             by_size.setdefault(len(idx), []).append(idx)
+        parts = []
         for size, same in sorted(by_size.items(), reverse=True):
-            indices = np.stack(same)
             if size < LEVEL_SPLIT_MIN_ROWS:
-                yield indices, self._dense_maps(indices, dt, n_sub)
+                indices = np.stack(same)
+                maps = self._dense_maps(indices, dt, n_sub)
+                parts.append((indices, [(indices, size, maps)]))
                 continue
-            maps = []
-            for b, idx in enumerate(same):
-                indices[b], sizes = self.levels(idx)
-                sub = dt * self.lmat[indices[b]][:, indices[b]]
+            for idx in same:
+                ordered, sizes = self.levels(idx)
                 offsets = np.concatenate(([0], np.cumsum(sizes)))
-                maps.append(_level_map(sub, n_sub, offsets))
-            yield indices, maps
+                sub = dt * self.lmat[ordered][:, ordered]
+                maps = _level_map(sub, n_sub, offsets)
+                bounds = offsets.tolist()
+                slabs = zip(bounds[:-1], bounds[1:], maps)
+                parts.append(
+                    (ordered, [(ordered[lo:hi], hi, m) for lo, hi, m in slabs])
+                )
+        return parts
 
     def _dense_maps(
         self, indices: np.ndarray, dt: float, n_sub: int
@@ -716,8 +727,8 @@ class _Generator:
         Hermitian rho.  The path it takes is recorded in `propagation`,
         "rk4_sample_map" (a precomputed map) or "rk4_substep_loop", and the
         bytes of the arrays the step applies in `step_bytes`: the diagonal
-        factor, the dense stacks plus the level row slabs, or the data,
-        indices and indptr of the loop's kept CSR.
+        factor, the maps of its sector parts, or the data, indices and
+        indptr of the loop's kept CSR.
 
         A diagonal lmat (sigma^z dephasing with an Ising-z H_eff) acts on
         rho elementwise, so the map is one Hadamard product with
@@ -741,15 +752,16 @@ class _Generator:
         rows reference kept columns only: the restriction is one row slice
         of lmat with its columns renumbered in place of a second slice.
 
-        The block maps come from block_maps: level by level from
-        LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per size below.  At
-        N = 6 with hopping (fig7, 13 substeps) this method took 0.68 to
-        0.79 s against 1.86 to 2.13 s when every block was built dense
-        (one BLAS thread, 2-core Xeon).  The smaller blocks are stored
-        whole, blocks of equal size stacked, one batched matmul per size a
-        sample.  A level-split block's map is block lower triangular, so
-        it is built, stored and applied only as each level's row slab up
-        to the diagonal, one matvec per level (at fig7 N = 6 all-to-all,
+        Otherwise the step keeps one list of parts (sector_parts): level
+        by level from LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per
+        size below.  At N = 6 with hopping (fig7, 13 substeps) this method
+        took 0.68 to 0.79 s against 1.86 to 2.13 s when every block was
+        built dense (one BLAS thread, 2-core Xeon).  Each sample gathers
+        each part's values once and applies every slab of it with one
+        batched matmul: one per size for the smaller blocks, stored whole
+        and stacked, and one per level for a level-split block, whose map
+        is block lower triangular and so built, stored and applied only as
+        each level's row slab up to the diagonal (at fig7 N = 6 all-to-all,
         17.9 MiB instead of 27.1 MiB); the build holds those slabs, one
         whole block and one more row slab (tracemalloc peak 28.1 MiB there,
         against 39.7 MiB for three whole blocks).
@@ -764,7 +776,7 @@ class _Generator:
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
         kept_nnz = int(np.diff(self.lmat.indptr)[kept].sum())
         loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
-        dense, levelled, loop = [], [], None
+        parts, loop = [], None
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
             kept_rows = self.lmat[kept]
             position = np.empty(self.lmat.shape[1], kept_rows.indices.dtype)
@@ -773,32 +785,15 @@ class _Generator:
                 (kept_rows.data, position[kept_rows.indices], kept_rows.indptr),
                 shape=(len(kept), len(kept)),
             )
-        else:
-            for indices, maps in self.block_maps(kept_blocks, dt, n_sub):
-                if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
-                    dense.append((indices, maps))
-                    continue
-                for idx, slabs in zip(indices, maps):
-                    bounds = np.cumsum(np.bincount(self._level[idx]))
-                    levelled.append((
-                        idx,
-                        [
-                            (idx[lo:hi], hi, slab)
-                            for lo, hi, slab in zip(
-                                np.r_[0, bounds[:-1]], bounds, slabs
-                            )
-                        ],
-                    ))
-        self.propagation = (
-            "rk4_sample_map" if loop is None else "rk4_substep_loop"
-        )
-        if loop is None:
-            self.step_bytes = sum(maps.nbytes for _, maps in dense) + sum(
-                slab.nbytes for _, slabs in levelled for *_, slab in slabs
-            )
-        else:
+            self.propagation = "rk4_substep_loop"
             self.step_bytes = (
                 loop.data.nbytes + loop.indices.nbytes + loop.indptr.nbytes
+            )
+        else:
+            parts = self.sector_parts(kept_blocks, dt, n_sub)
+            self.propagation = "rk4_sample_map"
+            self.step_bytes = sum(
+                m.nbytes for _, slabs in parts for *_, m in slabs
             )
         source, orbits = self.transpose[fill], self.orbits
 
@@ -809,12 +804,10 @@ class _Generator:
             out = np.empty_like(flat)
             if loop is not None:
                 out[kept] = _rk4_substeps(loop.dot, dt, n_sub, flat[kept])
-            for idx, maps in dense:
-                out[idx] = np.matmul(maps, flat[idx][..., None])[..., 0]
-            for idx, slabs in levelled:
+            for idx, slabs in parts:
                 block = flat[idx]
-                for rows, hi, slab in slabs:
-                    out[rows] = slab @ block[:hi]
+                for rows, hi, m in slabs:
+                    out[rows] = np.matmul(m, block[..., :hi, None])[..., 0]
             out[fill] = np.conj(out[source])
             if orbits is not None:
                 out = out[orbits.orbit_of]

@@ -110,45 +110,22 @@ def ergotropy(
     return ErgotropyReport(w=w, passive_energy=passive, ergotropy=w - passive)
 
 
-def energy_eigenbasis(
-    h_b: np.ndarray, degeneracy_probe: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def energy_eigenbasis(h_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic eigenbasis of a Hermitian matrix.
 
     Eigenvectors are sorted by ascending eigenvalue.  Within each cluster of
-    (numerically) degenerate eigenvalues, the basis is fixed by:
-
-    1. diagonalizing the restriction of `degeneracy_probe` to the cluster
-       and sorting by its eigenvalue, when that restriction actually splits
-       the cluster (spread above 1e-10); then
-    2. for any residual degeneracy, a modified Gram-Schmidt canonicalization
-       of the cluster projector against the standard basis, which depends
-       only on the spanned subspace, not on eigensolver output.
+    (numerically) degenerate eigenvalues, the basis is fixed by a modified
+    Gram-Schmidt canonicalization of the cluster projector against the
+    standard basis, which depends only on the spanned subspace, not on
+    eigensolver output.
 
     Returns (eigenvalues ascending, basis matrix with eigenvectors as columns).
     """
     h_b = np.asarray(h_b, dtype=complex)
     vals, vecs = np.linalg.eigh(h_b)
-    clusters = _degenerate_clusters(vals)
-    for start, stop in clusters:
-        if stop - start == 1:
-            continue
-        block = vecs[:, start:stop]
-        if degeneracy_probe is not None:
-            restricted = block.conj().T @ degeneracy_probe @ block
-            restricted = 0.5 * (restricted + restricted.conj().T)
-            sub_vals, sub_vecs = np.linalg.eigh(restricted)
-            if sub_vals[-1] - sub_vals[0] > DEGENERACY_GAP:
-                block = block @ sub_vecs
-                # canonicalize probe-degenerate sub-clusters as well
-                for s2, e2 in _degenerate_clusters(sub_vals):
-                    if e2 - s2 > 1:
-                        block[:, s2:e2] = _canonical_subspace_basis(
-                            block[:, s2:e2]
-                        )
-                vecs[:, start:stop] = block
-                continue
-        vecs[:, start:stop] = _canonical_subspace_basis(block)
+    for start, stop in _degenerate_clusters(vals):
+        if stop - start > 1:
+            vecs[:, start:stop] = _canonical_subspace_basis(vecs[:, start:stop])
     return vals, vecs
 
 

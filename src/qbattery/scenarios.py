@@ -39,7 +39,7 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -121,7 +121,8 @@ class ScenarioConfig:
         name: scenario name, used as the CSV/manifest filename stem.
         channels: subset of {dephasing, amplitude_damping}.
         topologies: subset of {local, nearest_neighbor, all_to_all}.
-        n_sites_list: cell counts N to sweep.
+        n_sites_list: cell counts N to sweep, integers (a numpy integer is
+            stored as int; validate_config refuses anything else).
         initial_state: "product_minus" (|-> on every cell) or
             "ground_interacting" (unique ground state of the battery
             Hamiltonian, which requires a nondegenerate ground level).
@@ -159,9 +160,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "topologies", tuple(self.topologies))
-        object.__setattr__(
-            self, "n_sites_list", tuple(int(n) for n in self.n_sites_list)
-        )
+        counts = (int(n) if isinstance(n, np.integer) else n for n in self.n_sites_list)
+        object.__setattr__(self, "n_sites_list", tuple(counts))
 
     @property
     def gamma_offdiag(self) -> complex:
@@ -226,13 +226,18 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad("topology", "duplicate topologies")
     if not cfg.n_sites_list:
         bad("n_sites", "at least one cell count required")
+    counts = []
     for n in cfg.n_sites_list:
+        if not isinstance(n, int) or isinstance(n, bool):
+            bad("n_sites", f"each N must be an integer, got {n!r}")
+            continue
         if not (1 <= n <= MAX_SITES):
             bad("n_sites", f"each N must be in [1, {MAX_SITES}], got {n}")
-    if len(set(cfg.n_sites_list)) != len(cfg.n_sites_list):
+        counts.append(n)
+    if len(set(counts)) != len(counts):
         bad("n_sites", "duplicate cell counts")
     correlated = [t for t in cfg.topologies if t != "local"]
-    if correlated and cfg.n_sites_list and min(cfg.n_sites_list) < 2:
+    if correlated and counts and min(counts) < 2:
         bad("n_sites", f"topologies {correlated} need at least 2 cells")
     if cfg.initial_state not in INITIAL_STATES:
         bad(

@@ -223,6 +223,16 @@ class TestRhsCorrectness:
             )
             np.testing.assert_allclose(rhs(rho), expected, atol=1e-13)
 
+    @pytest.mark.parametrize("topology", ["local", "all_to_all"])
+    def test_unknown_channel_raises(self, topology):
+        # an unknown channel is refused, not built as amplitude damping
+        gamma = build_gamma(_spec(channel="amplitude_damping", topology=topology), 2)
+        h_eff, rho = np.zeros((4, 4)), product_minus_state(2)
+        with pytest.raises(ValueError, match="unknown channel 'thermal'.*dephasing"):
+            make_rhs(h_eff, gamma, "thermal")
+        with pytest.raises(ValueError, match="unknown channel 'thermal'.*dephasing"):
+            liouvillian_rhs(h_eff, gamma, "thermal", rho)
+
     @pytest.mark.parametrize("channel", ["dephasing", "amplitude_damping"])
     def test_generator_exact_on_non_hermitian_input(self, channel):
         # The sparse superoperator is linear in vec(rho) with no hermiticity
@@ -643,26 +653,47 @@ def _levels_whole(slabs):
     return whole
 
 
+def _maps_of_parts(parts):
+    """(idx, map) for each block of sector_parts' parts, after checking the
+    layout the step applies.  A part of small blocks is one slab holding
+    its (k, s) index stack, s and the (k, s, s) stack of maps; it yields
+    one block at a time.  A level-split block's part holds one 2-D slab
+    per level, M[lo:hi, :hi] on the rows idx[lo:hi], the slabs tiling the
+    block; it yields the list of those slabs."""
+    for idx, slabs in parts:
+        if idx.ndim == 2:
+            ((rows, hi, maps),) = slabs
+            assert rows is idx and hi == idx.shape[1]
+            assert maps.shape == (*idx.shape, hi)
+            yield from zip(idx, maps)
+            continue
+        lo = 0
+        for rows, hi, m in slabs:
+            np.testing.assert_array_equal(rows, idx[lo:hi])
+            assert m.shape == (hi - lo, hi)
+            lo = hi
+        assert lo == len(idx)
+        yield idx, [m for *_, m in slabs]
+
+
 def _assert_maps_match_reference(rhs, blocks, dt, n_sub):
-    """block_maps covers the blocks, and each map equals the dense
+    """sector_parts covers the blocks, and each map equals the dense
     construction on the block's indices in the map's order within 1e-13
     relative to the map's largest entry.  A level-split map is stored as
     its level row slabs, which tile the lower level blocks, and the dense
     construction is exactly zero above them."""
     covered = []
-    for indices, maps in rhs.block_maps(blocks, dt, n_sub):
-        assert len(maps) == len(indices)
-        for idx, got in zip(indices, maps):
-            covered.append(np.sort(idx))
-            ref = ref_rk4_block_map(rhs.lmat, idx, dt, n_sub)
-            if isinstance(got, list):
-                bounds = _level_bounds(got)
-                assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-                for lo, hi in bounds:
-                    assert np.all(ref[lo:hi, hi:] == 0)
-                got = _levels_whole(got)
-            assert got.shape == 2 * idx.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for idx, got in _maps_of_parts(rhs.sector_parts(blocks, dt, n_sub)):
+        covered.append(np.sort(idx))
+        ref = ref_rk4_block_map(rhs.lmat, idx, dt, n_sub)
+        if isinstance(got, list):
+            bounds = _level_bounds(got)
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            for lo, hi in bounds:
+                assert np.all(ref[lo:hi, hi:] == 0)
+            got = _levels_whole(got)
+        assert got.shape == 2 * idx.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     np.testing.assert_array_equal(
         np.sort(np.concatenate(covered)), np.sort(np.concatenate(blocks))
     )
@@ -702,11 +733,11 @@ class TestLevelMap:
         _, rhs = _damping_rhs("local", 5)
         blocks = rhs.conjugate_sectors()[0]
         assert max(len(idx) for idx in blocks) < LEVEL_SPLIT_MIN_ROWS
-        for indices, maps in rhs.block_maps(blocks, self.DT, self.N_SUB):
-            for idx, got in zip(indices, maps):
-                np.testing.assert_array_equal(np.sort(idx), idx)
-                ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
-                assert np.array_equal(got, ref)
+        parts = rhs.sector_parts(blocks, self.DT, self.N_SUB)
+        for idx, got in _maps_of_parts(parts):
+            np.testing.assert_array_equal(np.sort(idx), idx)
+            ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
     def test_levels_are_excitation_pairs_at_six_cells(self, topology):
@@ -741,20 +772,20 @@ class TestLevelMap:
         _, rhs = _damping_rhs("all_to_all", 6)
         kept_blocks = rhs._kept_sectors()[0]
         split = 0
-        for indices, maps in rhs.block_maps(kept_blocks, self.DT, self.N_SUB):
-            if indices.shape[1] < LEVEL_SPLIT_MIN_ROWS:
+        parts = rhs.sector_parts(kept_blocks, self.DT, self.N_SUB)
+        for idx, got in _maps_of_parts(parts):
+            if len(idx) < LEVEL_SPLIT_MIN_ROWS:
                 continue
-            for idx, got in zip(indices, maps):
-                ordered, sizes = rhs.levels(np.sort(idx))
-                np.testing.assert_array_equal(ordered, idx)
-                assert len(sizes) > 1
-                bounds = np.cumsum(sizes)
-                assert [slab.shape for slab in got] == list(zip(sizes, bounds))
-                ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
-                for hi, slab in zip(bounds[:-1], got[1:]):
-                    assert np.all(ref[:hi, hi:] == 0)
-                    assert np.any(slab[:, :hi] != 0)
-                split += 1
+            ordered, sizes = rhs.levels(np.sort(idx))
+            np.testing.assert_array_equal(ordered, idx)
+            assert len(sizes) > 1
+            bounds = np.cumsum(sizes)
+            assert [slab.shape for slab in got] == list(zip(sizes, bounds))
+            ref = ref_rk4_block_map(rhs.lmat, idx, self.DT, self.N_SUB)
+            for hi, slab in zip(bounds[:-1], got[1:]):
+                assert np.all(ref[:hi, hi:] == 0)
+                assert np.any(slab[:, :hi] != 0)
+            split += 1
         assert split == 4  # 924, 792, 495 and 220 rows
 
     @pytest.mark.parametrize(
@@ -776,16 +807,15 @@ class TestLevelMap:
         assert len(large) == (4 if kept else 3)
         dt = 0.01 / 13
         for n_sub in n_subs:
-            for indices, maps in rhs.block_maps(large, dt, n_sub):
-                for idx, got in zip(indices, maps):
-                    ordered, sizes = rhs.levels(np.sort(idx))
-                    np.testing.assert_array_equal(ordered, idx)
-                    offsets = np.concatenate(([0], np.cumsum(sizes)))
-                    sub = dt * rhs.lmat[idx][:, idx]
-                    ref = ref_level_map(sub, n_sub, offsets)
-                    assert len(got) == len(sizes)
-                    for (lo, hi), slab in zip(_level_bounds(got), got):
-                        assert np.array_equal(slab, ref[lo:hi, :hi])
+            for idx, got in _maps_of_parts(rhs.sector_parts(large, dt, n_sub)):
+                ordered, sizes = rhs.levels(np.sort(idx))
+                np.testing.assert_array_equal(ordered, idx)
+                offsets = np.concatenate(([0], np.cumsum(sizes)))
+                sub = dt * rhs.lmat[idx][:, idx]
+                ref = ref_level_map(sub, n_sub, offsets)
+                assert len(got) == len(sizes)
+                for (lo, hi), slab in zip(_level_bounds(got), got):
+                    assert np.array_equal(slab, ref[lo:hi, :hi])
 
     def test_non_conserving_heff_matches_dense_construction(self):
         # a sigma^x field breaks excitation conservation, so the sectors
@@ -836,15 +866,15 @@ class TestLowerLevelSlabs:
         n = 6
         _, rhs = _damping_rhs("all_to_all", n)
         kept_blocks, _, fill = rhs._kept_sectors()
-        groups = rhs.block_maps(kept_blocks, self.DT, self.N_SUB)
+        parts = rhs.sector_parts(kept_blocks, self.DT, self.N_SUB)
         step = rhs.sample_map(self.DT, self.N_SUB)
         rho = random_density_matrix(np.random.default_rng(12), 2**n)
         flat = rho.reshape(-1)
         expected = np.empty_like(flat)
-        for indices, maps in groups:
-            if isinstance(maps, list):
-                maps = np.stack([_levels_whole(slabs) for slabs in maps])
-            expected[indices] = np.matmul(maps, flat[indices][..., None])[..., 0]
+        for idx, got in _maps_of_parts(parts):
+            if isinstance(got, list):
+                got = _levels_whole(got)
+            expected[idx] = got @ flat[idx]
         expected[fill] = np.conj(expected[rhs.transpose[fill]])
         got = step(rho).reshape(-1)
         assert np.max(np.abs(got - expected)) <= 1e-15

@@ -262,17 +262,6 @@ class TestEnergyEigenbasis:
             basis.conj().T @ basis, np.eye(8), atol=1e-12
         )
 
-    def test_probe_orders_degenerate_cluster(self):
-        # H = identity on a 4-dim space: one giant cluster.  The probe
-        # diag(3, 1, 2, 0) must order the basis by its eigenvalues.
-        h = np.eye(4, dtype=complex)
-        probe = np.diag([3.0, 1.0, 2.0, 0.0]).astype(complex)
-        _, basis = energy_eigenbasis(h, degeneracy_probe=probe)
-        ordered = basis.conj().T @ probe @ basis
-        np.testing.assert_allclose(
-            np.diag(ordered), [0.0, 1.0, 2.0, 3.0], atol=1e-12
-        )
-
     def test_canonicalization_ignores_eigensolver_mixing(self):
         # Two matrices with the same degenerate subspace but different
         # off-degenerate parts must produce the same cluster columns.

@@ -66,3 +66,37 @@ def test_traced_pass_keeps_the_map_statistics(tmp_path):
     assert stats["map_bytes"] == 5_615_360
     assert stats["map_blocks"] == 5
     assert stats["largest_block"] == 143
+
+
+def test_untraced_pass_stamps_every_sample(tmp_path):
+    # The untraced pass times each sample as evolve_stream yields it, and
+    # perfbench/run.py refuses a pass unless every run's stamps, less the
+    # one at the stream's end, number its manifest's n_samples.
+    config = tmp_path / "fig7_short.cfg"
+    config.write_text(
+        "preset = fig7_longrange_comparison\n"
+        "name = fig7_short\n"
+        "topology = all_to_all\n"
+        "n_sites = 3\n"
+        "t_max = 0.2\n"
+    )
+    stamps_path, out_dir = tmp_path / "stamps.json", tmp_path / "out"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "--stamps", str(stamps_path),
+         "run", str(config), "--out", str(out_dir)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    manifest = json.loads((out_dir / "fig7_short_manifest.json").read_text())
+    stamps = json.loads(stamps_path.read_text())
+    rows = [entry["n_samples"] for entry in manifest["runs"]]
+    assert len(rows) == 2
+    assert [len(s) - 1 for s in stamps] == rows

@@ -2,12 +2,14 @@
 comparison utilities, the command-line interface, and the package's
 public names."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +223,42 @@ class TestValidateConfig:
             get_preset("fig2_dephasing_product"), n_sites_list=(11,)
         )
         assert any("[1, 10]" in e for e in validate_config(cfg))
+
+    def test_cell_counts_must_be_integers(self, tmp_path):
+        # a float or a bool is refused, not truncated to 2 and 1
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"), n_sites_list=(2.7, True)
+        )
+        assert cfg.n_sites_list == (2.7, True)
+        assert validate_config(cfg) == [
+            "n_sites: each N must be an integer, got 2.7",
+            "n_sites: each N must be an integer, got True",
+        ]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="got 2.7"):
+            run_scenario(cfg, str(out))
+        assert not out.exists()
+
+    def test_config_file_cell_count_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("preset = fig5_ad_product\nn_sites = 2, 2.7\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert [e.split(":")[0] for e in err.value.errors] == ["n_sites"]
+        assert "2.7" in err.value.errors[0]
+
+    def test_numpy_cell_counts_are_plain_ints(self, tmp_path):
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            n_sites_list=(np.int64(2),),
+            t_max=0.02,
+        )
+        assert validate_config(cfg) == []
+        assert type(cfg.n_sites_list[0]) is int
+        result = run_scenario(cfg, str(tmp_path / "out"))
+        with open(result.manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert [e["n_sites"] for e in manifest["runs"]] == [2]
 
 
 class TestRunArtifacts:
@@ -1076,3 +1114,31 @@ class TestPublicSurface:
         ):
             assert name not in qbattery.__all__
             assert not hasattr(qbattery, name)
+
+    def test_no_unused_imports(self):
+        # no linter is installed, so this is pyflakes' F401 by hand: every
+        # name a package module imports is referenced in it or listed in
+        # its __all__, unless the alias's own line says `# noqa: F401`
+        unused = []
+        for path in sorted(Path(qbattery.__file__).parent.glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            tree = ast.parse(source)
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets
+                ):
+                    used |= set(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name in used or "# noqa: F401" in lines[alias.lineno - 1]:
+                        continue
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+        assert unused == []
