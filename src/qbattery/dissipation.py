@@ -55,9 +55,9 @@ class NoiseSpec:
     Attributes:
         channel: "dephasing" (jump sigma^z) or "amplitude_damping" (sigma^-).
         topology: "local", "nearest_neighbor", or "all_to_all".
-        gamma: local rate (diagonal of Gamma), >= 0.
-        gamma_offdiag: cross-site rate p + i q, uniform across correlated
-            pairs; must be 0 for local topology.
+        gamma: local rate (diagonal of Gamma), finite and >= 0.
+        gamma_offdiag: cross-site rate p + i q, finite, uniform across
+            correlated pairs; must be 0 for local topology.
         coupling: reservoir-induced coherent coupling; must carry zero
             strengths for local topology (a purely local reservoir induces
             no coherent interaction).
@@ -78,8 +78,12 @@ class NoiseSpec:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        # a non-finite rate would reach build_gamma's arithmetic and fail
+        # later as a CPTP violation whose sufficient bound reads satisfied
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
+        if not np.isfinite(self.gamma_offdiag):
+            raise ValueError(f"gamma_offdiag must be finite, got {self.gamma_offdiag}")
         if self.topology == "local":
             if self.gamma_offdiag != 0:
                 raise ValueError("local topology requires gamma_offdiag = 0")

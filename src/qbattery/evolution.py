@@ -198,6 +198,41 @@ class StateInvariantError(RuntimeError):
         )
 
 
+def finite_real(value: object) -> bool:
+    """Whether value is a finite int or float; a bool is not a number here."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and math.isfinite(value)
+
+
+def time_grid_errors(
+    t_max: object, dt_sample: object, dt_internal: object
+) -> list[tuple[str, str]]:
+    """Every time-grid rule the three settings break, as (field, reason).
+
+    t_max and dt_sample are finite and > 0, the grid holds at least one and
+    at most MAX_SAMPLES samples after t = 0, and dt_internal is None or a
+    finite number in (0, dt_sample].  EvolutionConfig raises the first;
+    the scenario layer reports them all under the same field names.
+    """
+    errors = []
+    good_t_max = finite_real(t_max) and t_max > 0
+    good_dt_sample = finite_real(dt_sample) and dt_sample > 0
+    if not good_t_max:
+        errors.append(("t_max", f"must be a finite number > 0, got {t_max!r}"))
+    if not good_dt_sample:
+        errors.append(("dt_sample", f"must be a finite number > 0, got {dt_sample!r}"))
+    elif good_t_max and t_max < dt_sample:
+        errors.append(("t_max", "must be at least dt_sample (otherwise no samples)"))
+    elif good_t_max and t_max / dt_sample > MAX_SAMPLES:
+        errors.append(("t_max", f"t_max / dt_sample exceeds {MAX_SAMPLES} samples"))
+    if dt_internal is not None:
+        if not (finite_real(dt_internal) and dt_internal > 0):
+            errors.append(("dt_internal", f"must be > 0 or none, got {dt_internal!r}"))
+        elif good_dt_sample and dt_internal > dt_sample * (1 + 1e-12):
+            errors.append(("dt_internal", "must not exceed dt_sample"))
+    return errors
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Time grid and RK4 step settings.
@@ -207,7 +242,8 @@ class EvolutionConfig:
     so it plays no role in the step choice.  The internal step is always
     snapped to an integer subdivision of dt_sample so that samples are hit
     exactly; resolve_time_grid reports the snapped grid, and the scenario
-    layer records it in its run manifest.
+    layer records it in its run manifest.  A grid that breaks a rule of
+    time_grid_errors raises ValueError.
     """
 
     t_max: float
@@ -215,21 +251,9 @@ class EvolutionConfig:
     dt_internal: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("t_max", "dt_sample", "dt_internal"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        if self.dt_sample <= 0:
-            raise ValueError(f"dt_sample must be > 0, got {self.dt_sample}")
-        if self.t_max / self.dt_sample > MAX_SAMPLES:
-            raise ValueError(f"t_max / dt_sample exceeds {MAX_SAMPLES} samples")
-        if self.dt_internal is not None:
-            if self.dt_internal <= 0:
-                raise ValueError("dt_internal must be > 0")
-            if self.dt_internal > self.dt_sample * (1 + 1e-12):
-                raise ValueError("dt_internal must not exceed dt_sample")
+        errors = time_grid_errors(self.t_max, self.dt_sample, self.dt_internal)
+        if errors:
+            raise ValueError("%s: %s" % errors[0])
 
 
 @dataclass(frozen=True)

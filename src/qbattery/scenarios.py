@@ -12,6 +12,14 @@ ground states, plus the nearest-neighbor vs all-to-all comparison); user
 config files are flat `key = value` text that either starts from a preset
 and overrides individual keys or specifies a scenario from scratch.
 
+The config schema is stated once, in SCHEMA: one entry per ScenarioConfig
+field giving its config-file key, the parser of the key's text and the
+rule its value must pass.  The key map CONFIG_KEYS is derived from it, a
+field without a default is a required key when no preset is given, and
+the time-grid fields (t_max, dt_sample, dt_internal) are checked by
+qbattery.evolution.time_grid_errors, the rules EvolutionConfig raises
+from.  validate_config reports every broken rule, one message each.
+
 Artifact choices, documented here rather than hidden in code: sampling is
 dt_sample = 0.01 throughout; dephasing presets stop at t_max = 20 and
 amplitude-damping presets at t_max = 40 (saturation is slow), except that
@@ -39,8 +47,9 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,10 +63,11 @@ from .dissipation import (
     validate_cptp,
 )
 from .evolution import (
-    MAX_SAMPLES,
     EvolutionConfig,
     evolve_stream,
+    finite_real,
     resolve_time_grid,
+    time_grid_errors,
     # evolve_stream decides convergence itself; the name stays importable
     # here because perfbench/child.py wraps it by this path
     steady_state_probe,  # noqa: F401
@@ -114,8 +124,8 @@ class ScenarioConfig:
 
     The three sweep fields (channels, topologies, n_sites_list) multiply
     out: one run — and one CSV — per combination, in declaration order.
-    In flat config files they are the comma-separated keys `channel`,
-    `topology`, and `n_sites`.
+    In flat config files they are comma-separated lists; SCHEMA gives
+    every field's config-file key.
 
     Attributes:
         name: scenario name, used as the CSV/manifest filename stem.
@@ -201,93 +211,133 @@ class ScenarioResult:
     manifest: dict
 
 
+# ---------------------------------------------------------------------------
+# The config schema
+# ---------------------------------------------------------------------------
+
+def _str_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _str_tuple(raw))
+
+
+def _float_or_none(raw: str) -> float | None:
+    return None if raw.strip().lower() in ("none", "default", "") else float(raw)
+
+
+def _name_rule(value: object) -> Iterator[str]:
+    if not isinstance(value, str) or not _NAME_PATTERN.match(value):
+        yield f"must match {_NAME_PATTERN.pattern}, got {value!r}"
+
+
+def _one_of(noun: str, choices: tuple[str, ...]) -> Callable[[object], Iterator[str]]:
+    def rule(value: object) -> Iterator[str]:
+        if value not in choices:
+            yield f"unknown {noun} {value!r} (choices: {choices})"
+
+    return rule
+
+
+def _sweep(
+    noun: str, plural: str, item: Callable[[object], Iterator[str]]
+) -> Callable[[tuple], Iterator[str]]:
+    """Rule of a sweep: at least one value, each passing item, and no
+    value that passes it given twice."""
+
+    def rule(values: tuple) -> Iterator[str]:
+        if not values:
+            yield f"at least one {noun} required"
+        for value in values:
+            yield from item(value)
+        valid = [value for value in values if not any(item(value))]
+        if len(set(valid)) != len(valid):
+            yield f"duplicate {plural}"
+
+    return rule
+
+
+def _count_rule(n: object) -> Iterator[str]:
+    if type(n) is not int:  # a bool is not a cell count
+        yield f"each N must be an integer, got {n!r}"
+    elif not (1 <= n <= MAX_SITES):
+        yield f"each N must be in [1, {MAX_SITES}], got {n}"
+
+
+def _real_rule(value: object) -> Iterator[str]:
+    if not finite_real(value):
+        yield f"must be a finite real number, got {value!r}"
+
+
+def _rate_rule(value: object) -> Iterator[str]:
+    if not (finite_real(value) and value >= 0):
+        yield f"must be a finite number >= 0, got {value!r}"
+
+
+class FieldSpec(NamedTuple):
+    """How one ScenarioConfig field is written and checked.
+
+    key is its config-file key, parse turns the key's raw text into the
+    field value, and rule yields every reason a value is refused (None:
+    any value).  The time-grid fields have no rule of their own; the one
+    set of grid rules, evolution.time_grid_errors, checks them together.
+    """
+
+    key: str
+    parse: Callable[[str], object]
+    rule: Callable[[object], Iterator[str]] | None
+
+
+# One entry per ScenarioConfig field, in field order.
+SCHEMA: dict[str, FieldSpec] = {
+    "name": FieldSpec("name", str, _name_rule),
+    "channels": FieldSpec(
+        "channel",
+        _str_tuple,
+        _sweep("channel", "channels", _one_of("channel", CHANNELS)),
+    ),
+    "topologies": FieldSpec(
+        "topology",
+        _str_tuple,
+        _sweep("topology", "topologies", _one_of("topology", TOPOLOGIES)),
+    ),
+    "n_sites_list": FieldSpec(
+        "n_sites", _int_tuple, _sweep("cell count", "cell counts", _count_rule)
+    ),
+    "initial_state": FieldSpec("initial_state", str, _one_of("state", INITIAL_STATES)),
+    "h": FieldSpec("h", float, _real_rule),
+    "gamma": FieldSpec("gamma", float, _rate_rule),
+    "t_max": FieldSpec("t_max", float, None),
+    "j_prime": FieldSpec("j_prime", float, _real_rule),
+    "gamma_offdiag_modulus": FieldSpec("gamma_offdiag_modulus", float, _rate_rule),
+    "gamma_offdiag_phase": FieldSpec("gamma_offdiag_phase", float, _real_rule),
+    "j_z": FieldSpec("j_z", float, _real_rule),
+    "j_xx": FieldSpec("j_xx", float, _real_rule),
+    "d_dm": FieldSpec("d_dm", float, _real_rule),
+    "dt_sample": FieldSpec("dt_sample", float, None),
+    "dt_internal": FieldSpec("dt_internal", _float_or_none, None),
+    "description": FieldSpec("description", str, None),
+}
+
+# config-file key -> (ScenarioConfig field, parser)
+CONFIG_KEYS = {spec.key: (name, spec.parse) for name, spec in SCHEMA.items()}
+
+
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """All schema violations in cfg, one message per offending field."""
-    errors: list[str] = []
-
-    def bad(key: str, why: str) -> None:
-        errors.append(f"{key}: {why}")
-
-    if not isinstance(cfg.name, str) or not _NAME_PATTERN.match(cfg.name):
-        bad("name", f"must match {_NAME_PATTERN.pattern}, got {cfg.name!r}")
-    if not cfg.channels:
-        bad("channel", "at least one channel required")
-    for c in cfg.channels:
-        if c not in CHANNELS:
-            bad("channel", f"unknown channel {c!r} (choices: {CHANNELS})")
-    if len(set(cfg.channels)) != len(cfg.channels):
-        bad("channel", "duplicate channels")
-    if not cfg.topologies:
-        bad("topology", "at least one topology required")
-    for t in cfg.topologies:
-        if t not in TOPOLOGIES:
-            bad("topology", f"unknown topology {t!r} (choices: {TOPOLOGIES})")
-    if len(set(cfg.topologies)) != len(cfg.topologies):
-        bad("topology", "duplicate topologies")
-    if not cfg.n_sites_list:
-        bad("n_sites", "at least one cell count required")
-    counts = []
-    for n in cfg.n_sites_list:
-        if not isinstance(n, int) or isinstance(n, bool):
-            bad("n_sites", f"each N must be an integer, got {n!r}")
-            continue
-        if not (1 <= n <= MAX_SITES):
-            bad("n_sites", f"each N must be in [1, {MAX_SITES}], got {n}")
-        counts.append(n)
-    if len(set(counts)) != len(counts):
-        bad("n_sites", "duplicate cell counts")
+    errors = [
+        f"{spec.key}: {why}"
+        for name, spec in SCHEMA.items()
+        if spec.rule is not None
+        for why in spec.rule(getattr(cfg, name))
+    ]
     correlated = [t for t in cfg.topologies if t != "local"]
-    if correlated and counts and min(counts) < 2:
-        bad("n_sites", f"topologies {correlated} need at least 2 cells")
-    if cfg.initial_state not in INITIAL_STATES:
-        bad(
-            "initial_state",
-            f"unknown state {cfg.initial_state!r} (choices: {INITIAL_STATES})",
-        )
-    for key in ("h", "j_prime", "j_z", "j_xx", "d_dm", "gamma_offdiag_phase"):
-        value = getattr(cfg, key)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            bad(key, f"must be a finite real number, got {value!r}")
-    for key in ("gamma", "gamma_offdiag_modulus"):
-        value = getattr(cfg, key)
-        if not (
-            isinstance(value, (int, float))
-            and math.isfinite(value)
-            and value >= 0
-        ):
-            bad(key, f"must be a finite number >= 0, got {value!r}")
-    good_t_max = (
-        isinstance(cfg.t_max, (int, float))
-        and math.isfinite(cfg.t_max)
-        and cfg.t_max > 0
-    )
-    if not good_t_max:
-        bad("t_max", f"must be a finite number > 0, got {cfg.t_max!r}")
-    if not (
-        isinstance(cfg.dt_sample, (int, float))
-        and math.isfinite(cfg.dt_sample)
-        and cfg.dt_sample > 0
-    ):
-        bad("dt_sample", f"must be a finite number > 0, got {cfg.dt_sample!r}")
-    elif good_t_max and cfg.t_max < cfg.dt_sample:
-        bad("t_max", "must be at least dt_sample (otherwise no samples)")
-    elif good_t_max and cfg.t_max / cfg.dt_sample > MAX_SAMPLES:
-        # the bound EvolutionConfig enforces, reported before any run starts
-        bad("t_max", f"t_max / dt_sample exceeds {MAX_SAMPLES} samples")
-    if cfg.dt_internal is not None:
-        good_dt = (
-            isinstance(cfg.dt_internal, (int, float))
-            and math.isfinite(cfg.dt_internal)
-            and cfg.dt_internal > 0
-        )
-        if not good_dt:
-            bad("dt_internal", f"must be > 0 or none, got {cfg.dt_internal!r}")
-        elif (
-            isinstance(cfg.dt_sample, (int, float))
-            and cfg.dt_sample > 0
-            and cfg.dt_internal > cfg.dt_sample * (1 + 1e-12)
-        ):
-            bad("dt_internal", "must not exceed dt_sample")
+    if correlated and any(type(n) is int and n < 2 for n in cfg.n_sites_list):
+        errors.append(f"n_sites: topologies {correlated} need at least 2 cells")
+    # the rules EvolutionConfig enforces, reported before any run starts
+    grid = time_grid_errors(cfg.t_max, cfg.dt_sample, cfg.dt_internal)
+    errors.extend(f"{SCHEMA[name].key}: {why}" for name, why in grid)
     return errors
 
 
@@ -465,53 +515,6 @@ def get_preset(name: str) -> ScenarioConfig:
 # Flat key-value config files
 # ---------------------------------------------------------------------------
 
-def _parse_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_optional_float(raw: str) -> float | None:
-    if raw.strip().lower() in ("none", "default", ""):
-        return None
-    return float(raw)
-
-
-# config-file key -> (ScenarioConfig field, parser)
-CONFIG_KEYS: dict[str, tuple[str, object]] = {
-    "name": ("name", str),
-    "channel": ("channels", _parse_str_tuple),
-    "topology": ("topologies", _parse_str_tuple),
-    "n_sites": ("n_sites_list", _parse_int_tuple),
-    "initial_state": ("initial_state", str),
-    "h": ("h", float),
-    "j_prime": ("j_prime", float),
-    "gamma": ("gamma", float),
-    "gamma_offdiag_modulus": ("gamma_offdiag_modulus", float),
-    "gamma_offdiag_phase": ("gamma_offdiag_phase", float),
-    "j_z": ("j_z", float),
-    "j_xx": ("j_xx", float),
-    "d_dm": ("d_dm", float),
-    "t_max": ("t_max", float),
-    "dt_sample": ("dt_sample", float),
-    "dt_internal": ("dt_internal", _parse_optional_float),
-    "description": ("description", str),
-}
-
-_REQUIRED_WITHOUT_PRESET = (
-    "name",
-    "channel",
-    "topology",
-    "n_sites",
-    "initial_state",
-    "h",
-    "gamma",
-    "t_max",
-)
-
-
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     """Parse flat `key = value` text into a raw string mapping.
 
@@ -548,29 +551,25 @@ def config_from_mapping(
     """Build and validate a ScenarioConfig from a raw string mapping.
 
     A `preset` key selects a built-in scenario as the base; every other
-    key overrides one field.  Without `preset`, the required keys are
-    name, channel, topology, n_sites, initial_state, h, gamma, and t_max.
+    key overrides one field.  Without `preset`, the key of every
+    ScenarioConfig field without a default is required.
     Unknown keys, unparsable values, and schema violations are all
     collected into a single ConfigError.
     """
     errors: list[str] = []
     mapping = dict(mapping)
-    base: ScenarioConfig | None = None
+    values: dict[str, object] = {}
     if "preset" in mapping:
-        preset_name = mapping.pop("preset")
-        if preset_name in PRESETS:
-            base = PRESETS[preset_name]
-        else:
-            known = ", ".join(PRESETS)
-            errors.append(
-                f"preset: unknown preset {preset_name!r} (choices: {known})"
-            )
+        try:
+            values = asdict(get_preset(mapping.pop("preset")))
+        except ConfigError as exc:
+            errors.extend(exc.errors)
     else:
-        for key in _REQUIRED_WITHOUT_PRESET:
-            if key not in mapping:
+        for field in fields(ScenarioConfig):
+            key = SCHEMA[field.name].key
+            if field.default is MISSING and key not in mapping:
                 errors.append(f"{key}: required when no preset is given")
 
-    fields: dict[str, object] = asdict(base) if base is not None else {}
     for key, raw in mapping.items():
         if key not in CONFIG_KEYS:
             known = ", ".join(CONFIG_KEYS)
@@ -578,22 +577,19 @@ def config_from_mapping(
             continue
         field_name, parser = CONFIG_KEYS[key]
         try:
-            fields[field_name] = parser(raw)  # type: ignore[operator]
+            values[field_name] = parser(raw)
         except (ValueError, TypeError) as exc:
             errors.append(f"{key}: could not parse {raw!r} ({exc})")
     # Validate whatever did parse so one report lists every offending key,
-    # not just the first failing stage.
+    # not just the first failing stage.  The construction fails only for a
+    # required field that is missing or did not parse, reported above.
     try:
-        cfg = ScenarioConfig(**fields)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        cfg = None
-        if not errors:
-            errors.append(f"config: could not construct scenario ({exc})")
-    if cfg is not None:
-        errors.extend(validate_config(cfg))
+        cfg = ScenarioConfig(**values)  # type: ignore[arg-type]
+    except TypeError:
+        raise ConfigError(errors, source) from None
+    errors.extend(validate_config(cfg))
     if errors:
         raise ConfigError(errors, source)
-    assert cfg is not None
     return cfg
 
 

@@ -1,6 +1,8 @@
 """Unit tests for rate matrices, CPTP validation, the jump operators and
 the dissipator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,23 @@ class TestNoiseSpecGuards:
     def test_negative_rate(self):
         with pytest.raises(ValueError, match="gamma"):
             NoiseSpec(channel="dephasing", topology="local", gamma=-0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "topology, gamma, offdiag, field",
+        [
+            ("local", math.inf, 0j, "gamma"),
+            ("all_to_all", math.nan, 0.01j, "gamma"),
+            ("nearest_neighbor", -math.inf, 0.01j, "gamma"),
+            ("all_to_all", 0.2, complex(math.nan, 0.0), "gamma_offdiag"),
+            ("nearest_neighbor", 0.2, complex(0.0, math.inf), "gamma_offdiag"),
+        ],
+    )
+    def test_non_finite_rates_refused(self, topology, gamma, offdiag, field):
+        # refused where they are given, before build_gamma's arithmetic
+        # warns and the CPTP check fails with its sufficient bound satisfied
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            NoiseSpec("dephasing", topology, gamma, gamma_offdiag=offdiag)
 
     def test_local_forbids_cross_rates(self):
         with pytest.raises(ValueError, match="gamma_offdiag"):

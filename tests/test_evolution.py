@@ -1049,6 +1049,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="samples"):
             EvolutionConfig(t_max=1e9, dt_sample=1e-3)
 
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"t_max": True, "dt_sample": 0.5}, "t_max"),
+            ({"t_max": 1.0, "dt_sample": True}, "dt_sample"),
+            ({"t_max": 2.0, "dt_sample": 1.0, "dt_internal": True}, "dt_internal"),
+        ],
+    )
+    def test_config_refuses_bools(self, settings, field):
+        # a bool is an int to Python but not a time
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            EvolutionConfig(**settings)
+
 
 class TestCheckState:
     def test_accepts_valid_state(self):

@@ -36,7 +36,10 @@ from qbattery.evolution import (
     TRACE_TOL,
 )
 from qbattery.scenarios import (
+    CONFIG_KEYS,
     CSV_COLUMNS,
+    INITIAL_STATES,
+    SCHEMA,
     applied_offdiag_modulus,
     first_peak,
     precheck_cptp,
@@ -195,6 +198,47 @@ class TestConfigParsing:
         )
         assert cfg.dt_internal is None
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_round_trips_through_config_text(self, name):
+        # every field written under its schema key, without a preset base,
+        # so each key's parser is reached
+        preset = get_preset(name)
+        lines = []
+        for field in dataclasses.fields(ScenarioConfig):
+            value = getattr(preset, field.name)
+            if value is None:
+                text = "none"
+            elif isinstance(value, tuple):
+                text = ", ".join(str(v) for v in value)
+            elif isinstance(value, float):
+                text = repr(value)
+            else:
+                text = value
+            lines.append(f"{SCHEMA[field.name].key} = {text}")
+        assert len(lines) == len(CONFIG_KEYS) == 17
+        mapping = parse_config_text("\n".join(lines) + "\n")
+        assert sorted(mapping) == sorted(CONFIG_KEYS)
+        assert config_from_mapping(mapping) == preset
+
+    def test_schema_has_one_entry_per_field_in_field_order(self):
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert list(SCHEMA) == names
+
+    def test_readme_keys_match_the_schema(self):
+        # the README's `Keys:` paragraph names every config key once and
+        # exactly the initial states the schema accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        match = re.search(r"^Keys: (.*?)\n\n", readme, re.M | re.S)
+        assert match is not None
+        paragraph = match.group(1)
+        keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+        states = re.search(r"`initial_state`\s*\(([^)]*)\)", paragraph)
+        assert states is not None
+        assert tuple(re.findall(r"`(\w+)`", states.group(1))) == INITIAL_STATES
+
 
 class TestValidateConfig:
     def test_clean_config_has_no_errors(self):
@@ -211,6 +255,37 @@ class TestValidateConfig:
         errors = validate_config(cfg)
         keys = {e.split(":")[0] for e in errors}
         assert {"name", "t_max", "gamma", "n_sites"} <= keys
+
+    NUMERIC_FIELDS = (
+        "h", "gamma", "t_max", "j_prime", "gamma_offdiag_modulus",
+        "gamma_offdiag_phase", "j_z", "j_xx", "d_dm", "dt_sample",
+        "dt_internal",
+    )
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_boolean_numbers_are_refused(self, field, flag):
+        # a bool is an int to Python; each numeric field refuses it with
+        # exactly one error under its own key
+        cfg = dataclasses.replace(get_preset("fig5_ad_product"), **{field: flag})
+        errors = validate_config(cfg)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{field}: ")
+        assert repr(flag) in errors[0]
+
+    def test_numeric_fields_are_every_real_field(self):
+        hints = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+        assert sorted(self.NUMERIC_FIELDS) == sorted(
+            name for name, hint in hints.items() if "float" in str(hint)
+        )
+
+    def test_booleans_together_each_named_once(self):
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"),
+            h=True, gamma=True, t_max=True, gamma_offdiag_phase=False,
+        )
+        keys = [e.split(":")[0] for e in validate_config(cfg)]
+        assert sorted(keys) == ["gamma", "gamma_offdiag_phase", "h", "t_max"]
 
     def test_correlated_topology_rejects_single_cell(self):
         cfg = dataclasses.replace(
