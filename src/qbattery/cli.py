@@ -28,6 +28,7 @@ from .dissipation import CptpViolationError
 from .evolution import StateInvariantError
 from .models import DegenerateGroundStateError
 from .scenarios import (
+    COMPARE_MODES,
     CompareReport,
     ConfigError,
     GridMismatchError,
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--mode",
         required=True,
-        choices=("max_abs_diff", "transient_dominance"),
+        choices=COMPARE_MODES,
     )
     cmp_p.add_argument(
         "--window",

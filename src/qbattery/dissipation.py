@@ -11,17 +11,20 @@ to be completely positive and trace preserving, with L = sigma^z for
 dephasing and L = sigma^- for zero-temperature amplitude damping.  The
 generator itself is assembled in evolution (_gksl_matrix).
 
-Topologies:
-    local:            Gamma = gamma * I
-    nearest_neighbor: gamma on the diagonal; each oriented ring bond
-                      j -> k adds g12 to Gamma_jk and conj(g12) to
-                      Gamma_kj.  The periodic ring (default) gives the
-                      Hermitian circulant with corner entries for N >= 3,
-                      and at N = 2 the two orientations of the single pair
-                      land on the same entry, so Gamma_01 = 2 Re g12.  An
-                      open chain (periodic = False) omits the wraparound;
-                      the open pair keeps the full complex g12.
-    all_to_all:       gamma_offdiag on every pair j < k
+Topologies: Gamma has gamma on the diagonal, and each oriented bond
+j -> k of the topology adds g12 to Gamma_jk and conj(g12) to Gamma_kj.
+The bonds are models.topology_bonds, the same set the reservoir-induced
+effective Hamiltonian (models.effective_hamiltonian) acts on:
+    local:            no bonds, Gamma = gamma * I
+    nearest_neighbor: models.ring_bonds.  The periodic ring (default)
+                      gives the Hermitian circulant with corner entries
+                      for N >= 3, and at N = 2 the two orientations of the
+                      single pair land on the same entry, so
+                      Gamma_01 = 2 Re g12.  An open chain
+                      (periodic = False) omits the wraparound; the open
+                      pair keeps the full complex g12.
+    all_to_all:       models.all_pair_bonds, every pair j < k once, so
+                      Gamma_jk = g12 for j < k
 
 The periodic nearest-neighbor ring is circulant, so its spectrum has the
 closed form gamma + 2|g12| cos(2 pi m / N + arg g12) for every N >= 2 (see
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import gamma_nn_eigenvalues
-from .models import EffectiveCoupling, ring_bonds
+from .models import EffectiveCoupling, topology_bonds
 
 PSD_TOL = -1e-12
 
@@ -60,7 +63,8 @@ class NoiseSpec:
             correlated pairs; must be 0 for local topology.
         coupling: reservoir-induced coherent coupling; must carry zero
             strengths for local topology (a purely local reservoir induces
-            no coherent interaction).
+            no coherent interaction), and otherwise an interaction_range
+            equal to topology, so it acts on the rate matrix's bonds.
         periodic: nearest-neighbor boundary condition; True (default) wraps
             the chain into a ring, False leaves it open.  Ignored by the
             other topologies.
@@ -84,14 +88,20 @@ class NoiseSpec:
             raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
         if not np.isfinite(self.gamma_offdiag):
             raise ValueError(f"gamma_offdiag must be finite, got {self.gamma_offdiag}")
+        c = self.coupling
         if self.topology == "local":
             if self.gamma_offdiag != 0:
                 raise ValueError("local topology requires gamma_offdiag = 0")
-            c = self.coupling
             if c is not None and (c.j_z != 0 or c.j_xx != 0 or c.d_dm != 0):
                 raise ValueError(
                     "local topology requires zero effective coupling strengths"
                 )
+        elif c is not None and c.interaction_range != self.topology:
+            # Gamma and H_eff must couple the same pairs (topology_bonds)
+            raise ValueError(
+                f"coupling interaction_range {c.interaction_range!r} differs "
+                f"from topology {self.topology!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,21 +150,12 @@ def build_gamma(spec: NoiseSpec, n_sites: int) -> GammaMatrix:
         raise ValueError("correlated topologies need at least 2 cells")
     g = float(spec.gamma)
     g12 = complex(spec.gamma_offdiag)
-    if spec.topology == "local":
-        m = g * np.eye(n_sites, dtype=complex)
-    elif spec.topology == "nearest_neighbor":
-        m = g * np.eye(n_sites, dtype=complex)
-        # One contribution per oriented bond; at N = 2 periodic both
-        # orientations hit the same entry, giving Gamma_01 = 2 Re g12.
-        for j, k in ring_bonds(n_sites, spec.periodic):
-            m[j, k] += g12
-            m[k, j] += np.conj(g12)
-    else:  # all_to_all
-        m = g * np.eye(n_sites, dtype=complex)
-        for j in range(n_sites):
-            for k in range(j + 1, n_sites):
-                m[j, k] = g12
-                m[k, j] = np.conj(g12)
+    m = g * np.eye(n_sites, dtype=complex)
+    # One contribution per oriented bond; at N = 2 periodic both
+    # orientations hit the same entry, giving Gamma_01 = 2 Re g12.
+    for j, k in topology_bonds(spec.topology, n_sites, spec.periodic):
+        m[j, k] += g12
+        m[k, j] += np.conj(g12)
     return GammaMatrix(
         matrix=m,
         topology=spec.topology,

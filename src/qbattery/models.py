@@ -20,10 +20,13 @@ reservoirs) or an XX + Dzyaloshinskii-Moriya exchange (amplitude-damping
 reservoirs), on nearest-neighbor bonds or on all pairs.
 
 Bond-set convention, used consistently by every builder here (battery zz
-term, effective Hamiltonians, and the rate-matrix adjacency): the periodic
-ring sums the literal oriented adjacency j -> j+1 for j = 0..N-1 including
-the wraparound, so N = 2 periodic carries both orientations of its single
-pair and the pair coupling doubles (and the antisymmetric DM part cancels).
+term, effective Hamiltonians, and the rate-matrix adjacency).  Which
+oriented pairs a reservoir topology couples is decided once, by
+topology_bonds, for both the rate matrix and the effective Hamiltonian.
+The periodic ring sums the literal oriented adjacency j -> j+1 for
+j = 0..N-1 including the wraparound, so N = 2 periodic carries both
+orientations of its single pair and the pair coupling doubles (and the
+antisymmetric DM part cancels).
 An open chain (periodic = False) drops the wraparound; the open two-cell
 system is the single bond 0 -> 1 with the full complex coupling.
 
@@ -90,8 +93,10 @@ class EffectiveCoupling:
                       complex J = j_xx + i*d_dm, equivalently
                       (j_xx/2)(XX + YY) + (d_dm/2)(XY - YX) per bond.
 
-    interaction_range selects the bond set: "nearest_neighbor" (ring bonds)
-    or "all_to_all" (every pair j < k, oriented j -> k).
+    interaction_range is the reservoir topology whose bonds it acts on
+    (topology_bonds): "nearest_neighbor" (ring bonds) or "all_to_all"
+    (every pair j < k, oriented j -> k).  A NoiseSpec requires it to equal
+    its own topology.
     """
 
     kind: str
@@ -131,6 +136,24 @@ def ring_bonds(n_sites: int, periodic: bool = True) -> list[tuple[int, int]]:
 def all_pair_bonds(n_sites: int) -> list[tuple[int, int]]:
     """All pairs j < k, oriented j -> k."""
     return [(j, k) for j in range(n_sites) for k in range(j + 1, n_sites)]
+
+
+def topology_bonds(topology: str, n_sites: int, periodic: bool) -> list[tuple[int, int]]:
+    """The oriented bonds a reservoir topology couples.
+
+    The one bond set of a run: the rate matrix (dissipation.build_gamma)
+    and the effective Hamiltonian (effective_hamiltonian) both sum over
+    it.  "local" couples no pair, "nearest_neighbor" gives ring_bonds
+    (periodic selects the ring or the open chain) and "all_to_all" gives
+    all_pair_bonds.
+    """
+    if topology == "local":
+        return []
+    if topology == "nearest_neighbor":
+        return ring_bonds(n_sites, periodic)
+    if topology == "all_to_all":
+        return all_pair_bonds(n_sites)
+    raise ValueError(f"unknown topology {topology!r}")
 
 
 def site_z_signs(n_sites: int) -> np.ndarray:
@@ -179,10 +202,7 @@ def effective_hamiltonian(
     states (site i is bit N-1-i, 0 = spin up), summed in bond order, so the
     matrix equals the sum of embedded two-site operator products exactly.
     """
-    if coupling.interaction_range == "nearest_neighbor":
-        bonds = ring_bonds(n_sites, periodic)
-    else:
-        bonds = all_pair_bonds(n_sites)
+    bonds = topology_bonds(coupling.interaction_range, n_sites, periodic)
     dim = 2**n_sites
     h_eff = np.zeros((dim, dim), dtype=complex)
     signs = site_z_signs(n_sites)

@@ -49,7 +49,7 @@ import re
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -92,6 +92,7 @@ from .observables import (
 )
 
 CSV_COLUMNS = ("t", "W", "ergotropy", "stored_E", "ratio_R", "coherence_per_site")
+COMPARE_MODES = ("max_abs_diff", "transient_dominance")
 INITIAL_STATES = ("product_minus", "ground_interacting")
 MAX_SITES = 10
 
@@ -168,18 +169,24 @@ class ScenarioConfig:
     description: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "topologies", tuple(self.topologies))
-        counts = (int(n) if isinstance(n, np.integer) else n for n in self.n_sites_list)
-        object.__setattr__(self, "n_sites_list", tuple(counts))
+        # lists and arrays become tuples; a single value (a str would split
+        # into its characters) is kept as given for the sweep rule to refuse
+        for name in ("channels", "topologies", "n_sites_list"):
+            values = getattr(self, name)
+            if isinstance(values, Iterable) and not isinstance(values, str):
+                items = (int(v) if isinstance(v, np.integer) else v for v in values)
+                object.__setattr__(self, name, tuple(items))
 
     @property
     def gamma_offdiag(self) -> complex:
-        """Cross-site rate as a complex number."""
-        return self.gamma_offdiag_modulus * complex(
-            math.cos(self.gamma_offdiag_phase),
-            math.sin(self.gamma_offdiag_phase),
-        )
+        """Cross-site rate as a complex number, before any --auto-cptp
+        scaling: the rate of every correlated run that is not scaled."""
+        return _cross_rate(self.gamma_offdiag_modulus, self.gamma_offdiag_phase)
+
+
+def _cross_rate(modulus: float, phase: float) -> complex:
+    """The cross-site rate modulus * e^{i phase} of a NoiseSpec."""
+    return modulus * complex(math.cos(phase), math.sin(phase))
 
 
 @dataclass(frozen=True)
@@ -243,10 +250,14 @@ def _one_of(noun: str, choices: tuple[str, ...]) -> Callable[[object], Iterator[
 def _sweep(
     noun: str, plural: str, item: Callable[[object], Iterator[str]]
 ) -> Callable[[tuple], Iterator[str]]:
-    """Rule of a sweep: at least one value, each passing item, and no
-    value that passes it given twice."""
+    """Rule of a sweep: a list of at least one value, each passing item,
+    and no value that passes it given twice."""
 
     def rule(values: tuple) -> Iterator[str]:
+        if not isinstance(values, tuple):
+            # ScenarioConfig made a tuple of any list or array given
+            yield f"must be a list of {plural}, got {values!r}"
+            return
         if not values:
             yield f"at least one {noun} required"
         for value in values:
@@ -332,9 +343,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if spec.rule is not None
         for why in spec.rule(getattr(cfg, name))
     ]
-    correlated = [t for t in cfg.topologies if t != "local"]
-    if correlated and any(type(n) is int and n < 2 for n in cfg.n_sites_list):
-        errors.append(f"n_sites: topologies {correlated} need at least 2 cells")
+    # the one cross-field rule, on sweeps the sweep rule accepts as lists
+    if isinstance(cfg.topologies, tuple) and isinstance(cfg.n_sites_list, tuple):
+        correlated = [t for t in cfg.topologies if t != "local"]
+        if correlated and any(type(n) is int and n < 2 for n in cfg.n_sites_list):
+            errors.append(f"n_sites: topologies {correlated} need at least 2 cells")
     # the rules EvolutionConfig enforces, reported before any run starts
     grid = time_grid_errors(cfg.t_max, cfg.dt_sample, cfg.dt_internal)
     errors.extend(f"{SCHEMA[name].key}: {why}" for name, why in grid)
@@ -604,66 +617,25 @@ def load_config(path: str) -> ScenarioConfig:
 # Running scenarios
 # ---------------------------------------------------------------------------
 
-def _effective_coupling(
-    cfg: ScenarioConfig, channel: str, topology: str
-) -> EffectiveCoupling | None:
-    """Reservoir-induced coupling for one run; None for local reservoirs."""
-    if topology == "local":
-        return None
-    interaction_range = (
-        "all_to_all" if topology == "all_to_all" else "nearest_neighbor"
-    )
-    if channel == "dephasing":
-        return EffectiveCoupling(
-            "ising_z", j_z=cfg.j_z, interaction_range=interaction_range
-        )
-    return EffectiveCoupling(
-        "xx_dm",
-        j_xx=cfg.j_xx,
-        d_dm=cfg.d_dm,
-        interaction_range=interaction_range,
-    )
-
-
-def applied_offdiag_modulus(
-    cfg: ScenarioConfig, topology: str, n_sites: int, auto_cptp: bool
-) -> float:
-    """Cross-site rate modulus actually used for one run.
-
-    The authoritative validity test is positive semidefiniteness of the
-    rate matrix.  When that test fails for an all-to-all run and auto_cptp
-    is set, the modulus is scaled down to the analytic sufficient bound
-    gamma / (N - 1) (which guarantees positivity by diagonal dominance)
-    and the applied value is recorded in the manifest.  Configurations
-    whose rate matrix is already positive semidefinite are never altered,
-    and other topologies never auto-scale.
-    """
-    if topology == "local":
-        return 0.0
-    modulus = cfg.gamma_offdiag_modulus
-    if topology == "all_to_all" and auto_cptp and n_sites >= 2 and modulus > 0:
-        spec = _noise_spec(cfg, cfg.channels[0], topology, modulus)
-        if not validate_cptp(build_gamma(spec, n_sites)).valid:
-            return min(modulus, cfg.gamma / (n_sites - 1))
-    return modulus
-
-
 def _noise_spec(
     cfg: ScenarioConfig, channel: str, topology: str, modulus: float
 ) -> NoiseSpec:
-    phase = cfg.gamma_offdiag_phase
-    offdiag = (
-        0j
-        if topology == "local"
-        else modulus * complex(math.cos(phase), math.sin(phase))
-    )
+    """The reservoir of one run, with cross-site rate modulus (0 for a
+    local run) at cfg's phase.  A correlated run's coupling acts on its
+    topology's bonds: interaction_range is the topology itself."""
+    coupling = None
+    if topology != "local" and channel == "dephasing":
+        coupling = EffectiveCoupling("ising_z", j_z=cfg.j_z, interaction_range=topology)
+    elif topology != "local":
+        coupling = EffectiveCoupling(
+            "xx_dm", j_xx=cfg.j_xx, d_dm=cfg.d_dm, interaction_range=topology
+        )
     return NoiseSpec(
         channel=channel,
         topology=topology,
         gamma=cfg.gamma,
-        gamma_offdiag=offdiag,
-        coupling=_effective_coupling(cfg, channel, topology),
-        periodic=True,
+        gamma_offdiag=_cross_rate(modulus, cfg.gamma_offdiag_phase),
+        coupling=coupling,
     )
 
 
@@ -680,16 +652,31 @@ def run_list(cfg: ScenarioConfig) -> list[tuple[str, str, int]]:
 def precheck_cptp(cfg: ScenarioConfig, auto_cptp: bool) -> dict[tuple[str, int], float]:
     """Validate every run's rate matrix before any integration starts.
 
-    Returns the applied cross-site modulus per (topology, n_sites); raises
-    CptpViolationError naming the violated bound if any configuration is
-    (and, under auto_cptp, remains) an invalid generator.
+    Builds each (topology, n_sites) rate matrix once; the channel does not
+    enter it.  The authoritative validity test is positive
+    semidefiniteness.  When that test fails for an all-to-all matrix and
+    auto_cptp is set, the modulus is scaled down to the analytic
+    sufficient bound gamma / (N - 1) (which guarantees positivity by
+    diagonal dominance, and lies below any modulus that fails) and the
+    matrix is built again.  Matrices that are already positive
+    semidefinite are never altered, and other topologies never
+    auto-scale.
+
+    Returns the applied cross-site modulus per (topology, n_sites), 0 for
+    local; raises CptpViolationError naming the violated bound if any
+    configuration is (and, under auto_cptp, remains) an invalid generator.
     """
     applied: dict[tuple[str, int], float] = {}
     for topology in cfg.topologies:
         for n in cfg.n_sites_list:
-            modulus = applied_offdiag_modulus(cfg, topology, n, auto_cptp)
-            spec = _noise_spec(cfg, cfg.channels[0], topology, modulus)
-            require_cptp(build_gamma(spec, n))
+            modulus = 0.0 if topology == "local" else cfg.gamma_offdiag_modulus
+            gamma = build_gamma(_noise_spec(cfg, cfg.channels[0], topology, modulus), n)
+            if auto_cptp and topology == "all_to_all" and not validate_cptp(gamma).valid:
+                modulus = cfg.gamma / (n - 1)
+                gamma = build_gamma(
+                    _noise_spec(cfg, cfg.channels[0], topology, modulus), n
+                )
+            require_cptp(gamma)
             applied[(topology, n)] = modulus
     return applied
 
@@ -935,10 +922,8 @@ def run_scenario(
     total_wall = round(time.perf_counter() - t0, 3)
 
     config_echo = asdict(cfg)
-    config_echo["gamma_offdiag"] = {
-        "real": cfg.gamma_offdiag.real,
-        "imag": cfg.gamma_offdiag.imag,
-    }
+    rate = cfg.gamma_offdiag
+    config_echo["gamma_offdiag"] = {"real": rate.real, "imag": rate.imag}
     manifest = {
         "scenario": cfg.name,
         "package_version": __version__,
@@ -1026,10 +1011,8 @@ def compare_runs(
     if column not in CSV_COLUMNS or column == "t":
         comparable = ", ".join(c for c in CSV_COLUMNS if c != "t")
         raise ValueError(f"unknown column {column!r} (choices: {comparable})")
-    if mode not in ("max_abs_diff", "transient_dominance"):
-        raise ValueError(
-            f"unknown mode {mode!r} (choices: max_abs_diff, transient_dominance)"
-        )
+    if mode not in COMPARE_MODES:
+        raise ValueError(f"unknown mode {mode!r} (choices: {', '.join(COMPARE_MODES)})")
     data_a = read_run_csv(csv_a)
     data_b = read_run_csv(csv_b)
     t_a, t_b = data_a["t"], data_b["t"]

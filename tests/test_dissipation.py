@@ -17,8 +17,14 @@ from qbattery import (
     require_cptp,
     validate_cptp,
 )
+from qbattery.dissipation import TOPOLOGIES
 from qbattery.evolution import _lowering_csrs, make_rhs
-from qbattery.models import EffectiveCoupling, site_z_signs
+from qbattery.models import (
+    EffectiveCoupling,
+    effective_hamiltonian,
+    site_z_signs,
+    topology_bonds,
+)
 
 from reference_impls import SM, SZ, random_density_matrix, ref_embed
 
@@ -172,6 +178,75 @@ class TestNoiseSpecGuards:
             gamma=0.1,
             coupling=EffectiveCoupling(kind="ising_z"),
         )
+
+    @pytest.mark.parametrize(
+        "topology, interaction_range",
+        [("nearest_neighbor", "all_to_all"), ("all_to_all", "nearest_neighbor")],
+    )
+    def test_coupling_range_must_equal_topology(self, topology, interaction_range):
+        # an all-to-all H_eff on a ring rate matrix, or the reverse, would
+        # couple other pairs than the rate matrix does
+        coupling = EffectiveCoupling(
+            "ising_z", j_z=1.0, interaction_range=interaction_range
+        )
+        message = f"{interaction_range!r} differs from topology {topology!r}"
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec("dephasing", topology, 0.2, G12, coupling)
+
+
+class TestOneBondSet:
+    """The rate matrix and the effective Hamiltonian of one NoiseSpec couple
+    the same pairs of cells: topology_bonds decides both."""
+
+    @staticmethod
+    def _h_eff_pairs(h_eff, n):
+        # pair (j, k) is coupled when its zz weight (a projection, exact
+        # only to round-off), or the hopping entry from the state with only
+        # j down to the state with only k down, is nonzero; no other pair's
+        # term reaches either
+        signs = site_z_signs(n)
+        pairs = set()
+        for j in range(n):
+            for k in range(j + 1, n):
+                zz = np.mean(np.diag(h_eff) * signs[j] * signs[k])
+                hop = h_eff[1 << (n - 1 - k), 1 << (n - 1 - j)]
+                if abs(zz) > 1e-12 or hop != 0:
+                    pairs.add((j, k))
+        return pairs
+
+    @pytest.mark.parametrize("kind", ["ising_z", "xx_dm"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_rate_matrix_and_h_eff_couple_the_same_pairs(
+        self, topology, n, periodic, kind
+    ):
+        # G12 has a nonzero real part, so the periodic N = 2 ring's entry
+        # 2 Re g12 is nonzero
+        coupling = None
+        if topology != "local":
+            strengths = {"j_z": 0.7} if kind == "ising_z" else {"j_xx": 1.2, "d_dm": 0.2}
+            coupling = EffectiveCoupling(kind, interaction_range=topology, **strengths)
+        spec = NoiseSpec(
+            "dephasing" if kind == "ising_z" else "amplitude_damping",
+            topology,
+            0.2,
+            0j if topology == "local" else G12,
+            coupling,
+            periodic,
+        )
+        m = build_gamma(spec, n).matrix
+        gamma_pairs = {(j, k) for j, k in zip(*np.nonzero(m)) if j < k}
+        dim = 2**n
+        h_eff = (
+            np.zeros((dim, dim), dtype=complex) if coupling is None
+            else effective_hamiltonian(coupling, n, periodic)
+        )
+        assert gamma_pairs == self._h_eff_pairs(h_eff, n)
+        bonds = topology_bonds(topology, n, periodic)
+        assert gamma_pairs == {(min(b), max(b)) for b in bonds}
+        if topology == "nearest_neighbor" and n == 2 and periodic:
+            assert m[0, 1] == 2 * G12.real
 
 
 class TestSpectrumClosedForm:

@@ -31,7 +31,7 @@ from reference_impls import (
     ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
-from qbattery.models import site_z_signs
+from qbattery.models import site_z_signs, topology_bonds
 
 
 class TestBondSets:
@@ -49,6 +49,17 @@ class TestBondSets:
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
         ]
         assert all_pair_bonds(1) == []
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_topology_bonds(self, periodic):
+        for n in range(1, 7):
+            assert topology_bonds("local", n, periodic) == []
+            assert topology_bonds("nearest_neighbor", n, periodic) == ring_bonds(
+                n, periodic
+            )
+            assert topology_bonds("all_to_all", n, periodic) == all_pair_bonds(n)
+        with pytest.raises(ValueError, match="unknown topology 'star'"):
+            topology_bonds("star", 3, periodic)
 
     def test_ring_is_wrapped_adjacency(self):
         # One oriented bond per site; the N = 2 ring therefore carries both

@@ -36,11 +36,12 @@ from qbattery.evolution import (
     TRACE_TOL,
 )
 from qbattery.scenarios import (
+    COMPARE_MODES,
     CONFIG_KEYS,
     CSV_COLUMNS,
     INITIAL_STATES,
     SCHEMA,
-    applied_offdiag_modulus,
+    _noise_spec,
     first_peak,
     precheck_cptp,
     run_filename,
@@ -321,6 +322,37 @@ class TestValidateConfig:
             load_config(str(path))
         assert [e.split(":")[0] for e in err.value.errors] == ["n_sites"]
         assert "2.7" in err.value.errors[0]
+
+    @pytest.mark.parametrize(
+        "field, key, plural, value",
+        [
+            ("n_sites_list", "n_sites", "cell counts", 5),
+            ("channels", "channel", "channels", "dephasing"),
+            ("topologies", "topology", "topologies", "local"),
+        ],
+    )
+    def test_sweep_given_as_single_value_is_refused(
+        self, tmp_path, field, key, plural, value
+    ):
+        # one error under the sweep's key: neither a TypeError from the
+        # constructor nor one error per character of a string
+        cfg = dataclasses.replace(get_preset("fig2_dephasing_product"), **{field: value})
+        assert getattr(cfg, field) == value
+        assert validate_config(cfg) == [f"{key}: must be a list of {plural}, got {value!r}"]
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"{key}: must be a list"):
+            run_scenario(cfg, str(out))
+        assert not out.exists()
+
+    def test_sweep_lists_and_arrays_become_tuples(self):
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"),
+            channels=["dephasing"],
+            n_sites_list=np.array([2, 3]),
+        )
+        assert cfg.channels == ("dephasing",)
+        assert cfg.n_sites_list == (2, 3)
+        assert validate_config(cfg) == []
 
     def test_numpy_cell_counts_are_plain_ints(self, tmp_path):
         cfg = dataclasses.replace(
@@ -736,13 +768,12 @@ class TestAutoCptp:
         # |g12| = 0.06 at phase pi/3 violates the sufficient bound but is
         # genuinely PSD at N = 6, so auto-scaling must leave it alone.
         cfg = self._fig7_all_to_all(0.06)
-        assert applied_offdiag_modulus(cfg, "all_to_all", 6, auto_cptp=True) == (
-            pytest.approx(0.06)
-        )
+        applied = precheck_cptp(cfg, auto_cptp=True)
+        assert applied[("all_to_all", 6)] == pytest.approx(0.06)
 
     def test_invalid_rate_scaled_to_diagonal_dominance(self):
         cfg = self._fig7_all_to_all(0.3)
-        applied = applied_offdiag_modulus(cfg, "all_to_all", 6, auto_cptp=True)
+        applied = precheck_cptp(cfg, auto_cptp=True)[("all_to_all", 6)]
         assert applied == pytest.approx(cfg.gamma / 5.0)  # 0.04
 
     def test_without_flag_precheck_fails(self):
@@ -751,6 +782,24 @@ class TestAutoCptp:
         cfg = self._fig7_all_to_all(0.3)
         with pytest.raises(CptpViolationError):
             precheck_cptp(cfg, auto_cptp=False)
+
+    def test_echoed_rate_is_the_unscaled_runs_rate(self, tmp_path):
+        # the manifest's config.gamma_offdiag and each correlated run's
+        # NoiseSpec rate come from one formula, bit for bit
+        cfg = dataclasses.replace(
+            self._fig7_all_to_all(0.03),
+            topologies=("all_to_all", "nearest_neighbor"),
+            n_sites_list=(3,),
+            gamma_offdiag_phase=2.5,
+            t_max=0.02,
+        )
+        echo = run_scenario(cfg, str(tmp_path)).manifest["config"]["gamma_offdiag"]
+        for (topology, n), modulus in precheck_cptp(cfg, auto_cptp=True).items():
+            assert modulus == cfg.gamma_offdiag_modulus
+            for channel in cfg.channels:
+                rate = _noise_spec(cfg, channel, topology, modulus).gamma_offdiag
+                assert (rate.real, rate.imag) == (echo["real"], echo["imag"])
+                assert rate == cfg.gamma_offdiag
 
     def test_scaled_run_records_applied_value(self, tmp_path):
         cfg = self._fig7_all_to_all(0.3)
@@ -776,7 +825,7 @@ class TestAutoCptp:
         cfg = dataclasses.replace(
             get_preset("fig5_ad_product"), topologies=("local",)
         )
-        assert applied_offdiag_modulus(cfg, "local", 3, auto_cptp=False) == 0.0
+        assert precheck_cptp(cfg, auto_cptp=False)[("local", 3)] == 0.0
 
 
 class TestCompareRuns:
@@ -1047,6 +1096,14 @@ class TestCli:
 
     def test_validate_missing_file_exits_2(self, capsys):
         assert cli.main(["validate", "/nonexistent/path.cfg"]) == 2
+
+    def test_compare_mode_choices_are_the_library_modes(self):
+        (subcommands,) = [
+            a for a in cli.build_parser()._actions if a.choices and "compare" in a.choices
+        ]
+        compare = subcommands.choices["compare"]
+        (mode,) = [a for a in compare._actions if "--mode" in a.option_strings]
+        assert tuple(mode.choices) == COMPARE_MODES
 
     def test_compare_command(self, tiny_result, capsys):
         _, result = tiny_result
