@@ -166,8 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.dt is not None:
         cfg = replace(cfg, dt_internal=args.dt)
     require_valid_config(cfg, source=f"scenario {cfg.name!r}")
-    if args.workers < 1:
-        raise ConfigError(["workers: must be >= 1"], source="command line")
     out_dir = args.out if args.out is not None else os.path.join("runs", cfg.name)
     result = run_scenario(
         cfg, out_dir, auto_cptp=args.auto_cptp, workers=args.workers

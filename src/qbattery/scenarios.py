@@ -8,7 +8,10 @@ time series per run plus a JSON manifest describing exactly what was run.
 
 Seven built-in presets cover the standard figure experiments (correlated
 vs local dephasing and amplitude damping from product and interacting
-ground states, plus the nearest-neighbor vs all-to-all comparison); user
+ground states, plus the nearest-neighbor vs all-to-all comparison).  They
+are two base experiments, correlated dephasing and correlated amplitude
+damping from |->^N on one shared reservoir stated once, and five presets
+that each replace only the fields in which they differ from a base.  User
 config files are flat `key = value` text that either starts from a preset
 and overrides individual keys or specifies a scenario from scratch.
 
@@ -47,7 +50,7 @@ import math
 import os
 import re
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -170,10 +173,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # lists and arrays become tuples; a single value (a str would split
-        # into its characters) is kept as given for the sweep rule to refuse
+        # into its characters, a 0-d array has no axis to iterate) is kept
+        # as given for the sweep rule to refuse
         for name in ("channels", "topologies", "n_sites_list"):
             values = getattr(self, name)
-            if isinstance(values, Iterable) and not isinstance(values, str):
+            single = isinstance(values, str) or getattr(values, "ndim", 1) == 0
+            if isinstance(values, Iterable) and not single:
                 items = (int(v) if isinstance(v, np.integer) else v for v in values)
                 object.__setattr__(self, name, tuple(items))
 
@@ -361,98 +366,81 @@ def require_valid_config(cfg: ScenarioConfig, source: str = "config") -> None:
         raise ConfigError(errors, source)
 
 
-_PI_3 = math.pi / 3.0
+# The two base experiments, correlated dephasing and correlated amplitude
+# damping from |->^N, share one reservoir; every other preset is a base with
+# the fields it changes.
+_RESERVOIR = dict(
+    gamma=0.2, gamma_offdiag_modulus=0.01, gamma_offdiag_phase=math.pi / 3
+)
+
+_DEPHASING = ScenarioConfig(
+    name="fig2_dephasing_product",
+    channels=("dephasing",),
+    topologies=("nearest_neighbor",),
+    n_sites_list=(2, 3, 4, 5, 6),
+    initial_state="product_minus",
+    h=1.0,
+    j_z=1.0,
+    t_max=20.0,
+    description=(
+        "Ergotropy from the product |-> start under correlated "
+        "nearest-neighbor dephasing: N=2..6, gamma=0.2, "
+        "|gamma_offdiag|=0.01 at phase pi/3, j_z=1, h=1."
+    ),
+    **_RESERVOIR,
+)
+_DEPHASING_RATIO = replace(
+    _DEPHASING,
+    name="fig4_dephasing_ratio",
+    topologies=("nearest_neighbor", "local"),
+    description=(
+        "Extractable fraction ergotropy/stored under dephasing from "
+        "the product start: N=2..6, gamma=0.2, |gamma_offdiag|=0.01 "
+        "at phase pi/3, j_z=1, h=1."
+    ),
+)
+_DAMPING = ScenarioConfig(
+    name="fig5_ad_product",
+    channels=("amplitude_damping",),
+    topologies=("nearest_neighbor", "local"),
+    n_sites_list=(2, 3, 4, 5),
+    initial_state="product_minus",
+    h=1.0,
+    j_xx=1.2,
+    d_dm=0.2,
+    t_max=40.0,
+    description=(
+        "Correlated vs local amplitude damping from the product "
+        "start: N=2..5, gamma=0.2, |gamma_offdiag|=0.01 at phase "
+        "pi/3, hopping 1.2 + 0.2i, h=1."
+    ),
+    **_RESERVOIR,
+)
 
 PRESETS: dict[str, ScenarioConfig] = {
     p.name: p
     for p in (
-        ScenarioConfig(
-            name="fig2_dephasing_product",
-            channels=("dephasing",),
-            topologies=("nearest_neighbor",),
-            n_sites_list=(2, 3, 4, 5, 6),
-            initial_state="product_minus",
-            h=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_z=1.0,
-            t_max=20.0,
-            description=(
-                "Ergotropy from the product |-> start under correlated "
-                "nearest-neighbor dephasing: N=2..6, gamma=0.2, "
-                "|gamma_offdiag|=0.01 at phase pi/3, j_z=1, h=1."
-            ),
-        ),
-        ScenarioConfig(
+        _DEPHASING,
+        replace(
+            _DEPHASING_RATIO,
             name="fig3_dephasing_entangled",
-            channels=("dephasing",),
-            topologies=("nearest_neighbor", "local"),
-            n_sites_list=(2, 3, 4, 5, 6),
             initial_state="ground_interacting",
             h=1.3,
             j_prime=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_z=1.0,
-            t_max=20.0,
             description=(
                 "Correlated vs local dephasing from the interacting ground "
                 "state: N=2..6, h=1.3, j_prime=1, gamma=0.2, "
                 "|gamma_offdiag|=0.01 at phase pi/3, j_z=1."
             ),
         ),
-        ScenarioConfig(
-            name="fig4_dephasing_ratio",
-            channels=("dephasing",),
-            topologies=("nearest_neighbor", "local"),
-            n_sites_list=(2, 3, 4, 5, 6),
-            initial_state="product_minus",
-            h=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_z=1.0,
-            t_max=20.0,
-            description=(
-                "Extractable fraction ergotropy/stored under dephasing from "
-                "the product start: N=2..6, gamma=0.2, |gamma_offdiag|=0.01 "
-                "at phase pi/3, j_z=1, h=1."
-            ),
-        ),
-        ScenarioConfig(
-            name="fig5_ad_product",
-            channels=("amplitude_damping",),
-            topologies=("nearest_neighbor", "local"),
-            n_sites_list=(2, 3, 4, 5),
-            initial_state="product_minus",
-            h=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_xx=1.2,
-            d_dm=0.2,
-            t_max=40.0,
-            description=(
-                "Correlated vs local amplitude damping from the product "
-                "start: N=2..5, gamma=0.2, |gamma_offdiag|=0.01 at phase "
-                "pi/3, hopping 1.2 + 0.2i, h=1."
-            ),
-        ),
-        ScenarioConfig(
+        _DEPHASING_RATIO,
+        _DAMPING,
+        replace(
+            _DAMPING,
             name="fig6_ad_entangled",
-            channels=("amplitude_damping",),
-            topologies=("nearest_neighbor", "local"),
-            n_sites_list=(2, 3, 4, 5),
             initial_state="ground_interacting",
             h=1.3,
             j_prime=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_xx=1.2,
-            d_dm=0.2,
             t_max=100.0,
             description=(
                 "Correlated vs local amplitude damping from the interacting "
@@ -461,19 +449,9 @@ PRESETS: dict[str, ScenarioConfig] = {
                 "t_max=100 so the slowly saturating curves merge."
             ),
         ),
-        ScenarioConfig(
+        replace(
+            _DAMPING,
             name="fig6b_ad_ratio",
-            channels=("amplitude_damping",),
-            topologies=("nearest_neighbor", "local"),
-            n_sites_list=(2, 3, 4, 5),
-            initial_state="product_minus",
-            h=1.0,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
-            j_xx=1.2,
-            d_dm=0.2,
-            t_max=40.0,
             description=(
                 "Extractable fraction ergotropy/stored under amplitude "
                 "damping from the product start: N=2..5, gamma=0.2, "
@@ -481,19 +459,14 @@ PRESETS: dict[str, ScenarioConfig] = {
                 "h=1."
             ),
         ),
-        ScenarioConfig(
+        replace(
+            _DAMPING,
             name="fig7_longrange_comparison",
             channels=("dephasing", "amplitude_damping"),
             topologies=("nearest_neighbor", "all_to_all"),
             n_sites_list=(6,),
-            initial_state="product_minus",
             h=1.3,
-            gamma=0.2,
-            gamma_offdiag_modulus=0.01,
-            gamma_offdiag_phase=_PI_3,
             j_z=1.0,
-            j_xx=1.2,
-            d_dm=0.2,
             t_max=60.0,
             description=(
                 "Nearest-neighbor vs all-to-all reservoirs at N=6 from the "
@@ -890,12 +863,19 @@ def run_scenario(
         out_dir: directory for CSVs and the manifest (created if missing).
         auto_cptp: scale all-to-all cross-site rates down to the
             complete-positivity bound instead of hard-failing.
-        workers: process count for the sweep, at most one per run; 1 runs
-            in-process.  The manifest records the count requested.
+        workers: process count for the sweep, an int >= 1, at most one
+            per run; 1 runs in-process.  The manifest records the count
+            requested.
 
     Returns:
         ScenarioResult with the manifest path, CSV paths, and manifest dict.
+
+    Raises:
+        ConfigError: cfg breaks the schema, or workers is not an int >= 1
+            (a bool is refused), before out_dir is created.
     """
+    if type(workers) is not int or workers < 1:  # a bool is not a count
+        raise ConfigError([f"workers: must be an integer >= 1, got {workers!r}"])
     require_valid_config(cfg)
     applied = precheck_cptp(cfg, auto_cptp)
     ground = precheck_ground_state(cfg)

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -107,6 +108,81 @@ class TestPresets:
             ("amplitude_damping", "nearest_neighbor", 6),
             ("amplitude_damping", "all_to_all", 6),
         ]
+
+    @pytest.mark.parametrize(
+        "derived, base, changed",
+        [
+            ("fig4_dephasing_ratio", "fig2_dephasing_product", {"topologies"}),
+            ("fig6b_ad_ratio", "fig5_ad_product", set()),
+            (
+                "fig3_dephasing_entangled",
+                "fig4_dephasing_ratio",
+                {"initial_state", "h", "j_prime"},
+            ),
+            (
+                "fig6_ad_entangled",
+                "fig5_ad_product",
+                {"initial_state", "h", "j_prime", "t_max"},
+            ),
+            (
+                "fig7_longrange_comparison",
+                "fig5_ad_product",
+                {"channels", "topologies", "n_sites_list", "h", "j_z", "t_max"},
+            ),
+        ],
+    )
+    def test_derived_preset_differs_from_its_base_only_in_its_delta(
+        self, derived, base, changed
+    ):
+        a = dataclasses.asdict(get_preset(derived))
+        b = dataclasses.asdict(get_preset(base))
+        assert {f for f in a if a[f] != b[f]} == {"name", "description"} | changed
+
+    def test_readme_preset_table_matches_the_presets(self):
+        # every row of the README's "Built-in presets" table, in preset
+        # order, and the values its "All presets share" sentence names
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        rows = re.findall(
+            r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \| ([^|]+) \| ([^|]+) \|$",
+            readme,
+            re.M,
+        )
+        assert [row[0] for row in rows] == list(PRESET_NAMES)
+        channels = {
+            "dephasing": ("dephasing",),
+            "damping": ("amplitude_damping",),
+            "both": ("dephasing", "amplitude_damping"),
+        }
+        topology = {
+            "ring": "nearest_neighbor", "local": "local", "all-to-all": "all_to_all"
+        }
+        start = {"product": "product_minus", "interacting ground": "ground_interacting"}
+        for name, chan, topo, state, sizes, t_max in rows:
+            cfg = get_preset(name)
+            first, _, last = sizes.strip().partition("–")
+            assert cfg.channels == channels[chan.strip()], name
+            assert cfg.topologies == tuple(
+                topology[t] for t in topo.strip().split(" + ")
+            ), name
+            assert cfg.initial_state == start[state.strip()], name
+            assert cfg.n_sites_list == tuple(
+                range(int(first), int(last or first) + 1)
+            ), name
+            assert cfg.t_max == float(t_max), name
+        shared = re.search(
+            r"All presets share `gamma = ([\d.]+)`, cross-cell modulus "
+            r"`([\d.]+)`, phase `pi/(\d+)`,\s+`dt_sample = ([\d.]+)`\.",
+            readme,
+        )
+        assert shared is not None
+        gamma, modulus, divisor, dt_sample = shared.groups()
+        for cfg in PRESETS.values():
+            assert cfg.gamma == float(gamma)
+            assert cfg.gamma_offdiag_modulus == float(modulus)
+            assert cfg.gamma_offdiag_phase == math.pi / int(divisor)
+            assert cfg.dt_sample == float(dt_sample)
 
 
 class TestConfigParsing:
@@ -329,13 +405,24 @@ class TestValidateConfig:
             ("n_sites_list", "n_sites", "cell counts", 5),
             ("channels", "channel", "channels", "dephasing"),
             ("topologies", "topology", "topologies", "local"),
+            pytest.param(
+                "n_sites_list", "n_sites", "cell counts", np.array(5), id="0d-count"
+            ),
+            pytest.param(
+                "channels",
+                "channel",
+                "channels",
+                np.array("dephasing"),
+                id="0d-channel",
+            ),
         ],
     )
     def test_sweep_given_as_single_value_is_refused(
         self, tmp_path, field, key, plural, value
     ):
         # one error under the sweep's key: neither a TypeError from the
-        # constructor nor one error per character of a string
+        # constructor (a 0-d array cannot be iterated) nor one error per
+        # character of a string
         cfg = dataclasses.replace(get_preset("fig2_dephasing_product"), **{field: value})
         assert getattr(cfg, field) == value
         assert validate_config(cfg) == [f"{key}: must be a list of {plural}, got {value!r}"]
@@ -708,6 +795,20 @@ class TestRunArtifacts:
         for a, b in zip(serial.csv_paths, pooled.csv_paths, strict=True):
             assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_worker_count_must_be_a_positive_int(self, tmp_path, workers):
+        # refused before the output directory is made; a bool is not a count
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"), n_sites_list=(2, 3), t_max=0.1
+        )
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(cfg, str(out), workers=workers)
+        assert err.value.errors == [
+            f"workers: must be an integer >= 1, got {workers!r}"
+        ]
+        assert not out.exists()
+
     def test_ground_state_is_diagonalised_once_per_size(
         self, tmp_path, monkeypatch
     ):
@@ -960,6 +1061,15 @@ class TestCli:
         )
         assert code == 0
         assert len(list(out_dir.glob("*.csv"))) == 5
+
+    def test_run_with_zero_workers_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            ["run", "fig2_dephasing_product", "--out", str(out_dir), "--workers", "0"]
+        )
+        assert code == 2
+        assert "workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_run_unknown_target_exits_2(self, capsys):
         assert cli.main(["run", "no_such_preset"]) == 2

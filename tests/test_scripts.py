@@ -60,3 +60,15 @@ def test_reproduce_figures_runs_one_preset(tmp_path):
     assert proc.returncode == 2
     assert "unknown preset 'nope'" in proc.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_count_code_lines_totals_its_modules():
+    proc = _run_script("count_code_lines.py", [])
+    assert proc.returncode == 0, proc.stderr
+    counts = {}
+    for line in proc.stdout.splitlines():
+        name, count = line.split()
+        counts[name] = int(count.replace(",", ""))
+    total = counts.pop("total")
+    assert "scenarios.py" in counts
+    assert total == sum(counts.values()) > 0
