@@ -9,7 +9,8 @@ well.
 Usage:
     python scripts/count_code_lines.py [PACKAGE_DIR]
 
-PACKAGE_DIR defaults to src/qbattery beside this script's directory.
+PACKAGE_DIR defaults to src/qbattery beside this script's directory.  A
+directory that holds no *.py file is refused with exit status 2.
 """
 
 from __future__ import annotations
@@ -57,8 +58,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("package_dir", nargs="?", default=str(default))
     args = parser.parse_args()
+    paths = sorted(Path(args.package_dir).glob("*.py"))
+    if not paths:
+        parser.error(f"no *.py files in {args.package_dir}")
     total = 0
-    for path in sorted(Path(args.package_dir).glob("*.py")):
+    for path in paths:
         count = count_code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:<20} {count:>6,}")

@@ -12,6 +12,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -28,11 +29,35 @@ from qbattery import (
 )
 
 
+def positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def at_least_two(text: str) -> int:
+    """argparse type: an integer >= 2, the smallest ring."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
+    return value
+
+
+def non_negative(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=6)
-    parser.add_argument("--t-max", type=float, default=3.0)
-    parser.add_argument("--gamma", type=float, default=0.2)
+    parser.add_argument("--n-max", type=at_least_two, default=6)
+    parser.add_argument("--t-max", type=positive, default=3.0)
+    parser.add_argument("--gamma", type=non_negative, default=0.2)
     parser.add_argument("--offdiag-modulus", type=float, default=0.01)
     parser.add_argument("--offdiag-phase", type=float, default=np.pi / 3)
     parser.add_argument("--j-z", type=float, default=1.0)

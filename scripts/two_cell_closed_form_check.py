@@ -13,6 +13,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,10 +33,26 @@ from qbattery import (
 )
 
 
+def positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def non_negative(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--t-max", type=float, default=10.0)
-    parser.add_argument("--gamma", type=float, default=0.2)
+    parser.add_argument("--t-max", type=positive, default=10.0)
+    parser.add_argument("--gamma", type=non_negative, default=0.2)
     parser.add_argument("--offdiag-modulus", type=float, default=0.01)
     parser.add_argument("--offdiag-phase", type=float, default=np.pi / 3)
     parser.add_argument("--j-z", type=float, default=1.0)

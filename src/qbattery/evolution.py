@@ -13,6 +13,9 @@ only, never the generator.  The integrator is fixed-step classical RK4.
 Both channels assemble the generator once as one sparse CSR superoperator
 on vec(rho) (_gksl_matrix, the package's only construction of it; the
 tests compare it with the literal double sum of tests/reference_impls.py).
+Its terms share no position off the diagonal, so each entry is written
+once, from the bits of the basis states, into preallocated arrays
+(_write_generator).
 For sigma^z dephasing the dissipator and the diagonal of H_eff act
 elementwise in the z product basis, so they enter as the diagonal
 Lambda[a, b] of that matrix; an Ising-z H_eff leaves it purely diagonal.
@@ -26,7 +29,8 @@ once per sample (the same RK4 polynomial, not the exponential), or the
 explicit substep loop where M would cost more (below), and it records
 which of the two it took.  A diagonal generator's map is the elementwise
 power of P(dt Lambda), one Hadamard product a sample.  Any other is block
-diagonal over the weakly connected components of the CSR's sparsity graph,
+diagonal over the weakly connected components of the CSR's sparsity graph
+(found with numpy by min-label hooking with pointer jumping, _components),
 and its map is one list of parts over them (_Generator.sector_parts), each
 gathered once a sample and applied by batched matmuls: blocks of equal
 size stacked, one matmul per size, or one per level row slab (below).  The
@@ -55,10 +59,16 @@ so it is exactly T-invariant.  Ring and local amplitude damping from
 oriented i < j), and any run that fails either test keeps vec(rho).
 
 Within a sector the strongly connected components of the sparsity graph
-order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  For
-sigma^- jumps and an excitation-conserving H_eff they are the
-(ket, bra) excitation levels: jumps only lower both, so L, P(dt L) and M
-are exactly block lower triangular over the levels in topological order.
+order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  They are
+found as the connected components of the entries whose transpose is
+stored too, which are exactly the strongly connected ones whenever the
+longest-path relaxation that numbers the levels converges over them, that
+is when the graph between them is acyclic; otherwise every index takes
+level 0 and each block's map is built whole, which is exact too
+(_Generator._level).  For sigma^- jumps and an excitation-conserving H_eff
+they are the (ket, bra) excitation levels: jumps only lower both, so L,
+P(dt L) and M are exactly block lower triangular over the levels in
+topological order.
 A sector of at least LEVEL_SPLIT_MIN_ROWS rows builds its map on that
 form, P(dt L) by Horner with the sparse block and its power by squaring
 over the lower level blocks only (36 % of the dense arithmetic for the
@@ -102,7 +112,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 
 from .dissipation import (
     CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
@@ -469,9 +478,10 @@ def _gksl_matrix(
     sparse.  For sigma^z jumps M and every kron(L_j, conj(L_i)) are
     diagonal, so the dissipator and the diagonal of H_eff enter as the
     diagonal Lambda (_dephasing_diagonal) and only H_eff's off-diagonal
-    entries as kron terms; with an Ising-z H_eff the matrix is diagonal.
-    The form is exact for arbitrary (not only Hermitian) inputs.  Any
-    channel outside CHANNELS raises ValueError.
+    entries as drift; with an Ising-z H_eff the matrix is diagonal and is
+    returned as it is, zeros included.  Otherwise _write_generator writes
+    every entry once.  The form is exact for arbitrary (not only Hermitian)
+    inputs.  Any channel outside CHANNELS raises ValueError.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r} (choices: {CHANNELS})")
@@ -480,40 +490,140 @@ def _gksl_matrix(
     h_eff = np.asarray(h_eff, dtype=complex)
     if channel == "dephasing":
         diagonal = _dephasing_diagonal(np.real(np.diag(h_eff)), gamma)
-        size = dim * dim
-        lmat = scipy.sparse.csr_matrix(
-            (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
-            shape=(size, size),
-        )
         h_eff = h_eff.copy()
         np.fill_diagonal(h_eff, 0.0)
         h_nh = scipy.sparse.csr_matrix(h_eff)
-    else:
-        ls = _lowering_csrs(n)
-        g = gamma.matrix
-        m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
-        for i in range(n):
-            li_dag = ls[i].conj().T
-            for j in range(n):
-                if g[i, j] == 0:
-                    continue
-                m_op = m_op + g[i, j] * (li_dag @ ls[j])
-                lmat = lmat + g[i, j] * scipy.sparse.kron(
-                    ls[j], ls[i].conj(), format="csr"
-                )
-        h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
-    if h_nh.nnz:
-        eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
-        lmat = (
-            -1j
-            * (
-                scipy.sparse.kron(h_nh, eye, format="csr")
-                - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
+        if not h_nh.nnz:
+            size = dim * dim
+            return scipy.sparse.csr_matrix(
+                (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
+                shape=(size, size),
             )
-            + lmat
+        return _write_generator(h_nh, diagonal + 0.0, np.zeros((n, n)))
+    ls = _lowering_csrs(n)
+    g = gamma.matrix
+    m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for i in range(n):
+        li_dag = ls[i].conj().T
+        for j in range(n):
+            if g[i, j] != 0:
+                m_op = m_op + g[i, j] * (li_dag @ ls[j])
+    h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
+    h_diag = h_nh.diagonal()
+    diagonal = -1j * (h_diag[:, None] - np.conj(h_diag)[None, :]) + 0.0
+    return _write_generator(h_nh, diagonal, g + 0.0)
+
+
+def _write_generator(
+    h_nh: scipy.sparse.csr_matrix, diagonal: np.ndarray, rates: np.ndarray
+) -> scipy.sparse.csr_matrix:
+    """The CSR of -i [kron(H, I) - kron(I, conj(H))] + diag(diagonal)
+    + sum_ij rates_ij kron(L_j, L_i), for H the off-diagonal part of h_nh,
+    diagonal[a, b] the diagonal entry of row vec(a, b) and L_i sigma^-_i,
+    written once into preallocated int32 indices and complex data, one ket
+    row block vec(a, .) at a time.
+
+    The terms share no position: a ket drift entry vec(a, b) -> vec(c, b)
+    moves only the ket, a bra drift entry vec(a, b) -> vec(a, d) only the
+    bra, and a jump entry vec(a, b) -> vec(a ^ bit_j, b ^ bit_i) lowers
+    one bit of each.  So each entry is one term: -i H[a, c],
+    i conj(H[b, d]), diagonal[a, b] or rates[i, j].  The former Kronecker
+    sums multiplied only by the exact entries 1 of I and sigma^- and added
+    each term to zeros, so these are their values bit for bit once -0.0 is
+    made +0.0 as those sums made it (the callers add 0.0 to theirs), and
+    entries that are exactly zero are left out as the sums left them out.
+
+    Row vec(a, b) holds its column blocks vec(c, .) in ascending c: a jump
+    block c = a ^ bit_j has columns b ^ bit_i for the down bits i of b
+    (ascending i is ascending column) and then b itself if H[a, c] is
+    stored; any other ket drift block has column b; block a has the bra
+    drift columns and the diagonal.  The row counts follow from the bits,
+    and each entry goes to its row's start plus the entries of the blocks
+    before its own plus its rank within its block.
+    """
+    dim = h_nh.shape[0]
+    n = dim.bit_length() - 1
+    states = np.arange(dim)
+    bits = 1 << (n - 1 - np.arange(n))
+    off_row = np.repeat(states, np.diff(h_nh.indptr))
+    off = off_row != h_nh.indices
+    off_row, off_col, off_data = off_row[off], h_nh.indices[off], h_nh.data[off]
+    ket_value = -1j * off_data + 0.0
+    n_off = np.bincount(off_row, minlength=dim)
+    off_ptr = np.concatenate(([0], np.cumsum(n_off)))
+    # block a: row b's bra drift columns and b itself, ascending
+    slot_row = np.concatenate((off_row, states))
+    slot_col = np.concatenate((off_col, states))
+    order = np.lexsort((slot_col, slot_row))
+    slot_row, slot_col = slot_row[order], slot_col[order]
+    slot_value = np.concatenate((1j * np.conj(off_data) + 0.0, np.zeros(dim)))
+    slot_value = slot_value[order]
+    slot_rank = np.arange(len(order)) - np.repeat(off_ptr[:-1] + states, n_off + 1)
+    is_diag = slot_row == slot_col
+    diag_slot = np.flatnonzero(is_diag)
+    after_diag = slot_col > slot_row
+    # jump block a ^ bit_j: for each i with rates[i, j] != 0, the rows b
+    # with bit i down, their column b ^ bit_i and their rank among row b's
+    # entries for smaller i
+    jumps: list[tuple[np.ndarray, ...] | None] = []
+    jump_count = np.zeros((n, dim), dtype=np.intp)
+    for j in range(n):
+        parts = []
+        for i in np.flatnonzero(rates[:, j]):
+            rows = np.flatnonzero(states & bits[i])
+            value = np.full(len(rows), rates[i, j])
+            parts.append((rows, rows ^ bits[i], jump_count[j, rows], value))
+            jump_count[j, rows] += 1
+        jumps.append(tuple(map(np.concatenate, zip(*parts))) if parts else None)
+    stored = diagonal != 0
+    counts = (
+        n_off[:, None] + n_off[None, :] + stored
+        + ((states[:, None] & bits) != 0).astype(np.intp) @ jump_count
+    )
+    nnz = int(counts.sum())
+    int32_max = np.iinfo(np.int32).max
+    index = np.int32 if max(nnz, dim * dim) <= int32_max else np.int64
+    indptr = np.zeros(dim * dim + 1, dtype=index)
+    np.cumsum(counts.reshape(-1), out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=complex)
+    for a in range(dim):
+        js = [j for j in range(n) if a & bits[j] and jumps[j] is not None]
+        ket = slice(off_ptr[a], off_ptr[a + 1])
+        ket_cols = off_col[ket].tolist()
+        blocks = sorted({a, *(a ^ bits[j] for j in js), *ket_cols})
+        block_of = {c: k for k, c in enumerate(blocks)}
+        k_jump = [block_of[a ^ bits[j]] for j in js]
+        k_ket = [block_of[c] for c in ket_cols]
+        in_jumps = np.zeros((len(blocks), dim), dtype=np.intp)
+        in_jumps[k_jump] = jump_count[js]
+        per_block = in_jumps.copy()
+        per_block[k_ket] += 1
+        per_block[block_of[a]] += n_off + stored[a]
+        first = (
+            indptr[a * dim:(a + 1) * dim].astype(np.intp)
+            + np.cumsum(per_block, axis=0) - per_block
         )
-    return lmat.tocsr()
+        for k, j in zip(k_jump, js):
+            rows, cols, rank, value = jumps[j]
+            pos = first[k, rows] + rank
+            indices[pos] = (a ^ bits[j]) * dim + cols
+            data[pos] = value
+        pos = first[k_ket] + in_jumps[k_ket]
+        indices[pos] = off_col[ket, None] * dim + states
+        data[pos] = ket_value[ket, None]
+        # a diagonal entry that is exactly zero is left out, and the
+        # entries after it in its row move up by one
+        dropped = ~stored[a][slot_row]
+        keep = ~(dropped & is_diag)
+        pos = first[block_of[a], slot_row] + slot_rank - (dropped & after_diag)
+        value = slot_value.copy()
+        value[diag_slot] = diagonal[a]
+        indices[pos[keep]] = a * dim + slot_col[keep]
+        data[pos[keep]] = value[keep]
+    return scipy.sparse.csr_matrix(
+        (data, indices, indptr), shape=(dim * dim, dim * dim)
+    )
 
 
 class _Generator:
@@ -587,22 +697,16 @@ class _Generator:
         values = self.lmat @ flat[self.orbits.representatives]
         return values[self.orbits.orbit_of].reshape(self.dim, self.dim)
 
-    def _pattern(self) -> scipy.sparse.csr_matrix:
-        """lmat's sparsity graph: an edge b -> a for each stored entry
-        lmat[a, b] (row a, column b)."""
-        return scipy.sparse.csr_matrix(
-            (np.ones(self.lmat.nnz), self.lmat.indices, self.lmat.indptr),
-            shape=self.lmat.shape,
-        )
-
     def conjugate_sectors(self) -> tuple[list[np.ndarray], np.ndarray]:
         """(blocks, partner): the index sets of the weakly connected
-        components of lmat's sparsity graph, each sorted ascending, and
-        partner[c] the block onto which the transpose vec(i, j) -> vec(j, i)
-        (`transpose`) maps block c.  lmat has no entry between two blocks,
-        so it is block diagonal over them (the weak-symmetry sectors; for
-        amplitude damping with excitation-conserving H_eff, one per
-        ket-minus-bra excitation difference).
+        components of lmat's sparsity graph (an edge between a and b for
+        each stored entry lmat[a, b]; _components), each sorted ascending
+        and numbered by its smallest index, and partner[c] the block onto
+        which the transpose vec(i, j) -> vec(j, i) (`transpose`) maps
+        block c.  lmat has no entry between two blocks, so it is block
+        diagonal over them (the weak-symmetry sectors; for amplitude
+        damping with excitation-conserving H_eff, one per ket-minus-bra
+        excitation difference).
 
         Every GKSL generator satisfies L(rho^dag) = L(rho)^dag, that is
         lmat[T a, T b] = conj(lmat[a, b]) for the transpose T, so T maps each
@@ -612,8 +716,8 @@ class _Generator:
         block (for excitation-conserving H_eff, the one with zero
         ket-minus-bra excitation difference).
         """
-        n_comp, labels = scipy.sparse.csgraph.connected_components(
-            self._pattern(), directed=True, connection="weak"
+        n_comp, labels = _components(
+            self.lmat.shape[0], _csr_rows(self.lmat), self.lmat.indices
         )
         order = np.argsort(labels, kind="stable")
         bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
@@ -632,23 +736,36 @@ class _Generator:
         makes lmat block lower triangular over the levels, and with it
         every polynomial in lmat.  The levels of one weak sector are
         0, 1, ..., as a component at level k > 0 is fed from one at k - 1.
-        The relaxation below takes one pass per level.
+
+        The candidate components are the connected components of the
+        entries whose transpose is stored too (_components); each is
+        strongly connected.  The relaxation below takes one pass per level
+        and converges exactly when the graph between the candidates is
+        acyclic, and then they are the strongly connected components.  It
+        is capped at one pass more than there are candidates; a graph that
+        has not converged by then has a cycle through two candidates, and
+        every index gets level 0: one level per block, whose map is then
+        built whole, which is exact too.
         """
-        pattern = self._pattern()
-        n_comp, labels = scipy.sparse.csgraph.connected_components(
-            pattern, directed=True, connection="strong"
+        lmat = self.lmat
+        size = lmat.shape[0]
+        pattern = scipy.sparse.csr_matrix(
+            (np.ones(lmat.nnz, dtype=np.int8), lmat.indices, lmat.indptr),
+            shape=lmat.shape,
         )
-        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-        source, target = labels[pattern.indices], labels[rows]
+        mutual = pattern.multiply(pattern.T).tocsr()
+        n_comp, labels = _components(size, _csr_rows(mutual), mutual.indices)
+        source, target = labels[lmat.indices], labels[_csr_rows(lmat)]
         cross = source != target
         source, target = source[cross], target[cross]
         depth = np.zeros(n_comp, dtype=np.intp)
-        while True:
+        for _ in range(n_comp + 1):
             deeper = depth.copy()
             np.maximum.at(deeper, target, depth[source] + 1)
             if np.array_equal(deeper, depth):
                 return depth[labels]
             depth = deeper
+        return np.zeros(size, dtype=np.intp)
 
     def levels(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ordered, sizes) for one block's indices idx: idx stably sorted
@@ -838,6 +955,51 @@ class _Generator:
             return out.reshape(rho.shape)
 
         return step
+
+
+def _csr_rows(csr: scipy.sparse.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of csr, as int32."""
+    return np.repeat(
+        np.arange(csr.shape[0], dtype=np.int32), np.diff(csr.indptr)
+    )
+
+
+def _components(
+    size: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """(n_comp, labels): the connected components of the undirected graph
+    on `size` nodes with an edge rows[k] -- cols[k] for each k, labelled
+    0, 1, ... in the order of their smallest node (scipy.sparse.csgraph's
+    order).
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3, 57, 1982): each pass hooks the larger end of every edge
+    that joins two trees onto the smallest of its other ends, points every
+    node at its root, and moves each edge to the roots of its ends,
+    dropping those whose ends now share a root.  A node's parent is never
+    larger than the node, so each root is the smallest node of its tree,
+    and when no edge is left each tree is one component.  The work arrays
+    are int32, one entry per edge left.
+    """
+    parent = np.arange(size, dtype=np.int32)
+    while True:
+        joins = rows != cols
+        rows, cols = rows[joins], cols[joins]
+        if not len(rows):
+            break
+        low = np.minimum(rows, cols)
+        high = np.maximum(rows, cols, out=rows)
+        np.minimum.at(parent, high, low)
+        while True:
+            root = parent[parent]
+            if np.array_equal(root, parent):
+                break
+            parent = root
+        rows = parent[high]
+        cols = parent[low]
+    is_root = parent == np.arange(size)
+    number = np.cumsum(is_root, dtype=np.int32) - 1
+    return int(is_root.sum()), number[parent]
 
 
 def _commutes_with(lmat: scipy.sparse.csr_matrix, perm: np.ndarray) -> bool:

@@ -6,7 +6,8 @@ an adaptive ODE integration — so tests compare two genuinely different
 routes to the same object rather than the library against itself.  The
 exceptions say so: the brute-force ergotropy oracle, and the library's
 former constructions kept as the reference its current ones must equal
-bit for bit (ref_dephasing_diagonal, ref_check_state, ref_level_map).
+bit for bit (ref_dephasing_diagonal, ref_check_state, ref_level_map,
+ref_gksl_matrix, ref_conjugate_sectors, ref_level).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import math
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse
+import scipy.sparse.csgraph
 
+from qbattery.dissipation import CHANNELS
 from qbattery.evolution import (
     HERMITICITY_TOL,
     MIN_EIGENVALUE_TOL,
@@ -471,3 +475,108 @@ def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
     return StateCheck(
         populations, trace_drift, herm_drift, parity_blocks, rows is not None
     )
+
+
+def ref_gksl_matrix(
+    h_eff: np.ndarray, gamma, channel: str
+) -> scipy.sparse.csr_matrix:
+    """The library's former GKSL generator on vec(rho), summed term by term
+    as sparse Kronecker products:
+
+        L = -i [kron(H_nh, I) - kron(I, conj(H_nh))]
+            + sum_ij Gamma_ij kron(L_j, conj(L_i)),
+
+    H_nh = H_eff - (i/2) sum_ij Gamma_ij L_i^dag L_j, with the sigma^-
+    jumps as CSRs of their Kronecker chains (ref_jumps) and the sigma^z
+    dissipator plus the diagonal of H_eff as ref_dephasing_diagonal.  The
+    library writes every entry of the same matrix once, from the bits, with
+    the same floating-point operations, so the two agree bit for bit in
+    data, indices and indptr."""
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    n = gamma.n_sites
+    dim = 2**n
+    h_eff = np.asarray(h_eff, dtype=complex)
+    if channel == "dephasing":
+        diagonal = ref_dephasing_diagonal(
+            np.real(np.diag(h_eff)), gamma.matrix, n
+        )
+        size = dim * dim
+        lmat = scipy.sparse.csr_matrix(
+            (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
+            shape=(size, size),
+        )
+        h_eff = h_eff.copy()
+        np.fill_diagonal(h_eff, 0.0)
+        h_nh = scipy.sparse.csr_matrix(h_eff)
+    else:
+        ls = [scipy.sparse.csr_matrix(op) for op in ref_jumps(channel, n)]
+        g = gamma.matrix
+        m_op = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+        lmat = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
+        for i in range(n):
+            li_dag = ls[i].conj().T
+            for j in range(n):
+                if g[i, j] == 0:
+                    continue
+                m_op = m_op + g[i, j] * (li_dag @ ls[j])
+                lmat = lmat + g[i, j] * scipy.sparse.kron(
+                    ls[j], ls[i].conj(), format="csr"
+                )
+        h_nh = scipy.sparse.csr_matrix(h_eff) - 0.5j * m_op
+    if h_nh.nnz:
+        eye = scipy.sparse.identity(dim, format="csr", dtype=complex)
+        lmat = (
+            -1j
+            * (
+                scipy.sparse.kron(h_nh, eye, format="csr")
+                - scipy.sparse.kron(eye, h_nh.conj(), format="csr")
+            )
+            + lmat
+        )
+    return lmat.tocsr()
+
+
+def _ref_pattern(lmat) -> scipy.sparse.csr_matrix:
+    """lmat's sparsity graph: an edge b -> a for each stored entry
+    lmat[a, b] (row a, column b)."""
+    return scipy.sparse.csr_matrix(
+        (np.ones(lmat.nnz), lmat.indices, lmat.indptr), shape=lmat.shape
+    )
+
+
+def ref_conjugate_sectors(rhs) -> tuple[list[np.ndarray], np.ndarray]:
+    """The library's former _Generator.conjugate_sectors: the weakly
+    connected components of the generator's sparsity graph by
+    scipy.sparse.csgraph, each sorted ascending and numbered by its
+    smallest index, and the block onto which the transpose maps each."""
+    pattern = _ref_pattern(rhs.lmat)
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        pattern, directed=True, connection="weak"
+    )
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
+    firsts = order[np.concatenate(([0], bounds))]
+    return np.split(order, bounds), labels[rhs.transpose[firsts]]
+
+
+def ref_level(lmat) -> np.ndarray:
+    """The library's former _Generator._level: the strongly connected
+    components of lmat's sparsity graph by scipy.sparse.csgraph, and for
+    each index the length of the longest path in the graph of components
+    that ends at its own, by relaxation to convergence."""
+    pattern = _ref_pattern(lmat)
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        pattern, directed=True, connection="strong"
+    )
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    source, target = labels[pattern.indices], labels[rows]
+    cross = source != target
+    source, target = source[cross], target[cross]
+    depth = np.zeros(n_comp, dtype=np.intp)
+    while True:
+        deeper = depth.copy()
+        np.maximum.at(deeper, target, depth[source] + 1)
+        if np.array_equal(deeper, depth):
+            return depth[labels]
+        depth = deeper

@@ -2,6 +2,9 @@
 state invariants."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from qbattery import (
     steady_state_probe,
 )
 from qbattery import evolution
+from qbattery.dissipation import CHANNELS
 from qbattery.evolution import (
     HERMITICITY_TOL,
     LEVEL_SPLIT_MIN_ROWS,
@@ -50,8 +54,11 @@ from reference_impls import (
     ref_check_state,
     ref_dephasing_diagonal,
     ref_embed,
+    ref_conjugate_sectors,
     ref_generator_matrix,
+    ref_gksl_matrix,
     ref_jumps,
+    ref_level,
     ref_level_map,
     ref_master_rhs,
     ref_parity_blocks,
@@ -152,7 +159,9 @@ class TestRhsDispatch:
 
 class TestLoweringCsrs:
     """The generator's sigma^- CSRs, written from the bits of the basis
-    states, against dense jump operators built by Kronecker chains."""
+    states, against dense jump operators built by Kronecker chains, and the
+    generator written once from the bits against the former Kronecker
+    sums over those Kronecker-chain jumps."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equal_the_dense_jump_operators(self, n):
@@ -169,21 +178,38 @@ class TestLoweringCsrs:
         [("local", n) for n in range(1, 8)]
         + [(t, n) for t in ("nearest_neighbor", "all_to_all") for n in range(2, 8)],
     )
-    def test_generator_keeps_its_arrays(self, topology, n, monkeypatch):
-        spec = _channel_spec("amplitude_damping", topology)
-        h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
-        got = evolution._gksl_matrix(h_eff, gamma, "amplitude_damping")
-        monkeypatch.setattr(
-            evolution,
-            "_lowering_csrs",
-            lambda n_sites: [
-                scipy.sparse.csr_matrix(op)
-                for op in ref_jumps("amplitude_damping", n_sites)
-            ],
-        )
-        ref = evolution._gksl_matrix(h_eff, gamma, "amplitude_damping")
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    def test_generator_keeps_its_arrays(self, topology, n):
+        # both channels with the presets' couplings, and dephasing with
+        # XX + DM hopping, whose off-diagonal drift takes the general path
+        specs = [_channel_spec(channel, topology) for channel in CHANNELS]
+        if topology != "local":
+            specs.append(_channel_spec("dephasing", topology, "xx_dm"))
+        for spec in specs:
+            h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
+            got = evolution._gksl_matrix(h_eff, gamma, spec.channel)
+            ref = ref_gksl_matrix(h_eff, gamma, spec.channel)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arbitrary_drift_keeps_its_arrays(self, seed):
+        # a sparse non-Hermitian H_eff with -0.0 entries shares column
+        # blocks between ket drift and jumps, which the presets never do
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 4
+        dim = 2**n
+        h_eff = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h_eff[rng.random((dim, dim)) < 0.6] = 0.0
+        h_eff[rng.random((dim, dim)) < 0.2] = -0.0
+        topology = "local" if n == 1 else ("nearest_neighbor", "all_to_all")[seed % 2]
+        for channel in CHANNELS:
+            gamma = build_gamma(_spec(channel=channel, topology=topology), n)
+            got = evolution._gksl_matrix(h_eff, gamma, channel)
+            ref = ref_gksl_matrix(h_eff, gamma, channel)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestRhsCorrectness:
@@ -628,6 +654,128 @@ class TestConjugateSectors:
             assert np.array_equal(rho[rows, cols], np.conj(rho[cols, rows]))
         assert info["propagation"] == path
         assert info["shift_reduced"] == (topology == "nearest_neighbor")
+
+
+def _discovery_rhs(channel, topology, n, reduced):
+    """A generator of each kind the runs build: damping with the presets'
+    coupling, dephasing with XX + DM hopping (non-diagonal), full or
+    reduced to the shift orbits where make_rhs reduces it."""
+    kind = "xx_dm" if channel == "dephasing" else None
+    spec = _channel_spec(channel, topology, kind)
+    rho0 = product_minus_state(n) if reduced else None
+    return make_rhs(_spec_heff(spec, n), build_gamma(spec, n), channel, rho0)
+
+
+def _cycle_csr(size, back_edge):
+    """A CSR on `size` indices made of two symmetric components, each a
+    path with both directions stored and a diagonal, joined by the one-way
+    entry [3 size / 4, size / 8] and, with back_edge, also
+    [size / 10, 9 size / 10], which closes a one-way cycle through both."""
+    half = size // 2
+    rng = np.random.default_rng(size)
+    row, col = [np.arange(size)], [np.arange(size)]
+    for lo in (0, half):
+        path = np.arange(lo, lo + half - 1)
+        row += [path, path + 1]
+        col += [path + 1, path]
+    row.append([3 * size // 4])
+    col.append([size // 8])
+    if back_edge:
+        row.append([size // 10])
+        col.append([9 * size // 10])
+    row, col = np.concatenate(row), np.concatenate(col)
+    data = rng.normal(size=len(row)) + 1j * rng.normal(size=len(row))
+    return scipy.sparse.csr_matrix((data, (row, col)), shape=(size, size))
+
+
+class TestSectorDiscovery:
+    """The weak sectors and the levels found with numpy (_components)
+    against the former scipy.sparse.csgraph code, kept in
+    tests/reference_impls.py, compared exactly."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize(
+        "topology", ["local", "nearest_neighbor", "all_to_all"]
+    )
+    def test_sectors_and_levels_equal_csgraph(self, topology, channel, n, reduced):
+        rhs = _discovery_rhs(channel, topology, n, reduced)
+        # ring and local damping from |->^N, and ring dephasing with
+        # hopping, are reduced; all-to-all never is
+        assert (rhs.orbits is not None) == (
+            reduced and topology != "all_to_all"
+            and not (channel == "dephasing" and topology == "local")
+        )
+        blocks, partner = rhs.conjugate_sectors()
+        ref_blocks, ref_partner = ref_conjugate_sectors(rhs)
+        assert len(blocks) == len(ref_blocks)
+        for got, ref in zip(blocks, ref_blocks):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(partner, ref_partner)
+        assert np.array_equal(rhs._level, ref_level(rhs.lmat))
+
+    def test_n7_all_to_all_damping_sectors_equal_csgraph(self):
+        rhs = _discovery_rhs("amplitude_damping", "all_to_all", 7, True)
+        assert rhs.lmat.nnz == 561_151
+        blocks, partner = rhs.conjugate_sectors()
+        ref_blocks, ref_partner = ref_conjugate_sectors(rhs)
+        assert len(blocks) == len(ref_blocks) == 15
+        for got, ref in zip(blocks, ref_blocks):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(partner, ref_partner)
+
+    def test_components_number_by_smallest_index(self):
+        rows = np.array([5, 2, 7, 4, 7], dtype=np.int32)
+        cols = np.array([2, 0, 3, 4, 6], dtype=np.int32)
+        n_comp, labels = evolution._components(8, rows, cols)
+        assert n_comp == 4
+        assert labels.tolist() == [0, 1, 0, 2, 3, 0, 2, 2]
+        assert evolution._components(3, rows[:0], cols[:0])[1].tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("back_edge", [False, True])
+    def test_one_way_cycle_takes_one_level(self, back_edge):
+        size = 2 * LEVEL_SPLIT_MIN_ROWS
+        lmat = _cycle_csr(size, back_edge)
+        rhs = evolution._Generator(lmat, 0)
+        level = rhs._level
+        if back_edge:
+            # the symmetric halves are not strongly connected components:
+            # the relaxation cannot converge, and every index is level 0
+            assert not level.any()
+        else:
+            assert np.array_equal(level, np.repeat([0, 1], size // 2))
+        assert np.array_equal(level, ref_level(lmat))
+        dt, n_sub = 0.01, 5
+        ((idx, slabs),) = _maps_of_parts(
+            rhs.sector_parts([np.arange(size)], dt, n_sub)
+        )
+        assert len(slabs) == (1 if back_edge else 2)
+        ref = ref_rk4_block_map(lmat, idx, dt, n_sub)
+        np.testing.assert_allclose(_levels_whole(slabs), ref, rtol=0, atol=1e-12)
+
+
+def test_cli_import_leaves_out_csgraph_and_linalg():
+    # the sectors and levels are found with numpy; scipy.sparse.csgraph
+    # would load scipy.sparse.linalg and scipy.linalg into every run
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    names = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    code = (
+        f"import sys, qbattery.cli; "
+        f"print(sorted(m for m in {names!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _excitations(idx, n):

@@ -72,3 +72,32 @@ def test_count_code_lines_totals_its_modules():
     total = counts.pop("total")
     assert "scenarios.py" in counts
     assert total == sum(counts.values()) > 0
+
+
+@pytest.mark.parametrize(
+    "script, args, flag",
+    [
+        ("peak_scaling_table.py", ["--t-max", "0"], "--t-max"),
+        ("peak_scaling_table.py", ["--n-max", "1"], "--n-max"),
+        ("two_cell_closed_form_check.py", ["--t-max", "0"], "--t-max"),
+        ("two_cell_closed_form_check.py", ["--gamma", "-1"], "--gamma"),
+    ],
+)
+def test_script_refuses_a_bad_argument(script, args, flag):
+    # refused by the argument parser, before anything is integrated or
+    # printed
+    proc = _run_script(script, args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (error,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert f"argument {flag}:" in error
+
+
+@pytest.mark.parametrize("package_dir", ["/nonexistent", "src"])
+def test_count_code_lines_refuses_a_directory_without_modules(package_dir):
+    # `src` holds the package directory, not its modules
+    proc = _run_script("count_code_lines.py", [package_dir], cwd=ROOT)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"no *.py files in {package_dir}" in proc.stderr.splitlines()[-1]
