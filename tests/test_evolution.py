@@ -52,9 +52,9 @@ from reference_impls import (
     random_density_matrix,
     random_hermitian,
     ref_check_state,
+    ref_conjugate_sectors,
     ref_dephasing_diagonal,
     ref_embed,
-    ref_conjugate_sectors,
     ref_generator_matrix,
     ref_gksl_matrix,
     ref_jumps,
