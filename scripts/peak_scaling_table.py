@@ -19,13 +19,16 @@ import numpy as np
 
 from qbattery import (
     BatteryModel,
+    CptpViolationError,
     EffectiveCoupling,
     EvolutionConfig,
     NoiseSpec,
     battery_hamiltonian,
+    build_gamma,
     ergotropy,
     evolve_stream,
     product_minus_state,
+    require_cptp,
 )
 
 
@@ -45,6 +48,14 @@ def at_least_two(text: str) -> int:
     return value
 
 
+def finite(text: str) -> float:
+    """argparse type: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def non_negative(text: str) -> float:
     """argparse type: a finite number >= 0."""
     value = float(text)
@@ -58,23 +69,32 @@ def main() -> int:
     parser.add_argument("--n-max", type=at_least_two, default=6)
     parser.add_argument("--t-max", type=positive, default=3.0)
     parser.add_argument("--gamma", type=non_negative, default=0.2)
-    parser.add_argument("--offdiag-modulus", type=float, default=0.01)
-    parser.add_argument("--offdiag-phase", type=float, default=np.pi / 3)
-    parser.add_argument("--j-z", type=float, default=1.0)
-    parser.add_argument("--field", type=float, default=1.0)
+    parser.add_argument("--offdiag-modulus", type=non_negative, default=0.01)
+    parser.add_argument("--offdiag-phase", type=finite, default=np.pi / 3)
+    parser.add_argument("--j-z", type=finite, default=1.0)
+    parser.add_argument("--field", type=finite, default=1.0)
     args = parser.parse_args()
 
     offdiag = args.offdiag_modulus * np.exp(1j * args.offdiag_phase)
     coupling = EffectiveCoupling("ising_z", j_z=args.j_z)
+    spec = NoiseSpec(
+        channel="dephasing",
+        topology="nearest_neighbor",
+        gamma=args.gamma,
+        gamma_offdiag=offdiag,
+        coupling=coupling,
+    )
+    sizes = range(2, args.n_max + 1)
+    for n in sizes:
+        try:
+            require_cptp(build_gamma(spec, n))
+        except CptpViolationError as err:
+            parser.error(
+                f"--gamma and --offdiag-modulus give no CPTP generator at "
+                f"N = {n}: {err}"
+            )
     print(f"{'N':>3} {'t_peak':>8} {'peak ergotropy':>15} {'peak / N':>10}")
-    for n in range(2, args.n_max + 1):
-        spec = NoiseSpec(
-            channel="dephasing",
-            topology="nearest_neighbor",
-            gamma=args.gamma,
-            gamma_offdiag=offdiag,
-            coupling=coupling,
-        )
+    for n in sizes:
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=args.field))
         h_energies = np.linalg.eigvalsh(h_b)
         cfg = EvolutionConfig(t_max=args.t_max, dt_sample=0.01)

@@ -20,16 +20,19 @@ import numpy as np
 
 from qbattery import (
     BatteryModel,
+    CptpViolationError,
     DephasingTwoQubitParams,
     EffectiveCoupling,
     EvolutionConfig,
     NoiseSpec,
     battery_hamiltonian,
+    build_gamma,
     correlated_dephasing_energy,
     correlated_dephasing_state,
     evolve_stream,
     expectation,
     product_minus_state,
+    require_cptp,
 )
 
 
@@ -38,6 +41,14 @@ def positive(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def finite(text: str) -> float:
+    """argparse type: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
@@ -53,10 +64,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--t-max", type=positive, default=10.0)
     parser.add_argument("--gamma", type=non_negative, default=0.2)
-    parser.add_argument("--offdiag-modulus", type=float, default=0.01)
-    parser.add_argument("--offdiag-phase", type=float, default=np.pi / 3)
-    parser.add_argument("--j-z", type=float, default=1.0)
-    parser.add_argument("--field", type=float, default=1.0)
+    parser.add_argument("--offdiag-modulus", type=non_negative, default=0.01)
+    parser.add_argument("--offdiag-phase", type=finite, default=np.pi / 3)
+    parser.add_argument("--j-z", type=finite, default=1.0)
+    parser.add_argument("--field", type=finite, default=1.0)
     args = parser.parse_args()
 
     offdiag = args.offdiag_modulus * np.exp(1j * args.offdiag_phase)
@@ -76,6 +87,10 @@ def main() -> int:
         coupling=coupling,
         periodic=False,  # the open pair is the exactly solvable configuration
     )
+    try:
+        require_cptp(build_gamma(spec, 2))
+    except CptpViolationError as err:
+        parser.error(f"--gamma and --offdiag-modulus give no CPTP generator: {err}")
     h_b = battery_hamiltonian(BatteryModel(n_sites=2, h=args.field))
     cfg = EvolutionConfig(t_max=args.t_max, dt_sample=0.01)
 

@@ -10,15 +10,19 @@ local reservoirs), derived from the NoiseSpec's coupling and boundary
 condition.  The battery Hamiltonian enters observables and initial states
 only, never the generator.  The integrator is fixed-step classical RK4.
 
-Both channels assemble the generator once as one sparse CSR superoperator
-on vec(rho) (_gksl_matrix, the package's only construction of it; the
-tests compare it with the literal double sum of tests/reference_impls.py).
-Its terms share no position off the diagonal, so each entry is written
-once, from the bits of the basis states, into preallocated arrays
-(_write_generator).
 For sigma^z dephasing the dissipator and the diagonal of H_eff act
-elementwise in the z product basis, so they enter as the diagonal
-Lambda[a, b] of that matrix; an Ising-z H_eff leaves it purely diagonal.
+elementwise in the z product basis, as one dim x dim array Lambda[a, b]
+(_dephasing_diagonal).  When H_eff has no off-diagonal entry (Ising-z, as
+in the presets, or none) that is the whole generator, and make_rhs keeps
+it as that array (_DiagonalGenerator).  Every other generator, of either
+channel, is assembled once as one sparse CSR superoperator on vec(rho)
+(_gksl_matrix, the package's only construction of it; the tests compare it
+with the literal double sum of tests/reference_impls.py), with Lambda on
+its diagonal for dephasing.  Its terms share no position off the
+diagonal, so each entry is written once, from the bits of the basis
+states, into preallocated arrays (_write_generator).  scipy.sparse is
+imported only by the functions that build a CSR, so a process whose runs
+are all diagonal dephasing never loads it.
 
 The generator does not depend on time, so for a linear right-hand side
 rho' = L rho one RK4 step of size dt is exactly rho -> P(dt L) rho with
@@ -28,8 +32,9 @@ the run's one per-sample step: M, precomputed once per run and applied
 once per sample (the same RK4 polynomial, not the exponential), or the
 explicit substep loop where M would cost more (below), and it records
 which of the two it took.  A diagonal generator's map is the elementwise
-power of P(dt Lambda), one Hadamard product a sample.  Any other is block
-diagonal over the weakly connected components of the CSR's sparsity graph
+power of P(dt Lambda), one Hadamard product a sample
+(_DiagonalGenerator.sample_map).  A CSR generator is block diagonal over
+the weakly connected components of its sparsity graph
 (found with numpy by min-label hooking with pointer jumping, _components),
 and its map is one list of parts over them (_Generator.sector_parts), each
 gathered once a sample and applied by batched matmuls: blocks of equal
@@ -49,7 +54,7 @@ amplitude damping from N = 7 on).
 Ring and local runs commute with the cyclic site shift T.  When the CSR
 commutes bit for bit with the superoperator shift vec(a, b) ->
 vec(T a, T b) and the initial state is exactly T-invariant, make_rhs
-reduces a non-diagonal generator to one value per orbit of that shift,
+reduces a CSR generator to one value per orbit of that shift,
 L_red = L[representatives] S with S the orbit-indicator matrix (700 of
 4,096 values at N = 6, 2,344 of 16,384 at N = 7), and the sectors, the
 conjugate pairs, the level maps and the substep loop above run on L_red
@@ -108,15 +113,17 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .dissipation import (
     CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
 )
 from .models import effective_hamiltonian, site_z_signs
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
@@ -448,6 +455,8 @@ def _lowering_csrs(n_sites: int) -> list[scipy.sparse.csr_matrix]:
     for every a with site i up, so each row holds at most one entry.  The
     sigma^z jumps of dephasing need no matrix: they are the rows of
     models.site_z_signs."""
+    import scipy.sparse
+
     dim = 2**n_sites
     states = np.arange(dim)
     ops = []
@@ -478,11 +487,13 @@ def _gksl_matrix(
     sparse.  For sigma^z jumps M and every kron(L_j, conj(L_i)) are
     diagonal, so the dissipator and the diagonal of H_eff enter as the
     diagonal Lambda (_dephasing_diagonal) and only H_eff's off-diagonal
-    entries as drift; with an Ising-z H_eff the matrix is diagonal and is
-    returned as it is, zeros included.  Otherwise _write_generator writes
-    every entry once.  The form is exact for arbitrary (not only Hermitian)
-    inputs.  Any channel outside CHANNELS raises ValueError.
+    entries as drift.  _write_generator writes every entry once.  The form
+    is exact for arbitrary (not only Hermitian) inputs.  Any channel outside
+    CHANNELS raises ValueError.  make_rhs keeps a diagonal dephasing
+    generator as its Lambda and never builds this matrix for it.
     """
+    import scipy.sparse
+
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r} (choices: {CHANNELS})")
     n = gamma.n_sites
@@ -493,12 +504,6 @@ def _gksl_matrix(
         h_eff = h_eff.copy()
         np.fill_diagonal(h_eff, 0.0)
         h_nh = scipy.sparse.csr_matrix(h_eff)
-        if not h_nh.nnz:
-            size = dim * dim
-            return scipy.sparse.csr_matrix(
-                (diagonal.reshape(-1), np.arange(size), np.arange(size + 1)),
-                shape=(size, size),
-            )
         return _write_generator(h_nh, diagonal + 0.0, np.zeros((n, n)))
     ls = _lowering_csrs(n)
     g = gamma.matrix
@@ -541,6 +546,8 @@ def _write_generator(
     and each entry goes to its row's start plus the entries of the blocks
     before its own plus its rank within its block.
     """
+    import scipy.sparse
+
     dim = h_nh.shape[0]
     n = dim.bit_length() - 1
     states = np.arange(dim)
@@ -626,10 +633,41 @@ def _write_generator(
     )
 
 
+class _DiagonalGenerator:
+    """A sigma^z dephasing generator whose H_eff has no off-diagonal entry,
+    kept as its dim x dim array `lam`, Lambda of _dephasing_diagonal: it
+    acts on rho elementwise, rho' = Lambda * rho, and needs no sparse
+    matrix.  It has the attributes of _Generator that a run reads: `size`
+    (dim^2 propagated values), `orbits` (None: its map is already one
+    multiply per entry, so it is never reduced), `propagation` and
+    `step_bytes`.
+    """
+
+    def __init__(self, lam: np.ndarray) -> None:
+        self.lam = lam
+        self.size = lam.size
+        self.orbits = None
+        self.propagation: str | None = None
+        self.step_bytes: int | None = None
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        return self.lam * rho
+
+    def sample_map(self, dt: float, n_sub: int):
+        """The run's per-sample step: the Hadamard product with
+        P(dt Lambda)^n_sub, taken elementwise, which stores one array the
+        size of rho and costs one multiply per entry against 4 n_sub for
+        the substep loop.  Its path is "rk4_sample_map"."""
+        factor = _rk4_polynomial(dt * self.lam, elementwise=True) ** n_sub
+        self.propagation = "rk4_sample_map"
+        self.step_bytes = factor.nbytes
+        return lambda rho: factor * rho
+
+
 class _Generator:
     """A run's generator as a sparse CSR matrix `lmat` on the vector it
-    propagates, with the weak sectors, conjugate pairs and per-sample maps
-    of that matrix.
+    propagates, of `size` entries, with the weak sectors, conjugate pairs
+    and per-sample maps of that matrix.
 
     The vector is vec(rho) (_gksl_matrix), or, for a generator reduced to
     the orbits of the superoperator shift (make_rhs), one value per orbit
@@ -653,6 +691,7 @@ class _Generator:
     ) -> None:
         self.lmat = lmat
         self.dim = dim
+        self.size = lmat.shape[0]
         self.orbits = orbits
         self.propagation: str | None = None
         self.step_bytes: int | None = None
@@ -677,6 +716,8 @@ class _Generator:
         none, so that the transpose maps each weak sector of L_red onto
         one (conjugate_sectors); the zeros change no value.
         """
+        import scipy.sparse
+
         if not _commutes_with(self.lmat, orbits.shift):
             return None
         rows = self.lmat[orbits.representatives]
@@ -747,6 +788,8 @@ class _Generator:
         every index gets level 0: one level per block, whose map is then
         built whole, which is exact too.
         """
+        import scipy.sparse
+
         lmat = self.lmat
         size = lmat.shape[0]
         pattern = scipy.sparse.csr_matrix(
@@ -854,31 +897,16 @@ class _Generator:
             )
         return maps
 
-    def _is_diagonal(self) -> bool:
-        """True when lmat stores no entry off its diagonal.  The row counts
-        decide first, so a generator with off-diagonal entries in most rows
-        costs no array of nnz entries."""
-        counts = np.diff(self.lmat.indptr)
-        if counts.max(initial=0) > 1:
-            return False
-        return np.array_equal(self.lmat.indices, np.flatnonzero(counts))
-
     def sample_map(self, dt: float, n_sub: int):
         """The run's per-sample step: n_sub RK4 steps of size dt, exact for
         Hermitian rho.  The path it takes is recorded in `propagation`,
         "rk4_sample_map" (a precomputed map) or "rk4_substep_loop", and the
-        bytes of the arrays the step applies in `step_bytes`: the diagonal
-        factor, the maps of its sector parts, or the data, indices and
-        indptr of the loop's kept CSR.
+        bytes of the arrays the step applies in `step_bytes`: the maps of
+        its sector parts, or the data, indices and indptr of the loop's kept
+        CSR.
 
-        A diagonal lmat (sigma^z dephasing with an Ising-z H_eff) acts on
-        rho elementwise, so the map is one Hadamard product with
-        P(dt Lambda)^n_sub, which stores one array the size of rho and costs
-        one multiply per entry against 4 n_sub for the substep loop; it is
-        always used.
-
-        Any other lmat propagates the kept sectors (_kept_sectors) and
-        fills the other entries as conjugates; a shift-reduced generator
+        The step propagates the kept sectors (_kept_sectors) and fills the
+        other entries as conjugates; a shift-reduced generator
         (make_rhs) propagates the orbit values and scatters them along the
         orbits.  The kept sectors take dense block matvecs unless their
         blocks hold at least as many entries as the substep loop on them
@@ -907,18 +935,14 @@ class _Generator:
         whole block and one more row slab (tracemalloc peak 28.1 MiB there,
         against 39.7 MiB for three whole blocks).
         """
-        if self._is_diagonal():
-            factor = _rk4_polynomial(dt * self.lmat.diagonal(), elementwise=True)
-            factor = (factor**n_sub).reshape(self.dim, self.dim)
-            self.propagation = "rk4_sample_map"
-            self.step_bytes = factor.nbytes
-            return lambda rho: factor * rho
         kept_blocks, kept, fill = self._kept_sectors()
         entries = sum(len(idx) ** 2 for idx in kept_blocks)
         kept_nnz = int(np.diff(self.lmat.indptr)[kept].sum())
         loop_work = _substep_loop_work(kept_nnz, len(kept), n_sub)
         parts, loop = [], None
         if entries >= loop_work or 16 * entries > SAMPLE_MAP_MAX_BYTES:
+            import scipy.sparse
+
             kept_rows = self.lmat[kept]
             position = np.empty(self.lmat.shape[1], kept_rows.indices.dtype)
             position[kept] = np.arange(len(kept))
@@ -1019,12 +1043,16 @@ def make_rhs(
     gamma: GammaMatrix,
     channel: str,
     rho0: np.ndarray | None = None,
-) -> _Generator:
-    """The run's generator (_Generator), built once for repeated evaluation.
+) -> _Generator | _DiagonalGenerator:
+    """The run's generator, built once for repeated evaluation.
 
-    With the run's initial state rho0, a generator that is not diagonal is
-    reduced to the orbits of the superoperator shift vec(a, b) ->
-    vec(T a, T b) for the cyclic site shift T (_Generator.shift_reduced)
+    sigma^z dephasing with an H_eff that has no off-diagonal entry (the
+    presets' Ising-z coupling, or none; -0.0 counts as zero) is diagonal
+    and is kept as its Lambda array (_DiagonalGenerator), with no sparse
+    matrix and no scipy.sparse.  Any other generator is a CSR
+    (_Generator), and, with the run's initial state rho0, it is reduced to
+    the orbits of the superoperator shift vec(a, b) -> vec(T a, T b) for
+    the cyclic site shift T (_Generator.shift_reduced)
     when two exact tests pass: rho0 equals T rho0 T^dag bit for bit, and
     the CSR commutes with the shift bit for bit.  Then vec(rho(t)) stays in
     the shift-invariant subspace, one value per orbit: 700 of 4,096 at
@@ -1034,15 +1062,20 @@ def make_rhs(
     073007, 2012).  Ring and local amplitude damping from |->^N pass both
     tests; all-to-all fails the second (its complex cross rates are
     oriented i < j), and such runs, and every run without rho0, keep the
-    full generator.  A diagonal generator is never reduced, as its map is
-    already one multiply per entry.
+    full generator.
     """
+    h_eff = np.asarray(h_eff)
+    energies = np.diag(h_eff)
+    # no nonzero entry off the diagonal; -0.0 counts as zero
+    diagonal = np.count_nonzero(h_eff) == np.count_nonzero(energies)
+    if channel == "dephasing" and diagonal:
+        return _DiagonalGenerator(_dephasing_diagonal(np.real(energies), gamma))
     rhs = _Generator(_gksl_matrix(h_eff, gamma, channel), 2**gamma.n_sites)
-    if rho0 is None or rhs._is_diagonal() or not _translation_invariant(rho0):
+    if rho0 is None or not _translation_invariant(rho0):
         return rhs
     orbits = _pair_orbits(gamma.n_sites)
     # at N = 1 the shift is the identity and every orbit a single index
-    if len(orbits.representatives) == rhs.lmat.shape[0]:
+    if len(orbits.representatives) == rhs.size:
         return rhs
     return rhs.shift_reduced(orbits) or rhs
 
@@ -1550,11 +1583,13 @@ def evolve_stream(
     A state that fails its check raises StateInvariantError after exactly
     the samples before it have been yielded.
 
-    The generator is built by make_rhs with rho0: ring and local
-    amplitude damping from an exactly T-invariant start propagate one value
-    per orbit of the superoperator shift and take the per-sample map at
-    N = 6 and 7 alike, while all-to-all damping keeps vec(rho) and, from
-    N = 7 on (~415 MB of blocks), the substep loop.
+    The generator is built by make_rhs with rho0: dephasing with an
+    Ising-z H_eff is kept as its Lambda array and its map is one Hadamard
+    product a sample; ring and local amplitude damping from an exactly
+    T-invariant start propagate one value per orbit of the superoperator
+    shift and take the per-sample map at N = 6 and 7 alike, while
+    all-to-all damping keeps vec(rho) and, from N = 7 on (~415 MB of
+    blocks), the substep loop.
 
     If `info` is a dict, the propagation path that sample_map recorded
     for the run's step is stored under info["propagation"] before the
@@ -1563,8 +1598,9 @@ def evolve_stream(
     with it info["shift_reduced"], whether the
     generator was reduced to the shift orbits,
     info["propagated_values"], the length of the propagated vector (the
-    number of orbits, or dim^2), and info["step_bytes"], the bytes of the
-    arrays the step applies (_Generator.sample_map).  info["timing_s"]
+    generator's `size`: the number of orbits, or dim^2), and
+    info["step_bytes"], the bytes of the arrays the step applies (the
+    sample_map of _Generator or _DiagonalGenerator).  info["timing_s"]
     holds the wall seconds of the run's phases: "build", H_eff, the
     generator and its per-sample map or step, set with
     info["propagation"]; "propagate" and "check", the
@@ -1646,7 +1682,7 @@ def evolve_stream(
     step = rhs.sample_map(cfg.dt_sample / n_sub, n_sub)
     info["propagation"] = rhs.propagation
     info["shift_reduced"] = rhs.orbits is not None
-    info["propagated_values"] = rhs.lmat.shape[0]
+    info["propagated_values"] = rhs.size
     info["step_bytes"] = rhs.step_bytes
     # the step holds what it applies; the generator need not outlive it
     del rhs

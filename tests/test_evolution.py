@@ -1,6 +1,7 @@
 """Unit tests for the master-equation generator, its RK4 propagation and the
 state invariants."""
 
+import json
 import math
 import os
 import subprocess
@@ -157,11 +158,34 @@ class TestRhsDispatch:
         assert max(m.shape[1] for m in stacks) < 4**n
 
 
+def _assert_keeps_arrays(h_eff, gamma, channel):
+    """The run's generator against the former Kronecker sums bit for bit:
+    _gksl_matrix's data, indices and indptr byte for byte, or, for the
+    diagonal dephasing generator that make_rhs keeps as its Lambda, that
+    array against the reference's stored entries, which must be one on
+    each diagonal position and nothing else."""
+    ref = ref_gksl_matrix(h_eff, gamma, channel)
+    rhs = make_rhs(h_eff, gamma, channel)
+    if isinstance(rhs, evolution._DiagonalGenerator):
+        size = rhs.lam.size
+        assert np.array_equal(ref.indptr, np.arange(size + 1))
+        assert np.array_equal(ref.indices, np.arange(size))
+        assert rhs.lam.dtype == ref.data.dtype
+        assert rhs.lam.tobytes() == ref.data.tobytes()
+        return
+    got = evolution._gksl_matrix(h_eff, gamma, channel)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 class TestLoweringCsrs:
     """The generator's sigma^- CSRs, written from the bits of the basis
     states, against dense jump operators built by Kronecker chains, and the
-    generator written once from the bits against the former Kronecker
-    sums over those Kronecker-chain jumps."""
+    generator written once from the bits (or kept as its Lambda when it is
+    diagonal) against the former Kronecker sums over those Kronecker-chain
+    jumps."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equal_the_dense_jump_operators(self, n):
@@ -186,12 +210,7 @@ class TestLoweringCsrs:
             specs.append(_channel_spec("dephasing", topology, "xx_dm"))
         for spec in specs:
             h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
-            got = evolution._gksl_matrix(h_eff, gamma, spec.channel)
-            ref = ref_gksl_matrix(h_eff, gamma, spec.channel)
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype
-                assert a.tobytes() == b.tobytes()
+            _assert_keeps_arrays(h_eff, gamma, spec.channel)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_arbitrary_drift_keeps_its_arrays(self, seed):
@@ -206,10 +225,7 @@ class TestLoweringCsrs:
         topology = "local" if n == 1 else ("nearest_neighbor", "all_to_all")[seed % 2]
         for channel in CHANNELS:
             gamma = build_gamma(_spec(channel=channel, topology=topology), n)
-            got = evolution._gksl_matrix(h_eff, gamma, channel)
-            ref = ref_gksl_matrix(h_eff, gamma, channel)
-            for name in ("data", "indices", "indptr"):
-                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            _assert_keeps_arrays(h_eff, gamma, channel)
 
 
 class TestRhsCorrectness:
@@ -298,13 +314,13 @@ class TestRhsCorrectness:
         spec = _channel_spec("dephasing", topology)
         gamma = build_gamma(spec, n)
         h_eff = _spec_heff(spec, n)
-        lmat = make_rhs(h_eff, gamma, "dephasing").lmat
-        coo = lmat.tocoo()
-        assert np.array_equal(coo.row, coo.col)
+        rhs = make_rhs(h_eff, gamma, "dephasing")
+        assert isinstance(rhs, evolution._DiagonalGenerator)
         expected = ref_dephasing_diagonal(
             np.real(np.diag(h_eff)), gamma.matrix, n
         )
-        assert np.array_equal(lmat.diagonal(), expected.reshape(-1))
+        assert rhs.lam.dtype == expected.dtype
+        assert rhs.lam.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(5, 9))
     @pytest.mark.parametrize("phase", [np.pi / 3, 0.7])
@@ -659,11 +675,16 @@ class TestConjugateSectors:
 def _discovery_rhs(channel, topology, n, reduced):
     """A generator of each kind the runs build: damping with the presets'
     coupling, dephasing with XX + DM hopping (non-diagonal), full or
-    reduced to the shift orbits where make_rhs reduces it."""
+    reduced to the shift orbits where make_rhs reduces it.  Local
+    dephasing has no hopping, and make_rhs keeps its diagonal generator as
+    Lambda, so its CSR is built here from _gksl_matrix."""
     kind = "xx_dm" if channel == "dephasing" else None
     spec = _channel_spec(channel, topology, kind)
+    h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
+    if channel == "dephasing" and topology == "local":
+        return evolution._Generator(evolution._gksl_matrix(h_eff, gamma, channel), 2**n)
     rho0 = product_minus_state(n) if reduced else None
-    return make_rhs(_spec_heff(spec, n), build_gamma(spec, n), channel, rho0)
+    return make_rhs(h_eff, gamma, channel, rho0)
 
 
 def _cycle_csr(size, back_edge):
@@ -776,6 +797,109 @@ def test_cli_import_leaves_out_csgraph_and_linalg():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_interpreter(code):
+    """The last line that `code` prints in a new interpreter with the
+    package on its path, parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse loads only where a sparse generator is built
+    code = (
+        "import json, sys, qbattery.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'scipy')))"
+    )
+    assert _fresh_interpreter(code) == []
+
+
+@pytest.mark.parametrize("argv", [["list-presets"], ["validate", "{cfg}"]])
+def test_listing_and_validating_leave_out_scipy_sparse(tmp_path, argv):
+    cfg = tmp_path / "fig2.cfg"
+    cfg.write_text("preset = fig2_dephasing_product\n")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    code = (
+        "import json, sys\n"
+        "from qbattery import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'scipy.sparse' in sys.modules]))\n"
+    )
+    assert _fresh_interpreter(code) == [0, False]
+
+
+# Each run's manifest fields (propagation, shift_reduced,
+# propagated_values, step_bytes), with whether scipy.sparse was loaded
+# after `import qbattery` and after the runs.
+_RUN_FIELDS = (
+    "import json, sys\n"
+    "from dataclasses import replace\n"
+    "from qbattery import get_preset, run_scenario\n"
+    "before = 'scipy.sparse' in sys.modules\n"
+    "cfg = replace(get_preset({preset!r}), t_max=0.05)\n"
+    "runs = run_scenario(cfg, {out!r}).manifest['runs']\n"
+    "fields = [[r['n_sites'], r['topology'], r['propagation'],\n"
+    "           r['shift_reduced'], r['propagated_values'], r['step_bytes']]\n"
+    "          for r in runs]\n"
+    "print(json.dumps([before, 'scipy.sparse' in sys.modules, fields]))\n"
+)
+
+
+def test_dephasing_only_run_leaves_out_scipy_sparse(tmp_path):
+    # the Ising-z dephasing generator is diagonal and kept as its Lambda
+    code = _RUN_FIELDS.format(
+        preset="fig2_dephasing_product", out=str(tmp_path / "out")
+    )
+    before, after, fields = _fresh_interpreter(code)
+    assert (before, after) == (False, False)
+    assert fields == [
+        [n, "nearest_neighbor", "rk4_sample_map", False, 4**n, 16 * 4**n]
+        for n in (2, 3, 4, 5, 6)
+    ]
+
+
+def test_damping_run_loads_scipy_sparse_at_its_build(tmp_path):
+    code = _RUN_FIELDS.format(preset="fig5_ad_product", out=str(tmp_path / "out"))
+    before, after, fields = _fresh_interpreter(code)
+    assert (before, after) == (False, True)
+    assert len(fields) == 8
+    for n, topology, propagation, reduced, values, step_bytes in fields:
+        assert propagation == "rk4_sample_map"
+        assert reduced
+        assert values < 4**n and step_bytes > 0
+
+
+def test_dephasing_with_hopping_loads_scipy_sparse_at_its_build():
+    # an XX + DM H_eff has off-diagonal entries, so the generator is a CSR
+    code = (
+        "import json, sys\n"
+        "from qbattery import EffectiveCoupling, EvolutionConfig, NoiseSpec\n"
+        "from qbattery import evolve_stream, product_minus_state\n"
+        "before = 'scipy.sparse' in sys.modules\n"
+        "coupling = EffectiveCoupling('xx_dm', j_xx=1.2, d_dm=0.2)\n"
+        "spec = NoiseSpec('dephasing', 'nearest_neighbor', 0.2, 0.01j,\n"
+        "                 coupling=coupling)\n"
+        "info = {}\n"
+        "for _ in evolve_stream(product_minus_state(3), spec,\n"
+        "                       EvolutionConfig(t_max=0.05), info):\n"
+        "    pass\n"
+        "print(json.dumps([before, 'scipy.sparse' in sys.modules,\n"
+        "                  info['propagation'], info['shift_reduced']]))\n"
+    )
+    assert _fresh_interpreter(code) == [False, True, "rk4_sample_map", True]
 
 
 def _excitations(idx, n):

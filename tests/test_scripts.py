@@ -81,6 +81,15 @@ def test_count_code_lines_totals_its_modules():
         ("peak_scaling_table.py", ["--n-max", "1"], "--n-max"),
         ("two_cell_closed_form_check.py", ["--t-max", "0"], "--t-max"),
         ("two_cell_closed_form_check.py", ["--gamma", "-1"], "--gamma"),
+        ("two_cell_closed_form_check.py", ["--field", "nan"], "--field"),
+        ("two_cell_closed_form_check.py", ["--j-z", "inf"], "--j-z"),
+        ("two_cell_closed_form_check.py", ["--offdiag-phase", "nan"], "--offdiag-phase"),
+        ("two_cell_closed_form_check.py", ["--offdiag-modulus", "-1"], "--offdiag-modulus"),
+        ("two_cell_closed_form_check.py", ["--offdiag-modulus", "nan"], "--offdiag-modulus"),
+        ("peak_scaling_table.py", ["--field", "-inf"], "--field"),
+        ("peak_scaling_table.py", ["--j-z", "nan"], "--j-z"),
+        ("peak_scaling_table.py", ["--offdiag-phase", "inf"], "--offdiag-phase"),
+        ("peak_scaling_table.py", ["--offdiag-modulus", "-0.5"], "--offdiag-modulus"),
     ],
 )
 def test_script_refuses_a_bad_argument(script, args, flag):
@@ -92,6 +101,29 @@ def test_script_refuses_a_bad_argument(script, args, flag):
     assert "Traceback" not in proc.stderr
     (error,) = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert f"argument {flag}:" in error
+
+
+@pytest.mark.parametrize(
+    "script, args, n",
+    [
+        ("two_cell_closed_form_check.py", ["--offdiag-modulus", "1"], None),
+        ("peak_scaling_table.py", ["--offdiag-modulus", "1"], 2),
+        # the two-cell ring's doubled bond admits 0.15, three cells do not
+        ("peak_scaling_table.py", ["--offdiag-modulus", "0.15", "--n-max", "4"], 3),
+    ],
+)
+def test_script_refuses_a_rate_matrix_that_is_not_cptp(script, args, n):
+    # refused with the violated bound before anything is integrated or
+    # printed, not with a CptpViolationError traceback
+    proc = _run_script(script, args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (error,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert "sufficient bound: gamma >= 2|gamma_offdiag|" in error
+    assert error.endswith("violated")
+    if n is not None:
+        assert f"at N = {n}:" in error
 
 
 @pytest.mark.parametrize("package_dir", ["/nonexistent", "src"])
