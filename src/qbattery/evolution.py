@@ -310,7 +310,7 @@ def _rk4_polynomial(x: np.ndarray, elementwise: bool) -> np.ndarray:
 
     One classical RK4 step of size dt on rho' = L rho is exactly
     rho -> P(dt L) rho.  `elementwise` evaluates P entry by entry (for a
-    diagonal generator stored as its diagonal); otherwise x is a square
+    diagonal generator kept as its Lambda array); otherwise x is a square
     matrix, or a stack of them, and the products are matrix products.
     """
     if elementwise:
