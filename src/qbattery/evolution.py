@@ -120,7 +120,7 @@ import numpy as np
 from .dissipation import (
     CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
 )
-from .models import effective_hamiltonian, site_z_signs
+from .models import cyclic_shift, effective_hamiltonian, site_z_signs
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -162,12 +162,16 @@ COMMUTE_SLAB_ROWS = 1024
 # Bytes of dense generator blocks built in one batch by the dense build; a
 # batch's temporaries are a few times this.
 DENSE_BUILD_BATCH_BYTES = 4 * 2**20
-# States with at least this many rows take the momentum-resolved check
-# when they are exactly invariant under the cyclic site shift.  On ring and
-# local dephasing states (one BLAS thread, 2-core Xeon) check_state took
-# 190 to 240 us that way against 160 to 200 us on the parity blocks at 64
-# rows, and 0.36 to 0.42 against 0.63 to 0.83 ms at 128 rows.
-TRANSLATION_SPLIT_MIN_DIM = 128
+# States with at least this many rows (N >= 3) take the momentum-resolved
+# check, and the representative-row coherence, when they are exactly
+# invariant under the cyclic site shift.  Check, ergotropy and coherence of
+# one chunk, per state (ring and local runs from |->^N, one BLAS thread,
+# 2-core Xeon), that way against the parity blocks or the full eigvalsh:
+# 4 rows 4.4 to 4.9 against 4.1 to 4.6 us; 8 rows 7.3 to 7.8 against 6.7 to
+# 7.3 (dephasing) and 7.0 to 7.2 against 7.1 to 8.1 (damping); 16 rows 16.7
+# to 18.1 against 14.9 to 17.0 (dephasing) and 24.3 to 26.9 (damping); 32
+# rows 46 to 49 against 52 to 57 (dephasing) and 91 to 95 (damping).
+TRANSLATION_SPLIT_MIN_DIM = 8
 # Rows per slab of the hermiticity-drift measurement (_herm_drift); a state
 # of at most this many rows is measured whole.  One BLAS thread, 2-core
 # Xeon: at 128 rows the whole measurement took 83 us against 88 us in
@@ -1100,9 +1104,12 @@ class StateCheck(NamedTuple):
     parity_blocks is the (2, dim/2, dim/2) stack (rho_+, rho_-) of rho's
     spin-flip parity blocks when rho commutes exactly with the global flip
     (see check_state), and None otherwise.  translation_resolved is True
-    when the spectrum came from rho's momentum blocks, which it does for a
-    state of at least TRANSLATION_SPLIT_MIN_DIM rows that commutes exactly
-    with the cyclic site shift.
+    when the spectrum came from rho's momentum blocks, which it does for
+    every state of N >= 3 cells (TRANSLATION_SPLIT_MIN_DIM rows) that
+    commutes exactly with the cyclic site shift T; such a state takes no
+    parity blocks, and its coherence can be taken from the orbit
+    representatives' rows (observables.translation_row_basis).  So a state
+    has parity blocks exactly when its spectrum came from them.
     """
 
     populations: np.ndarray
@@ -1116,7 +1123,9 @@ class StateCheck(NamedTuple):
         return float(self.populations[0])
 
 
-def _herm_drift(rho: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _herm_drift(
+    rho: np.ndarray, rows: np.ndarray | None = None, flipped: bool = False
+) -> np.ndarray:
     """max |rho - rho^dag| of one state, or of each state of a (K, dim, dim)
     stack, bitwise the whole-matrix value, without its dim^2 temporaries.
 
@@ -1125,22 +1134,28 @@ def _herm_drift(rho: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     so the upper triangle holds every value: it is taken in row slabs
     rho[i:i+t, i:] of HERM_DRIFT_SLAB_ROWS rows (one slab, the whole
     matrix, for a state of at most that many rows), whose temporaries stay
-    in cache.  For one state that is exactly invariant under the cyclic
-    site shift T, `rows` are the orbit representatives (_orbits): entry
-    (T^j r, b) equals (r, T^-j b) bit for bit, and so does its partner, so
-    the representative rows alone hold every value.  The maximum is taken
-    by numpy, so a nan anywhere is the result.
+    in cache.  For states that are exactly invariant under the global spin
+    flip P (`flipped`), entry (dim-1-a, dim-1-b) equals (a, b) bit for bit,
+    and so does its partner, so the slabs stop at row dim / 2.  For states
+    that are exactly invariant under the cyclic site shift T, `rows` are
+    the orbit representatives (_orbits): entry (T^j r, b) equals
+    (r, T^-j b) bit for bit, and so does its partner, so the
+    representative rows alone hold every value.  The maximum is taken by
+    numpy, so a nan anywhere is the result.
     """
     if rows is not None:
-        return np.max(np.abs(rho[rows] - rho[:, rows].T.conj()))
+        return np.abs(
+            rho[..., rows, :] - rho[..., :, rows].swapaxes(-1, -2).conj()
+        ).max(axis=(-2, -1))
     step = HERM_DRIFT_SLAB_ROWS
+    stop = rho.shape[-1] // 2 if flipped else rho.shape[-1]
     return np.max(
         [
             np.abs(
-                rho[..., i:i + step, i:]
-                - rho[..., i:, i:i + step].swapaxes(-1, -2).conj()
+                rho[..., i:min(i + step, stop), i:]
+                - rho[..., i:, i:min(i + step, stop)].swapaxes(-1, -2).conj()
             ).max(axis=(-2, -1))
-            for i in range(0, rho.shape[-1], step)
+            for i in range(0, stop, step)
         ],
         axis=0,
     )
@@ -1203,7 +1218,7 @@ def _orbits(n_sites: int) -> _Orbits:
     """
     dim = 2**n_sites
     index = np.arange(dim)
-    shift = ((index << 1) & (dim - 1)) | (index >> (n_sites - 1))
+    shift = cyclic_shift(n_sites)
     # rows j = 0..N of T^j a; row N is the identity again
     orbit = np.empty((n_sites + 1, dim), dtype=np.intp)
     orbit[0] = index
@@ -1261,31 +1276,36 @@ def _pair_orbits(n_sites: int) -> _PairOrbits:
     return _PairOrbits(shift, representatives, orbit_of, transpose)
 
 
-def _translation_invariant(rho: np.ndarray) -> bool:
-    """True when T rho T^dag equals rho bit for bit.
+def _translation_invariant(rho: np.ndarray) -> bool | np.ndarray:
+    """Whether T rho T^dag equals rho bit for bit: a bool for one state, a
+    (K,) bool array for a (K, dim, dim) stack.
 
     Row 0 first: T fixes index 0, so rho[0, T b] == rho[0, b] is necessary,
-    and a state far from the symmetry costs O(dim).  Then the whole state:
-    with a = (top bit, rest) and T a = (rest, top bit), rho[T a, T b] is
-    rho's (2, dim/2, 2, dim/2) view with its axes swapped in pairs, compared
-    with the (dim/2, 2, dim/2, 2) view, so no index array of dim^2 entries
-    is formed.
+    and a state far from the symmetry costs O(dim).  Then the whole of the
+    states that pass it: with a = (top bit, rest) and T a = (rest, top
+    bit), rho[T a, T b] is rho's (2, dim/2, 2, dim/2) view with its axes
+    swapped in pairs, compared with the (dim/2, 2, dim/2, 2) view, so no
+    index array of dim^2 entries is formed.  Both views are compared with
+    the rest of b as their last axis, contiguous in the first one, so that
+    numpy's inner loop runs over dim / 2 entries, not 2.
     """
-    dim = rho.shape[0]
-    n_sites = dim.bit_length() - 1
-    if not (rho[0, _orbits(n_sites).shift] == rho[0]).all():
-        return False
-    h = dim // 2
-    return bool(
-        (
-            rho.reshape(h, 2, h, 2)
-            == rho.reshape(2, h, 2, h).transpose(1, 0, 3, 2)
-        ).all()
-    )
+    states = rho[None] if rho.ndim == 2 else rho
+    dim = states.shape[-1]
+    shift = _orbits(dim.bit_length() - 1).shift
+    invariant = (states[:, 0, shift] == states[:, 0]).all(axis=1)
+    if invariant.any():
+        h = dim // 2
+        chosen = _take(states, invariant)
+        invariant[invariant] = (
+            chosen.reshape(-1, h, 2, h, 2).transpose(0, 1, 2, 4, 3)
+            == chosen.reshape(-1, 2, h, 2, h).transpose(0, 2, 1, 3, 4)
+        ).all(axis=(1, 2, 3, 4))
+    return bool(invariant[0]) if rho.ndim == 2 else invariant
 
 
 def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of a T-invariant rho.
+    """Ascending spectrum of the Hermitian part of a T-invariant rho, (dim,)
+    for one state, or (K, dim) for each state of a stack.
 
     In the momentum states |a, k> = sqrt(R_a) / N sum_j e^{-2 pi i k j / N}
     T^j |a> over the representatives a with k R_a = 0 (mod N), a T-invariant
@@ -1294,29 +1314,101 @@ def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
         B_k[a, b] = sqrt(R_a R_b) / N  sum_j e^{-2 pi i k j / N} rho[a, T^j b].
 
     One gather of the representative rows at the orbit columns gives
-    rho[a, T^j b] for every (a, j, b), one FFT along j gives every
-    momentum, and the Hermitian parts of the blocks of one size go through
-    one eigvalsh.
+    rho[a, T^j b] for every state and (a, j, b), one FFT along j gives
+    every momentum, and the Hermitian parts of the blocks of one size go
+    through one eigvalsh for the whole stack.  FFT and LAPACK see each
+    transform and matrix alone, so each spectrum is bitwise the one-state
+    one.
     """
-    orbits = _orbits(rho.shape[0].bit_length() - 1)
-    rows = rho[orbits.representatives][:, orbits.orbit_columns]
-    transformed = np.fft.fft(rows, axis=1)
+    states = rho[None] if rho.ndim == 2 else rho
+    orbits = _orbits(states.shape[-1].bit_length() - 1)
+    rows = states[
+        :, orbits.representatives[:, None, None], orbits.orbit_columns
+    ]
+    transformed = np.fft.fft(rows, axis=2)
     spectra = []
     for momenta, admitted, weights in orbits.momentum_stacks:
         blocks = transformed[
-            admitted[:, :, None], momenta[:, None, None], admitted[:, None, :]
+            :, admitted[:, :, None], momenta[:, None, None],
+            admitted[:, None, :],
         ]
         blocks *= weights
-        hermitian = blocks + blocks.conj().transpose(0, 2, 1)
+        hermitian = blocks + blocks.conj().swapaxes(-1, -2)
         hermitian *= 0.5
-        spectra.append(np.linalg.eigvalsh(hermitian).ravel())
-    return np.sort(np.concatenate(spectra))
+        spectra.append(np.linalg.eigvalsh(hermitian).reshape(len(states), -1))
+    spectra = np.sort(np.concatenate(spectra, axis=1), axis=1)
+    return spectra[0] if rho.ndim == 2 else spectra
 
 
 def _take(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The states of a stack that `mask` selects; the stack itself, not a
     copy, when it selects them all."""
     return states if mask.all() else states[mask]
+
+
+def _measure_translated(
+    states: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(herm_drift, populations) of each state of a stack of exactly
+    T-invariant states, with `rows` the orbit representatives: the drift
+    from the representative rows (_herm_drift) and the spectra from the
+    momentum blocks (_momentum_spectrum), for the states whose drift is
+    finite (nan for the others)."""
+    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
+    # numpy would warn about), so a non-finite state gets no spectrum
+    with np.errstate(invalid="ignore"):
+        herm_drift = _herm_drift(states, rows)
+    finite = np.isfinite(herm_drift)
+    populations = np.full(states.shape[:2], math.nan)
+    if finite.any():
+        populations[finite] = _momentum_spectrum(_take(states, finite))
+    return herm_drift, populations
+
+
+def _measure_other(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """(herm_drift, populations, parity blocks) of each state of a stack of
+    states that are not T-resolved.
+
+    The flip test comes first, corner entries and then the rows
+    a < dim / 2 against their images, which hold one entry of each pair,
+    so that the hermiticity drift of a flip-invariant state reads half its
+    rows (_herm_drift).  A state whose drift is not finite gets no
+    spectrum (nan) and no parity blocks.  The flip-invariant states take
+    the spectra of their parity blocks, the others one full eigvalsh, each
+    group in one stacked call.
+    """
+    count, dim = states.shape[:2]
+    flipped = np.zeros(count, dtype=bool)
+    # the corner entries are one necessary condition, so a state far from
+    # the symmetry (amplitude damping drains |0> into |dim - 1>) costs one
+    # comparison, not a whole-matrix one
+    corner = (dim % 2 == 0) & (states[:, 0, 0] == states[:, -1, -1])
+    if corner.any():
+        # rows a < dim / 2 hold one entry of each pair (a, b), (P a, P b)
+        chosen, h = _take(states, corner), dim // 2
+        flipped[corner] = (
+            chosen[:, :h] == chosen[:, ::-1, ::-1][:, :h]
+        ).all(axis=(1, 2))
+    herm_drift = np.empty(count)
+    with np.errstate(invalid="ignore"):
+        for mask, half in ((flipped, True), (~flipped, False)):
+            if mask.any():
+                herm_drift[mask] = _herm_drift(_take(states, mask), flipped=half)
+    finite = np.isfinite(herm_drift)
+    populations = np.full((count, dim), math.nan)
+    blocks: list = [None] * count
+    parity, full = flipped & finite, ~flipped & finite
+    if parity.any():
+        stacked = _split_parity(_take(states, parity))
+        populations[parity] = _parity_spectrum(stacked)
+        for k, block in zip(np.flatnonzero(parity).tolist(), stacked):
+            blocks[k] = block
+    if full.any():
+        chosen = _take(states, full)
+        hermitian = chosen + chosen.conj().swapaxes(1, 2)
+        hermitian *= 0.5
+        populations[full] = np.linalg.eigvalsh(hermitian)
+    return herm_drift, populations, blocks
 
 
 def check_state(
@@ -1335,12 +1427,12 @@ def check_state(
     symmetry blocks the state has, each symmetry tested bit for bit with
     no tolerance or margin:
 
-    * from TRANSLATION_SPLIT_MIN_DIM rows on (N >= 7), a state that equals
-      T rho T^dag for the cyclic site shift T (_translation_invariant: row
-      0 first, then the whole state; ring and local dephasing from |->^N)
-      takes its momentum blocks (_momentum_spectrum), about N blocks of
-      dim / N rows, one eigvalsh per block size.  Below that size the
-      parity blocks were as fast;
+    * a state of at least TRANSLATION_SPLIT_MIN_DIM rows (N >= 3) that
+      equals T rho T^dag for the cyclic site shift T (_translation_invariant:
+      row 0 first, then the whole state; ring and local runs from |->^N,
+      both channels) takes its momentum blocks (_momentum_spectrum), about
+      N blocks of dim / N rows, one eigvalsh per block size, and no parity
+      blocks;
     * otherwise a state that equals P rho P for the global spin flip P
       (every dephasing sample from a flip-invariant start) takes its two
       parity blocks (_split_parity), a quarter of the arithmetic of the
@@ -1348,17 +1440,18 @@ def check_state(
     * any other state takes the full eigvalsh.
 
     The drifts are measured over the whole of rho, with the same values
-    either way; for a T-invariant state the hermiticity drift and the flip
-    comparison read only the orbit representatives' rows, which hold every
-    value.  The parity blocks are returned whenever the state has them,
-    for the coherence.  A state with a nan or inf entry gets no spectrum
-    (its min_eig is nan) and is rejected.
+    either way: the hermiticity drift reads only the orbit
+    representatives' rows of a T-invariant state and only the first half
+    of the rows of a flip-invariant one, which hold every value
+    (_herm_drift).  The parity blocks are returned, for the coherence,
+    whenever the spectrum came from them.  A state with a nan or inf entry
+    gets no spectrum (its min_eig is nan) and is rejected.
 
-    The T-invariant states are measured one by one.  The others are
-    measured as one stack (no copy when that is the whole stack): the
-    drifts and the corner and flip tests at once, one eigvalsh for every
-    full-path state and one for the parity blocks of all the others.
-    LAPACK sees each matrix alone, so each spectrum is bitwise the
+    The states are measured as two stacks, the T-invariant ones and the
+    others (no copy when one of them is the whole stack): the symmetry
+    tests and drifts at once, and one eigvalsh per block size, for the
+    parity blocks and for the full-path states (_measure).  FFT and LAPACK
+    see each transform and matrix alone, so each record is bitwise the
     one-state one, and the per-call overhead, most of a small state's
     check, is paid once a stack.
     """
@@ -1368,59 +1461,25 @@ def check_state(
     trace = np.trace(states, axis1=1, axis2=2)
     trace_drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
     herm_drift = np.empty(count)
-    populations = np.full((count, dim), math.nan)
+    populations = np.empty((count, dim))
     blocks: list = [None] * count
     translated = np.zeros(count, dtype=bool)
+    # a nan entry fails the invariance test (nan != nan); an inf one may
+    # pass it, and then sits in a representative row as well
     if dim >= TRANSLATION_SPLIT_MIN_DIM and not dim & (dim - 1):
+        translated = _translation_invariant(states)
+    if translated.any():
         rows = _orbits(dim.bit_length() - 1).representatives
-        # a nan entry fails the invariance test (nan != nan); an inf one may
-        # pass it, and then sits in a representative row as well
-        translated[:] = [_translation_invariant(state) for state in states]
-    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
-    # numpy would warn about), so a non-finite state gets no spectrum
-    for k in np.flatnonzero(translated).tolist():
-        state = states[k]
-        with np.errstate(invalid="ignore"):
-            herm_drift[k] = _herm_drift(state, rows)
-        if not math.isfinite(herm_drift[k]):
-            continue
-        populations[k] = _momentum_spectrum(state)
-        # P commutes with T, so the representative rows of P rho P decide
-        # the whole flip comparison
-        if (
-            state[0, 0] == state[-1, -1]
-            and (state[dim - 1 - rows, ::-1] == state[rows]).all()
-        ):
-            blocks[k] = _split_parity(state)
-    rest = np.flatnonzero(~translated)
-    if rest.size:
-        chosen = states if rest.size == count else states[rest]
-        with np.errstate(invalid="ignore"):
-            herm_drift[rest] = _herm_drift(chosen)
-        finite = np.isfinite(herm_drift[rest])
-        flipped = np.zeros(rest.size, dtype=bool)
-        # the corner entries are one necessary condition, so a state far
-        # from the symmetry (amplitude damping drains |0> into |dim - 1>)
-        # costs one comparison, not a whole-matrix one
-        corner = (
-            finite & (dim % 2 == 0) & (chosen[:, 0, 0] == chosen[:, -1, -1])
+        herm_drift[translated], populations[translated] = _measure_translated(
+            _take(states, translated), rows
         )
-        if corner.any():
-            candidates = _take(chosen, corner)
-            flipped[corner] = (
-                candidates == candidates[:, ::-1, ::-1]
-            ).all(axis=(1, 2))
-        if flipped.any():
-            stacked = _split_parity(_take(chosen, flipped))
-            populations[rest[flipped]] = _parity_spectrum(stacked)
-            for k, block in zip(rest[flipped].tolist(), stacked):
-                blocks[k] = block
-        full = finite & ~flipped
-        if full.any():
-            candidates = _take(chosen, full)
-            hermitian = candidates + candidates.conj().swapaxes(1, 2)
-            hermitian *= 0.5
-            populations[rest[full]] = np.linalg.eigvalsh(hermitian)
+    if not translated.all():
+        other = np.flatnonzero(~translated)
+        herm_drift[other], populations[other], found = _measure_other(
+            _take(states, ~translated)
+        )
+        for k, block in zip(other.tolist(), found):
+            blocks[k] = block
     # written so that a nan measurement fails
     valid = (
         (trace_drift < TRACE_TOL)

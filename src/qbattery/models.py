@@ -164,6 +164,15 @@ def site_z_signs(n_sites: int) -> np.ndarray:
     return 1.0 - 2.0 * ((states[None, :] >> shifts[:, None]) & 1)
 
 
+def cyclic_shift(n_sites: int) -> np.ndarray:
+    """T a for each z basis index a, for the cyclic site shift T that moves
+    the state of site i to site i + 1 (mod N): site i is bit N-1-i, so T is
+    a left rotation of the N bits."""
+    dim = 2**n_sites
+    index = np.arange(dim)
+    return ((index << 1) & (dim - 1)) | (index >> (n_sites - 1))
+
+
 def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
     """Dense battery Hamiltonian for the given model.
 

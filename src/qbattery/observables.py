@@ -3,20 +3,31 @@
 Ergotropy is the maximum work extractable from a state by a unitary:
 Tr[H rho] minus the passive energy, where the passive energy pairs the
 state's populations sorted ascending with the Hamiltonian's levels sorted
-descending (largest population on the lowest level).  The l1-coherence is
-the sum of absolute off-diagonal entries of the state expressed in a
+descending (largest population on the lowest level).  The mean energy
+Tr[H_B rho] of the battery Hamiltonian, a field term on every cell plus a
+diagonal, is read from the N bit-flip diagonals rho[a, a ^ bit_i] and the
+main diagonal of rho (bit_flip_terms), O(N dim) entries.  The l1-coherence
+is the sum of absolute off-diagonal entries of the state expressed in a
 deterministic eigenbasis of the battery Hamiltonian.  For a state that is
-exactly invariant under the global spin flip (evolution.check_state then
-returns its two parity blocks) in a real basis whose every vector is even
-or odd under the flip, such as the field product basis, the transform
-splits into two real half-size ones; see parity_block_basis.
+exactly invariant under the cyclic site shift T (evolution.check_state then
+marks it translation_resolved) in a real basis that T permutes, such as
+the field product basis, the transformed state is invariant under that
+permutation, and the sum is taken over the rows of the permutation's orbit
+representatives, weighted by orbit size; see translation_row_basis.
+Otherwise, for a state that is exactly invariant under the global spin
+flip (check_state then returns its two parity blocks) in a real basis
+whose every vector is even or odd under the flip, the transform splits
+into two real half-size ones; see parity_block_basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .models import cyclic_shift
 
 STORED_ENERGY_FLOOR = 1e-9
 IMAG_TRACE_TOL = 1e-10
@@ -43,13 +54,79 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> float | np.ndarray:
         )
     # one state is a stack of one
     values = np.einsum("kij,ji->k", rho[None] if rho.ndim == 2 else rho, op)
+    return _real_trace(values, rho.ndim == 2)
+
+
+class BitFlipTerms(NamedTuple):
+    """A Hamiltonian of the battery's form, as bit_flip_terms reads it:
+    `field` on every entry (a, a ^ bit_i), for each of the N bits, and the
+    real `diagonal`, or None where that is exactly zero; `flips` are the
+    row-major flat indices a dim + (a ^ bit_i), site by site."""
+
+    flips: np.ndarray
+    field: float
+    diagonal: np.ndarray | None
+
+
+def bit_flip_terms(h_b: np.ndarray) -> BitFlipTerms | None:
+    """h_b's terms when it is exactly (bit for bit) a real field on every
+    bit flip plus a real diagonal, as every battery_hamiltonian is
+    ((h/2) sum_i sigma^x_i plus the zz diagonal); None for any other
+    matrix.  Prepare it once per Hamiltonian, not once per state."""
+    h_b = np.asarray(h_b)
+    dim = h_b.shape[0]
+    n = dim.bit_length() - 1
+    if n < 1 or h_b.shape != (dim, dim) or dim != 2**n:
+        return None
+    states = np.arange(dim)
+    flipped = states ^ (1 << (n - 1 - np.arange(n)))[:, None]
+    field = h_b[0, flipped[0, 0]]
+    diagonal = np.diagonal(h_b)
+    expected = np.zeros_like(h_b)
+    expected[states, flipped] = field
+    expected[states, states] = diagonal
+    real = not np.imag(field) and not np.any(np.imag(diagonal))
+    if not real or not np.array_equal(expected, h_b):
+        return None
+    flips = (states * dim + flipped).reshape(-1)
+    diagonal = np.real(diagonal).copy() if np.any(diagonal) else None
+    return BitFlipTerms(flips, float(np.real(field)), diagonal)
+
+
+def bit_flip_energy(rho: np.ndarray, terms: BitFlipTerms) -> float | np.ndarray:
+    """Tr[H rho] for the Hamiltonian of `terms` (bit_flip_terms), as a real
+    number, or as a (K,) real array for each state of a (K, dim, dim)
+    stack, each bitwise the one-state value.
+
+    Tr[H rho] = field sum_i sum_a rho[a, a ^ bit_i] + sum_a H[a, a] rho[a, a]:
+    one gather of the N dim bit-flip entries and one sum, plus the diagonal
+    when H has one, each summed along a contiguous row per state, where
+    expectation reads H transposed with a stride of a whole row.  It raises
+    on an imaginary residue as expectation does.
+    """
+    rho = np.asarray(rho)
+    states = rho[None] if rho.ndim == 2 else rho
+    dim = states.shape[-1]
+    flat = states.reshape(len(states), dim * dim)
+    # np.take gathers into a C-ordered array, so each state's sum runs
+    # along one contiguous row (flat[:, flips] would be laid out by column)
+    values = terms.field * np.take(flat, terms.flips, axis=1).sum(axis=1)
+    if terms.diagonal is not None:
+        diagonal = np.take(flat, np.arange(0, dim * dim, dim + 1), axis=1)
+        values = values + (diagonal * terms.diagonal).sum(axis=1)
+    return _real_trace(values, rho.ndim == 2)
+
+
+def _real_trace(values: np.ndarray, single: bool) -> float | np.ndarray:
+    """The real parts of complex traces, or ValueError when an imaginary
+    residue reaches IMAG_TRACE_TOL."""
     residue = float(np.max(np.abs(values.imag), initial=0.0))
     if residue >= IMAG_TRACE_TOL:
         raise ValueError(
             f"expectation value has imaginary residue {residue:.3e} "
             f"(tolerance {IMAG_TRACE_TOL:.0e})"
         )
-    return values.real if rho.ndim == 3 else float(values[0].real)
+    return float(values[0].real) if single else values.real
 
 
 @dataclass(frozen=True)
@@ -69,6 +146,7 @@ def ergotropy(
     h_b: np.ndarray,
     h_energies: np.ndarray | None = None,
     populations: np.ndarray | None = None,
+    flip_terms: BitFlipTerms | None = None,
 ) -> ErgotropyReport:
     """Spectral-formula ergotropy of state rho under Hamiltonian h_b.
 
@@ -81,12 +159,16 @@ def ergotropy(
     populations optionally carries the ascending spectrum of this same
     rho, as evolution.check_state returns it (StateCheck.populations), so
     a sampled state is diagonalized once for its check and its ergotropy.
+    flip_terms optionally carries bit_flip_terms(h_b), prepared once per
+    Hamiltonian, and Tr[h_b rho] is then read from the bit-flip diagonals
+    (bit_flip_energy) instead of the whole of h_b (expectation); both
+    raise on an imaginary residue.
 
     rho may also be a (K, dim, dim) stack of states, with populations then
     the K spectra; the report's fields are then (K,) arrays, each entry
-    bitwise the one-state value: Tr[h_b rho] is one einsum over the stack,
-    and the passive energy one dot product per state, since a batched
-    product sums in another order (up to 1.8e-15 apart).
+    bitwise the one-state value: Tr[h_b rho] is one einsum, or one gather,
+    over the stack, and the passive energy one dot product per state,
+    since a batched product sums in another order (up to 1.8e-15 apart).
     """
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
@@ -96,7 +178,10 @@ def ergotropy(
         )
     # one state is a stack of one
     states = rho[None] if rho.ndim == 2 else rho
-    w = expectation(states, h_b)
+    if flip_terms is None:
+        w = expectation(states, h_b)
+    else:
+        w = bit_flip_energy(states, flip_terms)
     if populations is None:
         populations = np.linalg.eigvalsh(states)   # ascending
     elif rho.ndim == 2:
@@ -192,12 +277,69 @@ def parity_block_basis(basis: np.ndarray) -> np.ndarray | None:
     return np.sqrt(2.0) * np.stack((real[:h, even].T, real[:h, odd].T))
 
 
+class TranslationRows(NamedTuple):
+    """A real basis B that the cyclic site shift permutes, as
+    translation_row_basis prepares it: `rows` is the (R, dim) stack of the
+    transposes of B's columns at the representatives of the permutation's
+    orbits (`representatives`, ascending), `weights` the sizes of those
+    orbits, and `basis` B itself, real and contiguous."""
+
+    rows: np.ndarray
+    representatives: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+
+
+def translation_row_basis(basis: np.ndarray) -> TranslationRows | None:
+    """The basis prepared for the representative-row coherence, for
+    coherence_l1_energy_basis.
+
+    The cyclic site shift T (models.cyclic_shift) moves z index a to T a.
+    When T maps every column of a real basis B of N >= 2 cells onto a
+    column of B bit for bit, T B = B Pi for a permutation Pi of the
+    columns, and for a state with T rho T^dag = rho the transformed state
+    B^T rho B is invariant under Pi: entry (Pi c, Pi d) equals (c, d).  Its
+    off-diagonal l1 sum is then the sum over the orbits of Pi of the orbit
+    size times the off-diagonal sum of the representative's row.  The
+    field product basis (models.field_product_eigenbasis) is such a basis,
+    T permuting its product states.  Returns the TranslationRows of B, or
+    None for any other basis.  Prepare it once per basis, not once per
+    state.
+    """
+    basis = np.asarray(basis)
+    dim = basis.shape[0]
+    n = dim.bit_length() - 1
+    if n < 2 or basis.shape != (dim, dim) or dim != 2**n or np.any(np.imag(basis)):
+        return None
+    real = np.ascontiguousarray(np.real(basis))
+    # column c of T B: (T B)[T a, c] = B[a, c]
+    moved = np.empty_like(real)
+    moved[cyclic_shift(n)] = real
+    column_of = {real[:, c].tobytes(): c for c in range(dim)}
+    image = [column_of.get(moved[:, c].tobytes()) for c in range(dim)]
+    if len(column_of) != dim or None in image:
+        return None
+    image = np.array(image)
+    # T^N is the identity, so the orbits of Pi close within N steps
+    smallest = np.arange(dim)
+    step = smallest
+    for _ in range(n - 1):
+        step = image[step]
+        smallest = np.minimum(smallest, step)
+    representatives = np.flatnonzero(smallest == np.arange(dim))
+    weights = np.bincount(smallest, minlength=dim)[representatives].astype(float)
+    rows = np.ascontiguousarray(real[:, representatives].T)
+    return TranslationRows(rows, representatives, weights, real)
+
+
 def coherence_l1_energy_basis(
     rho: np.ndarray,
     h_b: np.ndarray,
     basis: np.ndarray | None = None,
     parity_blocks: np.ndarray | list | None = None,
     parity_basis: np.ndarray | None = None,
+    translated: bool | list | None = None,
+    translation_rows: TranslationRows | None = None,
 ) -> float | np.ndarray:
     """Sum of |off-diagonal| entries of rho in the h_b eigenbasis.
 
@@ -206,18 +348,25 @@ def coherence_l1_energy_basis(
     the noninteracting battery, whose spectrum is massively degenerate.
     Otherwise the deterministic basis from energy_eigenbasis is built.
 
-    When both `parity_blocks` (StateCheck.parity_blocks of this same rho)
-    and `parity_basis` (parity_block_basis of `basis`) are given, rho in the
-    basis is block diagonal: the blocks are C_p^T rho_p C_p, the
-    cross-parity entries are exactly zero, and the sum is taken over the
-    two blocks, two real matmuls per parity on half-size matrices in place
-    of two complex full-size ones.
+    When `translated` (StateCheck.translation_resolved of this same rho:
+    rho commutes exactly with the cyclic site shift) is true and
+    `translation_rows` (translation_row_basis of `basis`) is given, only
+    the representative rows of B^T rho B are formed, two real matmuls of
+    R x dim by dim x dim on the interleaved float view, with R about
+    dim / N, and each row's off-diagonal sum is weighted by its orbit's
+    size.  Otherwise, when both `parity_blocks` (StateCheck.parity_blocks
+    of this same rho) and `parity_basis` (parity_block_basis of `basis`)
+    are given, rho in the basis is block diagonal: the blocks are
+    C_p^T rho_p C_p, the cross-parity entries are exactly zero, and the
+    sum is taken over the two blocks, two real matmuls per parity on
+    half-size matrices in place of two complex full-size ones.  Either
+    way the value agrees with the full transform at round-off.
 
     rho may also be a (K, dim, dim) stack of states, with parity_blocks
-    then a sequence of K entries, each the state's blocks or None; the
-    result is then the (K,) array of the states' values, each bitwise the
-    one-state value.  The parity-resolved states go through one batched
-    transform and the others through another.
+    and translated then sequences of K entries, a state's blocks or None
+    and its flag; the result is then the (K,) array of the states' values,
+    each bitwise the one-state value.  The states of each of the three
+    paths go through one batched transform.
     """
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
@@ -229,11 +378,18 @@ def coherence_l1_energy_basis(
     states = rho[None] if single else rho
     if single or parity_blocks is None:
         parity_blocks = [parity_blocks] * len(states)
-    resolved = np.array(
+    if single or translated is None:
+        translated = [bool(translated)] * len(states)
+    by_rows = np.array(translated, dtype=bool) & (translation_rows is not None)
+    resolved = ~by_rows & np.array(
         [parity_basis is not None and b is not None for b in parity_blocks],
         dtype=bool,
     )
     values = np.empty(len(states))
+    if by_rows.any():
+        values[by_rows] = _row_l1(
+            translation_rows, states if by_rows.all() else states[by_rows]
+        )
     if resolved.any():
         chosen = [b for b, r in zip(parity_blocks, resolved) if r]
         # one state's blocks as a view, a large state's copy being the cost
@@ -247,13 +403,31 @@ def coherence_l1_energy_basis(
         # (C^T rho C)^T: the transpose has the same off-diagonal entries
         transformed = np.matmul(parity_basis, turned.view(float)).view(complex)
         values[resolved] = _off_diagonal_l1(transformed)
-    if not resolved.all():
+    rest = ~(by_rows | resolved)
+    if rest.any():
         if basis is None:
             _, basis = energy_eigenbasis(h_b)
-        rest = states[~resolved] if resolved.any() else states
-        transformed = basis.conj().T @ rest @ basis
-        values[~resolved] = _off_diagonal_l1(transformed[:, None])
+        chosen = states if rest.all() else states[rest]
+        transformed = basis.conj().T @ chosen @ basis
+        values[rest] = _off_diagonal_l1(transformed[:, None])
     return float(values[0]) if single else values
+
+
+def _row_l1(rows: TranslationRows, states: np.ndarray) -> np.ndarray:
+    """sum_r w_r sum_(c != r) |(B^T rho B)[r, c]| over the representatives
+    r of translation_row_basis, one value per state of a (K, dim, dim)
+    stack.  (B^T rho)[r] is a real matrix times a complex one on the
+    interleaved float view; its transpose, multiplied by B^T the same way,
+    is the (K, dim, R) transpose of the representative rows, whose entries
+    (r, r) are zeroed and whose columns are summed over dim, weighted and
+    summed, each state in the same order however many share the stack."""
+    states = np.ascontiguousarray(states)
+    left = np.matmul(rows.rows, states.view(float)).view(complex)
+    turned = np.ascontiguousarray(left.swapaxes(-1, -2))
+    transformed = np.matmul(rows.basis.T, turned.view(float)).view(complex)
+    off = np.abs(transformed)
+    off[:, rows.representatives, np.arange(len(rows.representatives))] = 0.0
+    return (off.sum(axis=1) * rows.weights).sum(axis=1)
 
 
 def _off_diagonal_l1(blocks: np.ndarray) -> np.ndarray:

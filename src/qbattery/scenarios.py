@@ -87,11 +87,13 @@ from .models import (
     product_minus_state,
 )
 from .observables import (
+    bit_flip_terms,
     coherence_l1_energy_basis,
     energy_eigenbasis,
     ergotropy,
     extraction_ratio,
     parity_block_basis,
+    translation_row_basis,
 )
 
 CSV_COLUMNS = ("t", "W", "ergotropy", "stored_E", "ratio_R", "coherence_per_site")
@@ -713,6 +715,8 @@ def _execute_run(payload: tuple) -> dict:
     else:
         _, basis = energy_eigenbasis(h_b)
     parity_basis = parity_block_basis(basis)
+    translation_rows = translation_row_basis(basis)
+    flip_terms = bit_flip_terms(h_b)
     if rho0 is None:
         rho0 = product_minus_state(n_sites)
 
@@ -739,7 +743,11 @@ def _execute_run(payload: tuple) -> dict:
             mark = time.perf_counter()
             checks = chunk.checks
             report = ergotropy(
-                chunk.states, h_b, h_energies, [c.populations for c in checks]
+                chunk.states,
+                h_b,
+                h_energies,
+                [c.populations for c in checks],
+                flip_terms,
             )
             if w0 is None:
                 w0 = float(report.w[0])
@@ -754,6 +762,8 @@ def _execute_run(payload: tuple) -> dict:
                 basis=basis,
                 parity_blocks=[c.parity_blocks for c in checks],
                 parity_basis=parity_basis,
+                translated=[c.translation_resolved for c in checks],
+                translation_rows=translation_rows,
             ) / n_sites
             parity_resolved += sum(c.parity_blocks is not None for c in checks)
             translation_resolved += sum(c.translation_resolved for c in checks)

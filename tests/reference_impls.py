@@ -412,32 +412,27 @@ def ref_level_map(x, n_sub: int, offsets: np.ndarray) -> np.ndarray:
     return result
 
 
-def ref_parity_blocks(
-    rho: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray | None:
+def ref_parity_blocks(rho: np.ndarray) -> np.ndarray | None:
     """(rho_+, rho_-) stacked, or None unless rho is exactly flip-invariant,
     by the library's former one-state test: the corner entries first, then
-    rho == rho[::-1, ::-1] whole, or, for a state exactly invariant under
-    the cyclic site shift T, on its orbit representatives' rows."""
+    rho == rho[::-1, ::-1] whole."""
     dim = rho.shape[0]
     if dim % 2 or rho[0, 0] != rho[-1, -1]:
         return None
-    if rows is None:
-        flipped = rho == rho[::-1, ::-1]
-    else:
-        flipped = rho[dim - 1 - rows, ::-1] == rho[rows]
-    if not flipped.all():
+    if not (rho == rho[::-1, ::-1]).all():
         return None
     return _split_parity(rho)
 
 
 def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
-    """check_state on one state by the library's former one-state path,
-    with its early return for a non-finite state and one branch per
+    """check_state on one state by a one-state path, with an early return
+    for a non-finite state, the hermiticity drift over the whole state (or
+    a T-invariant state's representative rows) and one branch per
     spectrum; the library's stacked check must give bitwise its record and
     its error fields.  It reuses the library's measurement helpers, so it
     pins the stacking (the masks, the grouped eigvalsh, the record for
-    each state), not those helpers, which have tests of their own."""
+    each state) and the half-row drift of flip-invariant states, not those
+    helpers, which have tests of their own."""
     trace = np.trace(rho)
     trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
     dim = rho.shape[0]
@@ -457,7 +452,8 @@ def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
         herm_drift = float(_herm_drift(rho, rows))
     if not math.isfinite(herm_drift):
         raise StateInvariantError(t, trace_drift, herm_drift, math.nan, [])
-    parity_blocks = ref_parity_blocks(rho, rows)
+    # a T-resolved state takes no parity blocks
+    parity_blocks = None if rows is not None else ref_parity_blocks(rho)
     if rows is not None:
         populations = _momentum_spectrum(rho)
     elif parity_blocks is None:

@@ -1603,17 +1603,29 @@ class TestStackedCheck:
         for rho, t in zip(stack, times):
             _assert_check_matches_reference(rho, t)
 
-    def test_large_states_are_checked_one_at_a_time(self):
-        # from TRANSLATION_SPLIT_MIN_DIM rows on the translation test and
-        # the momentum path are taken state by state
+    def test_large_states_are_checked_as_one_stack(self, monkeypatch):
+        # the translation test and the momentum path take the T-invariant
+        # states of a stack together, and the others go their own way:
+        # one momentum-block gather and one eigvalsh per block size for
+        # the two ring states, one full eigvalsh for the other state
+        calls = []
+        real_spectrum = evolution._momentum_spectrum
+
+        def counted_spectrum(states):
+            calls.append(len(states))
+            return real_spectrum(states)
+
+        monkeypatch.setattr(evolution, "_momentum_spectrum", counted_spectrum)
         rng = np.random.default_rng(43)
         ring = _dephasing_state("nearest_neighbor", 7)
         other = random_density_matrix(rng, 128)
         negative = np.diag(np.r_[1.5, -0.5, np.zeros(126)]).astype(complex)
         stack = np.array([ring, other, ring, negative, ring])
         times = [0.1 * k for k in range(5)]
+        calls.clear()
         checks = check_state(stack[:3], times[:3])
         assert [c.translation_resolved for c in checks] == [True, False, True]
+        assert calls == [2]
         for rho, t, record in zip(stack, times, checks):
             _assert_same_record(record, check_state(rho, t))
         with pytest.raises(StateInvariantError) as err:
@@ -1629,8 +1641,9 @@ class TestStackedCheck:
     @pytest.mark.parametrize("n", [7, 8])
     def test_large_mixed_stack_matches_reference(self, n, first_bad, value):
         # several states of 128 or 256 rows in one call: momentum blocks
-        # with and without parity blocks, parity blocks alone, the full
-        # eigvalsh, and three invalid states, whose order sets the first
+        # (a T-resolved state takes no parity blocks, flip-invariant or
+        # not), parity blocks alone, the full eigvalsh, and three invalid
+        # states, whose order sets the first
         # one: a non-finite entry set on its whole orbit under T (an inf
         # keeps the state T-invariant, a nan does not), one non-finite
         # entry, and a T-invariant state with a negative eigenvalue
@@ -1657,7 +1670,7 @@ class TestStackedCheck:
         checks = check_state(stack[:4], times[:4])
         assert [c.translation_resolved for c in checks] == [True, True, False, False]
         assert [c.parity_blocks is not None for c in checks] == [
-            True, False, True, False
+            False, False, True, False
         ]
         _assert_check_matches_reference(stack[:4], times[:4])
         with pytest.raises(StateInvariantError) as err:
@@ -1784,14 +1797,23 @@ class TestParityCheck:
         _assert_check_matches_reference(rho, 0.0)
 
     def test_dephasing_stream_is_parity_resolved(self):
+        # every dephasing sample from |->^N is resolved by one of the two
+        # symmetries: the T-invariant ones (every ring and local sample, and
+        # the all-to-all t = 0 one) by the momentum blocks, with no parity
+        # blocks, and the others by the parity blocks
         info = {}
         cfg = EvolutionConfig(t_max=0.5, dt_sample=0.1)
         for topology in ("nearest_neighbor", "all_to_all", "local"):
+            resolved = []
             for _ in evolve_stream(
                 product_minus_state(4), _channel_spec("dephasing", topology),
                 cfg, info=info,
             ):
-                assert info["check"].parity_blocks is not None
+                check = info["check"]
+                assert (check.parity_blocks is None) == check.translation_resolved
+                resolved.append(check.translation_resolved)
+            all_to_all = topology == "all_to_all"
+            assert resolved == [True] + [not all_to_all] * 5
 
 
 def _shift(n):
@@ -1845,7 +1867,7 @@ def _dephasing_state(topology, n, t_max=0.3):
 
 
 class TestTranslationCheck:
-    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("n", range(3, 10))
     @pytest.mark.parametrize("topology", ["nearest_neighbor", "local"])
     def test_dephasing_spectrum_matches_full_eigvalsh(self, topology, n):
         rho = _dephasing_state(topology, n)
@@ -1856,12 +1878,11 @@ class TestTranslationCheck:
         np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-12)
         assert np.all(np.diff(record.populations) >= 0)
         # the drifts read only the representative rows but are the
-        # whole-matrix values; the parity blocks are still returned
+        # whole-matrix values; the state is flip-invariant too, but a
+        # T-resolved state takes no parity blocks
         assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
-        assert record.parity_blocks is not None
-        np.testing.assert_array_equal(
-            record.parity_blocks, ref_parity_blocks(rho)
-        )
+        assert ref_parity_blocks(rho) is not None
+        assert record.parity_blocks is None
         _assert_check_matches_reference(rho, 0.3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1954,15 +1975,16 @@ class TestTranslationCheck:
             )
 
     def test_cut_off(self):
-        # below TRANSLATION_SPLIT_MIN_DIM an invariant state takes the
-        # parity blocks
-        rho = _dephasing_state("nearest_neighbor", 6)
-        assert _translation_symmetric(rho)
-        assert TRANSLATION_SPLIT_MIN_DIM == 128
-        record = check_state(rho, 0.0)
-        assert not record.translation_resolved
-        assert record.parity_blocks is not None
-        _assert_check_matches_reference(rho, 0.0)
+        # below TRANSLATION_SPLIT_MIN_DIM (N = 2) an invariant state takes
+        # the parity blocks, from it (N = 3) the momentum blocks
+        assert TRANSLATION_SPLIT_MIN_DIM == 8
+        for n, resolved in ((2, False), (3, True)):
+            rho = _dephasing_state("nearest_neighbor", n)
+            assert _translation_symmetric(rho)
+            record = check_state(rho, 0.0)
+            assert record.translation_resolved == resolved
+            assert (record.parity_blocks is not None) == (not resolved)
+            _assert_check_matches_reference(rho, 0.0)
 
     def test_all_to_all_dephasing_is_not_resolved_after_t0(self):
         info = {}
@@ -1982,15 +2004,11 @@ class TestTranslationCheck:
         assert resolved == [True, False, False, False]
 
     @pytest.mark.parametrize("invariant_start", [True, False])
-    def test_ring_damping_is_resolved_on_the_reduced_path(
-        self, invariant_start, monkeypatch
-    ):
+    def test_ring_damping_is_resolved_on_the_reduced_path(self, invariant_start):
         # a ring damping run from an exactly T-invariant start propagates
         # the orbit values, so every sample is exactly invariant; from a
         # start one ulp off invariance it keeps the full path, and its
-        # samples after t = 0 are off by round-off.  The cut-off is lowered
-        # so that N = 4 can take the momentum path.
-        monkeypatch.setattr(evolution, "TRANSLATION_SPLIT_MIN_DIM", 2)
+        # samples after t = 0 are off by round-off.
         info = {}
         resolved = []
         spec = _spec(

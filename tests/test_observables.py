@@ -21,8 +21,17 @@ from qbattery import (
     field_product_eigenbasis,
     product_minus_state,
 )
-from qbattery.evolution import check_state
-from qbattery.observables import STORED_ENERGY_FLOOR, parity_block_basis
+from qbattery.dissipation import NoiseSpec
+from qbattery.evolution import EvolutionConfig, check_state, evolve_stream
+from qbattery.models import EffectiveCoupling, cyclic_shift
+from qbattery.observables import (
+    IMAG_TRACE_TOL,
+    STORED_ENERGY_FLOOR,
+    bit_flip_energy,
+    bit_flip_terms,
+    parity_block_basis,
+    translation_row_basis,
+)
 
 from reference_impls import (
     SP,
@@ -402,6 +411,253 @@ class TestParityCoherence:
         rng = np.random.default_rng(9)
         _, generic = energy_eigenbasis(random_hermitian(rng, 8))
         assert parity_block_basis(generic) is None
+
+
+def _run_states(channel, topology, n, count=4):
+    """The first `count` samples after t = 0 of a run from |->^N with the
+    presets' reservoir (gamma 0.2, cross rate 0.01 e^{i pi/3}; Ising-z
+    j_z = 1 for dephasing, XX + DM 1.2 + 0.2i for damping)."""
+    coupling = None
+    if topology != "local" and channel == "dephasing":
+        coupling = EffectiveCoupling("ising_z", j_z=1.0, interaction_range=topology)
+    elif topology != "local":
+        coupling = EffectiveCoupling(
+            "xx_dm", j_xx=1.2, d_dm=0.2, interaction_range=topology
+        )
+    spec = NoiseSpec(
+        channel=channel,
+        topology=topology,
+        gamma=0.2,
+        gamma_offdiag=0.0 if topology == "local" else 0.01 * np.exp(1j * np.pi / 3),
+        coupling=coupling,
+    )
+    cfg = EvolutionConfig(t_max=0.01 * count, dt_sample=0.01)
+    states = [rho for t, rho in evolve_stream(product_minus_state(n), spec, cfg)]
+    return np.array(states[1:])
+
+
+def _shift_averaged(rho):
+    """rho averaged over the cyclic site shift: T-invariant up to
+    round-off, not bit for bit."""
+    shift = cyclic_shift(int(rho.shape[0]).bit_length() - 1)
+    index = np.arange(len(rho))
+    total = np.zeros_like(rho)
+    for _ in range(int(rho.shape[0]).bit_length() - 1):
+        total += rho[np.ix_(index, index)]
+        index = shift[index]
+    return total / (int(rho.shape[0]).bit_length() - 1)
+
+
+class TestBitFlipEnergy:
+    @pytest.mark.parametrize("j_coupling", [0.0, 0.7])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_expectation(self, n, j_coupling):
+        rng = np.random.default_rng(700 + n)
+        h_b = battery_hamiltonian(
+            BatteryModel(n_sites=n, h=1.3, j_coupling=j_coupling)
+        )
+        terms = bit_flip_terms(h_b)
+        assert terms is not None
+        assert terms.field == 0.65
+        assert (terms.diagonal is None) == (j_coupling == 0.0 or n == 1)
+        states = [random_density_matrix(rng, 2**n) for _ in range(3)]
+        states.append(product_minus_state(n))
+        for rho in states:
+            assert bit_flip_energy(rho, terms) == pytest.approx(
+                expectation(rho, h_b), rel=0, abs=1e-13
+            )
+        stack = np.array(states)
+        np.testing.assert_allclose(
+            bit_flip_energy(stack, terms), expectation(stack, h_b),
+            rtol=0, atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("j_coupling", [0.0, 0.7])
+    def test_imaginary_residue_raises_as_expectation_does(self, j_coupling):
+        # an anti-Hermitian part on one bit-flip pair: Tr[H rho] gains
+        # i field (2 x) for the (a, a ^ bit) pair; at x = IMAG_TRACE_TOL
+        # both raise, at a tenth of it neither does
+        n = 3
+        h_b = battery_hamiltonian(
+            BatteryModel(n_sites=n, h=1.0, j_coupling=j_coupling)
+        )
+        terms = bit_flip_terms(h_b)
+        for scale, raises in ((IMAG_TRACE_TOL, True), (0.1 * IMAG_TRACE_TOL, False)):
+            rho = product_minus_state(n).astype(complex)
+            rho[0, 1] += 1j * scale
+            rho[1, 0] += 1j * scale
+            stack = np.array([product_minus_state(n), rho])
+            for state in (rho, stack):
+                if raises:
+                    with pytest.raises(ValueError, match="imaginary residue"):
+                        expectation(state, h_b)
+                    with pytest.raises(ValueError, match="imaginary residue"):
+                        bit_flip_energy(state, terms)
+                else:
+                    np.testing.assert_allclose(
+                        bit_flip_energy(state, terms), expectation(state, h_b),
+                        rtol=0, atol=1e-13,
+                    )
+
+    def test_other_matrices_have_no_terms(self):
+        h_b = battery_hamiltonian(BatteryModel(n_sites=3, h=1.0, j_coupling=0.5))
+        nudged = h_b.copy()
+        nudged[0, 4] = np.nextafter(nudged[0, 4].real, 1.0)
+        assert bit_flip_terms(nudged) is None
+        extra = h_b.copy()
+        extra[0, 3] = 1e-300
+        assert bit_flip_terms(extra) is None
+        assert bit_flip_terms(1j * h_b) is None
+        assert bit_flip_terms(h_b + 1e-3j * np.eye(8)) is None
+        assert bit_flip_terms(np.eye(6)) is None
+        rng = np.random.default_rng(3)
+        assert bit_flip_terms(random_hermitian(rng, 8)) is None
+
+    def test_ergotropy_reads_the_bit_flip_energy(self):
+        rng = np.random.default_rng(77)
+        n = 4
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3, j_coupling=0.7))
+        energies = np.linalg.eigvalsh(h_b)
+        terms = bit_flip_terms(h_b)
+        rho = random_density_matrix(rng, 2**n)
+        report = ergotropy(rho, h_b, energies, flip_terms=terms)
+        assert report.w == bit_flip_energy(rho, terms)
+        plain = ergotropy(rho, h_b, energies)
+        assert report.passive_energy == plain.passive_energy
+        assert report.w == pytest.approx(plain.w, rel=0, abs=1e-13)
+
+
+class TestTranslationCoherence:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_field_product_basis_is_permuted(self, n):
+        _, basis = field_product_eigenbasis(n, 1.0)
+        rows = translation_row_basis(basis)
+        assert rows is not None
+        dim = 2**n
+        # the orbits of the column permutation are those of T on the bit
+        # patterns: as many, of the same sizes
+        assert rows.weights.sum() == dim
+        patterns = np.arange(dim)
+        shift = cyclic_shift(n)
+        orbit_min = patterns.copy()
+        image = patterns
+        for _ in range(n - 1):
+            image = shift[image]
+            orbit_min = np.minimum(orbit_min, image)
+        assert len(rows.representatives) == len(np.unique(orbit_min))
+        assert sorted(rows.weights.tolist()) == sorted(
+            np.bincount(orbit_min)[np.unique(orbit_min)].tolist()
+        )
+        np.testing.assert_array_equal(
+            rows.rows, np.real(basis[:, rows.representatives]).T
+        )
+
+    def test_other_bases_have_none(self):
+        _, basis = field_product_eigenbasis(3, 1.0)
+        nudged = basis.copy()
+        nudged[0, 5] = np.nextafter(nudged[0, 5].real, 1.0)
+        assert translation_row_basis(nudged) is None
+        assert translation_row_basis(1j * basis) is None
+        # N = 1: the shift is the identity and resolves nothing
+        assert translation_row_basis(field_product_eigenbasis(1, 1.0)[1]) is None
+        # the interacting battery's eigenvectors include odd momentum
+        # states, which T maps onto minus themselves, not onto a column
+        h_b = battery_hamiltonian(BatteryModel(n_sites=4, h=1.0, j_coupling=0.7))
+        assert translation_row_basis(energy_eigenbasis(h_b)[1]) is None
+        assert translation_row_basis(np.eye(6)) is None
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_full_transform(self, n):
+        rng = np.random.default_rng(800 + n)
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
+        _, basis = field_product_eigenbasis(n, 1.3)
+        rows = translation_row_basis(basis)
+        states = [_shift_averaged(random_density_matrix(rng, 2**n))]
+        for channel in ("dephasing", "amplitude_damping"):
+            states.extend(_run_states(channel, "nearest_neighbor", n, 2))
+        for rho in states:
+            got = coherence_l1_energy_basis(
+                rho, h_b, basis=basis, translated=True, translation_rows=rows
+            )
+            assert got == pytest.approx(
+                _full_transform_coherence(rho, basis), rel=1e-12, abs=1e-13
+            )
+
+    def test_unresolved_states_take_the_other_paths(self):
+        rng = np.random.default_rng(31)
+        n = 4
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.0))
+        _, basis = field_product_eigenbasis(n, 1.0)
+        rho = random_density_matrix(rng, 2**n)
+        plain = coherence_l1_energy_basis(rho, h_b, basis=basis)
+        assert plain == _full_transform_coherence(rho, basis)
+        # not translation-resolved: the rows are not used
+        for translated in (False, None):
+            assert coherence_l1_energy_basis(
+                rho, h_b, basis=basis, translated=translated,
+                translation_rows=translation_row_basis(basis),
+            ) == plain
+        # translation-resolved without rows for its basis: the full transform
+        assert coherence_l1_energy_basis(
+            rho, h_b, basis=basis, translated=True
+        ) == plain
+
+
+class TestChunkIndependence:
+    """Every value the runner measures on a stack (check_state records,
+    spectra, W, ergotropy, coherence) is bitwise the one-state value, for
+    ring (N = 2..8; a ring needs two cells) and local (N = 1..8) runs of
+    both channels."""
+
+    @pytest.mark.parametrize(
+        "topology, n",
+        [("nearest_neighbor", n) for n in range(2, 9)]
+        + [("local", n) for n in range(1, 9)],
+    )
+    @pytest.mark.parametrize("channel", ["dephasing", "amplitude_damping"])
+    def test_stacked_values_are_the_one_state_values(self, channel, topology, n):
+        stack = _run_states(channel, topology, n)
+        times = [0.01 * (k + 1) for k in range(len(stack))]
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.0))
+        energies = np.linalg.eigvalsh(h_b)
+        _, basis = field_product_eigenbasis(n, 1.0)
+        parity_basis = parity_block_basis(basis)
+        rows = translation_row_basis(basis)
+        terms = bit_flip_terms(h_b)
+        checks = check_state(stack, times)
+        # T-resolved from N = 3 on; exactly T-invariant at every N
+        assert [c.translation_resolved for c in checks] == [n >= 3] * len(stack)
+        report = ergotropy(
+            stack, h_b, energies, [c.populations for c in checks], terms
+        )
+        coherence = coherence_l1_energy_basis(
+            stack, h_b, basis=basis,
+            parity_blocks=[c.parity_blocks for c in checks],
+            parity_basis=parity_basis,
+            translated=[c.translation_resolved for c in checks],
+            translation_rows=rows,
+        )
+        w = bit_flip_energy(stack, terms)
+        for k, (rho, t) in enumerate(zip(stack, times)):
+            alone = check_state(rho, t)
+            assert alone.populations.tobytes() == checks[k].populations.tobytes()
+            assert alone.trace_drift == checks[k].trace_drift
+            assert alone.herm_drift == checks[k].herm_drift
+            assert alone.translation_resolved == checks[k].translation_resolved
+            assert (alone.parity_blocks is None) == (checks[k].parity_blocks is None)
+            if alone.parity_blocks is not None:
+                blocks = checks[k].parity_blocks
+                assert alone.parity_blocks.tobytes() == blocks.tobytes()
+            assert bit_flip_energy(rho, terms) == w[k]
+            one = ergotropy(rho, h_b, energies, alone.populations, terms)
+            assert (one.w, one.passive_energy, one.ergotropy) == (
+                report.w[k], report.passive_energy[k], report.ergotropy[k]
+            )
+            assert coherence_l1_energy_basis(
+                rho, h_b, basis=basis,
+                parity_blocks=alone.parity_blocks, parity_basis=parity_basis,
+                translated=alone.translation_resolved, translation_rows=rows,
+            ) == coherence[k]
 
 
 class TestStackedObservables:

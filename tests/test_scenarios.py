@@ -581,13 +581,13 @@ class TestRunArtifacts:
     def test_manifest_counts_parity_resolved_samples(
         self, preset, resolved, tmp_path
     ):
-        # Dephasing from |->^N stays exactly flip-invariant, so every
-        # sample is checked by parity blocks; amplitude damping breaks the
-        # symmetry after t = 0.
+        # Dephasing from |->^N stays exactly flip-invariant, so below the
+        # translation cut-off (N = 2) every sample is checked by parity
+        # blocks; amplitude damping breaks the symmetry after t = 0.
         cfg = dataclasses.replace(
             get_preset(preset),
             topologies=("nearest_neighbor",),
-            n_sites_list=(3,),
+            n_sites_list=(2,),
             t_max=0.3,
         )
         (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
@@ -596,45 +596,63 @@ class TestRunArtifacts:
 
     def test_ground_state_dephasing_is_parity_resolved(self, tmp_path):
         # the interacting ground state is exactly flip-invariant, and so is
-        # every dephasing sample from it
+        # every dephasing sample from it; at N = 4 it is not exactly
+        # T-invariant, so the parity blocks resolve every sample
         cfg = dataclasses.replace(
             get_preset("fig3_dephasing_entangled"),
             topologies=("nearest_neighbor",),
-            n_sites_list=(3,),
+            n_sites_list=(4,),
             t_max=0.3,
         )
         (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
         assert entry["parity_resolved_samples"] == entry["n_samples"]
+        assert entry["translation_resolved_samples"] == 0
 
     def test_manifest_counts_translation_resolved_samples(self, tmp_path):
-        # From N = 7 on, ring and local dephasing samples from |->^N are
-        # checked on their momentum blocks; all-to-all rates break the
-        # shift symmetry after t = 0, and amplitude damping runs below the
-        # cut-off size never take the path.
+        # From N = 3 on, ring and local samples from |->^N of both
+        # channels are checked on their momentum blocks and take no parity
+        # blocks; all-to-all rates break the shift symmetry after t = 0,
+        # and at N = 2, below the cut-off, no run takes the path.
         cfg = dataclasses.replace(
             get_preset("fig2_dephasing_product"),
             topologies=("nearest_neighbor", "local", "all_to_all"),
-            n_sites_list=(7,),
+            n_sites_list=(2, 3, 7),
             t_max=0.2,
         )
         entries = run_scenario(cfg, str(tmp_path / "deph")).manifest["runs"]
         counts = {
-            e["topology"]: (e["translation_resolved_samples"], e["n_samples"])
+            (e["topology"], e["n_sites"]): (
+                e["translation_resolved_samples"],
+                e["parity_resolved_samples"],
+                e["n_samples"],
+            )
+            for e in entries
+        }
+        for topology in ("nearest_neighbor", "local", "all_to_all"):
+            assert counts[(topology, 2)] == (0, 21, 21)
+        for n in (3, 7):
+            assert counts[("nearest_neighbor", n)] == (21, 0, 21)
+            assert counts[("local", n)] == (21, 0, 21)
+            assert counts[("all_to_all", n)] == (1, 20, 21)
+        cfg = dataclasses.replace(
+            get_preset("fig5_ad_product"),
+            topologies=("nearest_neighbor", "local"),
+            n_sites_list=(2, 3),
+            t_max=0.3,
+        )
+        entries = run_scenario(cfg, str(tmp_path / "ad")).manifest["runs"]
+        counts = {
+            (e["topology"], e["n_sites"]): (
+                e["translation_resolved_samples"], e["parity_resolved_samples"]
+            )
             for e in entries
         }
         assert counts == {
-            "nearest_neighbor": (21, 21),
-            "local": (21, 21),
-            "all_to_all": (1, 21),
+            ("nearest_neighbor", 2): (0, 1),
+            ("nearest_neighbor", 3): (31, 0),
+            ("local", 2): (0, 1),
+            ("local", 3): (31, 0),
         }
-        cfg = dataclasses.replace(
-            get_preset("fig5_ad_product"),
-            topologies=("nearest_neighbor",),
-            n_sites_list=(3,),
-            t_max=0.3,
-        )
-        (entry,) = run_scenario(cfg, str(tmp_path / "ad")).manifest["runs"]
-        assert entry["translation_resolved_samples"] == 0
 
     def test_ring_dephasing_at_another_phase_is_translation_resolved(
         self, tmp_path

@@ -133,3 +133,72 @@ def test_count_code_lines_refuses_a_directory_without_modules(package_dir):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"no *.py files in {package_dir}" in proc.stderr.splitlines()[-1]
+
+
+def _write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def test_csv_moves_reports_each_column(tmp_path):
+    header = "t,W,ratio_R\n"
+    old = {
+        "same.csv": header + "0.00000000000e+00,1.00000000000e+00,\n",
+        "run/moved.csv": header
+        + "0.00000000000e+00,-2.50000000000e+00,\n"
+        + "1.00000000000e-02,-2.49000000000e+00,4.00000000000e-01\n"
+        + "2.00000000000e-02,-2.48000000000e+00,5.00000000000e-01\n",
+    }
+    new = dict(old)
+    # W: one row 3 in its last digit (1e-11 for the column's largest
+    # entry, -2.5), another 1; ratio_R: one row 2 in its last digit (1e-12)
+    new["run/moved.csv"] = (
+        header
+        + "0.00000000000e+00,-2.50000000003e+00,\n"
+        + "1.00000000000e-02,-2.49000000001e+00,4.00000000000e-01\n"
+        + "2.00000000000e-02,-2.48000000000e+00,5.00000000002e-01\n"
+    )
+    _write_tree(tmp_path / "old", old)
+    _write_tree(tmp_path / "new", new)
+    proc = _run_script("csv_moves.py", [str(tmp_path / "old"), str(tmp_path / "new")])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    moved = os.path.join("run", "moved.csv")
+    assert lines[0] == f"{moved}: W: 2/3 rows moved, max |d| 3e-11 (3 last digits)"
+    assert lines[1] == f"{moved}: ratio_R: 1/3 rows moved, max |d| 2e-12 (2 last digits)"
+    assert lines[2] == "same.csv: identical"
+    assert lines[3:] == [
+        "all files: W: 2 rows moved, max |d| 3e-11 (3 last digits)",
+        "all files: ratio_R: 1 rows moved, max |d| 2e-12 (2 last digits)",
+    ]
+
+
+def test_csv_moves_reports_what_it_cannot_compare(tmp_path):
+    header = "t,W\n"
+    _write_tree(tmp_path / "old", {
+        "a.csv": header + "0.0,1.0\n",
+        "b.csv": header + "0.0,1.0\n",
+        "gone.csv": header + "0.0,1.0\n",
+    })
+    _write_tree(tmp_path / "new", {
+        "a.csv": header + "0.0,\n",
+        "b.csv": header + "0.0,1.0\n1.0,1.0\n",
+        "extra.csv": header + "0.0,1.0\n",
+    })
+    proc = _run_script("csv_moves.py", [str(tmp_path / "old"), str(tmp_path / "new")])
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "a.csv: W: 1/1 rows moved, max |d| inf (inf last digits)",
+        "b.csv: header or row count differs",
+        "extra.csv: only in the new tree",
+        "gone.csv: only in the old tree",
+        "all files: W: 1 rows moved, max |d| inf (inf last digits)",
+    ]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    proc = _run_script("csv_moves.py", [str(tmp_path / "old"), str(empty)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"no CSV files under {empty}" in proc.stderr.splitlines()[-1]
