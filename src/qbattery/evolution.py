@@ -89,22 +89,25 @@ Every sampled state is checked (check_state, one path over a stack of
 states, one state being a stack of one) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
 that fit in CHECK_CHUNK_BYTES in one stacked call, since a small state's
-check is mostly per-call overhead.  sigma^z dephasing commutes with the
-global spin flip P = sigma^x on every cell, another weak symmetry, so from
-a flip-invariant start such as |->^N each sample is block diagonal in P's
-two parity sectors.  The check tests that exactly, bit for bit, on every
-sample and then diagonalizes the two half-size blocks instead of the
-whole state.
-Ring and local dephasing samples from |->^N are exactly T-invariant (the
-dephasing diagonal is built exactly T-invariant for them), and so are the
-shift-reduced damping samples, so from TRANSLATION_SPLIT_MIN_DIM rows on
-the check tests that bit for bit too and takes the spectrum from the
-momentum blocks over the orbits of T (Sandvik, AIP Conf. Proc. 1297, 135,
-2010, section 4), N blocks of about dim / N rows.  All-to-all samples
-after t = 0 break T through their complex cross-cell rates and keep the
-parity blocks (dephasing) or the full eigvalsh (damping, which breaks the
-flip symmetry too).  A state that is not exactly invariant under either
-symmetry takes the full eigvalsh.
+check is mostly per-call overhead.  Ring and local runs from |->^N, of
+both channels, commute with the cyclic site shift T and their samples are
+exactly T-invariant (the dephasing diagonal is built exactly T-invariant
+for them, and the damping samples are shift-reduced), so from
+TRANSLATION_SPLIT_MIN_DIM rows (N = 3) on the check tests that bit for
+bit, on the whole chunk at once, and takes the spectrum from the momentum
+blocks over the orbits of T (Sandvik, AIP Conf. Proc. 1297, 135, 2010,
+section 4), N blocks of about dim / N rows, and the hermiticity drift
+from the orbit representatives' rows; the same rows give the runner those
+samples' coherence (observables.translation_row_basis).  sigma^z
+dephasing commutes with the global spin flip P = sigma^x on every cell,
+another weak symmetry, so from a flip-invariant start each sample is
+block diagonal in P's two parity sectors.  A state that is not
+T-resolved is tested for that exactly, bit for bit, and then diagonalized
+on the two half-size blocks, with its drift read from the rows
+a < dim / 2: all-to-all dephasing samples after t = 0, which break T
+through their complex cross-cell rates.  A state that is not exactly
+invariant under either symmetry (all-to-all damping after t = 0) takes
+the full eigvalsh.
 """
 
 from __future__ import annotations
@@ -1450,10 +1453,11 @@ def check_state(
     The states are measured as two stacks, the T-invariant ones and the
     others (no copy when one of them is the whole stack): the symmetry
     tests and drifts at once, and one eigvalsh per block size, for the
-    parity blocks and for the full-path states (_measure).  FFT and LAPACK
-    see each transform and matrix alone, so each record is bitwise the
-    one-state one, and the per-call overhead, most of a small state's
-    check, is paid once a stack.
+    momentum blocks, the parity blocks and the full-path states
+    (_measure_translated and _measure_other).  FFT and LAPACK see each
+    transform and matrix alone, so each record is bitwise the one-state
+    one, and the per-call overhead, most of a small state's check, is paid
+    once a stack.
     """
     # one state is a stack of one
     states, times = (rho[None], [t]) if rho.ndim == 2 else (rho, t)

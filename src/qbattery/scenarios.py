@@ -841,9 +841,10 @@ def run_scenario(
     (`step_bytes`), applied cross-site rate (after any --auto-cptp
     scaling), convergence flag and its evidence (below), worst invariant
     margins over the sampled states (largest |trace - 1| and hermiticity
-    drift, smallest minimum eigenvalue), the numbers of sampled states that the check split into
-    spin-flip parity blocks and into momentum blocks of the cyclic site
-    shift (see qbattery.evolution.check_state), the seconds of the run's
+    drift, smallest minimum eigenvalue), the numbers of sampled states
+    whose spectrum the check took from spin-flip parity blocks and from
+    momentum blocks of the cyclic site shift (see
+    qbattery.evolution.check_state), the seconds of the run's
     layers (`timing_s`: `build`, the generator and its map; `propagate`
     and `check`, summed over the sampled chunks, see
     qbattery.evolution.evolve_stream; `observables`, the ergotropy,

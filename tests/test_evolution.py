@@ -2042,6 +2042,22 @@ class TestHermDrift:
         # a stack gives each state's value
         assert _herm_drift(np.array(states)).tolist() == whole
 
+    @pytest.mark.parametrize("dim", [2, 8, 64, 128, 256, 512])
+    def test_flip_invariant_half_rows_equal_whole_matrix_bitwise(self, dim):
+        # P maps every value of |rho - rho^dag| outside the rows a < dim/2
+        # onto one inside them, bit for bit
+        rng = np.random.default_rng(60 + dim)
+        states, whole = [], []
+        for scale in (1.0, 1e-12):
+            rho = _flip_invariant(
+                random_hermitian(rng, dim)
+                + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            )
+            whole.append(float(np.max(np.abs(rho - rho.conj().T))))
+            assert _herm_drift(rho, flipped=True) == whole[-1]
+            states.append(rho)
+        assert _herm_drift(np.array(states), flipped=True).tolist() == whole
+
     @pytest.mark.parametrize("n", [3, 5, 7, 8])
     def test_representative_rows_equal_whole_matrix_bitwise(self, n):
         rng = np.random.default_rng(40 + n)
