@@ -3,9 +3,10 @@
 Reproduces the full set of figure experiments (ergotropy, stored energy,
 extractable fraction, and per-site coherence under correlated vs local
 dephasing and amplitude-damping reservoirs, plus the nearest-neighbor vs
-all-to-all comparison).  The full set (53 runs) took 49 s with one worker
-and one BLAS thread on a 2-core Xeon; fig7_longrange_comparison is about
-half of it.  Use --only to reproduce a single preset.
+all-to-all comparison).  The full set (53 runs) took 33 to 37 s over two
+runs with one worker and one BLAS thread on a 2-core Xeon;
+fig7_longrange_comparison is about three fifths of it.  Use --only to
+reproduce a single preset.  --workers must be at least 1.
 
 Usage:
     python scripts/reproduce_figures.py [--out DIR] [--only NAME] [--workers K]
@@ -21,6 +22,14 @@ import time
 from qbattery import get_preset, list_presets, run_scenario
 
 
+def at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -33,7 +42,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=at_least_one,
         default=1,
         help="worker processes per scenario sweep",
     )

@@ -18,7 +18,7 @@ from qbattery import (
     validate_cptp,
 )
 from qbattery.dissipation import TOPOLOGIES
-from qbattery.evolution import _lowering_csrs, make_rhs
+from qbattery.evolution import make_rhs
 from qbattery.models import (
     EffectiveCoupling,
     effective_hamiltonian,
@@ -26,7 +26,7 @@ from qbattery.models import (
     topology_bonds,
 )
 
-from reference_impls import SM, SZ, random_density_matrix, ref_embed
+from reference_impls import SZ, random_density_matrix, ref_embed, ref_jumps
 
 G12 = 0.01 * np.exp(1j * np.pi / 3)
 
@@ -361,28 +361,24 @@ def _sigma_z(n):
 
 
 def _sigma_minus(n):
-    """The amplitude-damping jumps production uses (evolution's sigma^-
-    CSRs), dense."""
-    return [op.toarray() for op in _lowering_csrs(n)]
+    """The amplitude-damping jumps sigma^-_i as the Kronecker chains the
+    reference generator is built from (reference_impls.ref_jumps).
+    Production writes them from the bits and never as matrices; the
+    byte-for-byte generator tests against that reference pin its
+    convention."""
+    return ref_jumps("amplitude_damping", n)
 
 
 class TestJumpOperators:
-    # The generator's jump operators against explicit Kronecker chains.
-    # Values only: a Kronecker chain writes some zeros as -0.0.
+    # The dephasing jumps production uses against explicit Kronecker
+    # chains, and the algebra of both channels' jumps.  Values only: a
+    # Kronecker chain writes some zeros as -0.0.
     def test_dephasing_jumps_are_embedded_sigma_z(self):
         for n in range(1, 7):
             ls = _sigma_z(n)
             assert len(ls) == n
             for i, l in enumerate(ls):
                 np.testing.assert_array_equal(l, ref_embed(SZ, i, n))
-
-    def test_damping_jumps_are_embedded_sigma_minus(self):
-        for n in range(1, 7):
-            ls = _lowering_csrs(n)
-            assert len(ls) == n
-            for i, l in enumerate(ls):
-                assert l.dtype == complex
-                np.testing.assert_array_equal(l.toarray(), ref_embed(SM, i, n))
 
     def test_site_zero_is_most_significant_bit(self):
         # sigma^z_0 on 3 cells is sz (x) id (x) id: its diagonal flips sign
@@ -393,20 +389,6 @@ class TestJumpOperators:
     def test_last_site_toggles_least_significant_bit(self):
         expected = np.array([1, -1, 1, -1, 1, -1, 1, -1])
         np.testing.assert_array_equal(site_z_signs(3)[2], expected)
-
-    def test_lowering_demotes_up_to_down(self):
-        # sigma^-_i sends |a> with site i up (bit 0) to |a with bit set>
-        # and annihilates |a> with site i down.
-        n, dim = 3, 8
-        for i, sm in enumerate(_lowering_csrs(n)):
-            bit = 1 << (n - 1 - i)
-            for a in range(dim):
-                ket = np.zeros(dim, dtype=complex)
-                ket[a] = 1.0
-                expected = np.zeros(dim, dtype=complex)
-                if not a & bit:
-                    expected[a | bit] = 1.0
-                np.testing.assert_array_equal(sm @ ket, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_single_site_algebra(self, n):
@@ -432,8 +414,6 @@ class TestJumpOperators:
     def test_returns_fresh_arrays(self):
         site_z_signs(2)[0, 0] = 99.0
         np.testing.assert_array_equal(_sigma_z(2)[0], ref_embed(SZ, 0, 2))
-        _lowering_csrs(2)[0].data[:] = 99.0
-        np.testing.assert_array_equal(_sigma_minus(2)[0], ref_embed(SM, 0, 2))
 
 
 class TestDissipatorApply:

@@ -180,21 +180,11 @@ def _assert_keeps_arrays(h_eff, gamma, channel):
         assert a.tobytes() == b.tobytes()
 
 
-class TestLoweringCsrs:
-    """The generator's sigma^- CSRs, written from the bits of the basis
-    states, against dense jump operators built by Kronecker chains, and the
-    generator written once from the bits (or kept as its Lambda when it is
-    diagonal) against the former Kronecker sums over those Kronecker-chain
-    jumps."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_equal_the_dense_jump_operators(self, n):
-        csrs = evolution._lowering_csrs(n)
-        dense = ref_jumps("amplitude_damping", n)
-        assert len(csrs) == len(dense) == n
-        for csr, op in zip(csrs, dense):
-            assert csr.nnz == 2 ** (n - 1)
-            assert np.array_equal(csr.toarray(), op)
+class TestGeneratorArrays:
+    """The generator written once from the bits (or kept as its Lambda when
+    it is diagonal) against the former Kronecker sums over Kronecker-chain
+    jumps, which also pins the sigma^- convention of its jumps and of its
+    drift M."""
 
     @pytest.mark.parametrize(
         "topology, n",
@@ -2222,6 +2212,13 @@ class TestEvolve:
         rho = np.eye(3) / 3
         with pytest.raises(ValueError, match="2\\^N"):
             evolve(rho, _spec(), EvolutionConfig(t_max=0.1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0, 0), (), (3, 3), (2, 4), (2, 2, 2)])
+    def test_stream_refuses_a_bad_state_shape(self, shape):
+        stream = evolve_stream(np.zeros(shape), _spec(), EvolutionConfig(t_max=0.1))
+        with pytest.raises(ValueError, match=r"state shape .* is not a 2\^N square"):
+            next(stream)
 
     def test_dephasing_keeps_populations_frozen(self):
         # sigma^z jumps commute with every z-basis projector, so the

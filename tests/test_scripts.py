@@ -1,5 +1,7 @@
 """Smoke tests: the example scripts run end to end at small sizes."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +92,7 @@ def test_count_code_lines_totals_its_modules():
         ("peak_scaling_table.py", ["--j-z", "nan"], "--j-z"),
         ("peak_scaling_table.py", ["--offdiag-phase", "inf"], "--offdiag-phase"),
         ("peak_scaling_table.py", ["--offdiag-modulus", "-0.5"], "--offdiag-modulus"),
+        ("reproduce_figures.py", ["--workers", "0"], "--workers"),
     ],
 )
 def test_script_refuses_a_bad_argument(script, args, flag):
@@ -202,3 +205,52 @@ def test_csv_moves_reports_what_it_cannot_compare(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"no CSV files under {empty}" in proc.stderr.splitlines()[-1]
+
+
+def test_csv_moves_compares_manifests_apart_from_timings(tmp_path):
+    def manifest(start, wall, t_max, runs, **extra):
+        return json.dumps({
+            "scenario": "s", "created_utc": start, "total_wall_time_s": wall,
+            "config": {"t_max": t_max, "n_sites_list": [2, 3]},
+            "runs": runs, **extra,
+        })
+
+    def run(file, wall, build, min_eig, margins=0.0):
+        return {
+            "file": file, "wall_time_s": wall, "timing_s": {"build": build},
+            "min_eigenvalue": min_eig, "margins": {"trace": margins},
+        }
+
+    csv = {"a.csv": "t,W\n0.0,1.0\n"}
+    old_runs = [run("a.csv", 1.0, 0.1, -7.8e-17), run("b.csv", 2.0, 0.2, math.nan)]
+    _write_tree(tmp_path / "old", {
+        **csv,
+        "s/s_manifest.json": manifest("2026-01-01", 3.0, 1.0, old_runs),
+        "same/same_manifest.json": manifest("2026-01-01", 3.0, 1.0, old_runs),
+        "short_manifest.json": manifest("2026-01-01", 3.0, 1.0, old_runs),
+        "gone_manifest.json": manifest("2026-01-01", 3.0, 1.0, []),
+    })
+    # the start time, the total and per-run walls and every timing_s
+    # differ everywhere, and NaN stays NaN
+    new_runs = [run("a.csv", 1.5, 0.3, -8.2e-17), run("b.csv", 2.5, 0.1, math.nan, 1e-16)]
+    same_runs = [run("a.csv", 1.5, 0.3, -7.8e-17), run("b.csv", 2.5, 0.1, math.nan)]
+    _write_tree(tmp_path / "new", {
+        **csv,
+        "s/s_manifest.json": manifest("2026-02-02", 4.0, 2.0, new_runs, workers=2),
+        "same/same_manifest.json": manifest("2026-02-02", 4.0, 1.0, same_runs),
+        "short_manifest.json": manifest("2026-01-01", 3.0, 1.0, old_runs[:1]),
+    })
+    proc = _run_script("csv_moves.py", [str(tmp_path / "old"), str(tmp_path / "new")])
+    assert proc.returncode == 1
+    s = os.path.join("s", "s_manifest.json")
+    same = os.path.join("same", "same_manifest.json")
+    assert proc.stdout.splitlines() == [
+        "a.csv: identical",
+        "gone_manifest.json: only in the old tree",
+        f"{s}: config.t_max: 1.0 -> 2.0",
+        f"{s}: workers: absent -> 2",
+        f"{s}: runs[0] a.csv: min_eigenvalue: -7.8e-17 -> -8.2e-17",
+        f"{s}: runs[1] b.csv: margins.trace: 0.0 -> 1e-16",
+        f"{same}: equal apart from timings",
+        "short_manifest.json: run count differs",
+    ]
