@@ -62,8 +62,9 @@ L_red = L[representatives] S with S the orbit-indicator matrix (700 of
 conjugate pairs, the level maps and the substep loop above run on L_red
 unchanged; each sample scatters the orbit values back along the orbits,
 so it is exactly T-invariant.  Ring and local amplitude damping from
-|->^N take this path, all-to-all does not (its complex cross rates are
-oriented i < j), and any run that fails either test keeps vec(rho).
+|->^N or from the projected interacting ground state take this path,
+all-to-all does not (its complex cross rates are oriented i < j), and any
+run that fails either test keeps vec(rho).
 
 Within a sector the strongly connected components of the sparsity graph
 order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  They are
@@ -91,25 +92,27 @@ Every sampled state is checked (check_state, one path over a stack of
 states, one state being a stack of one) and its spectrum kept for the
 ergotropy.  evolve_stream checks the samples a chunk at a time, the states
 that fit in CHECK_CHUNK_BYTES in one stacked call, since a small state's
-check is mostly per-call overhead.  Ring and local runs from |->^N, of
-both channels, commute with the cyclic site shift T and their samples are
-exactly T-invariant (the dephasing diagonal is built exactly T-invariant
-for them, and the damping samples are shift-reduced), so from
-TRANSLATION_SPLIT_MIN_DIM rows (N = 3) on the check tests that bit for
-bit, on the whole chunk at once, and takes the spectrum from the momentum
-blocks over the orbits of T (Sandvik, AIP Conf. Proc. 1297, 135, 2010,
-section 4), N blocks of about dim / N rows, and the hermiticity drift
-from the orbit representatives' rows; the same rows give the runner those
-samples' coherence (observables.translation_row_basis).  sigma^z
-dephasing commutes with the global spin flip P = sigma^x on every cell,
-another weak symmetry, so from a flip-invariant start each sample is
-block diagonal in P's two parity sectors.  A state that is not
-T-resolved is tested for that exactly, bit for bit, and then diagonalized
-on the two half-size blocks, with its drift read from the rows
-a < dim / 2: all-to-all dephasing samples after t = 0, which break T
-through their complex cross-cell rates.  A state that is not exactly
-invariant under either symmetry (all-to-all damping after t = 0) takes
-the full eigvalsh.
+check is mostly per-call overhead.  The check resolves each state by the
+exact symmetries it has, tested bit for bit: the cyclic site shift T and
+the global spin flip P = sigma^x on every cell, which commute.  One table
+per N and group, models.symmetry_group, holds the orbits, representatives,
+element maps and admitted characters of {1, P}, Z_N = <T> and
+Z_N x Z_2, and every symmetry use reads it: the check's spectrum comes
+from one gather, FFT and eigvalsh per block size over the group's
+characters (the momentum states of Sandvik, AIP Conf. Proc. 1297, 135,
+2010, section 4, for Z_N, the parity sectors for {1, P}, about
+dim / (2N) rows a block for both), its hermiticity drift from the
+representative rows, the runner's coherence from the same group
+(observables.coherence_l1_energy_basis), the shift reduction and the
+dephasing diagonal above from T's orbits, and the projected interacting
+start (models.ground_state) from its characters.  Ring and local runs from
+|->^N, of both channels, commute with T (the dephasing diagonal is built
+exactly T-invariant for them, and the damping samples are
+shift-reduced); sigma^z dephasing commutes with P too, a weak symmetry,
+so those samples take Z_N x Z_2, ring and local damping Z_N, all-to-all
+dephasing after t = 0 (its complex cross-cell rates break T) {1, P}, and
+all-to-all damping after t = 0 the full eigvalsh, each group from its
+GROUP_MIN_ROWS rows on.
 """
 
 from __future__ import annotations
@@ -125,7 +128,9 @@ import numpy as np
 from .dissipation import (
     CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
 )
-from .models import cyclic_shift, effective_hamiltonian, site_z_signs
+from .models import (
+    SymmetryGroup, effective_hamiltonian, site_z_signs, symmetry_group
+)
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -167,16 +172,14 @@ COMMUTE_SLAB_ROWS = 1024
 # Bytes of dense generator blocks built in one batch by the dense build; a
 # batch's temporaries are a few times this.
 DENSE_BUILD_BATCH_BYTES = 4 * 2**20
-# States with at least this many rows (N >= 3) take the momentum-resolved
-# check, and the representative-row coherence, when they are exactly
-# invariant under the cyclic site shift.  Check, ergotropy and coherence of
-# one chunk, per state (ring and local runs from |->^N, one BLAS thread,
-# 2-core Xeon), that way against the parity blocks or the full eigvalsh:
-# 4 rows 4.4 to 4.9 against 4.1 to 4.6 us; 8 rows 7.3 to 7.8 against 6.7 to
-# 7.3 (dephasing) and 7.0 to 7.2 against 7.1 to 8.1 (damping); 16 rows 16.7
-# to 18.1 against 14.9 to 17.0 (dephasing) and 24.3 to 26.9 (damping); 32
-# rows 46 to 49 against 52 to 57 (dephasing) and 91 to 95 (damping).
-TRANSLATION_SPLIT_MIN_DIM = 8
+# The symmetry groups a state's check takes (check_state), larger first,
+# each with the number of rows from which it does.  Check, ergotropy and
+# coherence per state of a chunk (ring runs from |->^N, one BLAS thread,
+# 2-core Xeon), Z_N x Z_2, Z_N, {1, P} and no group: dephasing at 4 rows
+# 4.4, 4.6, 3.8 and 4.6 us, at 8 rows 6.1, 7.6, 6.9 and 8.2, at 16 rows
+# 15.1, 18.6, 19.0 and 27.7; damping (T alone) at 4 rows 5.0 against 4.6
+# us, at 8 rows 8.5 against 8.3 and at 16 rows 17.6 against 26.9.
+GROUP_MIN_ROWS = {"TP": 8, "T": 8, "P": 2}
 # Rows per slab of the hermiticity-drift measurement (_herm_drift); a state
 # of at most this many rows is measured whole.  One BLAS thread, 2-core
 # Xeon: at 128 rows the whole measurement took 83 us against 88 us in
@@ -436,9 +439,10 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     the dissipator commute with the cyclic site shift T, so its terms are
     equal on every (T^j a, T^j b).  The sums meet their terms in another
     order on each entry of such an orbit, so each entry takes the value of
-    its orbit's smallest index (_pair_orbits, and _orbits for the
-    per-state rates), and the terms are exactly T-invariant.  With
-    T-invariant energies, too, so is Lambda.
+    its orbit's smallest index (_pair_orbits, and the orbits of T's
+    table, models.symmetry_group, for the per-state rates), and the terms
+    are exactly T-invariant.  With T-invariant energies, too, so is
+    Lambda.
     """
     n = gamma.n_sites
     signs = site_z_signs(n)
@@ -450,12 +454,45 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
         pairs = _pair_orbits(n)
         smallest = pairs.representatives[pairs.orbit_of]
         cross = cross.reshape(-1)[smallest].reshape(cross.shape)
-        self_rate = self_rate[_orbits(n).smallest]
+        shift = symmetry_group(n, "T")
+        self_rate = self_rate[shift.representatives[shift.orbit_of]]
     return (
         -1j * (energies[:, None] - energies[None, :])
         + cross
         - 0.5 * (self_rate[:, None] + self_rate[None, :])
     )
+
+
+class _PairOrbits(NamedTuple):
+    """Orbits of the superoperator shift on vec indices (_pair_orbits)."""
+
+    shift: np.ndarray
+    representatives: np.ndarray
+    orbit_of: np.ndarray
+    transpose: np.ndarray
+
+
+def _pair_orbits(n_sites: int) -> _PairOrbits:
+    """The orbits of vec(a, b) -> vec(T a, T b) on the row-major vec indices
+    of dim x dim matrices, for the cyclic site shift T, from the powers
+    T^j of its table (models.symmetry_group).
+
+    shift[k] is the vec index of (T a, T b) for vec index k of (a, b); the
+    representatives are the smallest vec index of each orbit, ascending;
+    orbit_of[k] is the position of k's orbit among them; and transpose[o]
+    is the orbit of (b, a) for the orbit o of (a, b).
+    """
+    dim = 2**n_sites
+    powers = symmetry_group(n_sites, "T").elements[:, 0]
+    shift = (powers[1 % n_sites][:, None] * dim + powers[1 % n_sites]).reshape(-1)
+    smallest = np.arange(dim * dim)
+    for perm in powers[1:]:
+        np.minimum(smallest, (perm[:, None] * dim + perm).reshape(-1), out=smallest)
+    is_smallest = smallest == np.arange(dim * dim)
+    representatives = np.flatnonzero(is_smallest)
+    orbit_of = (np.cumsum(is_smallest) - 1)[smallest]
+    transpose = orbit_of[_transpose_index(representatives, dim)]
+    return _PairOrbits(shift, representatives, orbit_of, transpose)
 
 
 def _gksl_matrix(
@@ -1006,16 +1043,18 @@ def make_rhs(
     (_Generator), and, with the run's initial state rho0, it is reduced to
     the orbits of the superoperator shift vec(a, b) -> vec(T a, T b) for
     the cyclic site shift T (_Generator.shift_reduced)
-    when two exact tests pass: rho0 equals T rho0 T^dag bit for bit, and
-    the CSR commutes with the shift bit for bit.  Then vec(rho(t)) stays in
-    the shift-invariant subspace, one value per orbit: 700 of 4,096 at
-    N = 6 and 2,344 of 16,384 at N = 7.  This is the Liouville-space form
-    of the momentum states of _momentum_spectrum (Sandvik, AIP Conf. Proc.
-    1297, 135, 2010, section 4) for a weak symmetry (Buca & Prosen, NJP 14,
-    073007, 2012).  Ring and local amplitude damping from |->^N pass both
-    tests; all-to-all fails the second (its complex cross rates are
-    oriented i < j), and such runs, and every run without rho0, keep the
-    full generator.
+    when two exact tests pass: rho0 equals T rho0 T^dag bit for bit
+    (_commutes), and the CSR commutes with the shift bit for bit.  Then
+    vec(rho(t)) stays in the shift-invariant subspace, one value per
+    orbit: 700 of 4,096 at N = 6 and 2,344 of 16,384 at N = 7.  This is
+    the Liouville-space form of the momentum states of check_state's
+    blocks (Sandvik, AIP Conf. Proc. 1297, 135, 2010, section 4) for a
+    weak symmetry (Buca & Prosen, NJP 14, 073007, 2012).  Ring and local
+    amplitude damping from |->^N,
+    or from the projected interacting ground state (models.ground_state),
+    pass both tests; all-to-all fails the second (its complex cross rates
+    are oriented i < j), and such runs, and every run without rho0, keep
+    the full generator.
     """
     h_eff = np.asarray(h_eff)
     energies = np.diag(h_eff)
@@ -1024,7 +1063,7 @@ def make_rhs(
     if channel == "dephasing" and diagonal:
         return _DiagonalGenerator(_dephasing_diagonal(np.real(energies), gamma))
     rhs = _Generator(_gksl_matrix(h_eff, gamma, channel), 2**gamma.n_sites)
-    if rho0 is None or not _translation_invariant(rho0):
+    if rho0 is None or not _commutes(np.asarray(rho0)[None], "T")[0]:
         return rhs
     orbits = _pair_orbits(gamma.n_sites)
     # at N = 1 the shift is the identity and every orbit a single index
@@ -1049,315 +1088,165 @@ class StateCheck(NamedTuple):
     populations[0] is its minimum eigenvalue and the whole array is what
     the spectral ergotropy formula needs (observables.ergotropy takes it as
     `populations`).  trace_drift is |Tr rho - 1| (real and imaginary parts
-    summed) and herm_drift the largest entry of |rho - rho^dag|.
-    parity_blocks is the (2, dim/2, dim/2) stack (rho_+, rho_-) of rho's
-    spin-flip parity blocks when rho commutes exactly with the global flip
-    (see check_state), and None otherwise.  translation_resolved is True
-    when the spectrum came from rho's momentum blocks, which it does for
-    every state of N >= 3 cells (TRANSLATION_SPLIT_MIN_DIM rows) that
-    commutes exactly with the cyclic site shift T; such a state takes no
-    parity blocks, and its coherence can be taken from the orbit
-    representatives' rows (observables.translation_row_basis).  So a state
-    has parity blocks exactly when its spectrum came from them.
+    summed) and herm_drift the largest entry of |rho - rho^dag|.  group
+    names the symmetry group whose blocks the spectrum came from (see
+    check_state): "TP", "T", "P" or "1" (none).  rho commutes with every
+    element of it bit for bit, so its coherence can be taken on the same
+    symmetry (observables.coherence_l1_energy_basis).
     """
 
     populations: np.ndarray
     trace_drift: float
     herm_drift: float
-    parity_blocks: np.ndarray | None = None
-    translation_resolved: bool = False
+    group: str = "1"
 
     @property
     def min_eig(self) -> float:
         return float(self.populations[0])
 
 
-def _herm_drift(
-    rho: np.ndarray, rows: np.ndarray | None = None, flipped: bool = False
-) -> np.ndarray:
-    """max |rho - rho^dag| of one state, or of each state of a (K, dim, dim)
-    stack, bitwise the whole-matrix value, without its dim^2 temporaries.
+def _herm_drift(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max |rho - rho^dag| of each state of a (K, dim, dim) stack that
+    commutes bit for bit with a symmetry group whose orbit representatives
+    are `rows`, bitwise the whole-matrix value.
 
-    |rho[j, i] - conj(rho[i, j])| is bitwise |rho[i, j] - conj(rho[j, i])|
-    (the real parts are exact negatives, the imaginary parts the same sum),
-    so the upper triangle holds every value: it is taken in row slabs
-    rho[i:i+t, i:] of HERM_DRIFT_SLAB_ROWS rows (one slab, the whole
-    matrix, for a state of at most that many rows), whose temporaries stay
-    in cache.  For states that are exactly invariant under the global spin
-    flip P (`flipped`), entry (dim-1-a, dim-1-b) equals (a, b) bit for bit,
-    and so does its partner, so the slabs stop at row dim / 2.  For states
-    that are exactly invariant under the cyclic site shift T, `rows` are
-    the orbit representatives (_orbits): entry (T^j r, b) equals
-    (r, T^-j b) bit for bit, and so does its partner, so the
-    representative rows alone hold every value.  The maximum is taken by
-    numpy, so a nan anywhere is the result.
+    Entry (g r, b) equals (r, g^-1 b) bit for bit, and so does its partner
+    (b, g r), so the representative rows hold every value of
+    |rho - rho^dag|: all rows for the trivial group, dim / 2 for P, about
+    dim / N for T.  They are read HERM_DRIFT_SLAB_ROWS rows at a time,
+    whose temporaries stay in cache.  The maximum is taken by numpy, so a
+    nan anywhere is the result.
     """
-    if rows is not None:
-        return np.abs(
-            rho[..., rows, :] - rho[..., :, rows].swapaxes(-1, -2).conj()
-        ).max(axis=(-2, -1))
     step = HERM_DRIFT_SLAB_ROWS
-    stop = rho.shape[-1] // 2 if flipped else rho.shape[-1]
     return np.max(
         [
             np.abs(
-                rho[..., i:min(i + step, stop), i:]
-                - rho[..., i:, i:min(i + step, stop)].swapaxes(-1, -2).conj()
+                states[:, slab] - states[:, :, slab].swapaxes(-1, -2).conj()
             ).max(axis=(-2, -1))
-            for i in range(0, stop, step)
+            for slab in (_run(rows[i:i + step]) for i in range(0, len(rows), step))
         ],
         axis=0,
     )
 
 
-def _split_parity(rho: np.ndarray) -> np.ndarray:
-    """The (..., 2, dim/2, dim/2) parity blocks (rho_+, rho_-) of one
-    exactly flip-invariant state or of each state of a stack.
+def _run(index: np.ndarray) -> np.ndarray | slice:
+    """index as a slice when it is an ascending run of consecutive
+    integers (the representatives of {1, P}, or all rows), so that taking
+    it makes a view, not a copy."""
+    if index[-1] - index[0] == len(index) - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
 
-    The global spin flip P = sigma^x on every cell maps z index a to
-    dim - 1 - a, so P rho P = rho[::-1, ::-1].  When that equals rho bit
-    for bit, rho is block diagonal in the parity basis
-    (|a> +- |dim - 1 - a>) / sqrt(2), a < dim / 2, and its two blocks are
 
-        rho_+- = rho[:h, :h] +- rho[:h, h:][:, ::-1],   h = dim / 2;
+def _block_spectra(states: np.ndarray, group: SymmetryGroup | None) -> np.ndarray:
+    """Ascending spectra of the Hermitian parts of a (K, dim, dim) stack of
+    states that commute bit for bit with `group` (None: the trivial group,
+    one full eigvalsh).
 
-    the cross-parity part is exactly zero.
+    In the symmetry-adapted states |a, chi> of the group's table
+    (models.symmetry_group) over the representatives a that the character
+    chi admits, such a rho is block diagonal over chi, with blocks
+
+        B_chi[a, b] = sqrt(|O_a| |O_b|) / |G|  sum_g chi(g)^* rho[a, g b].
+
+    One gather of the representative rows at every g b gives rho[a, g b]
+    for every state and (a, g, b), one FFT over the group's axes (s of P^s,
+    then j of T^j, the last axis) gives every character, and the Hermitian
+    parts of the blocks of one size, taken by one gather each, go through
+    one eigvalsh for the whole stack.  The FFT of length 2 over s is the
+    sum and the difference of rho[a, b] and rho[a, P b], the two parity
+    blocks for {1, P}, and is written as those; over j of Z_N it gives the
+    momentum blocks.  The gathers by np.take keep the arrays C-contiguous,
+    and the FFT along their last axis took a third of its time along
+    another axis (numpy 2.4, N = 4).  FFT and LAPACK see each transform
+    and matrix alone, so each spectrum is bitwise the one-state one.
     """
-    h = rho.shape[-1] // 2
-    top_left, top_right = rho[..., :h, :h], rho[..., :h, h:][..., ::-1]
-    blocks = np.empty(rho.shape[:-2] + (2, h, h), dtype=complex)
-    np.add(top_left, top_right, out=blocks[..., 0, :, :])
-    np.subtract(top_left, top_right, out=blocks[..., 1, :, :])
-    return blocks
-
-
-def _parity_spectrum(blocks: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of a state from its parity
-    blocks (_split_parity), one eigvalsh call for every block given: (dim,)
-    for one state, (K, dim) for a stack."""
-    hermitian = blocks + blocks.conj().swapaxes(-1, -2)
-    hermitian *= 0.5
-    spectra = np.linalg.eigvalsh(hermitian)
-    return np.sort(spectra.reshape(spectra.shape[:-2] + (-1,)), axis=-1)
-
-
-class _Orbits(NamedTuple):
-    """Orbit tables of the cyclic site shift T on n_sites cells (_orbits)."""
-
-    shift: np.ndarray
-    representatives: np.ndarray
-    orbit_columns: np.ndarray
-    momentum_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    smallest: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _orbits(n_sites: int) -> _Orbits:
-    """The orbits of T on the z basis of n_sites cells.
-
-    T moves the state of site i to site i + 1 (mod N), on z indices a left
-    rotation of the N bits: shift[a] = T a.  The representatives are the
-    smallest index of each orbit, ascending, and orbit_columns[j, r] is
-    T^j of representative r.  Momentum k admits the representatives whose
-    period R has k R = 0 (mod N); momentum_stacks holds, for each number of
-    admitted representatives, the (m,) momenta with that number, their
-    (m, s) admitted representatives and the (m, s, s) weights
-    sqrt(R_a R_b) / N of check_state's blocks.  smallest[a] is the
-    representative of a's orbit.
-    """
-    dim = 2**n_sites
-    index = np.arange(dim)
-    shift = cyclic_shift(n_sites)
-    # rows j = 0..N of T^j a; row N is the identity again
-    orbit = np.empty((n_sites + 1, dim), dtype=np.intp)
-    orbit[0] = index
-    for j in range(1, n_sites + 1):
-        orbit[j] = shift[orbit[j - 1]]
-    smallest = orbit.min(axis=0)
-    representatives = np.flatnonzero(smallest == index)
-    columns = orbit[:, representatives]
-    # the period is the first j > 0 with T^j a = a
-    periods = (columns[1:] == representatives).argmax(axis=0) + 1
-    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for k in range(n_sites):
-        admitted = np.flatnonzero(k * periods % n_sites == 0)
-        by_size.setdefault(len(admitted), []).append((k, admitted))
-    root = np.sqrt(periods / n_sites)
-    stacks = []
-    for same in by_size.values():
-        momenta = np.array([k for k, _ in same])
-        admitted = np.stack([a for _, a in same])
-        weights = root[admitted][:, :, None] * root[admitted][:, None, :]
-        stacks.append((momenta, admitted, weights))
-    return _Orbits(shift, representatives, columns[:n_sites], stacks, smallest)
-
-
-class _PairOrbits(NamedTuple):
-    """Orbits of the superoperator shift on vec indices (_pair_orbits)."""
-
-    shift: np.ndarray
-    representatives: np.ndarray
-    orbit_of: np.ndarray
-    transpose: np.ndarray
-
-
-def _pair_orbits(n_sites: int) -> _PairOrbits:
-    """The orbits of vec(a, b) -> vec(T a, T b) on the row-major vec indices
-    of dim x dim matrices, for the cyclic site shift T of _orbits.
-
-    shift[k] is the vec index of (T a, T b) for vec index k of (a, b); the
-    representatives are the smallest vec index of each orbit, ascending;
-    orbit_of[k] is the position of k's orbit among them; and transpose[o]
-    is the orbit of (b, a) for the orbit o of (a, b).
-    """
-    dim = 2**n_sites
-    state_shift = _orbits(n_sites).shift
-    shift = (state_shift[:, None] * dim + state_shift[None, :]).reshape(-1)
-    smallest = np.arange(dim * dim)
-    image = smallest
-    for _ in range(n_sites - 1):
-        image = shift[image]
-        smallest = np.minimum(smallest, image)
-    is_smallest = smallest == np.arange(dim * dim)
-    representatives = np.flatnonzero(is_smallest)
-    orbit_of = (np.cumsum(is_smallest) - 1)[smallest]
-    transpose = orbit_of[_transpose_index(representatives, dim)]
-    return _PairOrbits(shift, representatives, orbit_of, transpose)
-
-
-def _translation_invariant(rho: np.ndarray) -> bool | np.ndarray:
-    """Whether T rho T^dag equals rho bit for bit: a bool for one state, a
-    (K,) bool array for a (K, dim, dim) stack.
-
-    Row 0 first: T fixes index 0, so rho[0, T b] == rho[0, b] is necessary,
-    and a state far from the symmetry costs O(dim).  Then the whole of the
-    states that pass it: with a = (top bit, rest) and T a = (rest, top
-    bit), rho[T a, T b] is rho's (2, dim/2, 2, dim/2) view with its axes
-    swapped in pairs, compared with the (dim/2, 2, dim/2, 2) view, so no
-    index array of dim^2 entries is formed.  Both views are compared with
-    the rest of b as their last axis, contiguous in the first one, so that
-    numpy's inner loop runs over dim / 2 entries, not 2.
-    """
-    states = rho[None] if rho.ndim == 2 else rho
-    dim = states.shape[-1]
-    shift = _orbits(dim.bit_length() - 1).shift
-    invariant = (states[:, 0, shift] == states[:, 0]).all(axis=1)
-    if invariant.any():
-        h = dim // 2
-        chosen = _take(states, invariant)
-        invariant[invariant] = (
-            chosen.reshape(-1, h, 2, h, 2).transpose(0, 1, 2, 4, 3)
-            == chosen.reshape(-1, 2, h, 2, h).transpose(0, 2, 1, 3, 4)
-        ).all(axis=(1, 2, 3, 4))
-    return bool(invariant[0]) if rho.ndim == 2 else invariant
-
-
-def _momentum_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of a T-invariant rho, (dim,)
-    for one state, or (K, dim) for each state of a stack.
-
-    In the momentum states |a, k> = sqrt(R_a) / N sum_j e^{-2 pi i k j / N}
-    T^j |a> over the representatives a with k R_a = 0 (mod N), a T-invariant
-    rho is block diagonal over k, with blocks
-
-        B_k[a, b] = sqrt(R_a R_b) / N  sum_j e^{-2 pi i k j / N} rho[a, T^j b].
-
-    One gather of the representative rows at the orbit columns gives
-    rho[a, T^j b] for every state and (a, j, b), one FFT along j gives
-    every momentum, and the Hermitian parts of the blocks of one size go
-    through one eigvalsh for the whole stack.  FFT and LAPACK see each
-    transform and matrix alone, so each spectrum is bitwise the one-state
-    one.
-    """
-    states = rho[None] if rho.ndim == 2 else rho
-    orbits = _orbits(states.shape[-1].bit_length() - 1)
-    rows = states[
-        :, orbits.representatives[:, None, None], orbits.orbit_columns
-    ]
-    transformed = np.fft.fft(rows, axis=2)
+    if group is None:
+        hermitian = states + states.conj().swapaxes(1, 2)
+        hermitian *= 0.5
+        return np.linalg.eigvalsh(hermitian)
+    reps = group.representatives
+    n_t, n_p = group.elements.shape[:2]
+    # rho[a, T^j P^s b] at (a, s, b, j)
+    columns = group.elements[:, :, reps].transpose(1, 2, 0).reshape(-1)
+    rows = np.take(states[:, _run(reps)], columns, axis=2).reshape(
+        len(states), len(reps), n_p, len(reps), n_t
+    )
+    if n_p == 2:
+        # the transform of length 2, exactly as the FFT computes it
+        pair = np.empty_like(rows)
+        np.add(rows[:, :, 0], rows[:, :, 1], out=pair[:, :, 0])
+        np.subtract(rows[:, :, 0], rows[:, :, 1], out=pair[:, :, 1])
+        rows = pair
+    if n_t > 1:
+        rows = np.fft.fft(rows, axis=-1)
+    flat = rows.reshape(len(states), -1)
     spectra = []
-    for momenta, admitted, weights in orbits.momentum_stacks:
-        blocks = transformed[
-            :, admitted[:, :, None], momenta[:, None, None],
-            admitted[:, None, :],
-        ]
-        blocks *= weights
+    for index, weights in group.blocks:
+        blocks = np.take(flat, index, axis=1)
+        if weights is not None:
+            blocks *= weights
         hermitian = blocks + blocks.conj().swapaxes(-1, -2)
         hermitian *= 0.5
         spectra.append(np.linalg.eigvalsh(hermitian).reshape(len(states), -1))
-    spectra = np.sort(np.concatenate(spectra, axis=1), axis=1)
-    return spectra[0] if rho.ndim == 2 else spectra
+    return np.sort(np.concatenate(spectra, axis=1), axis=1)
+
+
+def _commutes(states: np.ndarray, generator: str) -> np.ndarray:
+    """Whether each state of a (K, dim, dim) stack equals g rho g^dag bit
+    for bit, for the generator g, "T" or "P" (models.symmetry_group).
+
+    Row 0 first, against its image row: rho[g 0, g b] == rho[0, b] is
+    necessary, so a state far from the symmetry costs O(dim).  Then the
+    whole of the states that pass it, in one comparison of two views, so
+    no index array of dim^2 entries is formed: for P a = dim - 1 - a the
+    rows a < dim / 2 against those of rho[::-1, ::-1], which hold one
+    entry of each pair (a, b), (P a, P b); for T, with a = (top bit, rest)
+    and T a = (rest, top bit), rho's (2, dim/2, 2, dim/2) view with its
+    axes swapped in pairs against the (dim/2, 2, dim/2, 2) view, both with
+    the rest of b as their last axis so that numpy's inner loop runs over
+    dim / 2 entries.
+    """
+    dim = states.shape[-1]
+    h = dim // 2
+    # T^(N-1) = T^-1 generates Z_N as well as T does
+    perm = symmetry_group(dim.bit_length() - 1, generator).elements[-1, -1]
+    near = (states[:, perm[0], perm] == states[:, 0]).all(axis=1)
+    if near.any():
+        chosen = _take(states, near)
+        if generator == "P":
+            views = chosen[:, :h], chosen[:, ::-1, ::-1][:, :h]
+        else:
+            views = (
+                chosen.reshape(-1, h, 2, h, 2).transpose(0, 1, 2, 4, 3),
+                chosen.reshape(-1, 2, h, 2, h).transpose(0, 2, 1, 3, 4),
+            )
+        near[near] = (views[0] == views[1]).reshape(len(chosen), -1).all(axis=1)
+    return near
+
+
+def _state_groups(states: np.ndarray) -> np.ndarray:
+    """The group each state of a (K, dim, dim) stack takes in check_state:
+    the first of GROUP_MIN_ROWS whose size the state reaches and whose
+    generators it commutes with bit for bit (_commutes), or "1"."""
+    count, dim = states.shape[:2]
+    groups = np.full(count, "1", dtype="<U2")
+    if dim < 2 or dim & (dim - 1):
+        return groups
+    commutes = {generator: _commutes(states, generator) for generator in "TP"}
+    for name, least in GROUP_MIN_ROWS.items():
+        if dim >= least:
+            fits = groups == "1"
+            for generator in name:
+                fits &= commutes[generator]
+            groups[fits] = name
+    return groups
 
 
 def _take(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The states of a stack that `mask` selects; the stack itself, not a
     copy, when it selects them all."""
     return states if mask.all() else states[mask]
-
-
-def _measure_translated(
-    states: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(herm_drift, populations) of each state of a stack of exactly
-    T-invariant states, with `rows` the orbit representatives: the drift
-    from the representative rows (_herm_drift) and the spectra from the
-    momentum blocks (_momentum_spectrum), for the states whose drift is
-    finite (nan for the others)."""
-    # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
-    # numpy would warn about), so a non-finite state gets no spectrum
-    with np.errstate(invalid="ignore"):
-        herm_drift = _herm_drift(states, rows)
-    finite = np.isfinite(herm_drift)
-    populations = np.full(states.shape[:2], math.nan)
-    if finite.any():
-        populations[finite] = _momentum_spectrum(_take(states, finite))
-    return herm_drift, populations
-
-
-def _measure_other(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """(herm_drift, populations, parity blocks) of each state of a stack of
-    states that are not T-resolved.
-
-    The flip test comes first, corner entries and then the rows
-    a < dim / 2 against their images, which hold one entry of each pair,
-    so that the hermiticity drift of a flip-invariant state reads half its
-    rows (_herm_drift).  A state whose drift is not finite gets no
-    spectrum (nan) and no parity blocks.  The flip-invariant states take
-    the spectra of their parity blocks, the others one full eigvalsh, each
-    group in one stacked call.
-    """
-    count, dim = states.shape[:2]
-    flipped = np.zeros(count, dtype=bool)
-    # the corner entries are one necessary condition, so a state far from
-    # the symmetry (amplitude damping drains |0> into |dim - 1>) costs one
-    # comparison, not a whole-matrix one
-    corner = (dim % 2 == 0) & (states[:, 0, 0] == states[:, -1, -1])
-    if corner.any():
-        # rows a < dim / 2 hold one entry of each pair (a, b), (P a, P b)
-        chosen, h = _take(states, corner), dim // 2
-        flipped[corner] = (
-            chosen[:, :h] == chosen[:, ::-1, ::-1][:, :h]
-        ).all(axis=(1, 2))
-    herm_drift = np.empty(count)
-    with np.errstate(invalid="ignore"):
-        for mask, half in ((flipped, True), (~flipped, False)):
-            if mask.any():
-                herm_drift[mask] = _herm_drift(_take(states, mask), flipped=half)
-    finite = np.isfinite(herm_drift)
-    populations = np.full((count, dim), math.nan)
-    blocks: list = [None] * count
-    parity, full = flipped & finite, ~flipped & finite
-    if parity.any():
-        stacked = _split_parity(_take(states, parity))
-        populations[parity] = _parity_spectrum(stacked)
-        for k, block in zip(np.flatnonzero(parity).tolist(), stacked):
-            blocks[k] = block
-    if full.any():
-        chosen = _take(states, full)
-        hermitian = chosen + chosen.conj().swapaxes(1, 2)
-        hermitian *= 0.5
-        populations[full] = np.linalg.eigvalsh(hermitian)
-    return herm_drift, populations, blocks
 
 
 def check_state(
@@ -1372,38 +1261,27 @@ def check_state(
     of the same state; for a stack, the list of the states' records, each
     bitwise the one check_state gives for that state alone.  It raises for
     the first invalid state, with the records of the states before it as
-    the error's `passed`.  The spectrum comes from the smallest exact
-    symmetry blocks the state has, each symmetry tested bit for bit with
-    no tolerance or margin:
+    the error's `passed`.
 
-    * a state of at least TRANSLATION_SPLIT_MIN_DIM rows (N >= 3) that
-      equals T rho T^dag for the cyclic site shift T (_translation_invariant:
-      row 0 first, then the whole state; ring and local runs from |->^N,
-      both channels) takes its momentum blocks (_momentum_spectrum), about
-      N blocks of dim / N rows, one eigvalsh per block size, and no parity
-      blocks;
-    * otherwise a state that equals P rho P for the global spin flip P
-      (every dephasing sample from a flip-invariant start) takes its two
-      parity blocks (_split_parity), a quarter of the arithmetic of the
-      full eigvalsh;
-    * any other state takes the full eigvalsh.
+    Each state takes the largest symmetry group it has (_state_groups),
+    each generator tested bit for bit with no tolerance or margin: the
+    cyclic site shift T and the global spin flip P together (every ring
+    and local dephasing sample from |->^N, and |->^N itself), T alone
+    (ring and local amplitude damping from |->^N), P alone (all-to-all
+    dephasing after t = 0), or none (all-to-all damping after t = 0), each
+    from its GROUP_MIN_ROWS rows on.  Its spectrum comes from the group's
+    blocks (_block_spectra): about dim / (2N) rows for Z_N x Z_2, dim / N
+    for Z_N and dim / 2 for {1, P}, and the full eigvalsh for none.  Its
+    hermiticity drift comes from the group's representative rows, which
+    hold every value of the whole matrix (_herm_drift).  A state with a
+    nan or inf entry gets no spectrum (its min_eig is nan) and is
+    rejected.
 
-    The drifts are measured over the whole of rho, with the same values
-    either way: the hermiticity drift reads only the orbit
-    representatives' rows of a T-invariant state and only the first half
-    of the rows of a flip-invariant one, which hold every value
-    (_herm_drift).  The parity blocks are returned, for the coherence,
-    whenever the spectrum came from them.  A state with a nan or inf entry
-    gets no spectrum (its min_eig is nan) and is rejected.
-
-    The states are measured as two stacks, the T-invariant ones and the
-    others (no copy when one of them is the whole stack): the symmetry
-    tests and drifts at once, and one eigvalsh per block size, for the
-    momentum blocks, the parity blocks and the full-path states
-    (_measure_translated and _measure_other).  FFT and LAPACK see each
-    transform and matrix alone, so each record is bitwise the one-state
-    one, and the per-call overhead, most of a small state's check, is paid
-    once a stack.
+    The states of one group are measured as one stack (no copy when they
+    are the whole stack), one eigvalsh per block size.  FFT and LAPACK see
+    each transform and matrix alone, so each record is bitwise the
+    one-state one, and the per-call overhead, most of a small state's
+    check, is paid once a stack.
     """
     # one state is a stack of one
     states, times = (rho[None], [t]) if rho.ndim == 2 else (rho, t)
@@ -1411,25 +1289,27 @@ def check_state(
     trace = np.trace(states, axis1=1, axis2=2)
     trace_drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
     herm_drift = np.empty(count)
-    populations = np.empty((count, dim))
-    blocks: list = [None] * count
-    translated = np.zeros(count, dtype=bool)
-    # a nan entry fails the invariance test (nan != nan); an inf one may
-    # pass it, and then sits in a representative row as well
-    if dim >= TRANSLATION_SPLIT_MIN_DIM and not dim & (dim - 1):
-        translated = _translation_invariant(states)
-    if translated.any():
-        rows = _orbits(dim.bit_length() - 1).representatives
-        herm_drift[translated], populations[translated] = _measure_translated(
-            _take(states, translated), rows
-        )
-    if not translated.all():
-        other = np.flatnonzero(~translated)
-        herm_drift[other], populations[other], found = _measure_other(
-            _take(states, ~translated)
-        )
-        for k, block in zip(other.tolist(), found):
-            blocks[k] = block
+    populations = np.full((count, dim), math.nan)
+    # a nan entry fails the invariance tests (nan != nan); an inf one may
+    # pass them, and then sits in a representative row as well
+    groups = _state_groups(states)
+    names = groups.tolist()
+    for name in dict.fromkeys(names):
+        mask = groups == name
+        where = np.flatnonzero(mask)
+        chosen = _take(states, mask)
+        group = None if name == "1" else symmetry_group(dim.bit_length() - 1, name)
+        rows = np.arange(dim) if group is None else group.representatives
+        # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan,
+        # which numpy would warn about), so a non-finite state gets no
+        # spectrum
+        with np.errstate(invalid="ignore"):
+            herm_drift[where] = _herm_drift(chosen, rows)
+        finite = np.isfinite(herm_drift[where])
+        if finite.any():
+            populations[where[finite]] = _block_spectra(
+                _take(chosen, finite), group
+            )
     # written so that a nan measurement fails
     valid = (
         (trace_drift < TRACE_TOL)
@@ -1437,7 +1317,6 @@ def check_state(
         & (populations[:, 0] >= MIN_EIGENVALUE_TOL)
     ).tolist()
     trace_drift, herm_drift = trace_drift.tolist(), herm_drift.tolist()
-    translated = translated.tolist()
     checks: list[StateCheck] = []
     for k in range(count):
         if not valid[k]:
@@ -1449,10 +1328,7 @@ def check_state(
                 checks,
             )
         checks.append(
-            StateCheck(
-                populations[k], trace_drift[k], herm_drift[k], blocks[k],
-                translated[k],
-            )
+            StateCheck(populations[k], trace_drift[k], herm_drift[k], names[k])
         )
     return checks[0] if rho.ndim == 2 else checks
 
@@ -1619,8 +1495,8 @@ def evolve_stream(
     between samples included), set when the stream ends.
     Before each sample is yielded, its check_state record is stored under
     info["check"] (its populations feed observables.ergotropy without a
-    second eigendecomposition, and its parity blocks, when the state has
-    them, feed observables.coherence_l1_energy_basis), and
+    second eigendecomposition, and its symmetry group feeds
+    observables.coherence_l1_energy_basis), and
     info["invariant_margins"] holds the worst margins of the samples so
     far: the largest trace and hermiticity drifts and the smallest minimum
     eigenvalue.  Before the first sample of each chunk (the t = 0 sample is

@@ -49,8 +49,10 @@ the N = 3 curve on t in [0.2, 5].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,6 +175,84 @@ def cyclic_shift(n_sites: int) -> np.ndarray:
     return ((index << 1) & (dim - 1)) | (index >> (n_sites - 1))
 
 
+class SymmetryGroup(NamedTuple):
+    """The table of one group of z basis permutations (symmetry_group).
+
+    elements[j, s, a] is T^j P^s a, for j < N_T and s < N_P (N and 2 when
+    the group has T and P, 1 without); the representatives are the
+    smallest index of each orbit, ascending; orbit_of[a] is the position
+    of a's orbit among them and sizes[r] the size of orbit r.  blocks
+    holds, for each number s of representatives that a character admits,
+    (index, weights) for the m characters (k, p) with that number: the
+    (m, s, s) flat positions of (a, p, b, k) in a (R, N_P, R, N_T) array,
+    for the admitted representatives a and b of each character, and the
+    (m, s, s) weights sqrt(|O_a| |O_b|) / |G| of the block spectrum
+    (evolution._block_spectra), None where all are 1.
+    """
+
+    name: str
+    elements: np.ndarray
+    representatives: np.ndarray
+    orbit_of: np.ndarray
+    sizes: np.ndarray
+    blocks: list[tuple[np.ndarray, np.ndarray | None]]
+
+
+@functools.lru_cache(maxsize=None)
+def symmetry_group(n_sites: int, name: str) -> SymmetryGroup:
+    """The table of a group of exact symmetries of the z basis of n_sites
+    cells: "P" ({1, P} for the global spin flip P a = dim - 1 - a), "T"
+    (Z_N, generated by the cyclic site shift T of cyclic_shift) or "TP"
+    (Z_N x Z_2; T and P commute).
+
+    The characters are chi_(k, p)(T^j P^s) = e^{2 pi i k j / N} (-1)^(p s),
+    k < N (1 without T) and p < 2 (1 without P).  The states
+    sum_g chi(g)^* g|a> of the orbit of a vanish unless chi is 1 on the
+    stabilizer of a; a character admits the representatives whose
+    stabilizer it is 1 on, and a state that commutes with the group is
+    block diagonal over the characters, in blocks over their admitted
+    representatives (Sandvik, AIP Conf. Proc. 1297, 135, 2010, section 4,
+    for Z_N).  The group has one table per (n_sites, name).
+    """
+    dim = 2**n_sites
+    index = np.arange(dim)
+    n_t, n_p = (n_sites if "T" in name else 1), (2 if "P" in name else 1)
+    elements = np.empty((n_t, n_p, dim), dtype=np.intp)
+    elements[0, 0] = index
+    shift = cyclic_shift(n_sites)
+    for j in range(1, n_t):
+        elements[j, 0] = shift[elements[j - 1, 0]]
+    if n_p == 2:
+        elements[:, 1] = dim - 1 - elements[:, 0]
+    smallest = elements.reshape(-1, dim).min(axis=0)
+    is_representative = smallest == index
+    representatives = np.flatnonzero(is_representative)
+    orbit_of = (np.cumsum(is_representative) - 1)[smallest]
+    sizes = np.bincount(orbit_of)
+    # chi_(k, p)(T^j P^s) is 1 exactly when k j n_p + p s n_t = 0 mod |G|,
+    # and chi admits a representative unless it is not 1 on an element
+    # that fixes it
+    k, p = np.indices((n_t, n_p))
+    phase = np.multiply.outer(k, k) * n_p + np.multiply.outer(p, p) * n_t
+    fixes = elements[:, :, representatives] == representatives
+    admits = ~np.tensordot(phase % (n_t * n_p) != 0, fixes, axes=2)
+    admits = admits.reshape(n_t * n_p, -1)
+    counts = admits.sum(axis=1)
+    root = np.sqrt(sizes / (n_t * n_p))
+    blocks = []
+    for count in dict.fromkeys(counts.tolist()):
+        chosen = np.flatnonzero(counts == count)
+        admitted = np.stack([np.flatnonzero(admits[c]) for c in chosen])
+        weights = root[admitted][:, :, None] * root[admitted][:, None, :]
+        # flat position of (a, p, b, k) in a (R, n_p, R, n_t) array
+        k_c, p_c = (x.ravel()[chosen][:, None, None] for x in (k, p))
+        pairs = (admitted[:, :, None] * n_p + p_c) * len(representatives)
+        index = (pairs + admitted[:, None, :]) * n_t + k_c
+        # every weight is 1 for {1, P}, and multiplying by 1 changes nothing
+        blocks.append((index, None if (weights == 1.0).all() else weights))
+    return SymmetryGroup(name, elements, representatives, orbit_of, sizes, blocks)
+
+
 def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
     """Dense battery Hamiltonian for the given model.
 
@@ -245,13 +325,17 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
     canonical representative, so the caller must construct the state
     explicitly (see product_minus_state for the j_coupling = 0 battery).
 
-    When h_matrix commutes bit for bit with the global spin flip P (which
-    maps z index a to dim - 1 - a, so P H P = H[::-1, ::-1]), as every
-    battery_hamiltonian does, the unique ground vector psi has a parity s,
-    the sign of <psi|P psi>, and eigh's vector is projected onto it:
-    (psi + s P psi) / 2, normalized.  Its entries a and dim - 1 - a are
-    then equal, or exact negatives, bit for bit, so the density matrix is
-    exactly flip-invariant and the invariant check can take its parity
+    When h_matrix commutes bit for bit with the global spin flip P or the
+    cyclic site shift T (symmetry_group), as battery_hamiltonian does with
+    both at j_coupling = 1, the unique ground vector psi is an eigenvector
+    of each, g psi = chi(g) psi, with chi(g) = +-1 for a real matrix, the
+    sign of <psi|g psi> for each element g.  eigh's vector is projected
+    onto that character of the group G they generate on the orbit
+    representatives r, psi'[r] = sum_g chi(g) psi[g r] / |G| (0 where chi
+    is not 1 on the stabilizer of r), and psi'[g r] = chi(g) psi'[r] is
+    written along each orbit, then normalized.  Its entries on one orbit
+    are then equal, or exact negatives, bit for bit, so the density matrix
+    commutes with G bit for bit and the invariant check can take its
     blocks (evolution.check_state).  Any other matrix keeps eigh's vector.
     """
     h_matrix = np.asarray(h_matrix, dtype=complex)
@@ -264,10 +348,25 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
             "specify the initial state explicitly"
         )
     g = vecs[:, 0]
-    if np.array_equal(h_matrix, h_matrix[::-1, ::-1]):
-        sign = 1.0 if np.vdot(g, g[::-1]).real >= 0 else -1.0
-        g = g + sign * g[::-1]
-        g /= np.linalg.norm(g)
+    n = len(g).bit_length() - 1
+    if len(g) == 2**n > 1:
+        perms = {"T": cyclic_shift(n), "P": np.arange(2**n)[::-1]}
+        name = "".join(
+            x for x, perm in perms.items()
+            if np.array_equal(h_matrix[np.ix_(perm, perm)], h_matrix)
+        )
+        if name:
+            group = symmetry_group(n, name)
+            reps = group.representatives
+            orbits = group.elements[:, :, reps]
+            # chi(h) = <g|h g>, +-1 for each element h
+            overlap = np.einsum("a,jsa->js", g.conj(), g[group.elements]).real
+            chi = np.where(overlap >= 0, 1.0, -1.0)[..., None]
+            kept = ((chi == 1.0) | (orbits != reps)).all(axis=(0, 1))
+            values = (chi * g[orbits]).sum(axis=(0, 1)) / chi.size * kept
+            g = np.empty_like(g)
+            g[orbits] = chi * values
+            g /= np.linalg.norm(g)
     return np.outer(g, g.conj())
 
 

@@ -3,21 +3,19 @@
 Ergotropy is the maximum work extractable from a state by a unitary:
 Tr[H rho] minus the passive energy, where the passive energy pairs the
 state's populations sorted ascending with the Hamiltonian's levels sorted
-descending (largest population on the lowest level).  The mean energy
-Tr[H_B rho] of the battery Hamiltonian, a field term on every cell plus a
-diagonal, is read from the N bit-flip diagonals rho[a, a ^ bit_i] and the
-main diagonal of rho (bit_flip_terms), O(N dim) entries.  The l1-coherence
-is the sum of absolute off-diagonal entries of the state expressed in a
-deterministic eigenbasis of the battery Hamiltonian.  For a state that is
-exactly invariant under the cyclic site shift T (evolution.check_state then
-marks it translation_resolved) in a real basis that T permutes, such as
-the field product basis, the transformed state is invariant under that
-permutation, and the sum is taken over the rows of the permutation's orbit
-representatives, weighted by orbit size; see translation_row_basis.
-Otherwise, for a state that is exactly invariant under the global spin
-flip (check_state then returns its two parity blocks) in a real basis
-whose every vector is even or odd under the flip, the transform splits
-into two real half-size ones; see parity_block_basis.
+descending (largest population on the lowest level), floored at 0.  The
+mean energy Tr[H_B rho] of the battery Hamiltonian, a field term on every
+cell plus a diagonal, is read from the N bit-flip diagonals
+rho[a, a ^ bit_i] and the main diagonal of rho (bit_flip_terms), O(N dim)
+entries.  The l1-coherence is the sum of absolute off-diagonal entries of
+the state expressed in a deterministic eigenbasis of the battery
+Hamiltonian.  It takes the symmetry group that evolution.check_state
+names for the state (StateCheck.group), as far as the basis resolves it
+(symmetric_basis): one transform per P sector, C_p^T rho_p C_p, when the
+group holds the global spin flip P and every basis vector is even or odd
+under it, and only the rows of the orbit representatives of the basis
+columns, weighted by orbit size, when it holds the cyclic site shift T
+and T permutes the columns.  The field product basis resolves both.
 """
 
 from __future__ import annotations
@@ -152,7 +150,9 @@ def ergotropy(
 
     passive_energy = sum_i lambda_i eps_i with populations lambda sorted
     ascending and energies eps sorted descending; ergotropy is their gap
-    to Tr[h_b rho] and is nonnegative up to eigensolver round-off.
+    to Tr[h_b rho], floored at 0: a passive state's gap is 0 up to the
+    round-off of the two sums (down to -1.8e-15 in the local dephasing
+    runs), and no unitary extracts negative work.
 
     h_energies optionally carries the precomputed ascending spectrum of
     h_b, so time-series loops diagonalize the (fixed) Hamiltonian once.
@@ -190,9 +190,10 @@ def ergotropy(
         h_energies = np.linalg.eigvalsh(h_b)
     energies = np.asarray(h_energies)[::-1]        # descending
     passive = np.array([np.real(np.dot(p, energies)) for p in populations])
+    gap = np.maximum(w - passive, 0.0)
     if rho.ndim == 2:
-        w, passive = float(w[0]), float(passive[0])
-    return ErgotropyReport(w=w, passive_energy=passive, ergotropy=w - passive)
+        w, passive, gap = float(w[0]), float(passive[0]), float(gap[0])
+    return ErgotropyReport(w=w, passive_energy=passive, ergotropy=gap)
 
 
 def energy_eigenbasis(h_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,96 +251,97 @@ def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def parity_block_basis(basis: np.ndarray) -> np.ndarray | None:
-    """The basis split by spin-flip parity, for coherence_l1_energy_basis.
+class SymmetricBasis(NamedTuple):
+    """A basis B of the battery prepared for coherence_l1_energy_basis by
+    symmetric_basis: `basis` is B as given, and parts[name], for each group
+    of "P", "T" and "TP" (models.symmetry_group) whose blocks B resolves,
+    is (rows, coordinates, weights, diagonal): the (S, R, n) real rows of
+    C_s^T kept for each of its S sectors, the (S, m, n) real C_s^T, the
+    (S, R) orbit sizes of the kept rows (None when every row is kept) and
+    the (sector, column, row) index arrays of the kept rows' diagonal
+    entries in the (S, m, R) transpose of the kept rows."""
 
-    The global spin flip maps z index a to dim - 1 - a, so a column of
-    `basis` is even or odd under it when its row reversal equals it or its
-    negative.  When every column of a real basis is exactly one of the two,
-    with dim / 2 of each, column b of parity p has the coordinates
-    sqrt(2) b[:dim/2] in that sector's basis (|a> +- |dim - 1 - a>) /
-    sqrt(2), a < dim / 2.  Returns the (2, dim/2, dim/2) real stack of the
-    transposes C_+^T, C_-^T of those coordinate matrices (columns in their
-    order in `basis`), or None for any other basis.  Prepare it once per
-    basis, not once per state.
-    """
-    basis = np.asarray(basis)
-    dim = basis.shape[0]
-    if dim % 2 or basis.shape != (dim, dim) or np.any(np.imag(basis)):
-        return None
-    real = np.real(basis)
-    flipped = real[::-1]
-    even = (flipped == real).all(axis=0)
-    odd = (flipped == -real).all(axis=0)
-    h = dim // 2
-    if not (even ^ odd).all() or np.count_nonzero(even) != h:
-        return None
-    return np.sqrt(2.0) * np.stack((real[:h, even].T, real[:h, odd].T))
-
-
-class TranslationRows(NamedTuple):
-    """A real basis B that the cyclic site shift permutes, as
-    translation_row_basis prepares it: `rows` is the (R, dim) stack of the
-    transposes of B's columns at the representatives of the permutation's
-    orbits (`representatives`, ascending), `weights` the sizes of those
-    orbits, and `basis` B itself, real and contiguous."""
-
-    rows: np.ndarray
-    representatives: np.ndarray
-    weights: np.ndarray
     basis: np.ndarray
+    parts: dict[str, tuple]
 
 
-def translation_row_basis(basis: np.ndarray) -> TranslationRows | None:
-    """The basis prepared for the representative-row coherence, for
-    coherence_l1_energy_basis.
-
-    The cyclic site shift T (models.cyclic_shift) moves z index a to T a.
-    When T maps every column of a real basis B of N >= 2 cells onto a
-    column of B bit for bit, T B = B Pi for a permutation Pi of the
-    columns, and for a state with T rho T^dag = rho the transformed state
-    B^T rho B is invariant under Pi: entry (Pi c, Pi d) equals (c, d).  Its
-    off-diagonal l1 sum is then the sum over the orbits of Pi of the orbit
-    size times the off-diagonal sum of the representative's row.  The
-    field product basis (models.field_product_eigenbasis) is such a basis,
-    T permuting its product states.  Returns the TranslationRows of B, or
-    None for any other basis.  Prepare it once per basis, not once per
+def symmetric_basis(basis: np.ndarray) -> SymmetricBasis:
+    """The basis prepared for the symmetric coherence (see
+    coherence_l1_energy_basis).  Prepare it once per basis, not once per
     state.
+
+    The global spin flip P maps z index a to dim - 1 - a, so a column of a
+    real basis B is even or odd under it when its row reversal equals it
+    or its negative.  When every column is exactly one of the two, with
+    dim / 2 of each, B resolves P: column c of parity p has the
+    coordinates sqrt(2) B[:dim/2, c] in that sector's basis
+    (|a> +- |dim - 1 - a>) / sqrt(2), a < dim / 2, the columns of C_p.
+    The cyclic site shift T (models.cyclic_shift) moves z index a to T a.
+    When T maps every column of a real B of N >= 2 cells onto a column of
+    B bit for bit, T B = B Pi for a permutation Pi of the columns, and B
+    resolves T: the rows kept are Pi's orbit representatives, weighted by
+    orbit size.  T and P commute, so Pi keeps each parity, and a B that
+    resolves both resolves Z_N x Z_2: each sector keeps the orbit
+    representatives among its columns.  The field product basis
+    (models.field_product_eigenbasis) resolves both.  Any other basis
+    resolves none and keeps only the full transform.
     """
     basis = np.asarray(basis)
     dim = basis.shape[0]
     n = dim.bit_length() - 1
-    if n < 2 or basis.shape != (dim, dim) or dim != 2**n or np.any(np.imag(basis)):
-        return None
+    if basis.shape != (dim, dim) or dim != 2**n or n < 1 or np.any(np.imag(basis)):
+        return SymmetricBasis(basis, {})
     real = np.ascontiguousarray(np.real(basis))
+    even = (real[::-1] == real).all(axis=0)
+    odd = (real[::-1] == -real).all(axis=0)
+    h = dim // 2
+    # each group's sectors: the columns of B in each, and the stack of C_s^T
+    sectors = {}
+    if (even ^ odd).all() and np.count_nonzero(even) == h:
+        sectors["P"] = (
+            [np.flatnonzero(even), np.flatnonzero(odd)],
+            np.sqrt(2.0) * np.stack((real[:h, even].T, real[:h, odd].T)),
+        )
     # column c of T B: (T B)[T a, c] = B[a, c]
     moved = np.empty_like(real)
     moved[cyclic_shift(n)] = real
     column_of = {real[:, c].tobytes(): c for c in range(dim)}
-    image = [column_of.get(moved[:, c].tobytes()) for c in range(dim)]
-    if len(column_of) != dim or None in image:
-        return None
-    image = np.array(image)
-    # T^N is the identity, so the orbits of Pi close within N steps
-    smallest = np.arange(dim)
-    step = smallest
-    for _ in range(n - 1):
-        step = image[step]
-        smallest = np.minimum(smallest, step)
-    representatives = np.flatnonzero(smallest == np.arange(dim))
-    weights = np.bincount(smallest, minlength=dim)[representatives].astype(float)
-    rows = np.ascontiguousarray(real[:, representatives].T)
-    return TranslationRows(rows, representatives, weights, real)
+    image = np.array([column_of.get(moved[:, c].tobytes(), -1) for c in range(dim)])
+    if n > 1 and len(column_of) == dim and (image >= 0).all():
+        # T^N is the identity, so the orbits of Pi close within N steps
+        smallest = step = np.arange(dim)
+        for _ in range(n - 1):
+            step = image[step]
+            smallest = np.minimum(smallest, step)
+        sizes = np.bincount(smallest)
+        sectors["T"] = ([np.arange(dim)], real.T[None])
+        if "P" in sectors:
+            sectors["TP"] = sectors["P"]
+    parts = {}
+    for name, (columns, coordinates) in sectors.items():
+        rows = [
+            np.flatnonzero(smallest[c] == c) if "T" in name else np.arange(len(c))
+            for c in columns
+        ]
+        # a sector with fewer representatives repeats its first row, at
+        # weight 0
+        position = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+        weights = np.zeros(position.shape)
+        for s, (c, r) in enumerate(zip(columns, rows)):
+            position[s, : len(r)] = r
+            weights[s, : len(r)] = sizes[c[r]] if "T" in name else 1.0
+        sector, row = np.indices(position.shape)
+        weights = weights if "T" in name else None
+        diagonal = (sector, position, row)
+        parts[name] = (coordinates[sector, position], coordinates, weights, diagonal)
+    return SymmetricBasis(basis, parts)
 
 
 def coherence_l1_energy_basis(
     rho: np.ndarray,
     h_b: np.ndarray,
-    basis: np.ndarray | None = None,
-    parity_blocks: np.ndarray | list | None = None,
-    parity_basis: np.ndarray | None = None,
-    translated: bool | list | None = None,
-    translation_rows: TranslationRows | None = None,
+    basis: np.ndarray | SymmetricBasis | None = None,
+    groups: str | list[str] | None = None,
 ) -> float | np.ndarray:
     """Sum of |off-diagonal| entries of rho in the h_b eigenbasis.
 
@@ -348,25 +350,23 @@ def coherence_l1_energy_basis(
     the noninteracting battery, whose spectrum is massively degenerate.
     Otherwise the deterministic basis from energy_eigenbasis is built.
 
-    When `translated` (StateCheck.translation_resolved of this same rho:
-    rho commutes exactly with the cyclic site shift) is true and
-    `translation_rows` (translation_row_basis of `basis`) is given, only
-    the representative rows of B^T rho B are formed, two real matmuls of
-    R x dim by dim x dim on the interleaved float view, with R about
-    dim / N, and each row's off-diagonal sum is weighted by its orbit's
-    size.  Otherwise, when both `parity_blocks` (StateCheck.parity_blocks
-    of this same rho) and `parity_basis` (parity_block_basis of `basis`)
-    are given, rho in the basis is block diagonal: the blocks are
-    C_p^T rho_p C_p, the cross-parity entries are exactly zero, and the
-    sum is taken over the two blocks, two real matmuls per parity on
-    half-size matrices in place of two complex full-size ones.  Either
-    way the value agrees with the full transform at round-off.
+    `groups` names the symmetry group of rho (StateCheck.group: rho
+    commutes with every element of it bit for bit).  When `basis` is a
+    SymmetricBasis (symmetric_basis) that resolves part of that group, the
+    transform B^T rho B is block diagonal over the P sectors when P is in
+    it, C_p^T rho_p C_p with rho_p = rho[:h, :h] +- rho[:h, h:][:, ::-1],
+    and invariant under the column permutation Pi of T when T is in it:
+    only the kept rows of each block are formed, two real matmuls on the
+    interleaved float view, and each row's off-diagonal sum is weighted by
+    its orbit's size.  With P alone that is half the arithmetic of the
+    full transform, with T alone about 2 / N of it, and with both about
+    1 / (2N).  Otherwise the full complex transform.  Either way the value
+    agrees with the full transform at round-off.
 
-    rho may also be a (K, dim, dim) stack of states, with parity_blocks
-    and translated then sequences of K entries, a state's blocks or None
-    and its flag; the result is then the (K,) array of the states' values,
-    each bitwise the one-state value.  The states of each of the three
-    paths go through one batched transform.
+    rho may also be a (K, dim, dim) stack of states, with groups then a
+    sequence of K names, or one name for them all; the result is then the
+    (K,) array of the states' values, each bitwise the one-state value.
+    The states of each group go through one batched transform.
     """
     rho = np.asarray(rho, dtype=complex)
     h_b = np.asarray(h_b, dtype=complex)
@@ -376,58 +376,57 @@ def coherence_l1_energy_basis(
         )
     single = rho.ndim == 2
     states = rho[None] if single else rho
-    if single or parity_blocks is None:
-        parity_blocks = [parity_blocks] * len(states)
-    if single or translated is None:
-        translated = [bool(translated)] * len(states)
-    by_rows = np.array(translated, dtype=bool) & (translation_rows is not None)
-    resolved = ~by_rows & np.array(
-        [parity_basis is not None and b is not None for b in parity_blocks],
-        dtype=bool,
-    )
+    if basis is None:
+        basis = energy_eigenbasis(h_b)[1]
+    if not isinstance(basis, SymmetricBasis):
+        basis = SymmetricBasis(np.asarray(basis), {})
+    if groups is None or isinstance(groups, str):
+        groups = [groups or "1"] * len(states)
+    # the states of each part of a group that the basis resolves
+    resolved = {
+        g: "".join(x for x in g if x in basis.parts) or "1" for g in set(groups)
+    }
+    members: dict[str, list[int]] = {}
+    for k, g in enumerate(groups):
+        members.setdefault(resolved[g], []).append(k)
     values = np.empty(len(states))
-    if by_rows.any():
-        values[by_rows] = _row_l1(
-            translation_rows, states if by_rows.all() else states[by_rows]
-        )
-    if resolved.any():
-        chosen = [b for b, r in zip(parity_blocks, resolved) if r]
-        # one state's blocks as a view, a large state's copy being the cost
-        blocks = np.ascontiguousarray(
-            chosen[0][None] if len(chosen) == 1 else np.stack(chosen),
-            dtype=complex,
-        )
-        # a real matrix times a complex one, on the interleaved float view
-        rotated = np.matmul(parity_basis, blocks.view(float)).view(complex)
-        turned = np.ascontiguousarray(rotated.swapaxes(-1, -2))
-        # (C^T rho C)^T: the transpose has the same off-diagonal entries
-        transformed = np.matmul(parity_basis, turned.view(float)).view(complex)
-        values[resolved] = _off_diagonal_l1(transformed)
-    rest = ~(by_rows | resolved)
-    if rest.any():
-        if basis is None:
-            _, basis = energy_eigenbasis(h_b)
-        chosen = states if rest.all() else states[rest]
-        transformed = basis.conj().T @ chosen @ basis
-        values[rest] = _off_diagonal_l1(transformed[:, None])
+    for name, chosen in members.items():
+        part = states if len(chosen) == len(states) else states[chosen]
+        if name == "1":
+            transformed = basis.basis.conj().T @ part @ basis.basis
+            values[chosen] = _off_diagonal_l1(transformed[:, None])
+        else:
+            values[chosen] = _symmetric_l1(part, "P" in name, *basis.parts[name])
     return float(values[0]) if single else values
 
 
-def _row_l1(rows: TranslationRows, states: np.ndarray) -> np.ndarray:
-    """sum_r w_r sum_(c != r) |(B^T rho B)[r, c]| over the representatives
-    r of translation_row_basis, one value per state of a (K, dim, dim)
-    stack.  (B^T rho)[r] is a real matrix times a complex one on the
-    interleaved float view; its transpose, multiplied by B^T the same way,
-    is the (K, dim, R) transpose of the representative rows, whose entries
-    (r, r) are zeroed and whose columns are summed over dim, weighted and
-    summed, each state in the same order however many share the stack."""
-    states = np.ascontiguousarray(states)
-    left = np.matmul(rows.rows, states.view(float)).view(complex)
+def _symmetric_l1(
+    states: np.ndarray, split: bool, rows, coordinates, weights, diagonal
+) -> np.ndarray:
+    """sum of |off-diagonal| entries of B^T rho B over the kept rows of
+    each sector (symmetric_basis), weighted, for each state of a
+    (K, dim, dim) stack; split into the P sectors first when `split`.
+    (C^T rho)[kept] is a real matrix times a complex one on the
+    interleaved float view; its transpose, multiplied by C^T the same way,
+    is the transpose of the kept rows of C^T rho C, whose diagonal entries
+    are zeroed and whose columns are summed, weighted and summed, each
+    state in the same order however many share the stack."""
+    if split:
+        h = states.shape[-1] // 2
+        top_left, top_right = states[:, :h, :h], states[:, :h, h:][:, :, ::-1]
+        sectors = np.empty((len(states), 2, h, h), dtype=complex)
+        np.add(top_left, top_right, out=sectors[:, 0])
+        np.subtract(top_left, top_right, out=sectors[:, 1])
+    else:
+        sectors = np.ascontiguousarray(states)[:, None]
+    left = np.matmul(rows, sectors.view(float)).view(complex)
     turned = np.ascontiguousarray(left.swapaxes(-1, -2))
-    transformed = np.matmul(rows.basis.T, turned.view(float)).view(complex)
+    transformed = np.matmul(coordinates, turned.view(float)).view(complex)
     off = np.abs(transformed)
-    off[:, rows.representatives, np.arange(len(rows.representatives))] = 0.0
-    return (off.sum(axis=1) * rows.weights).sum(axis=1)
+    off[(slice(None),) + diagonal] = 0.0
+    if weights is None:
+        return off.reshape(len(off), -1).sum(axis=1)
+    return (off.sum(axis=-2) * weights).reshape(len(off), -1).sum(axis=1)
 
 
 def _off_diagonal_l1(blocks: np.ndarray) -> np.ndarray:

@@ -92,8 +92,7 @@ from .observables import (
     energy_eigenbasis,
     ergotropy,
     extraction_ratio,
-    parity_block_basis,
-    translation_row_basis,
+    symmetric_basis,
 )
 
 CSV_COLUMNS = ("t", "W", "ergotropy", "stored_E", "ratio_R", "coherence_per_site")
@@ -714,8 +713,7 @@ def _execute_run(payload: tuple) -> dict:
         _, basis = field_product_eigenbasis(n_sites, cfg.h)
     else:
         _, basis = energy_eigenbasis(h_b)
-    parity_basis = parity_block_basis(basis)
-    translation_rows = translation_row_basis(basis)
+    basis = symmetric_basis(basis)
     flip_terms = bit_flip_terms(h_b)
     if rho0 is None:
         rho0 = product_minus_state(n_sites)
@@ -760,13 +758,10 @@ def _execute_run(payload: tuple) -> dict:
                 chunk.states,
                 h_b,
                 basis=basis,
-                parity_blocks=[c.parity_blocks for c in checks],
-                parity_basis=parity_basis,
-                translated=[c.translation_resolved for c in checks],
-                translation_rows=translation_rows,
+                groups=[c.group for c in checks],
             ) / n_sites
-            parity_resolved += sum(c.parity_blocks is not None for c in checks)
-            translation_resolved += sum(c.translation_resolved for c in checks)
+            parity_resolved += sum("P" in c.group for c in checks)
+            translation_resolved += sum("T" in c.group for c in checks)
             io = time.perf_counter()
             timing["observables"] += io - mark
             lines.append(
@@ -842,8 +837,9 @@ def run_scenario(
     scaling), convergence flag and its evidence (below), worst invariant
     margins over the sampled states (largest |trace - 1| and hermiticity
     drift, smallest minimum eigenvalue), the numbers of sampled states
-    whose spectrum the check took from spin-flip parity blocks and from
-    momentum blocks of the cyclic site shift (see
+    whose symmetry group in the check holds the spin flip P
+    (`parity_resolved_samples`) and the cyclic site shift T
+    (`translation_resolved_samples`; a state with both counts in both, see
     qbattery.evolution.check_state), the seconds of the run's
     layers (`timing_s`: `build`, the generator and its map; `propagate`
     and `check`, summed over the sampled chunks, see

@@ -6,12 +6,13 @@ an adaptive ODE integration — so tests compare two genuinely different
 routes to the same object rather than the library against itself.  The
 exceptions say so: the brute-force ergotropy oracle, and the library's
 former constructions kept as the reference its current ones must equal
-bit for bit (ref_dephasing_diagonal, ref_check_state, ref_level_map,
-ref_gksl_matrix, ref_conjugate_sectors, ref_level).
+bit for bit (ref_dephasing_diagonal, ref_level_map, ref_gksl_matrix,
+ref_conjugate_sectors, ref_level).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -22,18 +23,12 @@ import scipy.sparse.csgraph
 
 from qbattery.dissipation import CHANNELS
 from qbattery.evolution import (
+    GROUP_MIN_ROWS,
     HERMITICITY_TOL,
     MIN_EIGENVALUE_TOL,
     TRACE_TOL,
-    TRANSLATION_SPLIT_MIN_DIM,
     StateCheck,
     StateInvariantError,
-    _herm_drift,
-    _momentum_spectrum,
-    _orbits,
-    _parity_spectrum,
-    _split_parity,
-    _translation_invariant,
 )
 from qbattery.observables import expectation
 
@@ -412,54 +407,67 @@ def ref_level_map(x, n_sub: int, offsets: np.ndarray) -> np.ndarray:
     return result
 
 
-def ref_parity_blocks(rho: np.ndarray) -> np.ndarray | None:
-    """(rho_+, rho_-) stacked, or None unless rho is exactly flip-invariant,
-    by the library's former one-state test: the corner entries first, then
-    rho == rho[::-1, ::-1] whole."""
+def ref_swap(i: int, j: int, n_sites: int) -> np.ndarray:
+    """The SWAP of sites i and j, (1 + X X + Y Y + Z Z) / 2 over Kronecker
+    chains (ref_embed)."""
+    out = np.eye(2**n_sites, dtype=complex)
+    for op in (SX, SY, SZ):
+        out = out + ref_embed(op, i, n_sites) @ ref_embed(op, j, n_sites)
+    return 0.5 * out
+
+
+@functools.lru_cache(maxsize=None)
+def ref_symmetry_matrices(n_sites: int) -> dict[str, np.ndarray]:
+    """The cyclic site shift T, the product of the neighbour SWAPs
+    (N-2, N-1), ..., (1, 2), (0, 1), and the global spin flip P, the
+    product of sigma^x on every site, as literal permutation matrices."""
+    dim = 2**n_sites
+    shift = np.eye(dim, dtype=complex)
+    for i in reversed(range(n_sites - 1)):
+        shift = shift @ ref_swap(i, i + 1, n_sites)
+    flip = np.eye(dim, dtype=complex)
+    for i in range(n_sites):
+        flip = flip @ ref_embed(SX, i, n_sites)
+    return {"T": shift.real.round(), "P": flip.real.round()}
+
+
+def ref_state_group(rho: np.ndarray) -> str:
+    """The symmetry group of a finite state as check_state chooses it: the
+    first of GROUP_MIN_ROWS whose size rho reaches and whose generators
+    g it commutes with, g rho g^T == rho bit for bit, with g a literal
+    permutation matrix (ref_symmetry_matrices); "1" for none.  A
+    permutation matrix has one entry 1 per row and column and zeros
+    elsewhere, so each entry of g rho g^T is one entry of rho exactly."""
     dim = rho.shape[0]
-    if dim % 2 or rho[0, 0] != rho[-1, -1]:
-        return None
-    if not (rho == rho[::-1, ::-1]).all():
-        return None
-    return _split_parity(rho)
+    n_sites = dim.bit_length() - 1
+    if dim < 2 or dim != 2**n_sites:
+        return "1"
+    commutes = {
+        name: np.array_equal(g @ rho @ g.T, rho)
+        for name, g in ref_symmetry_matrices(n_sites).items()
+    }
+    for name, least in GROUP_MIN_ROWS.items():
+        if dim >= least and all(commutes[x] for x in name):
+            return name
+    return "1"
 
 
 def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
-    """check_state on one state by a one-state path, with an early return
-    for a non-finite state, the hermiticity drift over the whole state (or
-    a T-invariant state's representative rows) and one branch per
-    spectrum; the library's stacked check must give bitwise its record and
-    its error fields.  It reuses the library's measurement helpers, so it
-    pins the stacking (the masks, the grouped eigvalsh, the record for
-    each state) and the half-row drift of flip-invariant states, not those
-    helpers, which have tests of their own."""
+    """check_state on one state by the whole matrix: the hermiticity drift
+    over all of |rho - rho^dag|, the spectrum from one full eigvalsh of the
+    Hermitian part, and the group from literal permutation matrices
+    (ref_state_group).  The library's drifts must be bitwise these, its
+    spectra within 1e-12 and its group the same."""
     trace = np.trace(rho)
     trace_drift = float(abs(trace.real - 1.0) + abs(trace.imag))
-    dim = rho.shape[0]
-    # a nan entry fails the invariance test (nan != nan); an inf one may
-    # pass it, and then sits in a representative row as well
-    rows = None
-    if (
-        dim >= TRANSLATION_SPLIT_MIN_DIM
-        and not dim & (dim - 1)
-        and _translation_invariant(rho)
-    ):
-        rows = _orbits(dim.bit_length() - 1).representatives
     # rho - rho^dag is nan or inf wherever rho is (inf - inf is nan, which
     # numpy would warn about), so the test below rejects every non-finite
     # state
     with np.errstate(invalid="ignore"):
-        herm_drift = float(_herm_drift(rho, rows))
+        herm_drift = float(np.max(np.abs(rho - rho.conj().T)))
     if not math.isfinite(herm_drift):
         raise StateInvariantError(t, trace_drift, herm_drift, math.nan, [])
-    # a T-resolved state takes no parity blocks
-    parity_blocks = None if rows is not None else ref_parity_blocks(rho)
-    if rows is not None:
-        populations = _momentum_spectrum(rho)
-    elif parity_blocks is None:
-        populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    else:
-        populations = _parity_spectrum(parity_blocks)
+    populations = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     min_eig = float(populations[0])
     # written so that a nan measurement fails
     if not (
@@ -468,9 +476,7 @@ def ref_check_state(rho: np.ndarray, t: float) -> StateCheck:
         and min_eig >= MIN_EIGENVALUE_TOL
     ):
         raise StateInvariantError(t, trace_drift, herm_drift, min_eig, [])
-    return StateCheck(
-        populations, trace_drift, herm_drift, parity_blocks, rows is not None
-    )
+    return StateCheck(populations, trace_drift, herm_drift, ref_state_group(rho))
 
 
 def ref_gksl_matrix(

@@ -16,36 +16,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery import (
+    BatteryModel,
     CptpViolationError,
     EvolutionConfig,
     NoiseSpec,
     StateInvariantError,
+    battery_hamiltonian,
     build_gamma,
+    coherence_l1_energy_basis,
     default_dt_internal,
     evolve,
     evolve_stream,
+    field_product_eigenbasis,
     product_minus_state,
     resolve_time_grid,
     steady_state_probe,
 )
 from qbattery import evolution
 from qbattery.dissipation import CHANNELS
+from qbattery.observables import symmetric_basis
 from qbattery.evolution import (
+    GROUP_MIN_ROWS,
     HERMITICITY_TOL,
     LEVEL_SPLIT_MIN_ROWS,
     MIN_EIGENVALUE_TOL,
-    TRANSLATION_SPLIT_MIN_DIM,
     StateCheck,
+    _block_spectra,
     _herm_drift,
-    _momentum_spectrum,
-    _orbits,
     _rk4_substeps,
     _substep_loop_work,
     check_state,
     liouvillian_rhs,
     make_rhs,
 )
-from qbattery.models import EffectiveCoupling, effective_hamiltonian, site_z_signs
+from qbattery.models import (
+    EffectiveCoupling, effective_hamiltonian, site_z_signs, symmetry_group
+)
 
 from reference_impls import (
     SX,
@@ -62,7 +68,6 @@ from reference_impls import (
     ref_level,
     ref_level_map,
     ref_master_rhs,
-    ref_parity_blocks,
     ref_rk4_block_map,
     solve_master_ivp,
 )
@@ -1210,7 +1215,7 @@ class TestShiftReduction:
         resolved = []
         cfg = EvolutionConfig(t_max=0.1, dt_sample=0.01)
         for _ in evolve_stream(product_minus_state(7), spec, cfg, info=info):
-            resolved.append(info["check"].translation_resolved)
+            resolved.append("T" in info["check"].group)
         assert info["propagation"] == "rk4_sample_map"
         assert info["shift_reduced"]
         assert resolved == [True] * 11
@@ -1382,7 +1387,7 @@ class TestCheckState:
             np.testing.assert_array_equal(
                 record.populations, check_state(rho, t).populations
             )
-            _assert_same_record(record, ref_check_state(rho, t))
+            _assert_matches_reference(record, ref_check_state(rho, t))
             records.append(record)
         assert len(records) == 6
         assert info["invariant_margins"] == {
@@ -1406,7 +1411,7 @@ class TestCheckState:
         # yielded, it is not, and the error names its time.  The matrix is
         # diagonal with entries only on the shift-invariant |0...0> and
         # |1...1>, so at N = 7 every sample of the ring dephasing run,
-        # the bad one included, is checked on its momentum blocks.
+        # the bad one included, is checked on its T and P blocks.
         dim = 2**n
         bad = np.zeros((dim, dim), dtype=complex)
         bad[0, 0], bad[-1, -1] = 1.5, -0.5
@@ -1458,8 +1463,8 @@ class TestCheckState:
                 EvolutionConfig(t_max=1.0, dt_sample=0.1),
                 info=info,
             ):
-                assert info["check"].translation_resolved == (
-                    dim >= TRANSLATION_SPLIT_MIN_DIM
+                assert ("T" in info["check"].group) == (
+                    dim >= GROUP_MIN_ROWS["T"]
                 )
                 seen.append(t)
         assert seen == pytest.approx([0.0, 0.1, 0.2])
@@ -1472,26 +1477,41 @@ def _assert_same_record(a, b):
     """Two check_state records bitwise equal."""
     assert a.populations.tobytes() == b.populations.tobytes()
     assert (a.trace_drift, a.herm_drift) == (b.trace_drift, b.herm_drift)
-    assert a.translation_resolved == b.translation_resolved
-    assert (a.parity_blocks is None) == (b.parity_blocks is None)
-    if a.parity_blocks is not None:
-        assert a.parity_blocks.tobytes() == b.parity_blocks.tobytes()
+    assert a.group == b.group
+
+
+def _assert_matches_reference(record, reference):
+    """A check_state record against ref_check_state's: the same drifts bit
+    for bit and the same group, the spectrum within 1e-12."""
+    assert (record.trace_drift, record.herm_drift) == (
+        reference.trace_drift, reference.herm_drift
+    )
+    assert record.group == reference.group
+    np.testing.assert_allclose(
+        record.populations, reference.populations, rtol=0, atol=1e-12
+    )
 
 
 def _assert_same_error(a, b):
-    """Two StateInvariantErrors with the same time and measurements (a nan
-    equal to a nan)."""
+    """Two StateInvariantErrors with the same time and drifts, bit for bit,
+    and the same minimum eigenvalue within 1e-12 (a nan equal to a nan)."""
     assert a.t == b.t
     for field in ("trace_drift", "herm_drift", "min_eig"):
         got, expected = getattr(a, field), getattr(b, field)
-        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        if math.isnan(got) or math.isnan(expected):
+            assert math.isnan(got) and math.isnan(expected)
+        elif field == "min_eig":
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+        else:
+            assert got == expected
 
 
 def _assert_check_matches_reference(rho, t):
-    """check_state(rho, t), on one state or a stack, against the former
-    one-state check (ref_check_state) state by state: bitwise the same
-    records, or the error of the first state the reference rejects, with
-    the same fields and the records before it as `passed`."""
+    """check_state(rho, t), on one state or a stack, against the
+    whole-matrix check (ref_check_state) state by state: the same records
+    (_assert_matches_reference), or the error of the first state the
+    reference rejects, with the same fields and the records before it as
+    `passed`."""
     states, times = (rho[None], [t]) if rho.ndim == 2 else (rho, t)
     expected, error = [], None
     for state, time_ in zip(states, times):
@@ -1512,7 +1532,7 @@ def _assert_check_matches_reference(rho, t):
             got = [got]
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        _assert_same_record(a, b)
+        _assert_matches_reference(a, b)
 
 
 def _faulty_make_rhs(bad, position):
@@ -1559,7 +1579,7 @@ class TestStackedCheck:
         for rho, t, record in zip(stack, times, checks):
             _assert_same_record(record, check_state(rho, t))
             _assert_check_matches_reference(rho, t)
-        assert [c.parity_blocks is not None for c in checks] == [False, True] * 3
+        assert [c.group for c in checks] == ["1", "P"] * 3
         _assert_check_matches_reference(stack, times)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1594,18 +1614,17 @@ class TestStackedCheck:
             _assert_check_matches_reference(rho, t)
 
     def test_large_states_are_checked_as_one_stack(self, monkeypatch):
-        # the translation test and the momentum path take the T-invariant
-        # states of a stack together, and the others go their own way:
-        # one momentum-block gather and one eigvalsh per block size for
-        # the two ring states, one full eigvalsh for the other state
+        # the states of one group are measured together: one block gather
+        # and one eigvalsh per block size for the two ring states (T and P),
+        # then one full eigvalsh for the other state
         calls = []
-        real_spectrum = evolution._momentum_spectrum
+        real_spectrum = evolution._block_spectra
 
-        def counted_spectrum(states):
-            calls.append(len(states))
-            return real_spectrum(states)
+        def counted_spectrum(states, group):
+            calls.append((len(states), group and group.name))
+            return real_spectrum(states, group)
 
-        monkeypatch.setattr(evolution, "_momentum_spectrum", counted_spectrum)
+        monkeypatch.setattr(evolution, "_block_spectra", counted_spectrum)
         rng = np.random.default_rng(43)
         ring = _dephasing_state("nearest_neighbor", 7)
         other = random_density_matrix(rng, 128)
@@ -1614,8 +1633,8 @@ class TestStackedCheck:
         times = [0.1 * k for k in range(5)]
         calls.clear()
         checks = check_state(stack[:3], times[:3])
-        assert [c.translation_resolved for c in checks] == [True, False, True]
-        assert calls == [2]
+        assert [c.group for c in checks] == ["TP", "1", "TP"]
+        assert calls == [(2, "TP"), (1, None)]
         for rho, t, record in zip(stack, times, checks):
             _assert_same_record(record, check_state(rho, t))
         with pytest.raises(StateInvariantError) as err:
@@ -1630,10 +1649,9 @@ class TestStackedCheck:
     @pytest.mark.parametrize("first_bad", ["orbit", "entry", "negative"])
     @pytest.mark.parametrize("n", [7, 8])
     def test_large_mixed_stack_matches_reference(self, n, first_bad, value):
-        # several states of 128 or 256 rows in one call: momentum blocks
-        # (a T-resolved state takes no parity blocks, flip-invariant or
-        # not), parity blocks alone, the full eigvalsh, and three invalid
-        # states, whose order sets the first
+        # several states of 128 or 256 rows in one call: the T and P
+        # blocks, the T blocks alone, the P blocks alone, the full
+        # eigvalsh, and three invalid states, whose order sets the first
         # one: a non-finite entry set on its whole orbit under T (an inf
         # keeps the state T-invariant, a nan does not), one non-finite
         # entry, and a T-invariant state with a negative eigenvalue
@@ -1658,10 +1676,7 @@ class TestStackedCheck:
         stack = np.array(good + [bad[order[0]], ring, bad[order[1]], bad[order[2]]])
         times = [0.1 * k for k in range(len(stack))]
         checks = check_state(stack[:4], times[:4])
-        assert [c.translation_resolved for c in checks] == [True, True, False, False]
-        assert [c.parity_blocks is not None for c in checks] == [
-            False, False, True, False
-        ]
+        assert [c.group for c in checks] == ["TP", "T", "P", "1"]
         _assert_check_matches_reference(stack[:4], times[:4])
         with pytest.raises(StateInvariantError) as err:
             check_state(stack, times)
@@ -1689,7 +1704,7 @@ class TestStackedCheck:
                 EvolutionConfig(t_max=1.2, dt_sample=0.1),
                 info=info,
             ):
-                _assert_same_record(info["check"], ref_check_state(rho, t))
+                _assert_matches_reference(info["check"], ref_check_state(rho, t))
                 assert len(info["chunk"].times) <= 4
                 seen.append(t)
         assert seen == pytest.approx([0.1 * k for k in range(position)])
@@ -1743,20 +1758,24 @@ class TestParityCheck:
         skew = 1j * _flip_invariant(random_hermitian(rng, dim))
         rho = rho + 0.01 * HERMITICITY_TOL * skew
         record = check_state(rho, 0.0)
-        assert record.parity_blocks is not None
-        assert record.parity_blocks.shape == (2, dim // 2, dim // 2)
+        assert record.group == "P"
         full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-13)
         assert np.all(np.diff(record.populations) >= 0)
         _assert_check_matches_reference(rho, 0.0)
 
     def test_blocks_are_the_parity_sectors(self):
+        # the two characters of {1, P} are the even and odd sectors: the
+        # block spectrum is the union of theirs, and no entry joins them
         rho = _flip_invariant(random_density_matrix(np.random.default_rng(4), 8))
         even, odd = _parity_vectors(8)
-        blocks = check_state(rho, 0.0).parity_blocks
+        spectrum = _block_spectra(rho[None], symmetry_group(3, "P"))[0]
         _assert_check_matches_reference(rho, 0.0)
-        np.testing.assert_allclose(blocks[0], even.T @ rho @ even, atol=1e-15)
-        np.testing.assert_allclose(blocks[1], odd.T @ rho @ odd, atol=1e-15)
+        sectors = np.concatenate([
+            np.linalg.eigvalsh(v.T @ (0.5 * (rho + rho.conj().T)) @ v)
+            for v in (even, odd)
+        ])
+        np.testing.assert_allclose(spectrum, np.sort(sectors), atol=1e-15)
         np.testing.assert_allclose(even.T @ rho @ odd, 0.0, atol=1e-15)
 
     def test_negative_eigenvalue_in_odd_block_is_caught(self):
@@ -1777,33 +1796,30 @@ class TestParityCheck:
 
     def test_one_ulp_off_invariance_takes_full_path(self):
         rho = _flip_invariant(random_density_matrix(np.random.default_rng(6), 16))
-        assert check_state(rho, 0.0).parity_blocks is not None
+        assert check_state(rho, 0.0).group == "P"
         rho[2, 5] = np.nextafter(rho[2, 5].real, np.inf) + 1j * rho[2, 5].imag
         record = check_state(rho, 0.0)
-        assert record.parity_blocks is None
+        assert record.group == "1"
         np.testing.assert_array_equal(
             record.populations, np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         )
         _assert_check_matches_reference(rho, 0.0)
 
     def test_dephasing_stream_is_parity_resolved(self):
-        # every dephasing sample from |->^N is resolved by one of the two
-        # symmetries: the T-invariant ones (every ring and local sample, and
-        # the all-to-all t = 0 one) by the momentum blocks, with no parity
-        # blocks, and the others by the parity blocks
+        # every dephasing sample from |->^N commutes with P: the T-invariant
+        # ones (every ring and local sample, and the all-to-all t = 0 one)
+        # take the T and P blocks, and the others the P blocks
         info = {}
         cfg = EvolutionConfig(t_max=0.5, dt_sample=0.1)
         for topology in ("nearest_neighbor", "all_to_all", "local"):
-            resolved = []
+            groups = []
             for _ in evolve_stream(
                 product_minus_state(4), _channel_spec("dephasing", topology),
                 cfg, info=info,
             ):
-                check = info["check"]
-                assert (check.parity_blocks is None) == check.translation_resolved
-                resolved.append(check.translation_resolved)
-            all_to_all = topology == "all_to_all"
-            assert resolved == [True] + [not all_to_all] * 5
+                groups.append(info["check"].group)
+            after = "P" if topology == "all_to_all" else "TP"
+            assert groups == ["TP"] + [after] * 5
 
 
 def _shift(n):
@@ -1862,17 +1878,15 @@ class TestTranslationCheck:
     def test_dephasing_spectrum_matches_full_eigvalsh(self, topology, n):
         rho = _dephasing_state(topology, n)
         assert _translation_symmetric(rho)
+        assert np.array_equal(rho, rho[::-1, ::-1])
         record = check_state(rho, 0.3)
-        assert record.translation_resolved
+        assert record.group == "TP"
         full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         np.testing.assert_allclose(record.populations, full, rtol=0, atol=1e-12)
         assert np.all(np.diff(record.populations) >= 0)
         # the drifts read only the representative rows but are the
-        # whole-matrix values; the state is flip-invariant too, but a
-        # T-resolved state takes no parity blocks
+        # whole-matrix values
         assert record.herm_drift == float(np.max(np.abs(rho - rho.conj().T)))
-        assert ref_parity_blocks(rho) is not None
-        assert record.parity_blocks is None
         _assert_check_matches_reference(rho, 0.3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1886,11 +1900,14 @@ class TestTranslationCheck:
         )
         assert _translation_symmetric(rho)
         full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        np.testing.assert_allclose(_momentum_spectrum(rho), full, atol=1e-12)
+        shift = symmetry_group(n, "T")
+        np.testing.assert_allclose(
+            _block_spectra(rho[None], shift)[0], full, atol=1e-12
+        )
         for topology in ("nearest_neighbor", "local"):
             state = _dephasing_state(topology, n)
             np.testing.assert_allclose(
-                _momentum_spectrum(state),
+                _block_spectra(state[None], shift)[0],
                 np.linalg.eigvalsh(0.5 * (state + state.conj().T)),
                 rtol=0,
                 atol=1e-12,
@@ -1898,20 +1915,18 @@ class TestTranslationCheck:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_orbit_tables(self, n):
-        orbits = _orbits(n)
+        orbits = symmetry_group(n, "T")
         dim = 2**n
         shift = _shift(n)
-        np.testing.assert_array_equal(orbits.shift, shift)
-        # the orbit columns partition the basis, one column per orbit
-        covered = np.unique(orbits.orbit_columns)
+        np.testing.assert_array_equal(orbits.elements[1 % n, 0], shift)
+        # the orbits partition the basis, one column per orbit
+        columns = orbits.elements[:, 0, orbits.representatives]
+        covered = np.unique(columns)
         np.testing.assert_array_equal(covered, np.arange(dim))
-        np.testing.assert_array_equal(
-            orbits.orbit_columns[0], orbits.representatives
-        )
+        np.testing.assert_array_equal(columns[0], orbits.representatives)
+        assert orbits.sizes.sum() == dim
         # the momentum blocks hold dim states in all
-        sizes = sum(
-            admitted.size for _, admitted, _ in orbits.momentum_stacks
-        )
+        sizes = sum(len(index) * len(index[0]) for index, _ in orbits.blocks)
         assert sizes == dim
 
     def test_negative_eigenvalue_in_a_momentum_block_is_caught(self):
@@ -1941,7 +1956,7 @@ class TestTranslationCheck:
         # (and its flip image too, so that the parity path stays open)
         rho = _dephasing_state("nearest_neighbor", 7)
         reference = check_state(rho, 0.0)
-        assert reference.translation_resolved
+        assert reference.group == "TP"
         dim = rho.shape[0]
         pairs = [(3, 5)]
         if keep_flip:
@@ -1951,8 +1966,7 @@ class TestTranslationCheck:
             rho[j, i] = rho[i, j].conj()
         assert not _translation_symmetric(rho)
         record = check_state(rho, 0.0)
-        assert not record.translation_resolved
-        assert (record.parity_blocks is not None) == keep_flip
+        assert record.group == ("P" if keep_flip else "1")
         _assert_check_matches_reference(rho, 0.0)
         assert record.min_eig == pytest.approx(reference.min_eig, abs=1e-12)
         np.testing.assert_allclose(
@@ -1965,15 +1979,14 @@ class TestTranslationCheck:
             )
 
     def test_cut_off(self):
-        # below TRANSLATION_SPLIT_MIN_DIM (N = 2) an invariant state takes
-        # the parity blocks, from it (N = 3) the momentum blocks
-        assert TRANSLATION_SPLIT_MIN_DIM == 8
-        for n, resolved in ((2, False), (3, True)):
+        # below 8 rows (N = 2) a state invariant under T and P takes the P
+        # blocks, from them (N = 3) the T and P blocks
+        assert GROUP_MIN_ROWS == {"TP": 8, "T": 8, "P": 2}
+        for n, group in ((2, "P"), (3, "TP")):
             rho = _dephasing_state("nearest_neighbor", n)
             assert _translation_symmetric(rho)
             record = check_state(rho, 0.0)
-            assert record.translation_resolved == resolved
-            assert (record.parity_blocks is not None) == (not resolved)
+            assert record.group == group
             _assert_check_matches_reference(rho, 0.0)
 
     def test_all_to_all_dephasing_is_not_resolved_after_t0(self):
@@ -1989,7 +2002,7 @@ class TestTranslationCheck:
             product_minus_state(7), spec,
             EvolutionConfig(t_max=0.3, dt_sample=0.1), info=info,
         ):
-            resolved.append(info["check"].translation_resolved)
+            resolved.append("T" in info["check"].group)
         # |->^N itself is invariant; the complex cross rates break T after it
         assert resolved == [True, False, False, False]
 
@@ -2011,10 +2024,66 @@ class TestTranslationCheck:
         for _, rho in evolve_stream(
             rho0, spec, EvolutionConfig(t_max=0.5, dt_sample=0.1), info=info,
         ):
-            resolved.append(info["check"].translation_resolved)
+            resolved.append("T" in info["check"].group)
             assert resolved[-1] == _translation_symmetric(rho)
         assert info["shift_reduced"] == invariant_start
         assert resolved == [invariant_start] * 6
+
+
+def _group_averaged(rho, name):
+    """rho averaged over the group `name` (models.symmetry_group), each
+    entry then taken from its pair orbit's smallest row-major index, so
+    the result commutes with every element of the group bit for bit and
+    is within round-off of the average."""
+    dim = rho.shape[0]
+    group = symmetry_group(dim.bit_length() - 1, name)
+    perms = group.elements.reshape(-1, dim)
+    code = np.arange(dim * dim).reshape(dim, dim)
+    smallest, total = code.copy(), np.zeros_like(rho)
+    for perm in perms:
+        total += rho[np.ix_(perm, perm)]
+        smallest = np.minimum(smallest, code[np.ix_(perm, perm)])
+    return (total / len(perms)).reshape(-1)[smallest]
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("name", ["1", "P", "T", "TP"])
+    def test_group_averaged_state_matches_the_full_transform(self, name, n):
+        # the block spectrum and the symmetric coherence of a random state
+        # averaged over each group, against the full eigvalsh and the full
+        # basis transform; the groups with T have orbits whose stabilizer
+        # is more than the identity (|0...0> under T, |0101> under T P at
+        # N = 4), whose characters admit only part of the blocks, and P
+        # fixes no basis state
+        rng = np.random.default_rng(900 + 10 * n + len(name))
+        dim = 2**n
+        rho = random_density_matrix(rng, dim)
+        group = None
+        if name != "1":
+            rho = _group_averaged(rho, name)
+            group = symmetry_group(n, name)
+            stabilized = group.sizes < group.elements[..., 0].size
+            assert stabilized.any() == ("T" in name)
+        if (name, n) == ("TP", 4):
+            # the orbit {0101, 1010}: a stabilizer of 4 of the 8 elements
+            assert group.elements[1, 1, 0b0101] == 0b0101
+            assert group.sizes[group.orbit_of[0b0101]] == 2
+        full = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        np.testing.assert_allclose(
+            _block_spectra(rho[None], group)[0], full, rtol=0, atol=1e-12
+        )
+        # check_state takes the group, or the largest part of it from
+        # GROUP_MIN_ROWS on
+        _assert_check_matches_reference(rho, 0.0)
+        h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
+        basis = field_product_eigenbasis(n, 1.3)[1]
+        off = np.abs(basis.conj().T @ rho @ basis)
+        np.fill_diagonal(off, 0.0)
+        got = coherence_l1_energy_basis(
+            rho, h_b, basis=symmetric_basis(basis), groups=name
+        )
+        assert got == pytest.approx(off.sum(), rel=1e-12, abs=1e-13)
 
 
 class TestHermDrift:
@@ -2027,16 +2096,18 @@ class TestHermDrift:
                 rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             )
             whole.append(float(np.max(np.abs(rho - rho.conj().T))))
-            assert _herm_drift(rho) == whole[-1]
+            assert _herm_drift(rho[None], np.arange(dim)) == whole[-1]
             states.append(rho)
         # a stack gives each state's value
-        assert _herm_drift(np.array(states)).tolist() == whole
+        assert _herm_drift(np.array(states), np.arange(dim)).tolist() == whole
 
     @pytest.mark.parametrize("dim", [2, 8, 64, 128, 256, 512])
     def test_flip_invariant_half_rows_equal_whole_matrix_bitwise(self, dim):
         # P maps every value of |rho - rho^dag| outside the rows a < dim/2
         # onto one inside them, bit for bit
         rng = np.random.default_rng(60 + dim)
+        rows = symmetry_group(dim.bit_length() - 1, "P").representatives
+        np.testing.assert_array_equal(rows, np.arange(dim // 2))
         states, whole = [], []
         for scale in (1.0, 1e-12):
             rho = _flip_invariant(
@@ -2044,20 +2115,23 @@ class TestHermDrift:
                 + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
             )
             whole.append(float(np.max(np.abs(rho - rho.conj().T))))
-            assert _herm_drift(rho, flipped=True) == whole[-1]
+            assert _herm_drift(rho[None], rows) == whole[-1]
             states.append(rho)
-        assert _herm_drift(np.array(states), flipped=True).tolist() == whole
+        assert _herm_drift(np.array(states), rows).tolist() == whole
 
+    @pytest.mark.parametrize("name", ["T", "TP"])
     @pytest.mark.parametrize("n", [3, 5, 7, 8])
-    def test_representative_rows_equal_whole_matrix_bitwise(self, n):
+    def test_representative_rows_equal_whole_matrix_bitwise(self, n, name):
         rng = np.random.default_rng(40 + n)
         dim = 2**n
         rho = _shift_symmetrized(
             rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         )
+        if name == "TP":
+            rho = _flip_invariant(rho)
         assert _translation_symmetric(rho)
-        rows = _orbits(n).representatives
-        assert _herm_drift(rho, rows) == float(
+        rows = symmetry_group(n, name).representatives
+        assert _herm_drift(rho[None], rows) == float(
             np.max(np.abs(rho - rho.conj().T))
         )
 

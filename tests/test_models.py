@@ -31,7 +31,7 @@ from reference_impls import (
     ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
-from qbattery.models import site_z_signs, topology_bonds
+from qbattery.models import cyclic_shift, site_z_signs, topology_bonds
 
 
 class TestBondSets:
@@ -297,6 +297,29 @@ class TestGroundState:
         assert np.array_equal(rho, rho[::-1, ::-1])
         vals, vecs = np.linalg.eigh(h_mat)
         psi = vecs[:, 0]
+        np.testing.assert_allclose(
+            rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6, 7])
+    def test_shift_symmetric_hamiltonian_gives_exactly_invariant_state(
+        self, n_sites
+    ):
+        # at j_coupling = 1 the ring's zz diagonal is summed exactly, so
+        # battery_hamiltonian commutes bit for bit with the cyclic site
+        # shift T as well as the flip P; the ground vector is projected
+        # onto its character under both, and rho == T rho T^dag ==
+        # P rho P exactly, still eigh's ground state
+        h_mat = battery_hamiltonian(
+            BatteryModel(n_sites=n_sites, h=1.3, j_coupling=1.0)
+        )
+        shift = cyclic_shift(n_sites)
+        assert np.array_equal(h_mat[np.ix_(shift, shift)], h_mat)
+        rho = ground_state(h_mat)
+        assert np.array_equal(rho[np.ix_(shift, shift)], rho)
+        assert np.array_equal(rho, rho[::-1, ::-1])
+        psi = np.linalg.eigh(h_mat)[1][:, 0]
         np.testing.assert_allclose(
             rho, np.outer(psi, psi.conj()), rtol=0, atol=1e-14
         )

@@ -29,8 +29,7 @@ from qbattery.observables import (
     STORED_ENERGY_FLOOR,
     bit_flip_energy,
     bit_flip_terms,
-    parity_block_basis,
-    translation_row_basis,
+    symmetric_basis,
 )
 
 from reference_impls import (
@@ -126,6 +125,27 @@ class TestErgotropySpectral:
         report = ergotropy(rho, h)
         assert report.ergotropy == pytest.approx(3.0, abs=1e-14)
         assert report.passive_energy == pytest.approx(-1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_passive_states_are_floored_at_zero(self, dim):
+        # passive states (populations descending on the ascending levels of
+        # h) have no ergotropy; W - passive_energy is zero only up to the
+        # round-off of its two sums, either sign, and the floor reads 0
+        rng = np.random.default_rng(50 + dim)
+        h = random_hermitian(rng, dim)
+        _, vectors = np.linalg.eigh(h)
+        states = []
+        for _ in range(60):
+            populations = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
+            states.append((vectors * populations) @ vectors.conj().T)
+        report = ergotropy(np.array(states), h)
+        gap = report.w - report.passive_energy
+        assert (gap < 0).any() and (np.abs(gap) < 1e-14).all()
+        np.testing.assert_array_equal(report.ergotropy, np.maximum(gap, 0.0))
+        for k, rho in enumerate(states):
+            alone = ergotropy(rho, h)
+            assert alone.ergotropy == report.ergotropy[k] == max(gap[k], 0.0)
+            assert isinstance(alone.ergotropy, float)
 
     def test_passive_state_is_detected(self):
         # Populations already descending against ascending energies.
@@ -368,11 +388,10 @@ class TestParityCoherence:
         rho = 0.5 * (rho + rho[::-1, ::-1])          # exactly flip-invariant
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
         _, basis = field_product_eigenbasis(n, 1.3)
-        blocks = check_state(rho, 0.0).parity_blocks
-        assert blocks is not None
+        group = check_state(rho, 0.0).group
+        assert group == "P"
         got = coherence_l1_energy_basis(
-            rho, h_b, basis=basis, parity_blocks=blocks,
-            parity_basis=parity_block_basis(basis),
+            rho, h_b, basis=symmetric_basis(basis), groups=group
         )
         assert got == pytest.approx(
             _full_transform_coherence(rho, basis), rel=0, abs=1e-13
@@ -385,17 +404,16 @@ class TestParityCoherence:
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.0))
         _, basis = field_product_eigenbasis(n, 1.0)
         check = check_state(rho, 0.0)
-        assert check.parity_blocks is None
+        assert check.group == "1"
         got = coherence_l1_energy_basis(
-            rho, h_b, basis=basis, parity_blocks=check.parity_blocks,
-            parity_basis=parity_block_basis(basis),
+            rho, h_b, basis=symmetric_basis(basis), groups=check.group
         )
         assert got == _full_transform_coherence(rho, basis)
 
     def test_field_product_basis_is_parity_adapted(self):
         for n in range(1, 9):
             _, basis = field_product_eigenbasis(n, 1.0)
-            stack = parity_block_basis(basis)
+            stack = symmetric_basis(basis).parts["P"][1]
             assert stack.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
             assert stack.dtype == float
             for c in stack:                           # orthogonal sectors
@@ -405,12 +423,12 @@ class TestParityCoherence:
         _, basis = field_product_eigenbasis(3, 1.0)
         nudged = basis.copy()
         nudged[0, 5] = np.nextafter(nudged[0, 5].real, 1.0)
-        assert parity_block_basis(nudged) is None
-        assert parity_block_basis(1j * basis) is None
-        assert parity_block_basis(np.eye(8)) is None
+        assert "P" not in symmetric_basis(nudged).parts
+        assert symmetric_basis(1j * basis).parts == {}
+        assert "P" not in symmetric_basis(np.eye(8)).parts
         rng = np.random.default_rng(9)
         _, generic = energy_eigenbasis(random_hermitian(rng, 8))
-        assert parity_block_basis(generic) is None
+        assert symmetric_basis(generic).parts == {}
 
 
 def _run_states(channel, topology, n, count=4):
@@ -531,12 +549,12 @@ class TestTranslationCoherence:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_field_product_basis_is_permuted(self, n):
         _, basis = field_product_eigenbasis(n, 1.0)
-        rows = translation_row_basis(basis)
-        assert rows is not None
+        kept, coordinates, weights, diagonal = symmetric_basis(basis).parts["T"]
+        representatives = diagonal[1][0]
         dim = 2**n
         # the orbits of the column permutation are those of T on the bit
         # patterns: as many, of the same sizes
-        assert rows.weights.sum() == dim
+        assert weights.sum() == dim
         patterns = np.arange(dim)
         shift = cyclic_shift(n)
         orbit_min = patterns.copy()
@@ -544,41 +562,47 @@ class TestTranslationCoherence:
         for _ in range(n - 1):
             image = shift[image]
             orbit_min = np.minimum(orbit_min, image)
-        assert len(rows.representatives) == len(np.unique(orbit_min))
-        assert sorted(rows.weights.tolist()) == sorted(
+        assert len(representatives) == len(np.unique(orbit_min))
+        assert sorted(weights[0].tolist()) == sorted(
             np.bincount(orbit_min)[np.unique(orbit_min)].tolist()
         )
         np.testing.assert_array_equal(
-            rows.rows, np.real(basis[:, rows.representatives]).T
+            kept[0], np.real(basis[:, representatives]).T
         )
+        np.testing.assert_array_equal(coordinates[0], np.real(basis).T)
 
     def test_other_bases_have_none(self):
         _, basis = field_product_eigenbasis(3, 1.0)
         nudged = basis.copy()
         nudged[0, 5] = np.nextafter(nudged[0, 5].real, 1.0)
-        assert translation_row_basis(nudged) is None
-        assert translation_row_basis(1j * basis) is None
+        assert "T" not in symmetric_basis(nudged).parts
+        assert symmetric_basis(1j * basis).parts == {}
         # N = 1: the shift is the identity and resolves nothing
-        assert translation_row_basis(field_product_eigenbasis(1, 1.0)[1]) is None
+        assert "T" not in symmetric_basis(field_product_eigenbasis(1, 1.0)[1]).parts
         # the interacting battery's eigenvectors include odd momentum
         # states, which T maps onto minus themselves, not onto a column
         h_b = battery_hamiltonian(BatteryModel(n_sites=4, h=1.0, j_coupling=0.7))
-        assert translation_row_basis(energy_eigenbasis(h_b)[1]) is None
-        assert translation_row_basis(np.eye(6)) is None
+        assert "T" not in symmetric_basis(energy_eigenbasis(h_b)[1]).parts
+        assert symmetric_basis(np.eye(6)).parts == {}
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_full_transform(self, n):
         rng = np.random.default_rng(800 + n)
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
         _, basis = field_product_eigenbasis(n, 1.3)
-        rows = translation_row_basis(basis)
+        prepared = symmetric_basis(basis)
         states = [_shift_averaged(random_density_matrix(rng, 2**n))]
         for channel in ("dephasing", "amplitude_damping"):
             states.extend(_run_states(channel, "nearest_neighbor", n, 2))
-        for rho in states:
+        # one name stands for every state of a stack
+        stacked = coherence_l1_energy_basis(
+            np.array(states), h_b, basis=prepared, groups="T"
+        )
+        for k, rho in enumerate(states):
             got = coherence_l1_energy_basis(
-                rho, h_b, basis=basis, translated=True, translation_rows=rows
+                rho, h_b, basis=prepared, groups="T"
             )
+            assert got == stacked[k]
             assert got == pytest.approx(
                 _full_transform_coherence(rho, basis), rel=1e-12, abs=1e-13
             )
@@ -591,15 +615,14 @@ class TestTranslationCoherence:
         rho = random_density_matrix(rng, 2**n)
         plain = coherence_l1_energy_basis(rho, h_b, basis=basis)
         assert plain == _full_transform_coherence(rho, basis)
-        # not translation-resolved: the rows are not used
-        for translated in (False, None):
+        # no group: the rows are not used
+        for groups in ("1", None):
             assert coherence_l1_energy_basis(
-                rho, h_b, basis=basis, translated=translated,
-                translation_rows=translation_row_basis(basis),
+                rho, h_b, basis=symmetric_basis(basis), groups=groups
             ) == plain
-        # translation-resolved without rows for its basis: the full transform
+        # a group but a basis not prepared for it: the full transform
         assert coherence_l1_energy_basis(
-            rho, h_b, basis=basis, translated=True
+            rho, h_b, basis=basis, groups="TP"
         ) == plain
 
 
@@ -620,22 +643,16 @@ class TestChunkIndependence:
         times = [0.01 * (k + 1) for k in range(len(stack))]
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.0))
         energies = np.linalg.eigvalsh(h_b)
-        _, basis = field_product_eigenbasis(n, 1.0)
-        parity_basis = parity_block_basis(basis)
-        rows = translation_row_basis(basis)
+        basis = symmetric_basis(field_product_eigenbasis(n, 1.0)[1])
         terms = bit_flip_terms(h_b)
         checks = check_state(stack, times)
         # T-resolved from N = 3 on; exactly T-invariant at every N
-        assert [c.translation_resolved for c in checks] == [n >= 3] * len(stack)
+        assert ["T" in c.group for c in checks] == [n >= 3] * len(stack)
         report = ergotropy(
             stack, h_b, energies, [c.populations for c in checks], terms
         )
         coherence = coherence_l1_energy_basis(
-            stack, h_b, basis=basis,
-            parity_blocks=[c.parity_blocks for c in checks],
-            parity_basis=parity_basis,
-            translated=[c.translation_resolved for c in checks],
-            translation_rows=rows,
+            stack, h_b, basis=basis, groups=[c.group for c in checks]
         )
         w = bit_flip_energy(stack, terms)
         for k, (rho, t) in enumerate(zip(stack, times)):
@@ -643,20 +660,14 @@ class TestChunkIndependence:
             assert alone.populations.tobytes() == checks[k].populations.tobytes()
             assert alone.trace_drift == checks[k].trace_drift
             assert alone.herm_drift == checks[k].herm_drift
-            assert alone.translation_resolved == checks[k].translation_resolved
-            assert (alone.parity_blocks is None) == (checks[k].parity_blocks is None)
-            if alone.parity_blocks is not None:
-                blocks = checks[k].parity_blocks
-                assert alone.parity_blocks.tobytes() == blocks.tobytes()
+            assert alone.group == checks[k].group
             assert bit_flip_energy(rho, terms) == w[k]
             one = ergotropy(rho, h_b, energies, alone.populations, terms)
             assert (one.w, one.passive_energy, one.ergotropy) == (
                 report.w[k], report.passive_energy[k], report.ergotropy[k]
             )
             assert coherence_l1_energy_basis(
-                rho, h_b, basis=basis,
-                parity_blocks=alone.parity_blocks, parity_basis=parity_basis,
-                translated=alone.translation_resolved, translation_rows=rows,
+                rho, h_b, basis=basis, groups=alone.group
             ) == coherence[k]
 
 
@@ -697,20 +708,19 @@ class TestStackedObservables:
         stack = self._states(rng, n)
         h_b = battery_hamiltonian(BatteryModel(n_sites=n, h=1.3))
         _, basis = field_product_eigenbasis(n, 1.3)
-        parity_basis = parity_block_basis(basis)
-        blocks = [c.parity_blocks for c in check_state(stack, [0.0] * len(stack))]
-        assert [b is not None for b in blocks] == [False, True] * 3
-        for supplied, supplied_basis in ((blocks, parity_basis), (None, None)):
+        groups = [c.group for c in check_state(stack, [0.0] * len(stack))]
+        assert groups == ["1", "P"] * 3
+        for supplied, supplied_basis in (
+            (groups, symmetric_basis(basis)), (None, basis)
+        ):
             values = coherence_l1_energy_basis(
-                stack, h_b, basis=basis,
-                parity_blocks=supplied, parity_basis=supplied_basis,
+                stack, h_b, basis=supplied_basis, groups=supplied
             )
             assert values.shape == (len(stack),)
             for k, rho in enumerate(stack):
                 alone = coherence_l1_energy_basis(
-                    rho, h_b, basis=basis,
-                    parity_blocks=None if supplied is None else supplied[k],
-                    parity_basis=supplied_basis,
+                    rho, h_b, basis=supplied_basis,
+                    groups=None if supplied is None else supplied[k],
                 )
                 assert values[k] == alone
 

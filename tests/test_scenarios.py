@@ -595,24 +595,42 @@ class TestRunArtifacts:
         assert entry["parity_resolved_samples"] == expected
 
     def test_ground_state_dephasing_is_parity_resolved(self, tmp_path):
-        # the interacting ground state is exactly flip-invariant, and so is
-        # every dephasing sample from it; at N = 4 it is not exactly
-        # T-invariant, so the parity blocks resolve every sample
+        # the interacting ground state is projected onto its character
+        # under T and P, so it and every ring and local dephasing sample
+        # from it commute with both exactly, and both counts hold every
+        # sample
         cfg = dataclasses.replace(
             get_preset("fig3_dephasing_entangled"),
-            topologies=("nearest_neighbor",),
-            n_sites_list=(4,),
+            topologies=("nearest_neighbor", "local"),
+            n_sites_list=(4, 5, 6),
             t_max=0.3,
         )
-        (entry,) = run_scenario(cfg, str(tmp_path)).manifest["runs"]
-        assert entry["parity_resolved_samples"] == entry["n_samples"]
-        assert entry["translation_resolved_samples"] == 0
+        for entry in run_scenario(cfg, str(tmp_path)).manifest["runs"]:
+            assert entry["parity_resolved_samples"] == entry["n_samples"]
+            assert entry["translation_resolved_samples"] == entry["n_samples"]
+
+    def test_ground_state_damping_is_shift_reduced(self, tmp_path):
+        # ring and local damping from the projected ground state propagate
+        # the orbit values of the superoperator shift
+        cfg = dataclasses.replace(
+            get_preset("fig6_ad_entangled"),
+            topologies=("nearest_neighbor", "local"),
+            n_sites_list=(4, 5),
+            t_max=0.1,
+        )
+        entries = run_scenario(cfg, str(tmp_path)).manifest["runs"]
+        assert len(entries) == 4
+        for entry in entries:
+            assert entry["shift_reduced"]
+            assert entry["translation_resolved_samples"] == entry["n_samples"]
+            assert entry["parity_resolved_samples"] == 1
 
     def test_manifest_counts_translation_resolved_samples(self, tmp_path):
         # From N = 3 on, ring and local samples from |->^N of both
-        # channels are checked on their momentum blocks and take no parity
-        # blocks; all-to-all rates break the shift symmetry after t = 0,
-        # and at N = 2, below the cut-off, no run takes the path.
+        # channels are checked on blocks of T, dephasing ones on blocks of
+        # T and P, which count in both; all-to-all rates break the shift
+        # symmetry after t = 0, and at N = 2, below the cut-off, no run
+        # takes T.
         cfg = dataclasses.replace(
             get_preset("fig2_dephasing_product"),
             topologies=("nearest_neighbor", "local", "all_to_all"),
@@ -631,9 +649,9 @@ class TestRunArtifacts:
         for topology in ("nearest_neighbor", "local", "all_to_all"):
             assert counts[(topology, 2)] == (0, 21, 21)
         for n in (3, 7):
-            assert counts[("nearest_neighbor", n)] == (21, 0, 21)
-            assert counts[("local", n)] == (21, 0, 21)
-            assert counts[("all_to_all", n)] == (1, 20, 21)
+            assert counts[("nearest_neighbor", n)] == (21, 21, 21)
+            assert counts[("local", n)] == (21, 21, 21)
+            assert counts[("all_to_all", n)] == (1, 21, 21)
         cfg = dataclasses.replace(
             get_preset("fig5_ad_product"),
             topologies=("nearest_neighbor", "local"),
@@ -649,16 +667,16 @@ class TestRunArtifacts:
         }
         assert counts == {
             ("nearest_neighbor", 2): (0, 1),
-            ("nearest_neighbor", 3): (31, 0),
+            ("nearest_neighbor", 3): (31, 1),
             ("local", 2): (0, 1),
-            ("local", 3): (31, 0),
+            ("local", 3): (31, 1),
         }
 
     def test_ring_dephasing_at_another_phase_is_translation_resolved(
         self, tmp_path
     ):
         # the dephasing generator is exactly shift-invariant for a ring at
-        # any cross-rate phase, so every sample takes the momentum blocks
+        # any cross-rate phase, so every sample takes the blocks of T
         cfg = dataclasses.replace(
             get_preset("fig2_dephasing_product"),
             topologies=("nearest_neighbor",),
@@ -674,7 +692,7 @@ class TestRunArtifacts:
         # ring and local damping from |->^N propagate one value per orbit
         # of the superoperator shift; all-to-all and dephasing runs
         # propagate vec(rho).  At N = 7 every ring damping sample is
-        # exactly T-invariant and takes the momentum blocks.
+        # exactly T-invariant and takes the blocks of T.
         cfg = dataclasses.replace(
             get_preset("fig7_longrange_comparison"),
             channels=("amplitude_damping", "dephasing"),
