@@ -12,11 +12,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
+from argtypes import finite, non_negative, positive
 from qbattery import (
     BatteryModel,
     CptpViolationError,
@@ -32,35 +32,11 @@ from qbattery import (
 )
 
 
-def positive(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
 def at_least_two(text: str) -> int:
     """argparse type: an integer >= 2, the smallest ring."""
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text}")
-    return value
-
-
-def finite(text: str) -> float:
-    """argparse type: a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def non_negative(text: str) -> float:
-    """argparse type: a finite number >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 

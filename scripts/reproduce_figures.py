@@ -6,7 +6,8 @@ dephasing and amplitude-damping reservoirs, plus the nearest-neighbor vs
 all-to-all comparison).  The full set (53 runs) took 33 to 37 s over two
 runs with one worker and one BLAS thread on a 2-core Xeon;
 fig7_longrange_comparison is about three fifths of it.  Use --only to
-reproduce a single preset.  --workers must be at least 1.
+reproduce a single preset.  A name that is no preset, or a --workers
+value below 1, is refused by the argument parser with exit status 2.
 
 Usage:
     python scripts/reproduce_figures.py [--out DIR] [--only NAME] [--workers K]
@@ -35,8 +36,10 @@ def main() -> int:
     parser.add_argument(
         "--out", default="runs", help="output root directory (default: runs)"
     )
+    names = [name for name, _ in list_presets()]
     parser.add_argument(
         "--only",
+        choices=names,
         default=None,
         help="run a single preset instead of all of them",
     )
@@ -48,11 +51,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    names = [name for name, _ in list_presets()]
     if args.only is not None:
-        if args.only not in names:
-            print(f"unknown preset {args.only!r}; choices: {', '.join(names)}")
-            return 2
         names = [args.only]
 
     grand_start = time.perf_counter()

@@ -13,11 +13,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
+from argtypes import finite, non_negative, positive
 from qbattery import (
     BatteryModel,
     CptpViolationError,
@@ -34,30 +34,6 @@ from qbattery import (
     product_minus_state,
     require_cptp,
 )
-
-
-def positive(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
-def finite(text: str) -> float:
-    """argparse type: a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
-def non_negative(text: str) -> float:
-    """argparse type: a finite number >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ Subcommands:
 Exit codes:
     0  success
     2  configuration or schema error (unknown preset, bad config file,
-       malformed compare arguments, missing files)
+       malformed compare arguments, missing or unreadable files)
     3  complete-positivity violation (the requested rates are not a valid
        generator; the diagnostic names the violated bound)
     4  runtime state-invariant violation (a sampled state left the
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         for message in exc.errors:
             print(f"  {message}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, GridMismatchError) as exc:
+    except (OSError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateGroundStateError as exc:

@@ -9,7 +9,7 @@ is necessary and sufficient for the generator
 
 to be completely positive and trace preserving, with L = sigma^z for
 dephasing and L = sigma^- for zero-temperature amplitude damping.  The
-generator itself is assembled in evolution (_gksl_matrix).
+generator itself is assembled in evolution (_write_generator).
 
 Topologies: Gamma has gamma on the diagonal, and each oriented bond
 j -> k of the topology adds g12 to Gamma_jk and conj(g12) to Gamma_kj.

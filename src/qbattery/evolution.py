@@ -16,13 +16,14 @@ elementwise in the z product basis, as one dim x dim array Lambda[a, b]
 in the presets, or none) that is the whole generator, and make_rhs keeps
 it as that array (_DiagonalGenerator).  Every other generator, of either
 channel, is assembled once as one sparse CSR superoperator on vec(rho)
-(_gksl_matrix, the package's only construction of it; the tests compare it
-with the literal double sum of tests/reference_impls.py), with Lambda on
-its diagonal for dephasing.  Its terms share no position off the
-diagonal, so each entry is written once, from the bits of the basis
-states and the dense non-Hermitian drift, into preallocated arrays, each
-ket row block put in CSR order by one sort (_write_generator); the build
-does no sparse-matrix arithmetic.  scipy.sparse is imported only by the
+(_write_generator from the arrays of _gksl_terms, the package's only
+construction of it; the tests compare it with the literal double sum of
+tests/reference_impls.py), with Lambda on its diagonal for dephasing.
+Its terms share no position off the diagonal, so each entry is written
+once, from the bits of the basis states, the dense non-Hermitian drift,
+the diagonal array and the rate matrix, into preallocated arrays, each
+ket row block put in CSR order by one sort; the build does no
+sparse-matrix arithmetic.  scipy.sparse is imported only by the
 functions that build a CSR, so a process whose runs are all diagonal
 dephasing never loads it.
 
@@ -53,30 +54,36 @@ same fill, when the map would do more multiply-adds per sample than that
 loop or its whole blocks take more than SAMPLE_MAP_MAX_BYTES (all-to-all
 amplitude damping from N = 7 on).
 
-Ring and local runs commute with the cyclic site shift T.  When the CSR
-commutes bit for bit with the superoperator shift vec(a, b) ->
-vec(T a, T b) and the initial state is exactly T-invariant, make_rhs
-reduces a CSR generator to one value per orbit of that shift,
-L_red = L[representatives] S with S the orbit-indicator matrix (700 of
-4,096 values at N = 6, 2,344 of 16,384 at N = 7), and the sectors, the
-conjugate pairs, the level maps and the substep loop above run on L_red
-unchanged; each sample scatters the orbit values back along the orbits,
-so it is exactly T-invariant.  Ring and local amplitude damping from
-|->^N or from the projected interacting ground state take this path,
-all-to-all does not (its complex cross rates are oriented i < j), and any
-run that fails either test keeps vec(rho).
+Ring and local runs commute with the cyclic site shift T.  Each entry of
+the CSR is one term read from the drift H_nh, the diagonal array or the
+rate matrix (_write_generator), so the CSR commutes bit for bit with the
+superoperator shift vec(a, b) -> vec(T a, T b) when H_nh and the diagonal
+array commute with T bit for bit and the rate matrix is circulant.  When
+those three tests pass and the initial state is exactly T-invariant
+(_shift_invariant), make_rhs reduces a CSR generator to one value per
+orbit of that shift, L_red = L[representatives] S with S the
+orbit-indicator matrix (700 of 4,096 values at N = 6, 2,344 of 16,384 at
+N = 7), and the sectors, the conjugate pairs, the level maps and the
+substep loop above run on L_red unchanged; each sample scatters the orbit
+values back along the orbits, so it is exactly T-invariant.  Ring and
+local amplitude damping from |->^N or from the projected interacting
+ground state take this path, all-to-all does not (its complex cross rates
+are oriented i < j, so its rate matrix is not circulant), and any run
+that fails a test keeps vec(rho).
 
-Within a sector the strongly connected components of the sparsity graph
-order L block triangularly (Duff & Reid, ACM TOMS 4, 137, 1978).  They are
-found as the connected components of the entries whose transpose is
-stored too, which are exactly the strongly connected ones whenever the
-longest-path relaxation that numbers the levels converges over them, that
-is when the graph between them is acyclic; otherwise every index takes
-level 0 and each block's map is built whole, which is exact too
-(_Generator._level).  For sigma^- jumps and an excitation-conserving H_eff
-they are the (ket, bra) excitation levels: jumps only lower both, so L,
-P(dt L) and M are exactly block lower triangular over the levels in
-topological order.
+Within a sector, L is block lower triangular over any grouping of its
+indices into levels in which every stored entry goes from a column of a
+level to a row of the same or a later one (the block triangular form of
+Duff & Reid, ACM TOMS 4, 137, 1978).  The writer gives such levels: an
+index's level is its number of down spins, ket plus bra (the popcount of
+its vec index or of its orbit's representative).  sigma^- jumps add one
+down spin to the ket and one to the bra, and an excitation-conserving
+H_eff and the diagonal keep the count, so L, P(dt L) and M are exactly
+block lower triangular over the (ket, bra) excitation levels in ascending
+order.  _Generator._level keeps these levels when every stored entry
+passes level[row] >= level[col]; otherwise (an H_eff that does not
+conserve excitations) every index takes level 0 and each block's map is
+built whole, which is exact too.
 A sector of at least LEVEL_SPLIT_MIN_ROWS rows builds its map on that
 form, P(dt L) by Horner with the sparse block and its power by squaring
 over the lower level blocks only (36 % of the dense arithmetic for the
@@ -129,7 +136,8 @@ from .dissipation import (
     CHANNELS, GammaMatrix, NoiseSpec, build_gamma, require_cptp
 )
 from .models import (
-    SymmetryGroup, effective_hamiltonian, site_z_signs, symmetry_group
+    SymmetryGroup, commutes, effective_hamiltonian, site_z_signs,
+    symmetry_group
 )
 
 if TYPE_CHECKING:
@@ -163,12 +171,6 @@ SAMPLE_MAP_MAX_BYTES = 64 * 2**20
 # time of the dense one from 210 rows on (6.2 against 11.7 ms; 0.29 against
 # 0.93 s at 924 rows); at 45 to 70 rows it took 2 to 3 times as long.
 LEVEL_SPLIT_MIN_ROWS = 160
-# Rows per slab in which make_rhs compares a generator with its image under
-# the superoperator shift (_commutes_with).  All-to-all amplitude damping at
-# N = 7 (16,384 rows, 561k stored entries) fails in its first slab; a
-# whole-matrix comparison raised that process's peak memory by 14 MB.  Up
-# to N = 5 a generator is one slab.
-COMMUTE_SLAB_ROWS = 1024
 # Bytes of dense generator blocks built in one batch by the dense build; a
 # batch's temporaries are a few times this.
 DENSE_BUILD_BATCH_BYTES = 4 * 2**20
@@ -435,14 +437,14 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
         Lambda_ab = -i (E_a - E_b) + sum_ij Gamma_ij [ s_j(a) s_i(b)
                     - s_i(a) s_j(a) / 2 - s_i(b) s_j(b) / 2 ].
 
-    A circulant rate matrix (ring and local reservoirs, bit for bit) makes
-    the dissipator commute with the cyclic site shift T, so its terms are
-    equal on every (T^j a, T^j b).  The sums meet their terms in another
-    order on each entry of such an orbit, so each entry takes the value of
-    its orbit's smallest index (_pair_orbits, and the orbits of T's
-    table, models.symmetry_group, for the per-state rates), and the terms
-    are exactly T-invariant.  With T-invariant energies, too, so is
-    Lambda.
+    A circulant rate matrix (ring and local reservoirs, bit for bit,
+    _circulant) makes the dissipator commute with the cyclic site shift T,
+    so its terms are equal on every (T^j a, T^j b).  The sums meet their
+    terms in another order on each entry of such an orbit, so each entry
+    takes the value of its orbit's smallest index (_pair_orbits, and the
+    orbits of T's table, models.symmetry_group, for the per-state rates),
+    and the terms are exactly T-invariant.  With T-invariant energies, too,
+    so is Lambda.
     """
     n = gamma.n_sites
     signs = site_z_signs(n)
@@ -450,7 +452,7 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     g_signs = g @ signs                                         # (N, dim)
     cross = np.einsum("ja,ib,ij->ab", signs, signs, g, optimize=True)
     self_rate = np.real(np.einsum("ia,ia->a", signs, g_signs))
-    if np.array_equal(np.roll(g, (1, 1), axis=(0, 1)), g):
+    if _circulant(g):
         pairs = _pair_orbits(n)
         smallest = pairs.representatives[pairs.orbit_of]
         cross = cross.reshape(-1)[smallest].reshape(cross.shape)
@@ -463,10 +465,15 @@ def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     )
 
 
+def _circulant(matrix: np.ndarray) -> bool:
+    """Whether matrix[i + 1, j + 1] == matrix[i, j] bit for bit, indices mod
+    N: a rate matrix that commutes with the cyclic site shift."""
+    return np.array_equal(np.roll(matrix, (1, 1), axis=(0, 1)), matrix)
+
+
 class _PairOrbits(NamedTuple):
     """Orbits of the superoperator shift on vec indices (_pair_orbits)."""
 
-    shift: np.ndarray
     representatives: np.ndarray
     orbit_of: np.ndarray
     transpose: np.ndarray
@@ -477,29 +484,27 @@ def _pair_orbits(n_sites: int) -> _PairOrbits:
     of dim x dim matrices, for the cyclic site shift T, from the powers
     T^j of its table (models.symmetry_group).
 
-    shift[k] is the vec index of (T a, T b) for vec index k of (a, b); the
-    representatives are the smallest vec index of each orbit, ascending;
-    orbit_of[k] is the position of k's orbit among them; and transpose[o]
-    is the orbit of (b, a) for the orbit o of (a, b).
+    The representatives are the smallest vec index of each orbit,
+    ascending; orbit_of[k] is the position of k's orbit among them; and
+    transpose[o] is the orbit of (b, a) for the orbit o of (a, b).
     """
     dim = 2**n_sites
-    powers = symmetry_group(n_sites, "T").elements[:, 0]
-    shift = (powers[1 % n_sites][:, None] * dim + powers[1 % n_sites]).reshape(-1)
     smallest = np.arange(dim * dim)
-    for perm in powers[1:]:
+    for perm in symmetry_group(n_sites, "T").elements[1:, 0]:
         np.minimum(smallest, (perm[:, None] * dim + perm).reshape(-1), out=smallest)
     is_smallest = smallest == np.arange(dim * dim)
     representatives = np.flatnonzero(is_smallest)
     orbit_of = (np.cumsum(is_smallest) - 1)[smallest]
     transpose = orbit_of[_transpose_index(representatives, dim)]
-    return _PairOrbits(shift, representatives, orbit_of, transpose)
+    return _PairOrbits(representatives, orbit_of, transpose)
 
 
-def _gksl_matrix(
+def _gksl_terms(
     h_eff: np.ndarray, gamma: GammaMatrix, channel: str
-) -> scipy.sparse.csr_matrix:
-    """The GKSL generator of either channel as one sparse CSR superoperator
-    on vec(rho) (row-major, vec(A rho B) = kron(A, B^T) vec(rho)):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_nh, diagonal, rates), the arrays _write_generator writes the GKSL
+    generator of either channel from, as one sparse CSR superoperator on
+    vec(rho) (row-major, vec(A rho B) = kron(A, B^T) vec(rho)):
 
         L = -i [kron(H_nh, I) - kron(I, conj(H_nh))]
             + sum_ij Gamma_ij kron(L_j, conj(L_i)),
@@ -511,13 +516,14 @@ def _gksl_matrix(
     bit j clear, and sigma^+_i sigma^-_i projects onto site i up, so M is
     written from the bits: each off-diagonal entry is one rate, and each
     diagonal entry sums its rates in ascending i, as the former sparse sum
-    over (i, j) did.  For sigma^z jumps M and every kron(L_j, conj(L_i))
-    are diagonal, so the dissipator and the diagonal of H_eff enter as the
-    diagonal Lambda (_dephasing_diagonal), and H_eff is the drift, whose
-    diagonal the writer skips.  _write_generator writes every entry once.
-    The form is exact for arbitrary (not only Hermitian) inputs.  Any
-    channel outside CHANNELS raises ValueError.  make_rhs keeps a diagonal
-    dephasing generator as its Lambda and never builds this matrix for it.
+    over (i, j) did.  The diagonal array holds the diagonal of the drift
+    term, and the rates are Gamma.  For sigma^z jumps M and every
+    kron(L_j, conj(L_i)) are diagonal, so the dissipator and the diagonal
+    of H_eff enter as the diagonal Lambda (_dephasing_diagonal), the rates
+    are zero and H_eff is the drift, whose diagonal the writer skips.  The
+    form is exact for arbitrary (not only Hermitian) inputs.  Any channel
+    outside CHANNELS raises ValueError.  make_rhs keeps a diagonal
+    dephasing generator as its Lambda and never writes a CSR for it.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r} (choices: {CHANNELS})")
@@ -525,7 +531,7 @@ def _gksl_matrix(
     h_nh = np.asarray(h_eff, dtype=complex)
     if channel == "dephasing":
         diagonal = _dephasing_diagonal(np.real(np.diag(h_nh)), gamma)
-        return _write_generator(h_nh, diagonal + 0.0, np.zeros((n, n)))
+        return h_nh, diagonal + 0.0, np.zeros((n, n))
     g = gamma.matrix
     states = np.arange(2**n)
     bits = 1 << (n - 1 - np.arange(n))
@@ -539,7 +545,7 @@ def _gksl_matrix(
     del m_op
     h_diag = np.diag(h_nh)
     diagonal = -1j * (h_diag[:, None] - np.conj(h_diag)[None, :]) + 0.0
-    return _write_generator(h_nh, diagonal, g + 0.0)
+    return h_nh, diagonal, g + 0.0
 
 
 def _write_generator(
@@ -659,7 +665,7 @@ class _Generator:
     propagates, of `size` entries, with the weak sectors, conjugate pairs
     and per-sample maps of that matrix.
 
-    The vector is vec(rho) (_gksl_matrix), or, for a generator reduced to
+    The vector is vec(rho) (_write_generator), or, for a generator reduced to
     the orbits of the superoperator shift (make_rhs), one value per orbit
     (a, b) -> (T a, T b) of vec indices (`orbits`, _pair_orbits): rho's
     entry at the orbit's smallest index, which every entry of the orbit
@@ -695,10 +701,11 @@ class _Generator:
             return _transpose_index(np.arange(self.dim**2), self.dim)
         return self.orbits.transpose
 
-    def shift_reduced(self, orbits: _PairOrbits) -> _Generator | None:
-        """The generator reduced to `orbits`, or None unless lmat commutes
-        bit for bit with the superoperator shift (lmat[T k, T l] ==
-        lmat[k, l] for every pair of vec indices).
+    def shift_reduced(self, orbits: _PairOrbits) -> _Generator:
+        """The generator reduced to `orbits`, exact when lmat commutes bit
+        for bit with the superoperator shift (lmat[T k, T l] == lmat[k, l]
+        for every pair of vec indices), which make_rhs establishes from the
+        arrays lmat is written from (_shift_invariant).
 
         Each row of L_red sums its representative's row of lmat over the
         orbits of the columns.  Every stored entry's image under the
@@ -708,8 +715,6 @@ class _Generator:
         """
         import scipy.sparse
 
-        if not _commutes_with(self.lmat, orbits.shift):
-            return None
         rows = self.lmat[orbits.representatives]
         row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
         col = orbits.orbit_of[rows.indices]
@@ -757,58 +762,39 @@ class _Generator:
 
     @functools.cached_property
     def _level(self) -> np.ndarray:
-        """Level of each vec index: the length of the longest path that
-        ends at its strongly connected component in the graph of
-        components, whose edges are the entries of lmat between two of
-        them.
+        """Level of each propagated index: its number of down spins, ket
+        plus bra, the popcount of its vec index (of its orbit's
+        representative for a shift-reduced generator), when every stored
+        entry of lmat passes level[row] >= level[col]; otherwise 0 for
+        every index.
 
-        Every such entry goes from a lower to a higher level, so ordering
-        a block's indices by level (a topological order of its components)
-        makes lmat block lower triangular over the levels, and with it
-        every polynomial in lmat.  The levels of one weak sector are
-        0, 1, ..., as a component at level k > 0 is fed from one at k - 1.
-
-        The candidate components are the connected components of the
-        entries whose transpose is stored too (_components); each is
-        strongly connected.  The relaxation below takes one pass per level
-        and converges exactly when the graph between the candidates is
-        acyclic, and then they are the strongly connected components.  It
-        is capped at one pass more than there are candidates; a graph that
-        has not converged by then has a cycle through two candidates, and
-        every index gets level 0: one level per block, whose map is then
-        built whole, which is exact too.
+        The test makes lmat, and with it every polynomial in lmat, block
+        lower triangular over the levels in ascending order.  It holds for
+        what _write_generator writes from a drift that conserves the count
+        (an excitation-conserving H_eff; M does): sigma^- jumps add one down
+        spin to the ket and one to the bra, and every other entry, sigma^z
+        dephasing's included, keeps the count.  A generator that fails it
+        has one level per block, whose map is then built whole, which is
+        exact too.
         """
-        import scipy.sparse
-
-        lmat = self.lmat
-        size = lmat.shape[0]
-        pattern = scipy.sparse.csr_matrix(
-            (np.ones(lmat.nnz, dtype=np.int8), lmat.indices, lmat.indptr),
-            shape=lmat.shape,
-        )
-        mutual = pattern.multiply(pattern.T).tocsr()
-        n_comp, labels = _components(size, _csr_rows(mutual), mutual.indices)
-        source, target = labels[lmat.indices], labels[_csr_rows(lmat)]
-        cross = source != target
-        source, target = source[cross], target[cross]
-        depth = np.zeros(n_comp, dtype=np.intp)
-        for _ in range(n_comp + 1):
-            deeper = depth.copy()
-            np.maximum.at(deeper, target, depth[source] + 1)
-            if np.array_equal(deeper, depth):
-                return depth[labels]
-            depth = deeper
-        return np.zeros(size, dtype=np.intp)
+        index = np.arange(self.size)
+        if self.orbits is not None:
+            index = self.orbits.representatives
+        level = _popcount(index)
+        if (level[_csr_rows(self.lmat)] >= level[self.lmat.indices]).all():
+            return level
+        return np.zeros(self.size, dtype=np.intp)
 
     def levels(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ordered, sizes) for one block's indices idx: idx stably sorted
-        by level (_level), and the number of its indices on each level.
-        For sigma^- jumps and an excitation-conserving H_eff the levels of
-        the block with ket-minus-bra difference d are the (m + d, m)
-        excitation pairs, of binom(N, m + d) * binom(N, m) indices each."""
+        by level (_level), and the number of its indices on each level
+        that it holds, in ascending order.  For sigma^- jumps and an
+        excitation-conserving H_eff the levels of the block with
+        ket-minus-bra difference d are the (m + d, m) excitation pairs, of
+        binom(N, m + d) * binom(N, m) indices each."""
         level = self._level[idx]
         order = np.argsort(level, kind="stable")
-        return idx[order], np.bincount(level)
+        return idx[order], np.unique(level, return_counts=True)[1]
 
     def _kept_sectors(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """(kept blocks, kept, fill): the blocks propagated for a Hermitian
@@ -1016,16 +1002,36 @@ def _components(
     return int(is_root.sum()), number[parent]
 
 
-def _commutes_with(lmat: scipy.sparse.csr_matrix, perm: np.ndarray) -> bool:
-    """lmat[perm[k], perm[l]] == lmat[k, l] for every pair of indices, bit
-    for bit, compared COMMUTE_SLAB_ROWS rows at a time, so that the
-    comparison's copies of lmat stay a fraction of its size and a matrix
-    that fails early costs one slab."""
-    for first in range(0, lmat.shape[0], COMMUTE_SLAB_ROWS):
-        rows = slice(first, first + COMMUTE_SLAB_ROWS)
-        if (lmat[perm[rows]][:, perm] != lmat[rows]).nnz:
-            return False
-    return True
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """The number of set bits of each nonnegative integer of values, one
+    pass a bit (np.bitwise_count needs numpy 2.0)."""
+    count = np.zeros(values.shape, dtype=np.intp)
+    while values.any():
+        count += values & 1
+        values = values >> 1
+    return count
+
+
+def _shift_invariant(
+    rho0: np.ndarray, h_nh: np.ndarray, diagonal: np.ndarray, rates: np.ndarray
+) -> bool:
+    """Whether rho0 and the generator _write_generator writes from h_nh,
+    diagonal and rates commute bit for bit with the cyclic site shift T,
+    rho0 as T rho0 T^dag and the generator as the superoperator shift
+    vec(a, b) -> vec(T a, T b).
+
+    Each entry of the generator is one term read from the three arrays: a
+    ket drift entry vec(a, b) -> vec(c, b) is -i H[a, c], a bra drift entry
+    vec(a, b) -> vec(a, d) is i conj(H[b, d]), a diagonal entry is
+    diagonal[a, b], and a jump vec(a, b) -> vec(a ^ bit_j, b ^ bit_i) is
+    rates[i, j].  T maps each onto an entry of the same kind at
+    (T a, T b), that of the sites i + 1 and j + 1 for a jump.  So rho0,
+    h_nh and the diagonal array equal to their images under T
+    (models.commutes) and a circulant rate matrix (_circulant) give every
+    entry's image the entry's own value, stored exactly where the entry is.
+    """
+    stack = np.stack((rho0, h_nh, diagonal))
+    return _circulant(rates) and bool(commutes(stack, "T").all())
 
 
 def make_rhs(
@@ -1042,19 +1048,20 @@ def make_rhs(
     matrix and no scipy.sparse.  Any other generator is a CSR
     (_Generator), and, with the run's initial state rho0, it is reduced to
     the orbits of the superoperator shift vec(a, b) -> vec(T a, T b) for
-    the cyclic site shift T (_Generator.shift_reduced)
-    when two exact tests pass: rho0 equals T rho0 T^dag bit for bit
-    (_commutes), and the CSR commutes with the shift bit for bit.  Then
-    vec(rho(t)) stays in the shift-invariant subspace, one value per
-    orbit: 700 of 4,096 at N = 6 and 2,344 of 16,384 at N = 7.  This is
-    the Liouville-space form of the momentum states of check_state's
-    blocks (Sandvik, AIP Conf. Proc. 1297, 135, 2010, section 4) for a
-    weak symmetry (Buca & Prosen, NJP 14, 073007, 2012).  Ring and local
-    amplitude damping from |->^N,
-    or from the projected interacting ground state (models.ground_state),
-    pass both tests; all-to-all fails the second (its complex cross rates
-    are oriented i < j), and such runs, and every run without rho0, keep
-    the full generator.
+    the cyclic site shift T (_Generator.shift_reduced) when rho0 and the
+    arrays the CSR is written from pass exact tests (_shift_invariant):
+    rho0 equals T rho0 T^dag bit for bit, so do the drift H_nh and the
+    diagonal array, and the rate matrix is circulant.  Then the CSR
+    commutes with the shift bit for bit, and vec(rho(t)) stays in the
+    shift-invariant subspace, one value per orbit: 700 of 4,096 at N = 6
+    and 2,344 of 16,384 at N = 7.  This is the Liouville-space form of the
+    momentum states of check_state's blocks (Sandvik, AIP Conf. Proc.
+    1297, 135, 2010, section 4) for a weak symmetry (Buca & Prosen, NJP 14,
+    073007, 2012).  Ring and local amplitude damping from |->^N, or from
+    the projected interacting ground state (models.ground_state), pass the
+    tests; all-to-all fails them (its complex cross rates are oriented
+    i < j, so its rate matrix is not circulant), and such runs, and every
+    run without rho0, keep the full generator.
     """
     h_eff = np.asarray(h_eff)
     energies = np.diag(h_eff)
@@ -1062,14 +1069,15 @@ def make_rhs(
     diagonal = np.count_nonzero(h_eff) == np.count_nonzero(energies)
     if channel == "dephasing" and diagonal:
         return _DiagonalGenerator(_dephasing_diagonal(np.real(energies), gamma))
-    rhs = _Generator(_gksl_matrix(h_eff, gamma, channel), 2**gamma.n_sites)
-    if rho0 is None or not _commutes(np.asarray(rho0)[None], "T")[0]:
+    terms = _gksl_terms(h_eff, gamma, channel)
+    rhs = _Generator(_write_generator(*terms), 2**gamma.n_sites)
+    if rho0 is None or not _shift_invariant(np.asarray(rho0), *terms):
         return rhs
     orbits = _pair_orbits(gamma.n_sites)
     # at N = 1 the shift is the identity and every orbit a single index
     if len(orbits.representatives) == rhs.size:
         return rhs
-    return rhs.shift_reduced(orbits) or rhs
+    return rhs.shift_reduced(orbits)
 
 
 # perfbench/selftest.py compares its own generator with this name; it
@@ -1192,53 +1200,20 @@ def _block_spectra(states: np.ndarray, group: SymmetryGroup | None) -> np.ndarra
     return np.sort(np.concatenate(spectra, axis=1), axis=1)
 
 
-def _commutes(states: np.ndarray, generator: str) -> np.ndarray:
-    """Whether each state of a (K, dim, dim) stack equals g rho g^dag bit
-    for bit, for the generator g, "T" or "P" (models.symmetry_group).
-
-    Row 0 first, against its image row: rho[g 0, g b] == rho[0, b] is
-    necessary, so a state far from the symmetry costs O(dim).  Then the
-    whole of the states that pass it, in one comparison of two views, so
-    no index array of dim^2 entries is formed: for P a = dim - 1 - a the
-    rows a < dim / 2 against those of rho[::-1, ::-1], which hold one
-    entry of each pair (a, b), (P a, P b); for T, with a = (top bit, rest)
-    and T a = (rest, top bit), rho's (2, dim/2, 2, dim/2) view with its
-    axes swapped in pairs against the (dim/2, 2, dim/2, 2) view, both with
-    the rest of b as their last axis so that numpy's inner loop runs over
-    dim / 2 entries.
-    """
-    dim = states.shape[-1]
-    h = dim // 2
-    # T^(N-1) = T^-1 generates Z_N as well as T does
-    perm = symmetry_group(dim.bit_length() - 1, generator).elements[-1, -1]
-    near = (states[:, perm[0], perm] == states[:, 0]).all(axis=1)
-    if near.any():
-        chosen = _take(states, near)
-        if generator == "P":
-            views = chosen[:, :h], chosen[:, ::-1, ::-1][:, :h]
-        else:
-            views = (
-                chosen.reshape(-1, h, 2, h, 2).transpose(0, 1, 2, 4, 3),
-                chosen.reshape(-1, 2, h, 2, h).transpose(0, 2, 1, 3, 4),
-            )
-        near[near] = (views[0] == views[1]).reshape(len(chosen), -1).all(axis=1)
-    return near
-
-
 def _state_groups(states: np.ndarray) -> np.ndarray:
     """The group each state of a (K, dim, dim) stack takes in check_state:
     the first of GROUP_MIN_ROWS whose size the state reaches and whose
-    generators it commutes with bit for bit (_commutes), or "1"."""
+    generators it commutes with bit for bit (models.commutes), or "1"."""
     count, dim = states.shape[:2]
     groups = np.full(count, "1", dtype="<U2")
     if dim < 2 or dim & (dim - 1):
         return groups
-    commutes = {generator: _commutes(states, generator) for generator in "TP"}
+    invariant = {generator: commutes(states, generator) for generator in "TP"}
     for name, least in GROUP_MIN_ROWS.items():
         if dim >= least:
             fits = groups == "1"
             for generator in name:
-                fits &= commutes[generator]
+                fits &= invariant[generator]
             groups[fits] = name
     return groups
 
@@ -1450,10 +1425,9 @@ def evolve_stream(
     cfg: EvolutionConfig,
     info: dict | None = None,
 ):
-    """Generator form of evolve: yields (t, rho) one sample at a time.
+    """Integrate the master equation, yielding (t, rho) one sample at a time.
 
-    Memory stays O(dim^2) regardless of the grid length; evolve() collects
-    the samples into the list form.  The generator comes from `spec` and
+    Memory stays O(dim^2) regardless of the grid length.  The generator comes from `spec` and
     the number of cells N of rho0 alone: the rate matrix, which must pass
     CPTP validation or integration is refused, and H_eff, the
     reservoir-induced coupling on spec's bonds (models.effective_hamiltonian
@@ -1599,13 +1573,6 @@ def evolve_stream(
             raise failure
     info["steady"] = steady.decide(rho, step)
     timing["sampling"] = time.perf_counter() - start
-
-
-def evolve(
-    rho0: np.ndarray, spec: NoiseSpec, cfg: EvolutionConfig
-) -> list[tuple[float, np.ndarray]]:
-    """Integrate the master equation and return all sampled (t, rho) pairs."""
-    return list(evolve_stream(rho0, spec, cfg))
 
 
 def steady_state_probe(

@@ -5,7 +5,7 @@ ordered (spin up, spin down), so sigma^z = diag(1, -1) and index 0 is the
 excited (+1) level; site 0 is the leftmost tensor factor, i.e. site i is
 bit N-1-i of a basis-state index, and a set bit means spin down; hbar = 1
 and all couplings are dimensionless.  The Hamiltonians, the product start
-and the generator's jump operators (evolution._gksl_matrix) are written
+and the generator's jump operators (evolution._write_generator) are written
 entry by entry from those bits, through site_z_signs.
 
 The battery register is a ring of N spin-1/2 cells with
@@ -253,6 +253,41 @@ def symmetry_group(n_sites: int, name: str) -> SymmetryGroup:
     return SymmetryGroup(name, elements, representatives, orbit_of, sizes, blocks)
 
 
+def commutes(states: np.ndarray, generator: str) -> np.ndarray:
+    """Whether each matrix of a (K, dim, dim) stack equals g A g^dag bit for
+    bit, for the generator g, "T" or "P" (symmetry_group), of a basis of
+    dim = 2^N states.
+
+    Row 0 first, against its image row: A[g 0, g b] == A[0, b] is
+    necessary, so a matrix far from the symmetry costs O(dim).  Then the
+    whole of the matrices that pass it, in one comparison of two views, so
+    no index array of dim^2 entries is formed: for P a = dim - 1 - a the
+    rows a < dim / 2 against those of A[::-1, ::-1], which hold one entry
+    of each pair (a, b), (P a, P b); for T, with a = (top bit, rest) and
+    T a = (rest, top bit), A's (2, dim/2, 2, dim/2) view with its axes
+    swapped in pairs against the (dim/2, 2, dim/2, 2) view, both with the
+    rest of b as their last axis so that numpy's inner loop runs over
+    dim / 2 entries.
+    """
+    dim = states.shape[-1]
+    h = dim // 2
+    # T^(N-1) = T^-1 generates Z_N as well as T does
+    perm = symmetry_group(dim.bit_length() - 1, generator).elements[-1, -1]
+    near = (states[:, perm[0], perm] == states[:, 0]).all(axis=1)
+    if near.any():
+        # the stack itself, not a copy, when every matrix passed
+        chosen = states if near.all() else states[near]
+        if generator == "P":
+            views = chosen[:, :h], chosen[:, ::-1, ::-1][:, :h]
+        else:
+            views = (
+                chosen.reshape(-1, h, 2, h, 2).transpose(0, 1, 2, 4, 3),
+                chosen.reshape(-1, 2, h, 2, h).transpose(0, 2, 1, 3, 4),
+            )
+        near[near] = (views[0] == views[1]).reshape(len(chosen), -1).all(axis=1)
+    return near
+
+
 def battery_hamiltonian(model: BatteryModel) -> np.ndarray:
     """Dense battery Hamiltonian for the given model.
 
@@ -326,7 +361,7 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
     explicitly (see product_minus_state for the j_coupling = 0 battery).
 
     When h_matrix commutes bit for bit with the global spin flip P or the
-    cyclic site shift T (symmetry_group), as battery_hamiltonian does with
+    cyclic site shift T (commutes), as battery_hamiltonian does with
     both at j_coupling = 1, the unique ground vector psi is an eigenvector
     of each, g psi = chi(g) psi, with chi(g) = +-1 for a real matrix, the
     sign of <psi|g psi> for each element g.  eigh's vector is projected
@@ -350,11 +385,7 @@ def ground_state(h_matrix: np.ndarray) -> np.ndarray:
     g = vecs[:, 0]
     n = len(g).bit_length() - 1
     if len(g) == 2**n > 1:
-        perms = {"T": cyclic_shift(n), "P": np.arange(2**n)[::-1]}
-        name = "".join(
-            x for x, perm in perms.items()
-            if np.array_equal(h_matrix[np.ix_(perm, perm)], h_matrix)
-        )
+        name = "".join(x for x in "TP" if commutes(h_matrix[None], x)[0])
         if name:
             group = symmetry_group(n, name)
             reps = group.representatives

@@ -7,7 +7,9 @@ routes to the same object rather than the library against itself.  The
 exceptions say so: the brute-force ergotropy oracle, and the library's
 former constructions kept as the reference its current ones must equal
 bit for bit (ref_dephasing_diagonal, ref_level_map, ref_gksl_matrix,
-ref_conjugate_sectors, ref_level).
+ref_conjugate_sectors), or whose decisions its current ones must keep
+(ref_level, ref_commutes_with), and evolve, the library's former list
+form of evolve_stream.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from qbattery.evolution import (
     TRACE_TOL,
     StateCheck,
     StateInvariantError,
+    evolve_stream,
 )
+from qbattery.models import cyclic_shift
 from qbattery.observables import expectation
 
 BRUTEFORCE_EXHAUSTIVE_DIM = 8
@@ -582,3 +586,23 @@ def ref_level(lmat) -> np.ndarray:
         if np.array_equal(deeper, depth):
             return depth[labels]
         depth = deeper
+
+
+def ref_commutes_with(lmat, n_sites: int) -> bool:
+    """The library's former shift test: lmat[T k, T l] == lmat[k, l] bit for
+    bit for every pair of vec indices, for the superoperator shift
+    vec(a, b) -> vec(T a, T b) of the cyclic site shift T, compared 1,024
+    rows at a time on the assembled CSR."""
+    dim = 2**n_sites
+    shift = cyclic_shift(n_sites)
+    perm = (shift[:, None] * dim + shift).reshape(-1)
+    for first in range(0, lmat.shape[0], 1024):
+        rows = slice(first, first + 1024)
+        if (lmat[perm[rows]][:, perm] != lmat[rows]).nnz:
+            return False
+    return True
+
+
+def evolve(rho0, spec, cfg) -> list[tuple[float, np.ndarray]]:
+    """Every sampled (t, rho) pair of evolve_stream, as one list."""
+    return list(evolve_stream(rho0, spec, cfg))

@@ -1,12 +1,14 @@
 """Unit tests for the master-equation generator, its RK4 propagation and the
 state invariants."""
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from qbattery import (
     build_gamma,
     coherence_l1_energy_basis,
     default_dt_internal,
-    evolve,
     evolve_stream,
     field_product_eigenbasis,
     product_minus_state,
@@ -50,15 +51,19 @@ from qbattery.evolution import (
     make_rhs,
 )
 from qbattery.models import (
-    EffectiveCoupling, effective_hamiltonian, site_z_signs, symmetry_group
+    EffectiveCoupling, commutes, effective_hamiltonian, ground_state,
+    site_z_signs, symmetry_group
 )
+from qbattery.scenarios import _noise_spec, get_preset
 
 from reference_impls import (
     SX,
     SY,
+    evolve,
     random_density_matrix,
     random_hermitian,
     ref_check_state,
+    ref_commutes_with,
     ref_conjugate_sectors,
     ref_dephasing_diagonal,
     ref_embed,
@@ -163,9 +168,16 @@ class TestRhsDispatch:
         assert max(m.shape[1] for m in stacks) < 4**n
 
 
+def _csr(h_eff, gamma, channel):
+    """The generator's CSR as make_rhs writes it, for either channel."""
+    return evolution._write_generator(
+        *evolution._gksl_terms(h_eff, gamma, channel)
+    )
+
+
 def _assert_keeps_arrays(h_eff, gamma, channel):
     """The run's generator against the former Kronecker sums bit for bit:
-    _gksl_matrix's data, indices and indptr byte for byte, or, for the
+    the written CSR's data, indices and indptr byte for byte, or, for the
     diagonal dephasing generator that make_rhs keeps as its Lambda, that
     array against the reference's stored entries, which must be one on
     each diagonal position and nothing else."""
@@ -178,7 +190,7 @@ def _assert_keeps_arrays(h_eff, gamma, channel):
         assert rhs.lam.dtype == ref.data.dtype
         assert rhs.lam.tobytes() == ref.data.tobytes()
         return
-    got = evolution._gksl_matrix(h_eff, gamma, channel)
+    got = _csr(h_eff, gamma, channel)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype
@@ -672,12 +684,12 @@ def _discovery_rhs(channel, topology, n, reduced):
     coupling, dephasing with XX + DM hopping (non-diagonal), full or
     reduced to the shift orbits where make_rhs reduces it.  Local
     dephasing has no hopping, and make_rhs keeps its diagonal generator as
-    Lambda, so its CSR is built here from _gksl_matrix."""
+    Lambda, so its CSR is written here (_csr)."""
     kind = "xx_dm" if channel == "dephasing" else None
     spec = _channel_spec(channel, topology, kind)
     h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
     if channel == "dephasing" and topology == "local":
-        return evolution._Generator(evolution._gksl_matrix(h_eff, gamma, channel), 2**n)
+        return evolution._Generator(_csr(h_eff, gamma, channel), 2**n)
     rho0 = product_minus_state(n) if reduced else None
     return make_rhs(h_eff, gamma, channel, rho0)
 
@@ -704,9 +716,22 @@ def _cycle_csr(size, back_edge):
     return scipy.sparse.csr_matrix((data, (row, col)), shape=(size, size))
 
 
+def _assert_levels_equal_reference(rhs, blocks):
+    """Each block's level order and level sizes (levels(), from the
+    excitation counts) equal those of the former strongly connected
+    components and longest paths (ref_level) exactly."""
+    ref = ref_level(rhs.lmat)
+    for idx in blocks:
+        ordered, sizes = rhs.levels(idx)
+        level = ref[idx]
+        assert np.array_equal(ordered, idx[np.argsort(level, kind="stable")])
+        assert sizes.tolist() == np.bincount(level).tolist()
+
+
 class TestSectorDiscovery:
-    """The weak sectors and the levels found with numpy (_components)
-    against the former scipy.sparse.csgraph code, kept in
+    """The weak sectors found with numpy (_components) against the former
+    scipy.sparse.csgraph code, and the levels read from the excitation
+    counts against the former strongly connected components, both kept in
     tests/reference_impls.py, compared exactly."""
 
     @pytest.mark.parametrize("reduced", [False, True])
@@ -729,7 +754,7 @@ class TestSectorDiscovery:
         for got, ref in zip(blocks, ref_blocks):
             assert np.array_equal(got, ref)
         assert np.array_equal(partner, ref_partner)
-        assert np.array_equal(rhs._level, ref_level(rhs.lmat))
+        _assert_levels_equal_reference(rhs, blocks)
 
     def test_n7_all_to_all_damping_sectors_equal_csgraph(self):
         rhs = _discovery_rhs("amplitude_damping", "all_to_all", 7, True)
@@ -751,22 +776,21 @@ class TestSectorDiscovery:
 
     @pytest.mark.parametrize("back_edge", [False, True])
     def test_one_way_cycle_takes_one_level(self, back_edge):
+        # the synthetic indices carry no excitation count: entries of the
+        # paths go both ways between indices of different popcounts, so
+        # the test on every stored entry fails and every index is level 0,
+        # with or without the back edge; the map is built whole
         size = 2 * LEVEL_SPLIT_MIN_ROWS
         lmat = _cycle_csr(size, back_edge)
         rhs = evolution._Generator(lmat, 0)
-        level = rhs._level
-        if back_edge:
-            # the symmetric halves are not strongly connected components:
-            # the relaxation cannot converge, and every index is level 0
-            assert not level.any()
-        else:
-            assert np.array_equal(level, np.repeat([0, 1], size // 2))
-        assert np.array_equal(level, ref_level(lmat))
+        assert not rhs._level.any()
+        # the former search found two levels without the back edge
+        assert ref_level(lmat).any() == (not back_edge)
         dt, n_sub = 0.01, 5
         ((idx, slabs),) = _maps_of_parts(
             rhs.sector_parts([np.arange(size)], dt, n_sub)
         )
-        assert len(slabs) == (1 if back_edge else 2)
+        assert len(slabs) == 1
         ref = ref_rk4_block_map(lmat, idx, dt, n_sub)
         np.testing.assert_allclose(_levels_whole(slabs), ref, rtol=0, atol=1e-12)
 
@@ -1198,10 +1222,11 @@ class TestShiftReduction:
             orbits = evolution._pair_orbits(n)
             assert len(orbits.representatives) == count
             dim = 2**n
+            shift = (_shift(n)[:, None] * dim + _shift(n)).reshape(-1)
             # the orbits partition the vec indices, each orbit closed
             # under the shift and the transpose mapping orbits onto orbits
             np.testing.assert_array_equal(
-                orbits.representatives[orbits.orbit_of][orbits.shift],
+                orbits.representatives[orbits.orbit_of][shift],
                 orbits.representatives[orbits.orbit_of],
             )
             transposed = _transposed(np.arange(dim * dim), dim)
@@ -1233,25 +1258,68 @@ class TestShiftReduction:
         )
         assert rhs.orbits is None
 
-    def test_generator_one_ulp_off_keeps_the_full_path(self, monkeypatch):
+    @pytest.mark.parametrize("term", ["drift", "diagonal", "rates"])
+    def test_generator_one_ulp_off_keeps_the_full_path(self, monkeypatch, term):
+        # one entry of one array the CSR is written from, one ulp off
+        # T-invariance: the first nonzero one off the diagonal, which the
+        # writer reads for all three, and whose orbit is not itself
         n = 4
         spec = _channel_spec("amplitude_damping", "nearest_neighbor")
         args = (_spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping")
         rho0 = product_minus_state(n)
         assert make_rhs(*args, rho0).orbits is not None
-        real_matrix = evolution._gksl_matrix
+        real_terms = evolution._gksl_terms
 
-        def nudged_matrix(*matrix_args):
-            lmat = real_matrix(*matrix_args)
-            k = lmat.nnz // 2
-            lmat.data[k] = np.nextafter(lmat.data[k].real, np.inf) + 1j * lmat.data[k].imag
-            return lmat
+        def nudged_terms(*term_args):
+            terms = [array.copy() for array in real_terms(*term_args)]
+            array = terms[["drift", "diagonal", "rates"].index(term)]
+            k = np.flatnonzero(array * ~np.eye(len(array), dtype=bool))[0]
+            value = array.flat[k]
+            array.flat[k] = value + (np.nextafter(value.real, np.inf) - value.real)
+            return tuple(terms)
 
-        monkeypatch.setattr(evolution, "_gksl_matrix", nudged_matrix)
+        monkeypatch.setattr(evolution, "_gksl_terms", nudged_terms)
         assert make_rhs(*args, rho0).orbits is None
+        assert not ref_commutes_with(_csr(*args), n)
         info = {}
         _run(rho0, spec, n_samples=2, info=info)
         assert not info["shift_reduced"]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_admission_keeps_the_csr_decision(self, n):
+        # the physics of fig2, fig3, fig5 and fig6 (their couplings, fields
+        # and starts) at three cross-rate phases, on three topologies and
+        # both channels, dephasing written as a CSR as well: 72 generators
+        # a size, 432 over N = 2..7.  The test on the arrays the CSR is
+        # written from takes the former decision on the assembled CSR
+        # (tests/reference_impls.py), so every admitted generator commutes
+        # with the superoperator shift bit for bit
+        decisions = []
+        for name, phase, channel, topology in itertools.product(
+            ("fig2_dephasing_product", "fig3_dephasing_entangled",
+             "fig5_ad_product", "fig6_ad_entangled"),
+            (np.pi / 3, 0.0, 0.7),
+            CHANNELS,
+            ("local", "nearest_neighbor", "all_to_all"),
+        ):
+            cfg = replace(get_preset(name), gamma_offdiag_phase=phase)
+            modulus = 0.0 if topology == "local" else cfg.gamma_offdiag_modulus
+            spec = _noise_spec(cfg, channel, topology, modulus)
+            if cfg.initial_state == "product_minus":
+                rho0 = product_minus_state(n)
+            else:
+                model = BatteryModel(n, cfg.h, cfg.j_prime)
+                rho0 = ground_state(battery_hamiltonian(model))
+            terms = evolution._gksl_terms(
+                _spec_heff(spec, n), build_gamma(spec, n), channel
+            )
+            admitted = evolution._shift_invariant(rho0, *terms)
+            csr = evolution._write_generator(*terms)
+            former = commutes(rho0[None], "T")[0] and ref_commutes_with(csr, n)
+            assert admitted == former, (name, phase, channel, topology)
+            decisions.append(admitted)
+        assert len(decisions) == 72
+        assert 0 < sum(decisions) < 72
 
     def test_no_reduction_without_the_initial_state(self):
         _, rhs = _damping_rhs("nearest_neighbor", 4)

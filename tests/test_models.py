@@ -31,7 +31,33 @@ from reference_impls import (
     ref_field_product_eigenbasis,
     ref_xx_dm_bond,
 )
-from qbattery.models import cyclic_shift, site_z_signs, topology_bonds
+from qbattery.models import (
+    commutes, cyclic_shift, site_z_signs, symmetry_group, topology_bonds
+)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("generator", ["T", "P"])
+def test_commutes_matches_index_arrays(n_sites, generator):
+    # the one bitwise test of g A g^dag == A, for a stack with an
+    # invariant matrix (each entry its orbit's value at the smallest
+    # index), the same one ulp off at one entry, one off at row 0 only,
+    # and a random one, against the comparison by np.ix_
+    dim = 2**n_sites
+    elements = symmetry_group(n_sites, generator).elements.reshape(-1, dim)
+    perm = elements[-1]
+    rng = np.random.default_rng(n_sites)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    code = np.arange(dim * dim).reshape(dim, dim)
+    smallest = np.min([code[np.ix_(g, g)] for g in elements], axis=0)
+    invariant = a.reshape(-1)[smallest]
+    nudged, first_row = invariant.copy(), invariant.copy()
+    nudged.real[dim - 1, dim // 2] = np.nextafter(nudged.real[dim - 1, dim // 2], 2)
+    first_row[0, dim - 1] *= 1.5
+    stack = np.stack((invariant, nudged, first_row, a))
+    expected = [np.array_equal(m[np.ix_(perm, perm)], m) for m in stack]
+    assert commutes(stack, generator).tolist() == expected
+    assert expected[0]
 
 
 class TestBondSets:

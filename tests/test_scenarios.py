@@ -1243,6 +1243,23 @@ class TestCli:
     def test_validate_missing_file_exits_2(self, capsys):
         assert cli.main(["validate", "/nonexistent/path.cfg"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_directory_as_config_exits_2(self, tmp_path, capsys, command):
+        # reading it raises IsADirectoryError, an OSError as a missing
+        # file's FileNotFoundError is
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        out_dir = tmp_path / "out"
+        argv = [command, str(config_dir)]
+        if command == "run":
+            argv += ["--out", str(out_dir)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(config_dir) in line
+        assert not out_dir.exists()
+
     def test_compare_mode_choices_are_the_library_modes(self):
         (subcommands,) = [
             a for a in cli.build_parser()._actions if a.choices and "compare" in a.choices
