@@ -30,11 +30,15 @@ dephasing never loads it.
 The generator does not depend on time, so for a linear right-hand side
 rho' = L rho one RK4 step of size dt is exactly rho -> P(dt L) rho with
 P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, and the n_sub substeps between two
-samples are the fixed map M = P(dt L)^n_sub.  _Generator.sample_map builds
-the run's one per-sample step: M, precomputed once per run and applied
-once per sample (the same RK4 polynomial, not the exponential), or the
-explicit substep loop where M would cost more (below), and it records
-which of the two it took.  A diagonal generator's map is the elementwise
+samples are the fixed map M = P(dt L)^n_sub.  P is evaluated in Horner
+form everywhere: by _rk4_polynomial for the Lambda factor, the dense block
+stacks and the level columns below, and as P(dt L) v on a vector by the
+substep loop (_substep_loop); the literal four-stage form k1..k4 is kept
+only as the tests' reference.  _Generator.sample_map builds the run's one
+per-sample step: M, precomputed once per run and applied once per sample
+(the same RK4 polynomial, not the exponential), or the explicit substep
+loop where M would cost more (below), and it records which of the two it
+took.  A diagonal generator's map is the elementwise
 power of P(dt Lambda), one Hadamard product a sample
 (_DiagonalGenerator.sample_map).  A CSR generator is block diagonal over
 the weakly connected components of its sparsity graph
@@ -49,10 +53,11 @@ sector onto its conjugate partner, with the complex-conjugate block.  The
 map therefore propagates one sector of each pair plus every
 self-conjugate one, and fills the others of the Hermitian state as
 rho[j, i] = conj(rho[i, j]).  The step runs the explicit substep loop in
-place of the map, on the CSR restricted to those kept sectors and with the
-same fill, when the map would do more multiply-adds per sample than that
-loop or its whole blocks take more than SAMPLE_MAP_MAX_BYTES (all-to-all
-amplitude damping from N = 7 on).
+place of the map, on the CSR restricted to those kept sectors and scaled
+by dt once, as the map scales its blocks, and with the same fill, when the
+map would do more multiply-adds per sample than that loop or its whole
+blocks take more than SAMPLE_MAP_MAX_BYTES (all-to-all amplitude damping
+from N = 7 on).
 
 Ring and local runs commute with the cyclic site shift T.  Each entry of
 the CSR is one term read from the drift H_nh, the diagonal array or the
@@ -69,7 +74,10 @@ values back along the orbits, so it is exactly T-invariant.  Ring and
 local amplitude damping from |->^N or from the projected interacting
 ground state take this path, all-to-all does not (its complex cross rates
 are oriented i < j, so its rate matrix is not circulant), and any run
-that fails a test keeps vec(rho).
+that fails a test keeps vec(rho).  That is the same layout with every vec
+index its own orbit (_identity_orbits), so every CSR generator propagates
+one value per orbit with one gather and one scatter a sample; on the
+identity orbits both are slices, which copy nothing.
 
 Within a sector, L is block lower triangular over any grouping of its
 indices into levels in which every stored entry goes from a column of a
@@ -227,6 +235,14 @@ class StateInvariantError(RuntimeError):
             f"min eigenvalue = {min_eig:.3e}"
         )
 
+    def __reduce__(self):
+        # the default rebuilds the error from its message alone, which its
+        # __init__ does not take, so a worker process's error could not
+        # reach the parent
+        return type(self), (
+            self.t, self.trace_drift, self.herm_drift, self.min_eig, self.passed
+        )
+
 
 def finite_real(value: object) -> bool:
     """Whether value is a finite int or float; a bool is not a number here."""
@@ -241,8 +257,11 @@ def time_grid_errors(
 
     t_max and dt_sample are finite and > 0, the grid holds at least one and
     at most MAX_SAMPLES samples after t = 0, and dt_internal is None or a
-    finite number in (0, dt_sample].  EvolutionConfig raises the first;
-    the scenario layer reports them all under the same field names.
+    finite number in (0, dt_sample] that makes at most MAX_SAMPLES RK4
+    substeps a sample (resolve_time_grid's count; at 10^7 substeps
+    1 + dt lambda loses the diagonal to rounding).  EvolutionConfig raises
+    the first; the scenario layer reports them all under the same field
+    names.
     """
     errors = []
     good_t_max = finite_real(t_max) and t_max > 0
@@ -260,6 +279,11 @@ def time_grid_errors(
             errors.append(("dt_internal", f"must be > 0 or none, got {dt_internal!r}"))
         elif good_dt_sample and dt_internal > dt_sample * (1 + 1e-12):
             errors.append(("dt_internal", "must not exceed dt_sample"))
+        elif good_dt_sample and dt_sample / dt_internal - 1e-9 > MAX_SAMPLES:
+            # ceil(x) > MAX_SAMPLES exactly when x > MAX_SAMPLES, and an
+            # infinite quotient cannot be rounded up
+            reason = f"dt_sample / dt_internal exceeds {MAX_SAMPLES} substeps"
+            errors.append(("dt_internal", reason))
     return errors
 
 
@@ -273,7 +297,9 @@ class EvolutionConfig:
     snapped to an integer subdivision of dt_sample so that samples are hit
     exactly; resolve_time_grid reports the snapped grid, and the scenario
     layer records it in its run manifest.  A grid that breaks a rule of
-    time_grid_errors raises ValueError.
+    time_grid_errors raises ValueError; among them, an explicit
+    dt_internal that makes more than MAX_SAMPLES substeps a sample.  The
+    default step is not bounded by that rule.
     """
 
     t_max: float
@@ -319,21 +345,27 @@ def _spec_scales(spec: NoiseSpec) -> list[float]:
     return scales
 
 
-def _rk4_polynomial(x: np.ndarray, elementwise: bool) -> np.ndarray:
-    """P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 in Horner form.
+def _rk4_polynomial(p: np.ndarray, apply, unit) -> np.ndarray:
+    """P(x) e for P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, in Horner form:
+    p = e + x e / 4, then p = e + x p / k for k = 3, 2, 1.
 
     One classical RK4 step of size dt on rho' = L rho is exactly
-    rho -> P(dt L) rho.  `elementwise` evaluates P entry by entry (for a
-    diagonal generator kept as its Lambda array); otherwise x is a square
-    matrix, or a stack of them, and the products are matrix products.
+    rho -> P(dt L) rho.  p is given as x e, a fresh array the routine
+    owns; apply(p) is x p; and the unit columns e are zero but for a 1.0
+    at the index `unit` of p.  Each division and each added 1.0 acts in
+    place, and no name holds the given array once the first product is
+    taken, so it is freed then.  The Lambda factor of a diagonal
+    generator takes x = dt Lambda elementwise with unit = ... (e all
+    ones), a stack of dense blocks the matrix product with unit = their
+    diagonals, and a level column of a sparse block (_level_map) the
+    sparse product with unit = the level's own rows of its unit columns.
     """
-    if elementwise:
-        one, mul = 1.0, np.multiply
-    else:
-        one, mul = np.eye(x.shape[-1], dtype=x.dtype), np.matmul
-    p = one + x / 4.0
+    p /= 4.0
+    p[unit] += 1.0
     for k in (3.0, 2.0, 1.0):
-        p = one + mul(x, p) / k
+        p = apply(p)
+        p /= k
+        p[unit] += 1.0
     return p
 
 
@@ -359,31 +391,27 @@ def _level_map(
     M = P(x)^n_sub, for a sparse x that is block lower triangular over the
     levels [offsets[k], offsets[k + 1]); M is zero above the level diagonal.
 
-    P(x) comes from Horner with the sparse x, one level column at a time:
-    the columns of level J are zero above offsets[J], so they are
+    P(x) comes from _rk4_polynomial with the sparse x, one level column at
+    a time: the columns of level J are zero above offsets[J], so they are
     P(x_J) e_J for the lower-right part x_J = x[offsets[J]:, offsets[J]:]
-    and the unit columns e_J of the level, three sparse products with a
-    dense slab of that level's width.  Its power comes from right-to-left
-    square-and-multiply (result @ power, power @ power) over the lower
-    level blocks only, in place: `power` is one whole block and `result`
-    only its row slabs.  Each product is computed a row slab at a time
-    (_lower_row_slab) and copied over that slab, the last level first, so
-    that squaring power in place reads only rows of levels <= I, none of
-    which has been overwritten yet.
+    and the unit columns e_J of the level, whose 1.0s sit on the level's
+    own rows; three sparse products with a dense slab of that level's
+    width.  Its power comes from right-to-left square-and-multiply
+    (result @ power, power @ power) over the lower level blocks only, in
+    place: `power` is one whole block and `result` only its row slabs.
+    Each product is computed a row slab at a time (_lower_row_slab) and
+    copied over that slab, the last level first, so that squaring power in
+    place reads only rows of levels <= I, none of which has been
+    overwritten yet.
     """
     size = x.shape[0]
     power = np.zeros((size, size), dtype=complex)
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         lower = x[lo:, lo:]
         unit = (np.arange(hi - lo), np.arange(hi - lo))
-        slab = lower[:, : hi - lo].toarray()
-        slab /= 4.0
-        slab[unit] += 1.0
-        for k in (3.0, 2.0, 1.0):
-            slab = lower @ slab
-            slab /= k
-            slab[unit] += 1.0
-        power[lo:, lo:hi] = slab
+        power[lo:, lo:hi] = _rk4_polynomial(
+            lower[:, : hi - lo].toarray(), lower.dot, unit
+        )
     levels = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     result = None
     while True:
@@ -404,11 +432,11 @@ def _level_map(
 
 
 def _substep_loop_work(nnz: int, size: int, n_sub: int) -> int:
-    """Multiply-adds per sample of _rk4_substeps on a sparse linear RHS with
+    """Multiply-adds per sample of _substep_loop on a sparse x = dt L with
     `nnz` stored entries acting on vectors of `size` entries: per substep
-    four matvecs and fourteen whole-vector operations (stage arguments and
-    the weighted sum)."""
-    return n_sub * (4 * nnz + 14 * size)
+    four matvecs and eight whole-vector operations (a division and an
+    addition after each matvec)."""
+    return n_sub * (4 * nnz + 8 * size)
 
 
 def _transpose_index(k: np.ndarray, dim: int) -> np.ndarray:
@@ -416,17 +444,19 @@ def _transpose_index(k: np.ndarray, dim: int) -> np.ndarray:
     return (k % dim) * dim + k // dim
 
 
-def _rk4_substeps(rhs, dt: float, n_sub: int, rho: np.ndarray) -> np.ndarray:
-    """n_sub explicit classical RK4 steps of size dt."""
-    sixth = dt / 6.0
-    half = dt / 2.0
+def _substep_loop(
+    x: scipy.sparse.csr_matrix, n_sub: int, v: np.ndarray
+) -> np.ndarray:
+    """P(x)^n_sub v for a sparse x = dt L, n_sub classical RK4 steps of size
+    dt, each P(x) v in Horner form: v + x (v + x/2 (v + x/3 (v + x/4 v)))."""
     for _ in range(n_sub):
-        k1 = rhs(rho)
-        k2 = rhs(rho + half * k1)
-        k3 = rhs(rho + half * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    return rho
+        p = v
+        for k in (4.0, 3.0, 2.0, 1.0):
+            p = x @ p
+            p /= k
+            p += v
+        v = p
+    return v
 
 
 def _dephasing_diagonal(energies: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
@@ -497,6 +527,13 @@ def _pair_orbits(n_sites: int) -> _PairOrbits:
     orbit_of = (np.cumsum(is_smallest) - 1)[smallest]
     transpose = orbit_of[_transpose_index(representatives, dim)]
     return _PairOrbits(representatives, orbit_of, transpose)
+
+
+def _identity_orbits(dim: int) -> _PairOrbits:
+    """Every vec index of dim x dim matrices its own orbit: the layout of a
+    generator on the whole of vec(rho)."""
+    index = np.arange(dim * dim)
+    return _PairOrbits(index, index, _transpose_index(index, dim))
 
 
 def _gksl_terms(
@@ -634,15 +671,13 @@ class _DiagonalGenerator:
     kept as its dim x dim array `lam`, Lambda of _dephasing_diagonal: it
     acts on rho elementwise, rho' = Lambda * rho, and needs no sparse
     matrix.  It has the attributes of _Generator that a run reads: `size`
-    (dim^2 propagated values), `orbits` (None: its map is already one
-    multiply per entry, so it is never reduced), `propagation` and
-    `step_bytes`.
+    (dim^2 propagated values: its map is already one multiply per entry,
+    so it is never reduced), `propagation` and `step_bytes`.
     """
 
     def __init__(self, lam: np.ndarray) -> None:
         self.lam = lam
         self.size = lam.size
-        self.orbits = None
         self.propagation: str | None = None
         self.step_bytes: int | None = None
 
@@ -651,10 +686,13 @@ class _DiagonalGenerator:
 
     def sample_map(self, dt: float, n_sub: int):
         """The run's per-sample step: the Hadamard product with
-        P(dt Lambda)^n_sub, taken elementwise, which stores one array the
-        size of rho and costs one multiply per entry against 4 n_sub for
-        the substep loop.  Its path is "rk4_sample_map"."""
-        factor = _rk4_polynomial(dt * self.lam, elementwise=True) ** n_sub
+        P(dt Lambda)^n_sub, taken elementwise (_rk4_polynomial with every
+        entry a unit), which stores one array the size of rho and costs one
+        multiply per entry against 4 n_sub for the substep loop.  Its path
+        is "rk4_sample_map"."""
+        x = dt * self.lam
+        apply = functools.partial(np.multiply, x)
+        factor = _rk4_polynomial(x.copy(), apply, ...) ** n_sub
         self.propagation = "rk4_sample_map"
         self.step_bytes = factor.nbytes
         return lambda rho: factor * rho
@@ -662,28 +700,28 @@ class _DiagonalGenerator:
 
 class _Generator:
     """A run's generator as a sparse CSR matrix `lmat` on the vector it
-    propagates, of `size` entries, with the weak sectors, conjugate pairs
-    and per-sample maps of that matrix.
+    propagates, of `size` entries, one value per orbit of `orbits`, with
+    the weak sectors, conjugate pairs and per-sample maps of that matrix.
 
-    The vector is vec(rho) (_write_generator), or, for a generator reduced to
-    the orbits of the superoperator shift (make_rhs), one value per orbit
-    (a, b) -> (T a, T b) of vec indices (`orbits`, _pair_orbits): rho's
-    entry at the orbit's smallest index, which every entry of the orbit
-    shares in a T-invariant state.  The reduced matrix is
-    L_red = L[representatives] S for the orbit-indicator matrix S
-    (S[k, o] = 1 when vec index k lies in orbit o), exact on T-invariant
-    states; the steps gather those entries from rho and scatter the
-    propagated values back along the orbits.  One sparse matvec per
-    evaluation.  `propagation` is the path of the last step sample_map
-    built, None before the first, and `step_bytes` the bytes of the arrays
-    that step applies.
+    Each value is rho's entry at its orbit's smallest vec index, which
+    every entry of the orbit shares.  For a generator reduced to the
+    orbits of the superoperator shift (a, b) -> (T a, T b) (make_rhs,
+    _pair_orbits) that holds in a T-invariant state, and the reduced
+    matrix is L_red = L[representatives] S for the orbit-indicator matrix
+    S (S[k, o] = 1 when vec index k lies in orbit o), exact on such
+    states.  Otherwise every vec index is its own orbit
+    (_identity_orbits) and the vector is vec(rho) (_write_generator).
+    The steps gather the representatives' entries from rho and scatter
+    the propagated values back along the orbits; for the identity orbits
+    both are slices (_run), so they copy nothing.  One sparse matvec per
+    evaluation.  orbits.transpose is the position of the conjugate partner
+    rho[j, i] of each propagated value.  `propagation` is the path of the
+    last step sample_map built, None before the first, and `step_bytes`
+    the bytes of the arrays that step applies.
     """
 
     def __init__(
-        self,
-        lmat: scipy.sparse.csr_matrix,
-        dim: int,
-        orbits: _PairOrbits | None = None,
+        self, lmat: scipy.sparse.csr_matrix, dim: int, orbits: _PairOrbits
     ) -> None:
         self.lmat = lmat
         self.dim = dim
@@ -691,15 +729,6 @@ class _Generator:
         self.orbits = orbits
         self.propagation: str | None = None
         self.step_bytes: int | None = None
-
-    @functools.cached_property
-    def transpose(self) -> np.ndarray:
-        """The position of the conjugate partner rho[j, i] of each
-        propagated value: the row-major vec index, or the orbit of
-        (b, a)."""
-        if self.orbits is None:
-            return _transpose_index(np.arange(self.dim**2), self.dim)
-        return self.orbits.transpose
 
     def shift_reduced(self, orbits: _PairOrbits) -> _Generator:
         """The generator reduced to `orbits`, exact when lmat commutes bit
@@ -728,17 +757,15 @@ class _Generator:
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(rho).reshape(-1)
-        if self.orbits is None:
-            return (self.lmat @ flat).reshape(self.dim, self.dim)
-        values = self.lmat @ flat[self.orbits.representatives]
-        return values[self.orbits.orbit_of].reshape(self.dim, self.dim)
+        values = self.lmat @ flat[_run(self.orbits.representatives)]
+        return values[_run(self.orbits.orbit_of)].reshape(self.dim, self.dim)
 
     def conjugate_sectors(self) -> tuple[list[np.ndarray], np.ndarray]:
         """(blocks, partner): the index sets of the weakly connected
         components of lmat's sparsity graph (an edge between a and b for
         each stored entry lmat[a, b]; _components), each sorted ascending
         and numbered by its smallest index, and partner[c] the block onto
-        which the transpose vec(i, j) -> vec(j, i) (`transpose`) maps
+        which the transpose vec(i, j) -> vec(j, i) (orbits.transpose) maps
         block c.  lmat has no entry between two blocks, so it is block
         diagonal over them (the weak-symmetry sectors; for amplitude
         damping with excitation-conserving H_eff, one per ket-minus-bra
@@ -758,15 +785,14 @@ class _Generator:
         order = np.argsort(labels, kind="stable")
         bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
         firsts = order[np.concatenate(([0], bounds))]
-        return np.split(order, bounds), labels[self.transpose[firsts]]
+        return np.split(order, bounds), labels[self.orbits.transpose[firsts]]
 
     @functools.cached_property
     def _level(self) -> np.ndarray:
         """Level of each propagated index: its number of down spins, ket
-        plus bra, the popcount of its vec index (of its orbit's
-        representative for a shift-reduced generator), when every stored
-        entry of lmat passes level[row] >= level[col]; otherwise 0 for
-        every index.
+        plus bra, the popcount of its orbit's representative vec index,
+        when every stored entry of lmat passes level[row] >= level[col];
+        otherwise 0 for every index.
 
         The test makes lmat, and with it every polynomial in lmat, block
         lower triangular over the levels in ascending order.  It holds for
@@ -777,10 +803,7 @@ class _Generator:
         has one level per block, whose map is then built whole, which is
         exact too.
         """
-        index = np.arange(self.size)
-        if self.orbits is not None:
-            index = self.orbits.representatives
-        level = _popcount(index)
+        level = _popcount(self.orbits.representatives)
         if (level[_csr_rows(self.lmat)] >= level[self.lmat.indices]).all():
             return level
         return np.zeros(self.size, dtype=np.intp)
@@ -860,6 +883,7 @@ class _Generator:
         position = np.empty(self.lmat.shape[0], dtype=np.intp)
         position[indices] = np.arange(size)
         batch = max(1, DENSE_BUILD_BATCH_BYTES // (16 * size * size))
+        diagonal = (..., np.arange(size), np.arange(size))
         maps = np.empty((k, size, size), dtype=complex)
         for first in range(0, k, batch):
             rows = self.lmat[indices[first:first + batch].reshape(-1)]
@@ -868,8 +892,9 @@ class _Generator:
             sub[row // size, row % size, position[rows.indices]] = (
                 dt * rows.data
             )
+            apply = functools.partial(np.matmul, sub)
             maps[first:first + len(sub)] = np.linalg.matrix_power(
-                _rk4_polynomial(sub, False), n_sub
+                _rk4_polynomial(sub.copy(), apply, diagonal), n_sub
             )
         return maps
 
@@ -881,21 +906,23 @@ class _Generator:
         its sector parts, or the data, indices and indptr of the loop's kept
         CSR.
 
-        The step propagates the kept sectors (_kept_sectors) and fills the
-        other entries as conjugates; a shift-reduced generator
-        (make_rhs) propagates the orbit values and scatters them along the
-        orbits.  The kept sectors take dense block matvecs unless their
-        blocks hold at least as many entries as the substep loop on them
-        does multiply-adds per sample (_substep_loop_work on the kept rows)
-        or their whole blocks take more than SAMPLE_MAP_MAX_BYTES (counted
+        The step gathers the orbit values from rho, propagates the kept
+        sectors (_kept_sectors), fills the other values as conjugates and
+        scatters them along the orbits; for the identity orbits of an
+        unreduced generator the gather and the scatter are slices.  The
+        kept sectors take dense block matvecs unless their blocks hold at
+        least as many entries as the substep loop on them does
+        multiply-adds per sample (_substep_loop_work on the kept rows) or
+        their whole blocks take more than SAMPLE_MAP_MAX_BYTES (counted
         whole, though a level-split block is built and stored as row slabs):
         all-to-all amplitude damping from N = 7 on (~415 MB there), while
         the shift-reduced ring and local damping maps stay small.  Then the
-        step runs the explicit RK4 substeps on lmat restricted to the kept
-        indices, not lmat itself, so the full generator can be freed once
-        the step is built.  Kept sectors are closed under lmat, so their
-        rows reference kept columns only: the restriction is one row slice
-        of lmat with its columns renumbered in place of a second slice.
+        step runs the substep loop (_substep_loop, Horner form) on lmat
+        restricted to the kept indices and scaled by dt once, not on lmat
+        itself, so the full generator can be freed once the step is built.
+        Kept sectors are closed under lmat, so their rows reference kept
+        columns only: the restriction is one row slice of lmat with its
+        columns renumbered in place of a second slice.
 
         Otherwise the step keeps one list of parts (sector_parts): level
         by level from LEVEL_SPLIT_MIN_ROWS rows on, one dense batch per
@@ -922,8 +949,9 @@ class _Generator:
             kept_rows = self.lmat[kept]
             position = np.empty(self.lmat.shape[1], kept_rows.indices.dtype)
             position[kept] = np.arange(len(kept))
+            columns = position[kept_rows.indices]
             loop = scipy.sparse.csr_matrix(
-                (kept_rows.data, position[kept_rows.indices], kept_rows.indptr),
+                (dt * kept_rows.data, columns, kept_rows.indptr),
                 shape=(len(kept), len(kept)),
             )
             self.propagation = "rk4_substep_loop"
@@ -936,23 +964,21 @@ class _Generator:
             self.step_bytes = sum(
                 m.nbytes for _, slabs in parts for *_, m in slabs
             )
-        source, orbits = self.transpose[fill], self.orbits
+        source = self.orbits.transpose[fill]
+        gather = _run(self.orbits.representatives)
+        scatter = _run(self.orbits.orbit_of)
 
         def step(rho: np.ndarray) -> np.ndarray:
-            flat = rho.reshape(-1)
-            if orbits is not None:
-                flat = flat[orbits.representatives]
+            flat = rho.reshape(-1)[gather]
             out = np.empty_like(flat)
             if loop is not None:
-                out[kept] = _rk4_substeps(loop.dot, dt, n_sub, flat[kept])
+                out[kept] = _substep_loop(loop, n_sub, flat[kept])
             for idx, slabs in parts:
                 block = flat[idx]
                 for rows, hi, m in slabs:
                     out[rows] = np.matmul(m, block[..., :hi, None])[..., 0]
             out[fill] = np.conj(out[source])
-            if orbits is not None:
-                out = out[orbits.orbit_of]
-            return out.reshape(rho.shape)
+            return out[scatter].reshape(rho.shape)
 
         return step
 
@@ -1070,7 +1096,8 @@ def make_rhs(
     if channel == "dephasing" and diagonal:
         return _DiagonalGenerator(_dephasing_diagonal(np.real(energies), gamma))
     terms = _gksl_terms(h_eff, gamma, channel)
-    rhs = _Generator(_write_generator(*terms), 2**gamma.n_sites)
+    dim = 2**gamma.n_sites
+    rhs = _Generator(_write_generator(*terms), dim, _identity_orbits(dim))
     if rho0 is None or not _shift_invariant(np.asarray(rho0), *terms):
         return rhs
     orbits = _pair_orbits(gamma.n_sites)
@@ -1540,7 +1567,7 @@ def evolve_stream(
     rhs = make_rhs(h_eff, gamma, spec.channel, rho)
     step = rhs.sample_map(cfg.dt_sample / n_sub, n_sub)
     info["propagation"] = rhs.propagation
-    info["shift_reduced"] = rhs.orbits is not None
+    info["shift_reduced"] = rhs.size < dim * dim
     info["propagated_values"] = rhs.size
     info["step_bytes"] = rhs.step_bytes
     # the step holds what it applies; the generator need not outlive it

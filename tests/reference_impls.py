@@ -350,6 +350,20 @@ def ref_rk4_block_map(
     return np.linalg.matrix_power(p, n_sub)
 
 
+def ref_rk4_substeps(rhs, dt: float, n_sub: int, rho: np.ndarray) -> np.ndarray:
+    """n_sub explicit classical RK4 steps of size dt on rho' = rhs(rho), in
+    the literal four-stage form k1..k4."""
+    sixth = dt / 6.0
+    half = dt / 2.0
+    for _ in range(n_sub):
+        k1 = rhs(rho)
+        k2 = rhs(rho + half * k1)
+        k3 = rhs(rho + half * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return rho
+
+
 def ref_lower_matmul(
     a: np.ndarray, b: np.ndarray, out: np.ndarray, offsets: np.ndarray
 ) -> None:
@@ -563,7 +577,7 @@ def ref_conjugate_sectors(rhs) -> tuple[list[np.ndarray], np.ndarray]:
     order = np.argsort(labels, kind="stable")
     bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
     firsts = order[np.concatenate(([0], bounds))]
-    return np.split(order, bounds), labels[rhs.transpose[firsts]]
+    return np.split(order, bounds), labels[rhs.orbits.transpose[firsts]]
 
 
 def ref_level(lmat) -> np.ndarray:

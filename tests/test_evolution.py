@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -44,7 +45,6 @@ from qbattery.evolution import (
     StateCheck,
     _block_spectra,
     _herm_drift,
-    _rk4_substeps,
     _substep_loop_work,
     check_state,
     liouvillian_rhs,
@@ -74,6 +74,7 @@ from reference_impls import (
     ref_level_map,
     ref_master_rhs,
     ref_rk4_block_map,
+    ref_rk4_substeps,
     solve_master_ivp,
 )
 
@@ -454,11 +455,32 @@ class TestSampleMap:
         rho = product_minus_state(n).astype(complex)
         for t, got in series:
             np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
-            rho = _rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
+            rho = ref_rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
+
+    def test_loop_at_seven_cells_all_to_all(self):
+        # the presets' one loop run, all-to-all damping at N = 7, on the
+        # kept CSR in Horner form against the four-stage substeps on the
+        # full generator
+        n = 7
+        spec = _channel_spec("amplitude_damping", "all_to_all")
+        cfg = EvolutionConfig(t_max=0.03, dt_sample=0.01)
+        info = {}
+        series = list(
+            evolve_stream(product_minus_state(n), spec, cfg, info=info)
+        )
+        assert info["propagation"] == "rk4_substep_loop"
+        assert not info["shift_reduced"]
+        n_samples, n_sub = resolve_time_grid(cfg, spec)
+        assert len(series) == n_samples + 1 == 4
+        rhs = make_rhs(_spec_heff(spec, n), build_gamma(spec, n), spec.channel)
+        rho = product_minus_state(n).astype(complex)
+        for t, got in series:
+            np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
+            rho = ref_rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
 
     def test_map_only_when_cheaper_than_loop(self):
         # Hopping ring at N = 4: the blocks hold 12870 entries against
-        # 11772 loop multiply-adds per sample at one substep and 153036 at
+        # 10236 loop multiply-adds per sample at one substep and 133068 at
         # thirteen.
         spec = _spec(channel="amplitude_damping", topology="nearest_neighbor")
         rhs = make_rhs(
@@ -581,14 +603,15 @@ class TestStepBytes:
     @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
     def test_loop_csr_is_the_kept_restriction(self, topology, monkeypatch):
         # the kept rows reference kept columns only, so renumbering the
-        # columns of lmat[kept] gives lmat[kept][:, kept] array for array
+        # columns of lmat[kept] gives lmat[kept][:, kept] array for array,
+        # its data scaled by dt once
         monkeypatch.setattr(evolution, "SAMPLE_MAP_MAX_BYTES", 0)
         n = 4
         _, rhs = _damping_rhs(topology, n)
         kept = rhs._kept_sectors()[1]
         assert len(kept) < rhs.lmat.shape[0]
         (loop,) = _step_csrs(rhs.sample_map(1e-3, 13))
-        ref = rhs.lmat[kept][:, kept]
+        ref = 1e-3 * rhs.lmat[kept][:, kept]
         assert loop.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(loop, name), getattr(ref, name))
@@ -649,7 +672,7 @@ class TestConjugateSectors:
         rho = product_minus_state(n).astype(complex)
         for t, got in series:
             np.testing.assert_allclose(got, rho, rtol=0, atol=1e-12)
-            rho = _rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
+            rho = ref_rk4_substeps(rhs, cfg.dt_sample / n_sub, n_sub, rho)
 
     @pytest.mark.parametrize("topology", ["nearest_neighbor", "all_to_all"])
     @pytest.mark.parametrize(
@@ -689,7 +712,9 @@ def _discovery_rhs(channel, topology, n, reduced):
     spec = _channel_spec(channel, topology, kind)
     h_eff, gamma = _spec_heff(spec, n), build_gamma(spec, n)
     if channel == "dephasing" and topology == "local":
-        return evolution._Generator(_csr(h_eff, gamma, channel), 2**n)
+        return evolution._Generator(
+            _csr(h_eff, gamma, channel), 2**n, evolution._identity_orbits(2**n)
+        )
     rho0 = product_minus_state(n) if reduced else None
     return make_rhs(h_eff, gamma, channel, rho0)
 
@@ -744,7 +769,7 @@ class TestSectorDiscovery:
         rhs = _discovery_rhs(channel, topology, n, reduced)
         # ring and local damping from |->^N, and ring dephasing with
         # hopping, are reduced; all-to-all never is
-        assert (rhs.orbits is not None) == (
+        assert (rhs.size < 4**n) == (
             reduced and topology != "all_to_all"
             and not (channel == "dephasing" and topology == "local")
         )
@@ -782,7 +807,10 @@ class TestSectorDiscovery:
         # with or without the back edge; the map is built whole
         size = 2 * LEVEL_SPLIT_MIN_ROWS
         lmat = _cycle_csr(size, back_edge)
-        rhs = evolution._Generator(lmat, 0)
+        # every index its own orbit; the sector parts read no transpose
+        index = np.arange(size)
+        orbits = evolution._PairOrbits(index, index, index)
+        rhs = evolution._Generator(lmat, 0, orbits)
         assert not rhs._level.any()
         # the former search found two levels without the back edge
         assert ref_level(lmat).any() == (not back_edge)
@@ -1166,7 +1194,7 @@ class TestLowerLevelSlabs:
             if isinstance(got, list):
                 got = _levels_whole(got)
             expected[idx] = got @ flat[idx]
-        expected[fill] = np.conj(expected[rhs.transpose[fill]])
+        expected[fill] = np.conj(expected[rhs.orbits.transpose[fill]])
         got = step(rho).reshape(-1)
         assert np.max(np.abs(got - expected)) <= 1e-15
         assert sum(a.nbytes for a in _level_slabs(step)) < 18 * 2**20
@@ -1256,7 +1284,7 @@ class TestShiftReduction:
             _spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping",
             product_minus_state(n),
         )
-        assert rhs.orbits is None
+        assert rhs.size == 4**n
 
     @pytest.mark.parametrize("term", ["drift", "diagonal", "rates"])
     def test_generator_one_ulp_off_keeps_the_full_path(self, monkeypatch, term):
@@ -1267,7 +1295,7 @@ class TestShiftReduction:
         spec = _channel_spec("amplitude_damping", "nearest_neighbor")
         args = (_spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping")
         rho0 = product_minus_state(n)
-        assert make_rhs(*args, rho0).orbits is not None
+        assert make_rhs(*args, rho0).size < 4**n
         real_terms = evolution._gksl_terms
 
         def nudged_terms(*term_args):
@@ -1279,7 +1307,7 @@ class TestShiftReduction:
             return tuple(terms)
 
         monkeypatch.setattr(evolution, "_gksl_terms", nudged_terms)
-        assert make_rhs(*args, rho0).orbits is None
+        assert make_rhs(*args, rho0).size == 4**n
         assert not ref_commutes_with(_csr(*args), n)
         info = {}
         _run(rho0, spec, n_samples=2, info=info)
@@ -1323,7 +1351,7 @@ class TestShiftReduction:
 
     def test_no_reduction_without_the_initial_state(self):
         _, rhs = _damping_rhs("nearest_neighbor", 4)
-        assert rhs.orbits is None
+        assert rhs.size == 4**4
         assert rhs.lmat.shape[0] == 256
 
     @pytest.mark.parametrize("topology", ["nearest_neighbor", "local"])
@@ -1333,7 +1361,7 @@ class TestShiftReduction:
         args = (_spec_heff(spec, n), build_gamma(spec, n), "amplitude_damping")
         full = make_rhs(*args)
         reduced = make_rhs(*args, product_minus_state(n))
-        assert reduced.orbits is not None
+        assert reduced.size < 4**n
         rho = _shift_symmetrized(random_density_matrix(np.random.default_rng(7), 16))
         np.testing.assert_allclose(reduced(rho), full(rho), rtol=0, atol=1e-15)
 
@@ -1384,6 +1412,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="samples"):
             EvolutionConfig(t_max=1e9, dt_sample=1e-3)
 
+    def test_substep_bound(self):
+        # 10^6 substeps a sample is the most an explicit step may ask for;
+        # at 10^7, 1 + dt lambda loses the diagonal to rounding.  A
+        # quotient that overflows is refused, not rounded
+        cfg = EvolutionConfig(t_max=0.01, dt_sample=0.01, dt_internal=1e-8)
+        assert resolve_time_grid(cfg, _spec()) == (1, evolution.MAX_SAMPLES)
+        for dt_internal in (1e-9, 0.01 / (evolution.MAX_SAMPLES + 1), 5e-324):
+            with pytest.raises(ValueError, match="^dt_internal: .* substeps"):
+                EvolutionConfig(t_max=1.0, dt_sample=0.01, dt_internal=dt_internal)
+
     @pytest.mark.parametrize(
         "settings, field",
         [
@@ -1410,6 +1448,23 @@ class TestCheckState:
         assert err.value.trace_drift >= 1.0
         assert err.value.passed == []
         _assert_check_matches_reference(np.eye(2), 1.5)
+
+    def test_error_survives_pickling(self):
+        # a worker process's error reaches the parent pickled, with its
+        # time, drifts and the records of the states before it
+        states = np.stack([product_minus_state(2), np.eye(4)]).astype(complex)
+        with pytest.raises(StateInvariantError) as err:
+            check_state(states, [0.1, 0.2])
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is StateInvariantError
+        assert str(copy) == str(err.value)
+        _assert_same_error(copy, err.value)
+        assert copy.min_eig == err.value.min_eig
+        (passed,) = copy.passed
+        assert passed.trace_drift == err.value.passed[0].trace_drift
+        np.testing.assert_array_equal(
+            passed.populations, err.value.passed[0].populations
+        )
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)

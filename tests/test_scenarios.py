@@ -35,6 +35,7 @@ from qbattery.evolution import (
     HERMITICITY_TOL,
     MIN_EIGENVALUE_TOL,
     TRACE_TOL,
+    StateInvariantError,
 )
 from qbattery.scenarios import (
     COMPARE_MODES,
@@ -320,6 +321,21 @@ class TestConfigParsing:
 class TestValidateConfig:
     def test_clean_config_has_no_errors(self):
         assert validate_config(get_preset("fig6_ad_entangled")) == []
+
+    def test_substep_bound(self):
+        # at most MAX_SAMPLES RK4 substeps a sample, counted as
+        # resolve_time_grid counts them
+        cfg = get_preset("fig5_ad_product")
+        assert cfg.dt_sample == 0.01
+        assert validate_config(dataclasses.replace(cfg, dt_internal=1e-8)) == []
+        for dt_internal in (1e-9, 0.01 / (evolution.MAX_SAMPLES + 1), 5e-324):
+            errors = validate_config(
+                dataclasses.replace(cfg, dt_internal=dt_internal)
+            )
+            assert errors == [
+                "dt_internal: dt_sample / dt_internal exceeds "
+                f"{evolution.MAX_SAMPLES} substeps"
+            ]
 
     def test_each_violation_names_its_key(self):
         cfg = dataclasses.replace(
@@ -831,6 +847,24 @@ class TestRunArtifacts:
         for a, b in zip(serial.csv_paths, pooled.csv_paths, strict=True):
             assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_worker_state_invariant_error_reaches_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        # the fork-started workers inherit a tolerance no state meets, so
+        # every run fails its t = 0 check inside a worker; the error must
+        # cross back to the parent whole, not as a broken pool
+        monkeypatch.setattr(evolution, "MIN_EIGENVALUE_TOL", 1.0)
+        cfg = dataclasses.replace(
+            get_preset("fig2_dephasing_product"), n_sites_list=(2, 3), t_max=0.1
+        )
+        with pytest.raises(StateInvariantError) as err:
+            run_scenario(cfg, str(tmp_path / "pooled"), workers=2)
+        assert err.value.t == 0.0
+        assert err.value.trace_drift < TRACE_TOL
+        assert err.value.herm_drift < HERMITICITY_TOL
+        assert 0.0 <= err.value.min_eig < 1.0
+        assert err.value.passed == []
+
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_worker_count_must_be_a_positive_int(self, tmp_path, workers):
         # refused before the output directory is made; a bool is not a count
@@ -1163,7 +1197,8 @@ class TestCli:
 
     def test_runaway_integration_exits_4(self, tmp_path, capsys):
         # A deliberately unstable step (one RK4 step per sample against a
-        # stiff rate) blows past the state invariants at the first sample.
+        # stiff rate) blows past the state invariants at the first sample,
+        # in this process or in a worker's.
         path = tmp_path / "blowup.cfg"
         path.write_text(
             "name = blowup\n"
@@ -1177,8 +1212,11 @@ class TestCli:
             "dt_sample = 1\n"
             "dt_internal = 1\n"
         )
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
-        assert "state-invariant violation" in capsys.readouterr().err
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"o{workers}")
+            code = cli.main(["run", str(path), "--out", out, "--workers", workers])
+            assert code == 4
+            assert "state-invariant violation" in capsys.readouterr().err
 
     def test_validate_command(self, tmp_path, capsys):
         path = tmp_path / "ok.cfg"
@@ -1205,6 +1243,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count(
             f"t_max: t_max / dt_sample exceeds {evolution.MAX_SAMPLES} samples"
+        ) == 3
+        assert not out_dir.exists()
+
+    def test_substep_bound_refused_by_validate_and_run(self, tmp_path, capsys):
+        # dt_internal = 1e-9 against dt_sample = 0.01: 10^7 substeps a
+        # sample, refused under dt_internal with exit 2 before any output
+        # directory is made, from a config file and from --dt alike
+        path = tmp_path / "fine.cfg"
+        path.write_text(
+            "preset = fig5_ad_product\nn_sites = 2\ndt_internal = 1e-9\n"
+        )
+        out_dir = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert cli.main(
+            ["run", "fig5_ad_product", "--dt", "1e-9", "--out", str(out_dir)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count(
+            "dt_internal: dt_sample / dt_internal exceeds "
+            f"{evolution.MAX_SAMPLES} substeps"
         ) == 3
         assert not out_dir.exists()
 
